@@ -407,7 +407,8 @@ fn main() {
             dataset: "SVC".to_string(),
             doors,
             query: "mixed",
-            // execute_batch runs one worker per shard (each shard itself
+            // execute_batch serves one shard on the caller and one
+            // scoped worker per further shard (each shard itself
             // single-threaded here), so the actual concurrency of an SVC
             // cell is its venue count — record it honestly.
             threads: venue_count,

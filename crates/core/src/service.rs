@@ -74,11 +74,16 @@
 //!
 //! # Concurrency
 //!
-//! The offline container bans tokio; batches fan out with hand-rolled
-//! primitives instead — one scoped worker thread per shard with work,
-//! results flowing back over an [`std::sync::mpsc`] channel tagged with
-//! their input slot, so output order is the input order regardless of
-//! shard scheduling.
+//! The offline container bans tokio, and the serving path needs no
+//! runtime: [`IndoorService::execute_batch`] serves a batch on the thread
+//! that called it. Each shard's share appends `(slot, result)` to a plain
+//! vector, so output order is the input order regardless of which shard
+//! finished first. Only a batch spanning several venues starts threads —
+//! one scoped worker per shard beyond the first, joined before the call
+//! returns — because that is the only case with independent work to
+//! overlap. There is deliberately no worker pool: a one-venue batch (all a
+//! wire connection sends) has nothing to hand off, and a hand-off costs
+//! more than the cache hit it would carry.
 
 use crate::exec::{AdmissionGate, AdmissionPermit, AdmitError, QueryEngine};
 use crate::keywords::KeywordObjects;
@@ -95,12 +100,15 @@ use indoor_model::{
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Default per-shard result-cache capacity (entries) when
 /// [`ShardConfig::cache_capacity`] is 0.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// One answered slot of an [`IndoorService::execute_batch`] call.
+type SlotAnswer = (usize, Result<QueryResponse, ServiceError>);
 
 /// Stamp of answers that do not depend on the object set (shortest
 /// distance/path): venue geometry is immutable while registered, so these
@@ -1478,10 +1486,13 @@ impl IndoorService {
     /// and a saturated venue sheds its whole batch share — every slot
     /// routed to it answers the overload error).
     ///
-    /// One scoped worker per venue shard with work; each admits its slot
-    /// share's weight, answers its slots (cache first, then one engine
-    /// batch over the misses) and streams `(slot, result)` back over an
-    /// mpsc channel.
+    /// Each venue shard with work admits its slot share's weight and
+    /// answers its slots (cache first, then one engine batch over the
+    /// misses). The first share is served **on the calling thread**; only
+    /// when further shards have work do scoped workers run beside it, one
+    /// per extra shard, returning their slots through their join handles.
+    /// A one-venue batch — all a wire connection ever sends — therefore
+    /// starts no thread at all.
     pub fn execute_batch(
         &self,
         reqs: &[(VenueId, QueryRequest)],
@@ -1498,37 +1509,51 @@ impl IndoorService {
             }
         }
 
-        let (tx, rx) = mpsc::channel::<(usize, Result<QueryResponse, ServiceError>)>();
-        std::thread::scope(|scope| {
-            for (index, (shard, slots)) in shards.iter().zip(&by_shard).enumerate() {
-                let Some(shard) = shard else { continue };
-                if slots.is_empty() {
-                    continue;
+        // The shares with work; `by_shard` only routes slots to live shards.
+        let mut shares = shards
+            .iter()
+            .zip(&by_shard)
+            .filter(|(_, slots)| !slots.is_empty())
+            .map(|(shard, slots)| (shard.as_deref().expect("live shard"), &slots[..]));
+        let mut answered: Vec<SlotAnswer> = Vec::with_capacity(reqs.len());
+        if let Some((shard, slots)) = shares.next() {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = shares
+                    .map(|(shard, slots)| {
+                        #[cfg(test)]
+                        tests::SPAWNED.with(|n| n.set(n.get() + 1));
+                        scope.spawn(move || {
+                            let mut answered = Vec::with_capacity(slots.len());
+                            self.serve_shard_slots(shard, slots, reqs, &mut answered);
+                            answered
+                        })
+                    })
+                    .collect();
+                self.serve_shard_slots(shard, slots, reqs, &mut answered);
+                for worker in workers {
+                    answered.extend(worker.join().expect("shard worker panicked"));
                 }
-                let venue = VenueId::from(index);
-                let tx = tx.clone();
-                scope.spawn(move || self.serve_shard_slots(shard, venue, slots, reqs, &tx));
-            }
-            drop(tx);
-            for (slot, resp) in rx {
-                debug_assert!(out[slot].is_none(), "slot answered twice");
-                out[slot] = Some(resp);
-            }
-        });
+            });
+        }
+        for (slot, resp) in answered {
+            debug_assert!(out[slot].is_none(), "slot answered twice");
+            out[slot] = Some(resp);
+        }
         out.into_iter()
             .map(|r| r.expect("every slot answered"))
             .collect()
     }
 
-    /// Worker body of [`IndoorService::execute_batch`] for one shard.
+    /// Serve one shard's share of an [`IndoorService::execute_batch`],
+    /// appending `(slot, result)` for every slot of the share.
     fn serve_shard_slots(
         &self,
         shard: &Shard,
-        venue: VenueId,
         slots: &[usize],
         reqs: &[(VenueId, QueryRequest)],
-        tx: &mpsc::Sender<(usize, Result<QueryResponse, ServiceError>)>,
+        answered: &mut Vec<SlotAnswer>,
     ) {
+        let venue = reqs[slots[0]].0;
         // The whole slot share admits as one unit (weight = slot count):
         // a saturated shard rejects the share up front instead of
         // starting unbounded work. Oversized shares still admit on an
@@ -1536,9 +1561,7 @@ impl IndoorService {
         let _permit = match shard.admit(venue, slots.len()) {
             Ok(permit) => permit,
             Err(e) => {
-                for &slot in slots {
-                    let _ = tx.send((slot, Err(e.clone())));
-                }
+                answered.extend(slots.iter().map(|&slot| (slot, Err(e.clone()))));
                 return;
             }
         };
@@ -1546,7 +1569,7 @@ impl IndoorService {
         // captured before any computation.
         let engine = shard.engine();
         let stamps = Stamps::capture(&engine);
-        // Probe under the lock, but clone/record/send outside it so an
+        // Probe under the lock, but record and hand over outside it so an
         // all-hit batch doesn't starve concurrent `execute` callers.
         let t0 = Instant::now();
         let mut hits: Vec<(usize, QueryResponse)> = Vec::new();
@@ -1574,7 +1597,7 @@ impl IndoorService {
                     tel.query_latency_us[kind.index()].record(per_hit.as_micros() as u64);
                 }
                 self.record(kind, true, per_hit);
-                let _ = tx.send((slot, Ok(resp)));
+                answered.push((slot, Ok(resp)));
             }
         }
         if miss_slots.is_empty() {
@@ -1606,7 +1629,7 @@ impl IndoorService {
                     tel.query_latency_us[req.kind().index()].record(per_query.as_micros() as u64);
                 }
                 self.record(req.kind(), false, per_query);
-                let _ = tx.send((slot, Ok(resp.clone())));
+                answered.push((slot, Ok(resp.clone())));
             }
             cache.insert(req.clone(), stamps.for_kind(req.kind()), resp);
         }
@@ -1892,414 +1915,4 @@ impl IndoorService {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use indoor_model::ObjectId;
-    use indoor_synth::{random_venue, workload};
-
-    fn service_with_one_venue(seed: u64) -> (IndoorService, VenueId, Arc<Venue>) {
-        let venue = Arc::new(random_venue(seed));
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: workload::place_objects(&venue, 12, seed ^ 0x7),
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        (service, id, venue)
-    }
-
-    #[test]
-    fn unknown_venue_is_an_error() {
-        let (service, id, venue) = service_with_one_venue(21);
-        let q = workload::query_points(&venue, 1, 3)[0];
-        let req = QueryRequest::Knn { q, k: 2 };
-        assert!(service.execute(id, &req).is_ok());
-        let bogus = VenueId(99);
-        assert_eq!(
-            service.execute(bogus, &req),
-            Err(ServiceError::UnknownVenue(bogus))
-        );
-        let batch = service.execute_batch(&[(bogus, req.clone()), (id, req)]);
-        assert_eq!(batch[0], Err(ServiceError::UnknownVenue(bogus)));
-        assert!(batch[1].is_ok());
-    }
-
-    #[test]
-    fn cache_hits_are_counted_per_kind() {
-        let (service, id, venue) = service_with_one_venue(22);
-        let q = workload::query_points(&venue, 1, 5)[0];
-        let knn = QueryRequest::Knn { q, k: 3 };
-        let range = QueryRequest::Range { q, radius: 70.0 };
-        for _ in 0..3 {
-            service.execute(id, &knn).unwrap();
-        }
-        service.execute(id, &range).unwrap();
-        let stats = service.stats();
-        assert_eq!(stats.kind(QueryKind::Knn).queries, 3);
-        assert_eq!(stats.kind(QueryKind::Knn).cache_hits, 2);
-        assert_eq!(stats.kind(QueryKind::Range).queries, 1);
-        assert_eq!(stats.kind(QueryKind::Range).cache_hits, 0);
-        assert_eq!(stats.cached_entries, 2);
-        assert_eq!(stats.cache_capacity, DEFAULT_CACHE_CAPACITY);
-        assert!((stats.kind(QueryKind::Knn).hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(stats.venues, 1);
-        // Unbounded shard: no admission gauges.
-        assert_eq!(stats.admission_capacity, 0);
-        assert_eq!(stats.shed, 0);
-    }
-
-    #[test]
-    fn metrics_snapshot_encodes_clean_and_retires_removed_venues() {
-        let prev = crate::telemetry::set_sampling(true);
-        let (service, id, venue) = service_with_one_venue(27);
-        let q = workload::query_points(&venue, 1, 4)[0];
-        let req = QueryRequest::Knn { q, k: 2 };
-        service.execute(id, &req).unwrap();
-        service.execute(id, &req).unwrap(); // cache hit
-        let text = indoor_model::metrics::encode_text(&service.metrics_snapshot());
-        let errors = indoor_model::metrics::lint_text(&text);
-        assert!(errors.is_empty(), "{errors:?}\n{text}");
-        for needle in [
-            "indoor_query_latency_us_bucket{",
-            "indoor_phase_descent_us",
-            "indoor_traced_queries_total",
-            "indoor_venues 1",
-            "indoor_cache_hits_total{kind=\"knn\"} 1",
-            "indoor_leaf_grid_builds_total",
-            "indoor_live_objects",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
-        // Removing the venue retires every series it labelled.
-        service.remove_venue(id).unwrap();
-        let text = indoor_model::metrics::encode_text(&service.metrics_snapshot());
-        assert!(
-            !text.contains("venue=\""),
-            "stale venue-labelled series:\n{text}"
-        );
-        crate::telemetry::set_sampling(prev);
-    }
-
-    #[test]
-    fn batch_matches_per_slot_execute() {
-        let (service, id, venue) = service_with_one_venue(23);
-        let points = workload::query_points(&venue, 6, 9);
-        let pairs = workload::query_pairs(&venue, 3, 10);
-        let mut reqs: Vec<(VenueId, QueryRequest)> = Vec::new();
-        for q in &points {
-            reqs.push((id, QueryRequest::Knn { q: *q, k: 2 }));
-            reqs.push((
-                id,
-                QueryRequest::Range {
-                    q: *q,
-                    radius: 90.0,
-                },
-            ));
-        }
-        for (s, t) in &pairs {
-            reqs.push((id, QueryRequest::ShortestDistance { s: *s, t: *t }));
-            reqs.push((id, QueryRequest::ShortestPath { s: *s, t: *t }));
-        }
-        let got = service.execute_batch(&reqs);
-        for (slot, (venue, req)) in reqs.iter().enumerate() {
-            assert_eq!(
-                got[slot].as_ref().unwrap(),
-                &service.execute(*venue, req).unwrap(),
-                "slot {slot}"
-            );
-        }
-    }
-
-    #[test]
-    fn remove_venue_stops_routing_and_keeps_ids_stable() {
-        let (service, id_a, venue) = service_with_one_venue(24);
-        let id_b = service
-            .add_venue(
-                Arc::new(random_venue(25)),
-                ShardConfig {
-                    threads: 1,
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(service.venues(), vec![id_a, id_b]);
-
-        service.remove_venue(id_a).unwrap();
-        assert_eq!(service.venue_count(), 1);
-        assert_eq!(service.venues(), vec![id_b]);
-        let q = workload::query_points(&venue, 1, 3)[0];
-        let req = QueryRequest::Knn { q, k: 2 };
-        assert_eq!(
-            service.execute(id_a, &req),
-            Err(ServiceError::UnknownVenue(id_a))
-        );
-        assert_eq!(
-            service.remove_venue(id_a),
-            Err(ServiceError::UnknownVenue(id_a))
-        );
-        // Ids are never reused: a new venue gets a fresh slot.
-        let id_c = service
-            .add_venue(
-                Arc::new(random_venue(26)),
-                ShardConfig {
-                    threads: 1,
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        assert_ne!(id_c, id_a);
-        assert_eq!(service.venues(), vec![id_b, id_c]);
-    }
-
-    #[test]
-    fn clock_cache_evicts_and_counts() {
-        let mut cache = ClockCache::new(2);
-        let venue = random_venue(3);
-        let points = workload::query_points(&venue, 4, 1);
-        let reqs: Vec<QueryRequest> = points
-            .iter()
-            .map(|&q| QueryRequest::Knn { q, k: 1 })
-            .collect();
-        let resp = QueryResponse::Knn(Vec::new());
-        cache.insert(reqs[0].clone(), 0, resp.clone());
-        cache.insert(reqs[1].clone(), 0, resp.clone());
-        assert_eq!(cache.map.len(), 2);
-        assert_eq!(cache.evictions, 0);
-        // Reference req0 so the clock spares it and evicts req1.
-        assert!(cache.probe(&reqs[0], 0).is_some());
-        cache.insert(reqs[2].clone(), 0, resp.clone());
-        assert_eq!(cache.map.len(), 2);
-        assert_eq!(cache.evictions, 1);
-        assert!(
-            cache.probe(&reqs[0], 0).is_some(),
-            "referenced entry survives"
-        );
-        assert!(cache.probe(&reqs[1], 0).is_none(), "victim evicted");
-        assert!(cache.probe(&reqs[2], 0).is_some());
-        // Stale stamp: present but never a hit; re-insert revives in place.
-        assert!(cache.probe(&reqs[2], 1).is_none());
-        cache.insert(reqs[2].clone(), 1, resp);
-        assert_eq!(cache.map.len(), 2);
-        assert!(cache.probe(&reqs[2], 1).is_some());
-    }
-
-    #[test]
-    fn saturated_shard_sheds_with_typed_error_and_counts() {
-        let venue = Arc::new(random_venue(31));
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: workload::place_objects(&venue, 8, 5),
-                    admission: AdmissionConfig {
-                        max_in_flight: 1,
-                        policy: OverloadPolicy::Shed,
-                    },
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        let q = workload::query_points(&venue, 1, 7)[0];
-        let req = QueryRequest::Knn { q, k: 2 };
-        // Saturate the budget from outside, as a concurrent query would.
-        let shard = service.shard(id).unwrap();
-        let held = shard.admit(id, 1).unwrap();
-        assert_eq!(
-            service.execute(id, &req),
-            Err(ServiceError::Overloaded {
-                venue: id,
-                in_flight: 1,
-                limit: 1
-            })
-        );
-        // A batch sheds its whole share with the same typed error.
-        let batch = service.execute_batch(&[(id, req.clone()), (id, req.clone())]);
-        assert!(matches!(batch[0], Err(ServiceError::Overloaded { .. })));
-        assert!(matches!(batch[1], Err(ServiceError::Overloaded { .. })));
-        let stats = service.stats();
-        assert_eq!(stats.shed, 2); // one execute + one batch share
-        assert_eq!(stats.in_flight, 1);
-        assert_eq!(stats.admission_capacity, 1);
-        drop(held);
-        assert!(service.execute(id, &req).is_ok());
-        assert_eq!(service.stats().in_flight, 0);
-    }
-
-    #[test]
-    fn block_policy_times_out_with_typed_error() {
-        let venue = Arc::new(random_venue(32));
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    admission: AdmissionConfig {
-                        max_in_flight: 1,
-                        policy: OverloadPolicy::Block {
-                            timeout: Duration::from_millis(5),
-                        },
-                    },
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        let (s, t) = workload::query_pairs(&venue, 1, 8)[0];
-        let shard = service.shard(id).unwrap();
-        let held = shard.admit(id, 1).unwrap();
-        assert_eq!(
-            service.execute(id, &QueryRequest::ShortestDistance { s, t }),
-            Err(ServiceError::Timeout {
-                venue: id,
-                in_flight: 1,
-                limit: 1
-            })
-        );
-        assert_eq!(service.stats().admission_timeouts, 1);
-        drop(held);
-        assert!(service
-            .execute(id, &QueryRequest::ShortestDistance { s, t })
-            .is_ok());
-    }
-
-    #[test]
-    fn degraded_shard_serves_reads_and_refuses_mutations() {
-        let (service, id, venue) = service_with_one_venue(33);
-        let q = workload::query_points(&venue, 1, 4)[0];
-        let req = QueryRequest::Knn { q, k: 2 };
-        let before = service.execute(id, &req).unwrap();
-        service.shard(id).unwrap().degrade("test-induced degrade");
-        assert_eq!(
-            service.degraded(id).unwrap().as_deref(),
-            Some("test-induced degrade")
-        );
-        // Reads keep serving the last good snapshot...
-        assert_eq!(service.execute(id, &req).unwrap(), before);
-        // ...every mutation path is refused with the typed error...
-        let err = service.update_objects(id, &[]).unwrap_err();
-        assert!(matches!(err, ServiceError::Degraded(v, _) if v == id));
-        assert!(matches!(
-            service.attach_objects(id, &[]),
-            Err(ServiceError::Degraded(..))
-        ));
-        assert!(matches!(
-            service.update_keyword_objects(id, &[]),
-            Err(ServiceError::Degraded(..))
-        ));
-        assert!(matches!(
-            service.remove_venue(id),
-            Err(ServiceError::Degraded(..))
-        ));
-        // ...the version never moved, and stats surface the state.
-        assert_eq!(service.version(id).unwrap(), 0);
-        assert_eq!(service.stats().degraded_venues, 1);
-    }
-
-    #[test]
-    fn deltas_absorbed_counts_batch_sizes_not_batches() {
-        let (service, id, venue) = service_with_one_venue(41);
-        assert_eq!(service.stats().deltas_absorbed, 0);
-        let spots = workload::place_objects(&venue, 4, 9);
-        service
-            .update_objects(
-                id,
-                &[
-                    ObjectDelta::Move {
-                        id: ObjectId(0),
-                        to: spots[0],
-                    },
-                    ObjectDelta::Move {
-                        id: ObjectId(1),
-                        to: spots[1],
-                    },
-                ],
-            )
-            .unwrap();
-        assert_eq!(service.stats().deltas_absorbed, 2);
-        // A rejected batch absorbs nothing.
-        let bad = [ObjectDelta::Remove {
-            id: ObjectId(9_999),
-        }];
-        assert!(service.update_objects(id, &bad).is_err());
-        assert_eq!(service.stats().deltas_absorbed, 2);
-        // Keyword updates count through the same gauge...
-        service
-            .update_keyword_objects(
-                id,
-                &[ObjectUpdate {
-                    delta: ObjectDelta::Insert {
-                        id: ObjectId(0),
-                        at: spots[2],
-                    },
-                    labels: vec!["cafe".into()],
-                }],
-            )
-            .unwrap();
-        assert_eq!(service.stats().deltas_absorbed, 3);
-        // ...and the history survives venue removal.
-        service.remove_venue(id).unwrap();
-        assert_eq!(service.stats().deltas_absorbed, 3);
-    }
-
-    #[test]
-    fn venue_stats_snapshots_one_shard() {
-        let venue = Arc::new(random_venue(42));
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: workload::place_objects(&venue, 8, 5),
-                    admission: AdmissionConfig {
-                        max_in_flight: 2,
-                        policy: OverloadPolicy::Shed,
-                    },
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap();
-        let s = service.venue_stats(id).unwrap();
-        assert_eq!(s.venue, id);
-        assert_eq!((s.epoch, s.version), (0, 0));
-        assert_eq!(s.admission_capacity, 2);
-        assert_eq!((s.in_flight, s.shed, s.admission_timeouts), (0, 0, 0));
-        assert_eq!(s.degraded, None);
-
-        let q = workload::query_points(&venue, 1, 6)[0];
-        service.execute(id, &QueryRequest::Knn { q, k: 2 }).unwrap();
-        service
-            .update_objects(
-                id,
-                &[ObjectDelta::Move {
-                    id: ObjectId(0),
-                    to: workload::place_objects(&venue, 1, 11)[0],
-                }],
-            )
-            .unwrap();
-        let s = service.venue_stats(id).unwrap();
-        assert_eq!(s.cached_entries, 1);
-        assert_eq!((s.epoch, s.version), (0, 1));
-
-        // Per-venue attribution: the saturated venue shows the shed, a
-        // second venue stays clean, an unknown id is the typed error.
-        let shard = service.shard(id).unwrap();
-        let held = shard.admit(id, 2).unwrap();
-        assert!(service.execute(id, &QueryRequest::Knn { q, k: 2 }).is_err());
-        drop(held);
-        assert_eq!(service.venue_stats(id).unwrap().shed, 1);
-        let (other_service, other, _) = service_with_one_venue(43);
-        assert_eq!(other_service.venue_stats(other).unwrap().shed, 0);
-        assert!(matches!(
-            service.venue_stats(VenueId::from(7u32)),
-            Err(ServiceError::UnknownVenue(_))
-        ));
-    }
-}
+mod tests;

@@ -524,6 +524,11 @@ impl Frame {
     /// Encode the frame payload (tag + body, no outer framing).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        self.write_payload(&mut w);
+        w.into_bytes()
+    }
+
+    fn write_payload(&self, w: &mut WireWriter) {
         match self {
             Frame::Ping { id } => {
                 w.put_u8(TAG_PING);
@@ -603,14 +608,14 @@ impl Frame {
             Frame::Answer { id, result } => {
                 w.put_u8(TAG_ANSWER);
                 w.put_u64(*id);
-                encode_result(&mut w, result);
+                encode_result(w, result);
             }
             Frame::AnswerBatch { id, results } => {
                 w.put_u8(TAG_ANSWER_BATCH);
                 w.put_u64(*id);
                 w.put_u32(results.len() as u32);
                 for r in results {
-                    encode_result(&mut w, r);
+                    encode_result(w, r);
                 }
             }
             Frame::MutationOk { id, version } => {
@@ -630,7 +635,7 @@ impl Frame {
             Frame::Error { id, err } => {
                 w.put_u8(TAG_ERROR);
                 w.put_u64(*id);
-                err.encode(&mut w);
+                err.encode(w);
             }
             Frame::StatsReply { id, stats } => {
                 w.put_u8(TAG_STATS_REPLY);
@@ -646,7 +651,7 @@ impl Frame {
                 w.put_u64(stats.degraded_venues);
                 w.put_u32(stats.shards.len() as u32);
                 for s in &stats.shards {
-                    encode_shard_stats(&mut w, s);
+                    encode_shard_stats(w, s);
                 }
             }
             Frame::MetricsText { id, text } => {
@@ -671,13 +676,12 @@ impl Frame {
                 match err {
                     Some(e) => {
                         w.put_u8(1);
-                        e.encode(&mut w);
+                        e.encode(w);
                     }
                     None => w.put_u8(0),
                 }
             }
         }
-        w.into_bytes()
     }
 
     /// Decode a frame payload (tag + body); the payload must be consumed
@@ -841,13 +845,26 @@ impl Frame {
     /// Encode with outer framing: `[len][crc][payload]`, ready to write
     /// to a socket.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Append the framed encoding to `out`, bytes identical to
+    /// [`Frame::encode`]: the header is reserved, the payload written in
+    /// place behind it, then `len` and `crc` patched — no intermediate
+    /// payload buffer, and a connection that reuses `out` stops
+    /// allocating once it has grown to its largest burst.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut w = WireWriter::over(std::mem::take(out));
+        w.put_u64(0);
+        self.write_payload(&mut w);
+        *out = w.into_bytes();
+        let (header, payload) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+        debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     }
 
     /// The request id this frame carries, if any (replication frames and

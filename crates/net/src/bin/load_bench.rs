@@ -71,6 +71,11 @@ fn parse_args() -> Args {
     args
 }
 
+/// Connections of the flood cell, and how many times `--requests` each
+/// of them sends.
+const FLOOD_CONNS: usize = 4;
+const FLOOD_SCALE: usize = 8;
+
 #[derive(Debug, Default)]
 struct CellCounts {
     answered: u64,
@@ -213,19 +218,22 @@ fn open_loop(
     counts
 }
 
+/// Run one cell: a connection per entry of `shares`, each replaying its
+/// own request slice.
 fn run_cell(
     addr: std::net::SocketAddr,
     venue: u32,
-    reqs: &[QueryRequest],
-    conns: usize,
+    shares: &[&[QueryRequest]],
     mode: impl Fn(std::net::SocketAddr, u32, &[QueryRequest], &Histogram) -> CellCounts + Sync,
 ) -> (CellCounts, HistSnapshot, Duration) {
     let t0 = Instant::now();
     let lat = Histogram::new();
     let mut total = CellCounts::default();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..conns)
-            .map(|_| scope.spawn(|| mode(addr, venue, reqs, &lat)))
+        let (mode, lat) = (&mode, &lat);
+        let handles: Vec<_> = shares
+            .iter()
+            .map(|&reqs| scope.spawn(move || mode(addr, venue, reqs, lat)))
             .collect();
         for h in handles {
             total.merge(h.join().expect("connection thread"));
@@ -287,9 +295,10 @@ fn main() {
         let addr = server.local_addr();
         for conns in [1usize, 2, 4] {
             for depth in [1usize, 4] {
-                let (counts, lat, wall) = run_cell(addr, venue, reqs, conns, |a, v, r, h| {
-                    closed_loop(a, v, r, h, depth)
-                });
+                let (counts, lat, wall) =
+                    run_cell(addr, venue, &vec![reqs; conns], |a, v, r, h| {
+                        closed_loop(a, v, r, h, depth)
+                    });
                 let key = format!("(closed, {pname}, c{conns}, d{depth})");
                 let cell = finish(key, (reqs.len() * conns) as u64, counts, lat, wall);
                 println!(
@@ -318,7 +327,7 @@ fn main() {
         );
         let addr = server.local_addr();
         let qps = args.qps;
-        let (counts, lat, wall) = run_cell(addr, venue, reqs, 2, |a, v, r, h| {
+        let (counts, lat, wall) = run_cell(addr, venue, &[reqs; 2], |a, v, r, h| {
             open_loop(a, v, r, h, qps)
         });
         let cell = finish(
@@ -338,7 +347,30 @@ fn main() {
     // Flood: depth far past a tiny admission capacity. The acceptance
     // contract: the gate pushes back (shed > 0) with typed errors and
     // zero connection loss (every request resolves to answer or shed).
+    //
+    // The gate only refuses a share that arrives while another is inside
+    // it, and a share of cache hits is through in microseconds. So every
+    // connection replays its own slice of requests nobody repeats — all
+    // misses, however warm the cache — and enough of them that handler
+    // threads overlap inside the admission window even on one core.
     {
+        let per_conn = FLOOD_SCALE * args.requests;
+        let flood = workload::mixed_requests(
+            &venue_src,
+            (FLOOD_CONNS * per_conn).div_ceil(5),
+            4,
+            60.0,
+            "atm",
+            args.seed ^ 0xF100D,
+        );
+        let distinct: std::collections::HashSet<&QueryRequest> = flood.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            flood.len(),
+            "flood requests must not repeat"
+        );
+        let shares: Vec<&[QueryRequest]> = flood.chunks_exact(per_conn).take(FLOOD_CONNS).collect();
+        assert_eq!(shares.len(), FLOOD_CONNS);
         let (server, venue) = loopback(
             args.seed,
             AdmissionConfig {
@@ -347,12 +379,12 @@ fn main() {
             },
         );
         let addr = server.local_addr();
-        let (counts, lat, wall) = run_cell(addr, venue, reqs, 4, |a, v, r, h| {
+        let (counts, lat, wall) = run_cell(addr, venue, &shares, |a, v, r, h| {
             closed_loop(a, v, r, h, 64)
         });
         let cell = finish(
-            "(flood, shed, c4, d64)".to_string(),
-            (reqs.len() * 4) as u64,
+            format!("(flood, shed, c{FLOOD_CONNS}, d64)"),
+            (per_conn * FLOOD_CONNS) as u64,
             counts,
             lat,
             wall,

@@ -17,7 +17,7 @@
 //! open-loop caller owns its schedule; it decides whether a shed request
 //! is re-sent or counted and dropped.
 
-use crate::NetError;
+use crate::{transient, NetError};
 use indoor_model::frames::{Frame, FrameDecoder, WireError, WireServiceStats, NET_MAGIC};
 use indoor_model::{
     IndoorPoint, ObjectDelta, ObjectUpdate, QueryRequest, QueryResponse, Venue, VenueId,
@@ -42,6 +42,8 @@ pub struct NetClient {
     next_id: u64,
     retry: RetryPolicy,
     buf: Vec<u8>,
+    /// Encoded request bytes, reused from send to send.
+    out: Vec<u8>,
 }
 
 impl NetClient {
@@ -67,6 +69,7 @@ impl NetClient {
             next_id: 1,
             retry: RetryPolicy::default(),
             buf: vec![0u8; 64 * 1024],
+            out: Vec::new(),
         })
     }
 
@@ -240,8 +243,7 @@ impl NetClient {
     /// Fire a query without waiting; returns the id its reply will echo.
     pub fn send_query(&mut self, venue: u32, req: QueryRequest) -> Result<u64, NetError> {
         let id = self.fresh_id();
-        self.stream
-            .write_all(&Frame::Query { id, venue, req }.encode())?;
+        self.send(&Frame::Query { id, venue, req })?;
         Ok(id)
     }
 
@@ -296,25 +298,22 @@ impl NetClient {
                     let view = &self.buf[..n];
                     self.dec.extend(view);
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    return Ok(None)
-                }
+                Err(e) if transient(&e) => return Ok(None),
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
     }
 
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.out.clear();
+        frame.encode_into(&mut self.out);
+        self.stream.write_all(&self.out)
+    }
+
     /// Send `frame`, then read frames until the reply bearing `id`
     /// arrives (parking unrelated frames in the inbox).
     fn call(&mut self, frame: Frame, id: u64) -> Result<Frame, NetError> {
-        self.stream.write_all(&frame.encode())?;
+        self.send(&frame)?;
         if let Some(pos) = self.inbox.iter().position(|f| f.id() == Some(id)) {
             return Ok(self.inbox.remove(pos).expect("position just found"));
         }
@@ -327,17 +326,20 @@ impl NetClient {
         }
     }
 
-    /// Blocking read of the next complete frame.
+    /// Blocking read of the next complete frame. A read timeout set
+    /// through [`NetClient::set_read_timeout`] only bounds
+    /// `try_recv_answer`: here an elapsed quantum means "keep waiting".
     fn read_frame(&mut self) -> Result<Frame, NetError> {
         loop {
             if let Some(f) = self.dec.next()? {
                 return Ok(f);
             }
-            let n = self.stream.read(&mut self.buf)?;
-            if n == 0 {
-                return Err(NetError::Closed);
+            match self.stream.read(&mut self.buf) {
+                Ok(0) => return Err(NetError::Closed),
+                Ok(n) => self.dec.extend(&self.buf[..n]),
+                Err(e) if transient(&e) => {}
+                Err(e) => return Err(NetError::Io(e)),
             }
-            self.dec.extend(&self.buf[..n]);
         }
     }
 }

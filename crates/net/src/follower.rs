@@ -143,13 +143,7 @@ impl ReplicaStream {
             match self.step(service) {
                 Ok(true) => {}
                 Ok(false) => break,
-                Err(NetError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
+                Err(NetError::Io(e)) if crate::transient(&e) => {}
                 Err(e) => return Err(e),
             }
         }

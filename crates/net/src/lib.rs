@@ -107,6 +107,15 @@ impl NetError {
     }
 }
 
+/// A socket error that means "nothing yet", not "broken": the read
+/// timeout elapsed or a signal interrupted the call.
+pub(crate) fn transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 /// Map a service-side error to its wire mirror. `VenueId` crosses as its
 /// raw index; detail strings as rendered messages.
 pub(crate) fn wire_error(e: &vip_tree::ServiceError) -> WireError {

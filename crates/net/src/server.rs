@@ -7,6 +7,10 @@
 //! all query frames a client had in flight at drain time coalesce into
 //! **one** [`IndoorService::execute_batch`] call, so a depth-`d`
 //! pipeline gets batch execution without any client-side batching API.
+//! That call runs on the connection's own thread (a one-venue batch
+//! starts no other), requests move out of their frames into it, and
+//! replies encode into one buffer the connection keeps: between the
+//! socket read and the socket write a request pays for its answer only.
 //!
 //! Backpressure is typed, not transport-level: an admission rejection
 //! ([`ServiceError::Overloaded`] / [`ServiceError::Timeout`]) becomes a
@@ -25,9 +29,10 @@
 //! [`ServiceError::Overloaded`]: vip_tree::ServiceError::Overloaded
 //! [`ServiceError::Timeout`]: vip_tree::ServiceError::Timeout
 
-use crate::wire_error;
-use indoor_model::frames::FrameDecoder;
-use indoor_model::frames::{Frame, WireError, WireServiceStats, WireShardStats, NET_MAGIC};
+use crate::{transient, wire_error};
+use indoor_model::frames::{
+    Frame, FrameDecoder, WireError, WireServiceStats, WireShardStats, NET_MAGIC,
+};
 use indoor_model::{Venue, VenueId};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -35,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vip_tree::{IndoorService, ShardConfig};
+use vip_tree::{IndoorService, QueryRequest, ShardConfig};
 
 /// Tuning knobs for the serving loops.
 #[derive(Debug, Clone, Copy)]
@@ -111,13 +116,6 @@ impl Drop for NetServer {
     }
 }
 
-fn transient(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
 fn accept_loop(
     listener: TcpListener,
     service: Arc<IndoorService>,
@@ -184,7 +182,12 @@ fn serve_conn(
 
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
+    // Reused across drains: once they have grown to the connection's
+    // largest burst, serving a request allocates only what its answer owns.
     let mut frames: Vec<Frame> = Vec::new();
+    let mut slots: Vec<(VenueId, QueryRequest)> = Vec::new();
+    let mut shapes: Vec<ReplyShape> = Vec::new();
+    let mut reply: Vec<u8> = Vec::new();
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
@@ -203,26 +206,45 @@ fn serve_conn(
                 Err(_) => return Ok(()),
             }
         }
-        let drained = std::mem::take(&mut frames);
-        let mut i = 0;
-        while i < drained.len() {
-            if is_query(&drained[i]) {
-                let start = i;
-                while i < drained.len() && is_query(&drained[i]) {
-                    i += 1;
+        let mut drained = frames.drain(..).peekable();
+        while let Some(frame) = drained.next() {
+            reply.clear();
+            match frame {
+                frame if is_query(&frame) => {
+                    // Coalesce the run of query frames this one starts,
+                    // moving their requests into the slot vector.
+                    slots.clear();
+                    shapes.clear();
+                    let mut take = |f: Frame| match f {
+                        Frame::Query { id, venue, req } => {
+                            shapes.push((id, None));
+                            slots.push((VenueId::from(venue), req));
+                        }
+                        Frame::QueryBatch { id, reqs } => {
+                            shapes.push((id, Some(reqs.len())));
+                            slots.extend(reqs.into_iter().map(|(v, r)| (VenueId::from(v), r)));
+                        }
+                        _ => unreachable!("`is_query` admits only query frames"),
+                    };
+                    take(frame);
+                    while let Some(f) = drained.next_if(is_query) {
+                        take(f);
+                    }
+                    answer_queries(service, &slots, &shapes, &mut reply);
                 }
-                answer_queries(service, &mut stream, &drained[start..i])?;
-                continue;
-            }
-            if let Frame::Replicate { venue, from_lsn } = drained[i] {
                 // The subscription consumes the connection: it becomes a
                 // one-way WAL stream until peer close or server stop.
-                return serve_replication(service, stream, venue, from_lsn, stop);
+                Frame::Replicate { venue, from_lsn } => {
+                    return serve_replication(service, stream, venue, from_lsn, stop);
+                }
+                // Anything `serve_admin` does not know is a server→client
+                // frame sent the wrong way: close.
+                admin => match serve_admin(service, &admin) {
+                    Some(answer) => answer.encode_into(&mut reply),
+                    None => return Ok(()),
+                },
             }
-            if !serve_admin(service, &mut stream, &drained[i])? {
-                return Ok(());
-            }
-            i += 1;
+            stream.write_all(&reply)?;
         }
     }
 }
@@ -231,48 +253,41 @@ fn is_query(f: &Frame) -> bool {
     matches!(f, Frame::Query { .. } | Frame::QueryBatch { .. })
 }
 
-/// Serve a coalesced run of query frames with one `execute_batch` call,
-/// then fan the slot results back out to per-frame replies.
+/// How one query frame is answered: its id and, for a `QueryBatch`, how
+/// many slots it owns (`None` = a single `Query`).
+type ReplyShape = (u64, Option<usize>);
+
+/// Serve a coalesced run of query frames with one `execute_batch` call —
+/// on this connection's thread; a one-venue run starts no other — then
+/// fan the slot results back out to per-frame replies appended to `reply`.
 fn answer_queries(
     service: &IndoorService,
-    stream: &mut TcpStream,
-    run: &[Frame],
-) -> io::Result<()> {
-    let mut slots: Vec<(VenueId, vip_tree::QueryRequest)> = Vec::new();
-    for f in run {
-        match f {
-            Frame::Query { venue, req, .. } => slots.push((VenueId::from(*venue), req.clone())),
-            Frame::QueryBatch { reqs, .. } => {
-                slots.extend(reqs.iter().map(|(v, r)| (VenueId::from(*v), r.clone())));
-            }
-            _ => unreachable!("answer_queries only receives query frames"),
-        }
-    }
+    slots: &[(VenueId, QueryRequest)],
+    shapes: &[ReplyShape],
+    reply: &mut Vec<u8>,
+) {
     let mut results = service
-        .execute_batch(&slots)
+        .execute_batch(slots)
         .into_iter()
         .map(|r| r.map_err(|e| wire_error(&e)));
-    let mut out = Vec::new();
-    for f in run {
-        match f {
-            Frame::Query { id, .. } => {
+    for &(id, batch) in shapes {
+        match batch {
+            None => {
                 let result = results.next().expect("one result per slot");
-                out.extend_from_slice(&Frame::Answer { id: *id, result }.encode());
+                Frame::Answer { id, result }.encode_into(reply);
             }
-            Frame::QueryBatch { id, reqs } => {
-                let results: Vec<_> = results.by_ref().take(reqs.len()).collect();
-                out.extend_from_slice(&Frame::AnswerBatch { id: *id, results }.encode());
+            Some(n) => {
+                let results = results.by_ref().take(n).collect();
+                Frame::AnswerBatch { id, results }.encode_into(reply);
             }
-            _ => unreachable!("answer_queries only receives query frames"),
         }
     }
-    stream.write_all(&out)
 }
 
-/// Serve one non-query, non-replication frame. Returns `false` when the
-/// peer violated the protocol and the connection must close.
-fn serve_admin(service: &IndoorService, stream: &mut TcpStream, frame: &Frame) -> io::Result<bool> {
-    let reply = match frame {
+/// Answer one non-query, non-replication frame; `None` when the peer
+/// violated the protocol and the connection must close.
+fn serve_admin(service: &IndoorService, frame: &Frame) -> Option<Frame> {
+    Some(match frame {
         Frame::Ping { id } => Frame::Pong { id: *id },
         Frame::UpdateObjects { id, venue, deltas } => mutation_reply(service, *id, *venue, || {
             service
@@ -311,10 +326,8 @@ fn serve_admin(service: &IndoorService, stream: &mut TcpStream, frame: &Frame) -
         },
         // Query/QueryBatch/Replicate are routed before this function;
         // anything else is a server→client frame sent the wrong way.
-        _ => return Ok(false),
-    };
-    stream.write_all(&reply.encode())?;
-    Ok(true)
+        _ => return None,
+    })
 }
 
 /// Run a mutation and reply `MutationOk` with the venue's post-apply
@@ -437,14 +450,12 @@ fn serve_replication(
     }
     .encode();
     for (lsn, payload) in &sub.backlog {
-        out.extend_from_slice(
-            &Frame::Wal {
-                venue,
-                lsn: *lsn,
-                record: payload.to_vec(),
-            }
-            .encode(),
-        );
+        Frame::Wal {
+            venue,
+            lsn: *lsn,
+            record: payload.to_vec(),
+        }
+        .encode_into(&mut out);
     }
     stream.write_all(&out)?;
 
@@ -455,14 +466,14 @@ fn serve_replication(
         }
         match sub.live.recv_timeout(Duration::from_millis(20)) {
             Ok((lsn, payload)) => {
-                stream.write_all(
-                    &Frame::Wal {
-                        venue,
-                        lsn,
-                        record: payload.to_vec(),
-                    }
-                    .encode(),
-                )?;
+                out.clear();
+                Frame::Wal {
+                    venue,
+                    lsn,
+                    record: payload.to_vec(),
+                }
+                .encode_into(&mut out);
+                stream.write_all(&out)?;
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                 // Idle: probe for a silently departed peer so the thread

@@ -8,13 +8,16 @@
 //! errors end connections; service errors ride inside frames).
 
 use indoor_spatial::model::frames::{
-    Frame, FrameDecoder, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    Frame, FrameDecoder, WireError, WireServiceStats, WireShardStats, FRAME_HEADER_LEN,
+    MAX_FRAME_LEN,
 };
+use indoor_spatial::model::wire::crc32;
+use indoor_spatial::model::{ObjectDelta, ObjectId, ObjectUpdate, QueryResponse};
 use indoor_spatial::synth::{random_venue, workload};
 use proptest::prelude::*;
 
-/// A representative frame set: scalar control frames, id-carrying
-/// requests with real query payloads, error replies, and replication
+/// One frame of **every** variant: scalar control frames, id-carrying
+/// requests with real query payloads, every reply kind, and replication
 /// stream frames (the id-less kind). Built once — venue synthesis is
 /// the expensive part and every proptest case wants the same pool.
 fn sample_frames() -> &'static [Frame] {
@@ -22,12 +25,125 @@ fn sample_frames() -> &'static [Frame] {
     POOL.get_or_init(build_frames)
 }
 
+/// Upper bound of the `pick` strategies; picks index the pool modulo its
+/// length, so this only has to be at least that.
+const PICKS: usize = 64;
+
+/// Ordinal of a frame's variant. No wildcard arm: a new `Frame` variant
+/// fails to compile here until the pool below carries one.
+fn variant(f: &Frame) -> usize {
+    match f {
+        Frame::Ping { .. } => 0,
+        Frame::Query { .. } => 1,
+        Frame::QueryBatch { .. } => 2,
+        Frame::UpdateObjects { .. } => 3,
+        Frame::UpdateKeywords { .. } => 4,
+        Frame::AttachObjects { .. } => 5,
+        Frame::AddVenue { .. } => 6,
+        Frame::RemoveVenue { .. } => 7,
+        Frame::Stats { .. } => 8,
+        Frame::Metrics { .. } => 9,
+        Frame::Replicate { .. } => 10,
+        Frame::Pong { .. } => 11,
+        Frame::Answer { .. } => 12,
+        Frame::AnswerBatch { .. } => 13,
+        Frame::MutationOk { .. } => 14,
+        Frame::VenueCreated { .. } => 15,
+        Frame::Ack { .. } => 16,
+        Frame::Error { .. } => 17,
+        Frame::StatsReply { .. } => 18,
+        Frame::MetricsText { .. } => 19,
+        Frame::Wal { .. } => 20,
+        Frame::ReplHead { .. } => 21,
+        Frame::ReplEnd { .. } => 22,
+    }
+}
+const VARIANTS: usize = 23;
+
 fn build_frames() -> Vec<Frame> {
     let venue = random_venue(90);
     let reqs = workload::mixed_requests(&venue, 1, 3, 45.0, "atm", 90);
+    let points = workload::query_points(&venue, 3, 91);
     let mut frames = vec![
         Frame::Ping { id: 7 },
+        Frame::Pong { id: 7 },
         Frame::Stats { id: 8 },
+        Frame::Metrics { id: 11 },
+        Frame::QueryBatch {
+            id: 12,
+            reqs: reqs.iter().map(|r| (1, r.clone())).collect(),
+        },
+        Frame::UpdateObjects {
+            id: 13,
+            venue: 1,
+            deltas: vec![
+                ObjectDelta::Insert {
+                    id: ObjectId(4),
+                    at: points[0],
+                },
+                ObjectDelta::Remove { id: ObjectId(2) },
+            ],
+        },
+        Frame::UpdateKeywords {
+            id: 14,
+            venue: 1,
+            updates: vec![ObjectUpdate {
+                delta: ObjectDelta::Move {
+                    id: ObjectId(4),
+                    to: points[1],
+                },
+                labels: vec!["atm".into(), "café".into()],
+            }],
+        },
+        Frame::AttachObjects {
+            id: 15,
+            venue: 0,
+            objects: points.clone(),
+        },
+        Frame::AddVenue {
+            id: 16,
+            venue_json: b"{\"venue\":1}".to_vec(),
+            config: vec![9, 8, 7],
+        },
+        Frame::RemoveVenue { id: 17, venue: 3 },
+        Frame::Answer {
+            id: 18,
+            result: Ok(QueryResponse::Knn(vec![(ObjectId(1), 2.5)])),
+        },
+        Frame::AnswerBatch {
+            id: 19,
+            results: vec![
+                Ok(QueryResponse::ShortestDistance(None)),
+                Err(WireError::Timeout {
+                    venue: 1,
+                    in_flight: 4,
+                    limit: 4,
+                }),
+            ],
+        },
+        Frame::VenueCreated { id: 20, venue: 4 },
+        Frame::Ack { id: 21 },
+        Frame::StatsReply {
+            id: 22,
+            stats: WireServiceStats {
+                venues: 1,
+                queries: 100,
+                shards: vec![WireShardStats {
+                    venue: 0,
+                    degraded: Some("x".into()),
+                    ..Default::default()
+                }],
+                ..Default::default()
+            },
+        },
+        Frame::MetricsText {
+            id: 23,
+            text: "# TYPE indoor_venues gauge\nindoor_venues 2\n".into(),
+        },
+        Frame::ReplEnd {
+            venue: 3,
+            err: None,
+        },
         Frame::Replicate {
             venue: 3,
             from_lsn: 12,
@@ -65,15 +181,60 @@ fn build_frames() -> Vec<Frame> {
     frames
 }
 
+#[test]
+fn the_pool_carries_every_frame_variant() {
+    let pool = sample_frames();
+    assert!(pool.len() <= PICKS);
+    for v in 0..VARIANTS {
+        assert!(
+            pool.iter().any(|f| variant(f) == v),
+            "no frame of variant {v}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `encode_into` appends exactly the bytes the format defines —
+    /// `[len][crc32(payload)][payload]`, spelled out here rather than
+    /// taken from `encode()` — whatever the buffer already holds, and
+    /// whatever an earlier, longer use left in its spare capacity.
+    #[test]
+    fn encode_into_a_dirty_reused_buffer_matches_the_format(
+        picks in proptest::collection::vec(0usize..PICKS, 1..12),
+        junk in proptest::collection::vec(0u8..255, 0..40),
+        reuse_every in 1usize..5,
+    ) {
+        let pool = sample_frames();
+        let mut buf = Vec::new();
+        for (i, pick) in picks.iter().enumerate() {
+            let frame = &pool[pick % pool.len()];
+            if i % reuse_every == 0 {
+                // A connection's reply buffer between drains: cleared,
+                // capacity (and stale bytes beyond `len`) kept.
+                buf.clear();
+                buf.extend_from_slice(&junk);
+            }
+            let start = buf.len();
+            frame.encode_into(&mut buf);
+
+            let payload = frame.encode_payload();
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+            prop_assert_eq!(&buf[start..], &want[..]);
+            prop_assert_eq!(&frame.encode(), &want);
+            prop_assert!(buf.starts_with(&junk), "bytes ahead of the frame are untouched");
+        }
+    }
 
     /// A clean stream decodes to the same frames regardless of how the
     /// bytes are split across `extend` calls (TCP owes no respect to
     /// frame boundaries).
     #[test]
     fn arbitrary_packetisation_roundtrips(
-        picks in proptest::collection::vec(0usize..13, 1..8),
+        picks in proptest::collection::vec(0usize..PICKS, 1..8),
         chunk in 1usize..97,
     ) {
         let pool = sample_frames();
@@ -98,7 +259,7 @@ proptest! {
     /// A truncated frame is *incomplete*, not an error: the decoder
     /// reports nothing until the rest arrives, then yields the frame.
     #[test]
-    fn truncation_is_silence_not_error(pick in 0usize..13, cut_seed in 0u64..u64::MAX) {
+    fn truncation_is_silence_not_error(pick in 0usize..PICKS, cut_seed in 0u64..u64::MAX) {
         let pool = sample_frames();
         let frame = &pool[pick % pool.len()];
         let bytes = frame.encode();
@@ -119,7 +280,7 @@ proptest! {
     /// valid frame arriving afterwards is *not* resurrected.
     #[test]
     fn payload_corruption_poisons_permanently(
-        pick in 0usize..13,
+        pick in 0usize..PICKS,
         at_seed in 0u64..u64::MAX,
         flip in 1u8..255,
     ) {

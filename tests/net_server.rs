@@ -125,6 +125,70 @@ fn unknown_venue_and_malformed_admin_come_back_typed() {
     client.ping().unwrap();
 }
 
+/// `set_read_timeout` bounds `try_recv_answer` only. A blocking call made
+/// after it waits through as many elapsed quanta as the reply takes — it
+/// must not surface the socket's `WouldBlock`. The peer here is a scripted
+/// stand-in for a slow server (a `Block` admission wait, a long mutation):
+/// it sits on every request for 20 ms, then trickles the reply out in two
+/// pieces, so the timeout fires both before and in the middle of a frame.
+#[test]
+fn blocking_calls_wait_through_the_client_read_timeout() {
+    use indoor_spatial::model::frames::{Frame, FrameDecoder, NET_MAGIC};
+    use std::io::{Read, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let answer = QueryResponse::ShortestDistance(Some(12.5));
+    let slow_server = {
+        let answer = answer.clone();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&NET_MAGIC).unwrap();
+            let mut magic = [0u8; NET_MAGIC.len()];
+            stream.read_exact(&mut magic).unwrap();
+            let mut dec = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                let reply = match dec.next().unwrap() {
+                    Some(Frame::Ping { id }) => Frame::Pong { id },
+                    Some(Frame::Query { id, .. }) => Frame::Answer {
+                        id,
+                        result: Ok(answer.clone()),
+                    },
+                    Some(other) => panic!("unscripted frame {other:?}"),
+                    None => match stream.read(&mut buf).unwrap() {
+                        0 => return,
+                        n => {
+                            dec.extend(&buf[..n]);
+                            continue;
+                        }
+                    },
+                };
+                let bytes = reply.encode();
+                std::thread::sleep(Duration::from_millis(20));
+                stream.write_all(&bytes[..5]).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+                stream.write_all(&bytes[5..]).unwrap();
+            }
+        })
+    };
+
+    let venue = random_venue(85);
+    let req = workload::mixed_requests(&venue, 1, 2, 30.0, "atm", 85).remove(0);
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(1)))
+        .unwrap();
+    client.ping().expect("ping waits through the timeout");
+    assert_eq!(client.query(0, &req).expect("query waits"), answer);
+    let id = client.send_query(0, req).unwrap();
+    // The non-blocking flavour is what the timeout is for: nothing yet.
+    assert!(client.try_recv_answer().unwrap().is_none());
+    assert_eq!(client.recv_answer().expect("recv waits"), (id, Ok(answer)));
+    drop(client);
+    slow_server.join().unwrap();
+}
+
 /// Flood a capacity-2 shard from four pipelined connections: the gate
 /// must shed (typed `Overloaded` replies), every request must resolve,
 /// and each connection must stay open through the storm. Whether the
@@ -135,33 +199,49 @@ fn unknown_venue_and_malformed_admin_come_back_typed() {
 fn flood_past_capacity_sheds_typed_errors_without_losing_connections() {
     let mut shed_seen = false;
     for seed in 84..89 {
-        let (venue, mut config, reqs) = fixture(seed);
+        let (venue, mut config, _) = fixture(seed);
         config.admission = AdmissionConfig {
             max_in_flight: 1,
             policy: OverloadPolicy::Shed,
         };
         let service = Arc::new(IndoorService::new());
-        let id = service.add_venue(venue, config).unwrap();
+        let id = service.add_venue(venue.clone(), config).unwrap();
         let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
-        // Heavy enough that a coalesced batch outlives a scheduler
-        // quantum even on one release-mode core — otherwise handler
-        // threads never overlap inside the admission window and the
-        // gate has nothing to refuse.
-        let per_conn = 400usize;
+        // The gate refuses a share only while another is inside it, and
+        // a share of cache hits is through in microseconds. So every
+        // connection floods its own slice of requests nobody repeats —
+        // all misses, however warm the cache — heavy enough that a
+        // coalesced batch outlives a scheduler quantum even on one
+        // release-mode core and handler threads overlap inside the
+        // admission window.
+        let per_conn = 1600usize;
         let conns = 8u64;
+        let flood = workload::mixed_requests(
+            &venue,
+            (conns as usize * per_conn).div_ceil(5),
+            4,
+            60.0,
+            "atm",
+            seed ^ 0xF100D,
+        );
+        let distinct: std::collections::HashSet<&QueryRequest> = flood.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            flood.len(),
+            "flood requests must not repeat"
+        );
         let (answered, shed) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..conns)
-                .map(|_| {
-                    let reqs = &reqs;
+            let handles: Vec<_> = flood
+                .chunks_exact(per_conn)
+                .take(conns as usize)
+                .map(|share| {
                     scope.spawn(move || {
                         let mut client = NetClient::connect(addr).unwrap();
                         let (mut ok, mut bounced) = (0u64, 0u64);
-                        for i in 0..per_conn {
-                            client
-                                .send_query(id.index() as u32, reqs[i % reqs.len()].clone())
-                                .unwrap();
+                        for req in share {
+                            client.send_query(id.index() as u32, req.clone()).unwrap();
                         }
                         for _ in 0..per_conn {
                             match client.recv_answer().unwrap().1 {
@@ -201,6 +281,7 @@ fn flood_past_capacity_sheds_typed_errors_without_losing_connections() {
             shed > 0,
             "server and client must agree on whether pushback happened"
         );
+        println!("flood round, seed {seed}: answered {answered}, shed {shed}");
         if shed > 0 {
             shed_seen = true;
             break;

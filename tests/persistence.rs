@@ -504,6 +504,64 @@ fn volatile_service_snapshot_exports_and_opens() {
     assert_eq!(opened.persist_root(), Some(dir.as_path()));
 }
 
+/// The history behind `tests/data/crc_bytewise/` (see its README): a
+/// venue, three rounds of plain + keyword churn, a snapshot (which
+/// rotates the log), three more rounds that stay in the WAL. Any service
+/// can be driven through it, so the checked-in directory and a
+/// never-restarted reference see identical operations.
+fn checked_in_history(svc: &IndoorService, f: &Fixture, snapshot_dir: Option<&std::path::Path>) {
+    let id = svc.add_venue(f.venue.clone(), f.config()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xC4C);
+    let mut objects = LiveSet::seeded(f.objects.len());
+    let mut kw_objects = LiveSet::seeded(f.keywords.len());
+    for round in 0..6 {
+        if let (3, Some(dir)) = (round, snapshot_dir) {
+            svc.save_snapshot(dir).expect("snapshot");
+        }
+        let deltas: Vec<ObjectDelta> = objects
+            .random_batch(&f.pool, &mut rng)
+            .into_iter()
+            .map(|u| u.delta)
+            .collect();
+        svc.update_objects(id, &deltas).unwrap();
+        let updates = kw_objects.random_batch(&f.pool, &mut rng);
+        svc.update_keyword_objects(id, &updates).unwrap();
+    }
+}
+
+/// The checksum implementation changed (bytewise → slice-by-8); the
+/// format did not. A snapshot and a WAL written by the commit *before*
+/// that change — every section and record framed by the old code — must
+/// still verify, load and replay to the same answers.
+#[test]
+fn files_framed_by_the_bytewise_crc_still_open_and_replay() {
+    let f = Fixture::new(Arc::new(random_venue(14)), 14);
+    let guard = scratch_dir("crc-fixture");
+    let dir = &guard.0;
+    // Recovery locks and may repair the directory: work on a copy.
+    let checked_in =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/crc_bytewise");
+    for name in ["snapshot.bin", "venue-0.wal"] {
+        std::fs::copy(checked_in.join(name), dir.join(name)).expect("copy fixture file");
+    }
+    let (recovered, report) = IndoorService::open_with_report(dir).expect("open old files");
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.venues, 1);
+    assert_eq!(report.replayed_records, 6, "three rounds of two batches");
+    assert_eq!(report.truncated_tails, 0, "every old record's CRC verifies");
+
+    let reference = IndoorService::new();
+    checked_in_history(&reference, &f, None);
+    assert_same_answers(
+        &recovered,
+        &reference,
+        VenueId::from(0usize),
+        &f,
+        14,
+        "old files",
+    );
+}
+
 /// Shorthand: a durable service on an in-memory fault-injected disk.
 fn open_faulted(
     storage: &FaultStorage,
