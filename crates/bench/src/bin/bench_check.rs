@@ -40,10 +40,10 @@ struct Bench {
     telemetry: Vec<(String, String, f64)>,
 }
 
-/// Queries whose rows must carry a strictly positive `prune_rate`: the
-/// slab-layout kNN paths count every branch-and-bound candidate against
-/// the interpolated lower bound, so a zero means the bound layer is dead.
-const PRUNE_GATED_QUERIES: [&str; 2] = ["knn", "layout_knn_slab"];
+/// The query whose rows must carry a strictly positive `prune_rate`: the
+/// kNN walk counts every branch-and-bound candidate against the
+/// interpolated lower bound, so a zero means the bound layer is dead.
+const PRUNE_GATED_QUERY: &str = "knn";
 
 fn load(path: &str) -> Bench {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -75,7 +75,7 @@ fn load(path: &str) -> Bench {
             .and_then(Json::as_f64)
             .expect("row us_per_query");
         let name = format!("({dataset}, {query}, threads={threads}, venues={venues})");
-        if PRUNE_GATED_QUERIES.contains(&query) {
+        if query == PRUNE_GATED_QUERY {
             prune_rates.push((name.clone(), row.get("prune_rate").and_then(Json::as_f64)));
         }
         if query.starts_with("telemetry_knn_") {

@@ -227,54 +227,6 @@ fn main() {
             }
         }
 
-        // Layout A/B cells: the same kNN/range/shortest-path workloads at
-        // threads=1 with the implicit slab layout on (`slab`, the default
-        // hot path) vs off (`ptr`, the original pointer walk). Both live
-        // in the trajectory so a layout regression gates like any other
-        // cell, and the pair documents the tentpole's before/after on
-        // every refresh.
-        {
-            let engine = QueryEngine::for_vip(tree.clone()).with_threads(1);
-            std::hint::black_box(engine.batch_knn(&points[..8.min(points.len())], KNN_K));
-            let layout_cells: [(&'static str, &'static str, bool); 6] = [
-                ("layout_knn_slab", "knn", true),
-                ("layout_knn_ptr", "knn", false),
-                ("layout_range_slab", "range", true),
-                ("layout_range_ptr", "range", false),
-                ("layout_path_slab", "path", true),
-                ("layout_path_ptr", "path", false),
-            ];
-            for (query, kind, slab) in layout_cells {
-                tree.set_hot_layout(slab);
-                let us = match kind {
-                    "knn" => median_us(reps, N_QUERIES, || {
-                        std::hint::black_box(engine.batch_knn(&points, KNN_K));
-                    }),
-                    "range" => median_us(reps, N_QUERIES, || {
-                        std::hint::black_box(engine.batch_range(&points, RANGE_RADIUS));
-                    }),
-                    _ => median_us(reps, N_QUERIES, || {
-                        std::hint::black_box(engine.batch_shortest_path(&pairs));
-                    }),
-                };
-                println!(
-                    "   {query:>17} threads=1: {us:9.2} us/query  ({:9.0} q/s)",
-                    1e6 / us
-                );
-                rows.push(Row {
-                    dataset: name.to_string(),
-                    doors,
-                    query,
-                    threads: 1,
-                    venues: 1,
-                    n_queries: N_QUERIES,
-                    us_per_query: us,
-                    prune_rate: (query == "layout_knn_slab").then_some(prune_rate),
-                });
-            }
-            tree.set_hot_layout(true);
-        }
-
         // Telemetry A/B cells: the same kNN workload served through an
         // `IndoorService` shard (so the whole instrumented path runs —
         // admission, cache probe, per-query trace, histogram folds) with
@@ -713,7 +665,7 @@ fn main() {
     if let Ok(t) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
         let _ = writeln!(json, "  \"generated_unix\": {},", t.as_secs());
     }
-    json.push_str("  \"note\": \"batch results are slot-indexed and bit-identical to the serial loop (tests/concurrent_queries.rs); multi-thread speedup saturates at host_cores; mixed cells run shuffled heterogeneous QueryRequest batches; SVC rows measure IndoorService steady-state serving with a warm version-stamped cache over `venues` shards (venue sets differ per count, so their speedup_vs_serial is fixed at 1.0); churn rows are us per ObjectDelta absorbed by update_objects on one venue while a mixed load hammers a second venue concurrently (qps = updates/sec, speedup fixed at 1.0); persist_save/persist_open are us per whole-service snapshot write / warm restart, persist_replay is us per ObjectDelta of WAL-suffix replay (differenced against a snapshot-only open, floored at 0.01); the admission row is the p99 latency (median over reps) of queries ADMITTED through a shed-policy gate of 8 in-flight while a batch saturator floods the same shard — its qps reads as 1e6/p99, not throughput; layout_* cells A/B the implicit slab layout (slab, the default) against the original pointer walk (ptr) at threads=1 — answers are byte-identical across the pair, only layout and walk order differ; prune_rate on kNN cells is the fraction of branch-and-bound candidates rejected by the interpolated lower bound without touching a matrix row\",\n");
+    json.push_str("  \"note\": \"batch results are slot-indexed and bit-identical to the serial loop (tests/concurrent_queries.rs); multi-thread speedup saturates at host_cores; mixed cells run shuffled heterogeneous QueryRequest batches; SVC rows measure IndoorService steady-state serving with a warm version-stamped cache over `venues` shards (venue sets differ per count, so their speedup_vs_serial is fixed at 1.0); churn rows are us per ObjectDelta absorbed by update_objects on one venue while a mixed load hammers a second venue concurrently (qps = updates/sec, speedup fixed at 1.0); persist_save/persist_open are us per whole-service snapshot write / warm restart, persist_replay is us per ObjectDelta of WAL-suffix replay (differenced against a snapshot-only open, floored at 0.01); the admission row is the p99 latency (median over reps) of queries ADMITTED through a shed-policy gate of 8 in-flight while a batch saturator floods the same shard — its qps reads as 1e6/p99, not throughput; prune_rate on kNN cells is the fraction of branch-and-bound candidates rejected by the interpolated lower bound without touching a matrix row\",\n");
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         // SVC rows serve a *different* venue set per venue count, so no

@@ -121,74 +121,41 @@ impl IpTree {
     /// Distance from a point to every door of its own partition's doors is
     /// direct; to the leaf's access doors it goes through superior doors
     /// (Eq. 1 restricted per Definition 2). Appends the step to `asc`.
-    fn leaf_step_into(&self, p: &IndoorPoint, leaf: NodeIdx, asc: &mut Ascent, slab: bool) {
+    fn leaf_step_into(&self, p: &IndoorPoint, leaf: NodeIdx, asc: &mut Ascent) {
         let venue = &*self.venue;
         let node = self.node(leaf);
         let part_doors = &venue.partition(p.partition).doors;
-        let sup = self.superior_doors(p.partition);
 
-        if slab {
-            // Slab walk: one contiguous leaf-matrix row per superior door
-            // (leaf columns *are* the access doors, so the column ordinal
-            // is the access-door index), with `p`'s distance to that door
-            // hoisted out of the column sweep. Visiting superior doors in
-            // the same order as the pointer walk's inner loop keeps the
-            // first-strict-minimum provenance — and therefore the answer
-            // bytes — identical; local access doors are overwritten with
-            // their direct distance afterwards, exactly as the pointer
-            // walk never routes them through a superior door.
-            let step = asc.push_step(leaf);
-            let n_ads = node.access_doors.len();
-            step.dists.resize(n_ads, f64::INFINITY);
-            step.prov
-                .resize(n_ads, Provenance::Source { via: DoorId(0) });
-            for &u in sup {
-                let row_u = self.slabs.leaf_row_of(&self.door_leaves, leaf, u.0);
-                let du = p.distance_to_door(venue, u);
-                let row = self.slabs.row(leaf, row_u as usize);
-                for (ai, d) in step.dists.iter_mut().enumerate() {
-                    let cand = du + row[ai];
-                    if cand < *d {
-                        *d = cand;
-                        step.prov[ai] = Provenance::Source { via: u };
-                    }
-                }
-            }
-            for (ai, &a) in node.access_doors.iter().enumerate() {
-                if part_doors.binary_search(&a).is_ok() {
-                    step.dists[ai] = p.distance_to_door(venue, a);
-                    step.prov[ai] = Provenance::Source { via: a };
-                }
-            }
-            return;
-        }
-
+        // One contiguous leaf-matrix row per superior door (leaf columns
+        // *are* the access doors, so the column ordinal is the access-door
+        // index), with `p`'s distance to that door hoisted out of the
+        // column sweep. Superior doors are visited in order and updates
+        // are strictly improving, so each column keeps its first minimum
+        // and that door as provenance; local access doors are overwritten
+        // with their direct distance afterwards — they are never routed
+        // through a superior door.
         let step = asc.push_step(leaf);
-        for &a in &node.access_doors {
-            if part_doors.binary_search(&a).is_ok() {
-                // Local access door: trivially direct.
-                step.dists.push(p.distance_to_door(venue, a));
-                step.prov.push(Provenance::Source { via: a });
-                continue;
-            }
-            let col_a = node
-                .matrix
-                .col_index(a)
-                .expect("access door must be a matrix column");
-            let mut best = f64::INFINITY;
-            let mut best_via = DoorId(0);
-            for &u in sup {
-                let Some(row_u) = node.matrix.row_index(u) else {
-                    continue;
-                };
-                let cand = p.distance_to_door(venue, u) + node.matrix.at(row_u, col_a);
-                if cand < best {
-                    best = cand;
-                    best_via = u;
+        let n_ads = node.access_doors.len();
+        step.dists.resize(n_ads, f64::INFINITY);
+        step.prov
+            .resize(n_ads, Provenance::Source { via: DoorId(0) });
+        for &u in self.superior_doors(p.partition) {
+            let row_u = self.slabs.leaf_row_of(&self.door_leaves, leaf, u.0);
+            let du = p.distance_to_door(venue, u);
+            let row = self.slabs.row(leaf, row_u as usize);
+            for (ai, d) in step.dists.iter_mut().enumerate() {
+                let cand = du + row[ai];
+                if cand < *d {
+                    *d = cand;
+                    step.prov[ai] = Provenance::Source { via: u };
                 }
             }
-            step.dists.push(best);
-            step.prov.push(Provenance::Source { via: best_via });
+        }
+        for (ai, &a) in node.access_doors.iter().enumerate() {
+            if part_doors.binary_search(&a).is_ok() {
+                step.dists[ai] = p.distance_to_door(venue, a);
+                step.prov[ai] = Provenance::Source { via: a };
+            }
         }
     }
 
@@ -197,68 +164,35 @@ impl IpTree {
     /// a reusable [`Ascent`] buffer.
     pub(crate) fn ascend_into(&self, p: &IndoorPoint, target: NodeIdx, asc: &mut Ascent) {
         asc.clear();
-        let slab = self.uses_hot_layout();
         let leaf = self.leaf_of(p.partition);
-        self.leaf_step_into(p, leaf, asc, slab);
+        self.leaf_step_into(p, leaf, asc);
         let mut cur = leaf;
         while cur != target {
             let parent = self.node(cur).parent;
             debug_assert_ne!(parent, crate::NO_NODE, "target not an ancestor");
 
-            if slab {
-                // Row-major sweep over the parent slab: one contiguous row
-                // per child access door (precomputed kid-column run; rows
-                // double as columns for inner matrices), reading the
-                // parent's own access-door columns through the `own_cols`
-                // run instead of binary-searching door ids. Same
-                // candidates, same visit order per column, so the
-                // first-strict-minimum argmin — and every f64 — matches
-                // the pointer walk bit for bit.
-                let (step, prev) = asc.push_step_with_prev(parent);
-                let own = self.slabs.own_cols_of(parent);
-                let kid = self.slabs.kid_cols_of(cur);
-                step.dists.resize(own.len(), f64::INFINITY);
-                step.prov.resize(own.len(), Provenance::Child { idx: 0 });
-                for (bi, &krow) in kid.iter().enumerate() {
-                    let pd = prev.dists[bi];
-                    let row = self.slabs.row(parent, krow as usize);
-                    for (ai, out) in step.dists.iter_mut().enumerate() {
-                        let cand = pd + row[own[ai] as usize];
-                        if cand < *out {
-                            *out = cand;
-                            step.prov[ai] = Provenance::Child { idx: bi as u16 };
-                        }
-                    }
-                }
-                cur = parent;
-                continue;
-            }
-
-            let pnode = self.node(parent);
-            let child_ads = &self.node(cur).access_doors;
-
+            // Row-major sweep over the parent slab: one contiguous row per
+            // child access door (precomputed kid-column run; rows double
+            // as columns for inner matrices), reading the parent's own
+            // access-door columns through the `own_cols` run instead of
+            // binary-searching door ids. Child doors are visited in order
+            // per column and updates are strictly improving, so the argmin
+            // is the first minimal child door.
             let (step, prev) = asc.push_step_with_prev(parent);
-            for &a in &pnode.access_doors {
-                // a ∈ B(parent) always; each child access door too.
-                let col = pnode
-                    .matrix
-                    .col_index(a)
-                    .expect("parent access door in parent matrix");
-                let mut best = f64::INFINITY;
-                let mut best_idx = 0u16;
-                for (bi, &b) in child_ads.iter().enumerate() {
-                    let row = pnode
-                        .matrix
-                        .row_index(b)
-                        .expect("child access door in parent matrix");
-                    let cand = prev.dists[bi] + pnode.matrix.at(row, col);
-                    if cand < best {
-                        best = cand;
-                        best_idx = bi as u16;
+            let own = self.slabs.own_cols_of(parent);
+            let kid = self.slabs.kid_cols_of(cur);
+            step.dists.resize(own.len(), f64::INFINITY);
+            step.prov.resize(own.len(), Provenance::Child { idx: 0 });
+            for (bi, &krow) in kid.iter().enumerate() {
+                let pd = prev.dists[bi];
+                let row = self.slabs.row(parent, krow as usize);
+                for (ai, out) in step.dists.iter_mut().enumerate() {
+                    let cand = pd + row[own[ai] as usize];
+                    if cand < *out {
+                        *out = cand;
+                        step.prov[ai] = Provenance::Child { idx: bi as u16 };
                     }
                 }
-                step.dists.push(best);
-                step.prov.push(Provenance::Child { idx: best_idx });
             }
             cur = parent;
         }
@@ -375,72 +309,36 @@ impl IpTree {
         let nt = self.child_towards(lca, leaf_t);
         self.ascend_into(s, ns, asc_s);
         self.ascend_into(t, nt, asc_t);
-        let (asc_s, asc_t) = (&*asc_s, &*asc_t);
-        let lca_node = self.node(lca);
-
-        let ads = &self.node(ns).access_doors;
-        let adt = &self.node(nt).access_doors;
         let ds = &asc_s.last().dists;
         let dt = &asc_t.last().dists;
 
         let mut best = f64::INFINITY;
         let mut best_pair = (usize::MAX, usize::MAX);
 
-        if self.uses_hot_layout() {
-            // Slab walk with the envelope early-exit: any pairing through
-            // row `i` costs at least `ds[i] + env_min(lca) + min(dt)`, so a
-            // row whose floor already reaches the incumbent is skipped
-            // without touching the matrix. The floor is admissible and the
-            // skip condition is `>=` while updates require strictly `<`,
-            // so the surviving minimum and argmin pair are exactly the
-            // pointer walk's.
-            let kid_s = self.slabs.kid_cols_of(ns);
-            let kid_t = self.slabs.kid_cols_of(nt);
-            let (env_min, _) = self.slabs.envelope(lca);
-            let dt_min = dt
-                .iter()
-                .copied()
-                .filter(|d| d.is_finite())
-                .fold(f64::INFINITY, f64::min);
-            for (i, &dsi) in ds.iter().enumerate() {
-                if !dsi.is_finite() || dsi + env_min + dt_min >= best {
-                    continue;
-                }
-                let row = self.slabs.row(lca, kid_s[i] as usize);
-                for (j, &dtj) in dt.iter().enumerate() {
-                    if !dtj.is_finite() {
-                        continue;
-                    }
-                    let cand = dsi + row[kid_t[j] as usize] + dtj;
-                    if cand < best {
-                        best = cand;
-                        best_pair = (i, j);
-                    }
-                }
-            }
-            if !best.is_finite() {
-                return None;
-            }
-            return Some((best, best_pair));
-        }
-
-        for (i, &di) in ads.iter().enumerate() {
-            if !ds[i].is_finite() {
+        // Envelope early-exit: any pairing through row `i` costs at least
+        // `ds[i] + env_min(lca) + min(dt)`, so a row whose floor already
+        // reaches the incumbent is skipped without touching the matrix.
+        // The floor is admissible and the skip condition is `>=` while
+        // updates require strictly `<`, so the surviving minimum and
+        // argmin pair are exactly the exhaustive scan's.
+        let kid_s = self.slabs.kid_cols_of(ns);
+        let kid_t = self.slabs.kid_cols_of(nt);
+        let env_min = self.slabs.env_min(lca);
+        let dt_min = dt
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(f64::INFINITY, f64::min);
+        for (i, &dsi) in ds.iter().enumerate() {
+            if !dsi.is_finite() || dsi + env_min + dt_min >= best {
                 continue;
             }
-            let row = lca_node
-                .matrix
-                .row_index(di)
-                .expect("child AD in LCA matrix");
-            for (j, &dj) in adt.iter().enumerate() {
-                if !dt[j].is_finite() {
+            let row = self.slabs.row(lca, kid_s[i] as usize);
+            for (j, &dtj) in dt.iter().enumerate() {
+                if !dtj.is_finite() {
                     continue;
                 }
-                let col = lca_node
-                    .matrix
-                    .col_index(dj)
-                    .expect("child AD in LCA matrix");
-                let cand = ds[i] + lca_node.matrix.at(row, col) + dt[j];
+                let cand = dsi + row[kid_t[j] as usize] + dtj;
                 if cand < best {
                     best = cand;
                     best_pair = (i, j);

@@ -152,12 +152,6 @@ impl IpTree {
                     access_doors: level_access[li][ni].clone(),
                     partitions,
                     doors,
-                    matrix: DistMatrix {
-                        rows: Vec::new(),
-                        cols: Vec::new(),
-                        dist: Box::new([]),
-                        next_hop: Box::new([]),
-                    },
                 });
             }
         }
@@ -208,6 +202,9 @@ impl IpTree {
                 (matrix, hits)
             },
         );
+        // `matrices[i]` is node `i`'s matrix until the slab packer consumes
+        // the lot below.
+        let mut matrices: Vec<DistMatrix> = Vec::with_capacity(nodes.len());
         let mut superior: Vec<Vec<DoorId>> = vec![Vec::new(); venue.num_partitions()];
         for (li, (matrix, hits)) in leaf_results.into_iter().enumerate() {
             // Local access doors are superior by definition; add the
@@ -229,18 +226,18 @@ impl IpTree {
                 }
                 superior[p.index()] = sup;
             }
-            nodes[li].matrix = matrix;
+            matrices.push(matrix);
         }
 
         // --- Step 4: non-leaf matrices, bottom-up via level graphs. ---
         // Levels stay sequential (G_{l+1} is built from level-l matrices),
         // but within one level every node's matrix is independent: compute
-        // them in parallel into per-node slots, then write back in order.
+        // them in parallel into per-node slots, then append in order.
         for li in 1..level_first.len() {
             let prev_first = level_first[li - 1];
             let prev_last = level_first[li];
             let parts: Vec<(&Vec<DoorId>, &DistMatrix)> = (prev_first..prev_last)
-                .map(|i| (&nodes[i].access_doors, &nodes[i].matrix))
+                .map(|i| (&nodes[i].access_doors, &matrices[i]))
                 .collect();
             let lg = LevelGraph::build_from_parts(venue.num_doors(), &parts);
             drop(parts);
@@ -263,15 +260,13 @@ impl IpTree {
                     border
                 })
                 .collect();
-            let matrices = par_map_init(
+            debug_assert_eq!(matrices.len(), level_first[li]);
+            matrices.extend(par_map_init(
                 &borders,
                 threads,
                 || lg_pool.checkout(),
                 |engine, _, border| build_inner_matrix(&lg, engine, border),
-            );
-            for (offset, matrix) in matrices.into_iter().enumerate() {
-                nodes[level_first[li] + offset].matrix = matrix;
-            }
+            ));
         }
 
         // --- Partition -> leaf map. ---
@@ -282,11 +277,12 @@ impl IpTree {
             }
         }
 
-        // --- Implicit layout: pack the hot data into SoA slabs and build
-        // the admissible lower-bound tables (DESIGN.md §14). Bound
-        // extraction fans out over the same worker pool; the arena fill is
-        // a serial sequence of row memcpys.
-        let slabs = crate::slabs::Slabs::build(&nodes, &door_leaves, threads);
+        // --- The matrix store: the packer takes the matrices by value —
+        // distance rows into the SoA arena, hop entries and door lists
+        // moved — and builds the admissible lower-bound tables (DESIGN.md
+        // §14). Bound extraction fans out over the same worker pool; the
+        // arena fill is a serial sequence of row memcpys.
+        let slabs = crate::slabs::Slabs::build(&nodes, matrices, &door_leaves, threads);
 
         // --- Per-leaf door-to-door grid: global distances from leaf
         // matrices + leaf-local Dijkstra (no extra full-graph passes),
@@ -313,7 +309,6 @@ impl IpTree {
             objects_gen: std::sync::atomic::AtomicU64::new(0),
             slabs,
             leaf_grid,
-            hot_layout: std::sync::atomic::AtomicBool::new(true),
         })
     }
 }
@@ -396,37 +391,20 @@ mod tests {
                 }
             }
 
-            // Leaf matrices equal ground-truth Dijkstra distances.
+            // Every matrix entry — leaf and non-leaf, read through the
+            // slab — equals the ground-truth Dijkstra distance.
             let mut engine = DijkstraEngine::new(venue.num_doors());
-            for idx in 0..tree.num_leaves() {
-                let node = tree.node(idx as NodeIdx);
-                for (c, &a) in node.matrix.cols.iter().enumerate() {
+            let slabs = tree.slabs();
+            for idx in 0..tree.num_nodes() as NodeIdx {
+                for (c, &a) in slabs.col_doors[idx as usize].iter().enumerate() {
                     engine.run(
                         venue.d2d(),
                         &[(a.0, 0.0)],
                         indoor_graph::Termination::Exhaust,
                     );
-                    for (r, &d) in node.matrix.rows.iter().enumerate() {
+                    for (r, &d) in slabs.row_doors[idx as usize].iter().enumerate() {
                         let want = engine.settled_distance(d.0).unwrap_or(f64::INFINITY);
-                        let got = node.matrix.at(r, c);
-                        prop_assert!((got - want).abs() < 1e-9 || (got == want),
-                            "leaf {idx} dist({d},{a}): got {got} want {want}");
-                    }
-                }
-            }
-
-            // Non-leaf matrices also equal ground truth.
-            for idx in tree.num_leaves()..tree.num_nodes() {
-                let node = tree.node(idx as NodeIdx);
-                for (c, &a) in node.matrix.cols.iter().enumerate() {
-                    engine.run(
-                        venue.d2d(),
-                        &[(a.0, 0.0)],
-                        indoor_graph::Termination::Exhaust,
-                    );
-                    for (r, &d) in node.matrix.rows.iter().enumerate() {
-                        let want = engine.settled_distance(d.0).unwrap_or(f64::INFINITY);
-                        let got = node.matrix.at(r, c);
+                        let got = slabs.row(idx, r)[c];
                         prop_assert!((got - want).abs() < 1e-9 || (got == want),
                             "node {idx} dist({d},{a}): got {got} want {want}");
                     }

@@ -14,7 +14,7 @@ use crate::exec::{EpochMarks, QueryScratch};
 use crate::objects::{DeltaReport, ObjectIndex};
 use crate::tree::{IpTree, NodeIdx, NO_NODE};
 use geometry::TotalF64;
-use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId, ObjectUpdate};
+use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId, ObjectUpdate, QueryStats};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -281,6 +281,9 @@ impl KeywordObjects {
             }
         };
 
+        // The shared child step counts bound checks; this query has no
+        // stats surface to report them on.
+        let mut unread_stats = QueryStats::default();
         heap.clear();
         heap.push(Reverse((
             TotalF64(0.0),
@@ -290,7 +293,6 @@ impl KeywordObjects {
         if trace.active() {
             trace.nodes_pushed += 1;
         }
-        let slab = tree.uses_hot_layout();
         while let Some(Reverse((TotalF64(mind), node_idx, handle))) = heap.pop() {
             if mind > dk(best) {
                 break;
@@ -312,7 +314,6 @@ impl KeywordObjects {
                 );
                 continue;
             }
-            let node_on_path = asc.on_path(tree, node_idx);
             for &child in &node.children {
                 if !self.subtree_has(child, term) {
                     continue; // inverted-list pruning
@@ -325,78 +326,20 @@ impl KeywordObjects {
                     }
                     continue;
                 }
-                if slab {
-                    let (base_rows, base_handle) = if node_on_path {
-                        let sib = tree.child_towards(node_idx, asc.steps()[0].node);
-                        debug_assert!(asc.on_path(tree, sib), "sibling on ascent");
-                        (
-                            tree.slabs.kid_cols_of(sib),
-                            step_handles[tree.node(sib).level as usize - 1],
-                        )
-                    } else {
-                        (tree.slabs.own_cols_of(node_idx), handle)
-                    };
-                    let base_vec = arena.get(base_handle);
-                    // Same admissible lower-bound skips as
-                    // `IpTree::knn_from_ascent` (PL floor, then the exact
-                    // per-row fold) — see there for why they preserve
-                    // answers exactly.
-                    let rowmin = tree.slabs.kid_rowmin_of(child);
-                    let mut base_min = f64::INFINITY;
-                    let mut lb = f64::INFINITY;
-                    for (&b, &r) in base_vec.iter().zip(base_rows) {
-                        if b < base_min {
-                            base_min = b;
-                        }
-                        if b.is_finite() {
-                            let v = b + rowmin[r as usize];
-                            if v < lb {
-                                lb = v;
-                            }
-                        }
-                    }
-                    let bound = dk(best);
-                    if base_min + tree.slabs.kid_lb(child) > bound || lb > bound {
-                        if trace.active() {
-                            trace.nodes_pruned += 1;
-                        }
-                        continue;
-                    }
-                    if trace.active() {
-                        trace.slab_rows += base_rows.len() as u64;
-                    }
-                    tree.derive_child_vec_slab_into(
-                        node_idx, base_rows, base_vec, child, child_vec,
-                    );
-                    let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-                    if mind_c <= dk(best) {
-                        let h = arena.push(child_vec);
-                        heap.push(Reverse((TotalF64(mind_c), child, h)));
-                        if trace.active() {
-                            trace.nodes_pushed += 1;
-                        }
-                    } else if trace.active() {
-                        trace.nodes_pruned += 1;
-                    }
-                    continue;
-                }
-                let (base_ads, base_handle) = if node_on_path {
-                    let sib = tree.child_towards(node_idx, asc.steps()[0].node);
-                    debug_assert!(asc.on_path(tree, sib), "sibling on ascent");
-                    (
-                        &tree.node(sib).access_doors,
-                        step_handles[tree.node(sib).level as usize - 1],
-                    )
-                } else {
-                    (&node.access_doors, handle)
-                };
-                tree.derive_child_vec_into(
+                if !tree.derive_child_vec_bounded(
                     node_idx,
                     child,
-                    base_ads,
-                    arena.get(base_handle),
+                    handle,
+                    asc,
+                    arena,
+                    step_handles,
+                    dk(best),
+                    &mut unread_stats,
+                    trace,
                     child_vec,
-                );
+                ) {
+                    continue;
+                }
                 let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
                 if mind_c <= dk(best) {
                     let h = arena.push(child_vec);

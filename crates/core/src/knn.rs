@@ -321,7 +321,6 @@ impl IpTree {
         if trace.active() {
             trace.nodes_pushed += 1;
         }
-        let slab = self.uses_hot_layout();
 
         while let Some(Reverse((TotalF64(mind), node_idx, handle))) = heap.pop() {
             if mind > dk(best) {
@@ -352,7 +351,6 @@ impl IpTree {
                 }
                 continue;
             }
-            let node_on_path = asc.on_path(self, node_idx);
             for &child in &node.children {
                 if oi.subtree_count[child as usize] == 0 {
                     continue;
@@ -366,91 +364,22 @@ impl IpTree {
                     }
                     continue;
                 }
-                if slab {
-                    // Implicit layout: base rows are precomputed column
-                    // ordinals in this node's slab (inner matrices are
-                    // square, so column ordinals double as row indices).
-                    let (base_rows, base_handle) = if node_on_path {
-                        let sib = self.child_towards(node_idx, asc.steps()[0].node);
-                        debug_assert_ne!(sib, child);
-                        debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
-                        (
-                            self.slabs.kid_cols_of(sib),
-                            step_handles[self.node(sib).level as usize - 1],
-                        )
-                    } else {
-                        (self.slabs.own_cols_of(node_idx), handle)
-                    };
-                    let base_vec = arena.get(base_handle);
-                    // Admissible lower bounds, cheapest first: the PL
-                    // table's O(1) floor `base_min + kid_lb(child)`, then
-                    // the exact per-row fold `min_bi base[bi] +
-                    // rowmin(child)[row(bi)]`. Neither exceeds any derived
-                    // entry (each summand lower-bounds its factor exactly
-                    // and fl(+) is monotone non-decreasing), so a child
-                    // failing either would fail `mind_c <= d_k` too —
-                    // skip it without touching a matrix row.
-                    let rowmin = self.slabs.kid_rowmin_of(child);
-                    let mut base_min = f64::INFINITY;
-                    let mut lb = f64::INFINITY;
-                    for (&b, &r) in base_vec.iter().zip(base_rows) {
-                        if b < base_min {
-                            base_min = b;
-                        }
-                        if b.is_finite() {
-                            let v = b + rowmin[r as usize];
-                            if v < lb {
-                                lb = v;
-                            }
-                        }
-                    }
-                    stats.bound_candidates += 1;
-                    let bound = dk(best);
-                    if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
-                        stats.bound_pruned += 1;
-                        if trace.active() {
-                            trace.nodes_pruned += 1;
-                        }
-                        continue;
-                    }
-                    if trace.active() {
-                        trace.slab_rows += base_rows.len() as u64;
-                    }
-                    self.derive_child_vec_slab_into(
-                        node_idx, base_rows, base_vec, child, child_vec,
-                    );
-                    let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-                    if mind_c <= dk(best) {
-                        let h = arena.push(child_vec);
-                        heap.push(Reverse((TotalF64(mind_c), child, h)));
-                        if trace.active() {
-                            trace.nodes_pushed += 1;
-                        }
-                    } else if trace.active() {
-                        trace.nodes_pruned += 1;
-                    }
-                    continue;
-                }
-                // Lemma 8/9: derive the child's vector from this node.
-                let (base_ads, base_handle) = if node_on_path {
-                    // Node contains q: go through the sibling on q's path.
-                    let sib = self.child_towards(node_idx, asc.steps()[0].node);
-                    debug_assert_ne!(sib, child);
-                    debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
-                    (
-                        &self.node(sib).access_doors,
-                        step_handles[self.node(sib).level as usize - 1],
-                    )
-                } else {
-                    (&node.access_doors, handle)
-                };
-                self.derive_child_vec_into(
+                // Lemma 8/9: derive the child's vector from this node,
+                // unless a lower bound already rules the child out.
+                if !self.derive_child_vec_bounded(
                     node_idx,
                     child,
-                    base_ads,
-                    arena.get(base_handle),
+                    handle,
+                    asc,
+                    arena,
+                    step_handles,
+                    dk(best),
+                    stats,
+                    trace,
                     child_vec,
-                );
+                ) {
+                    continue;
+                }
                 let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
                 if mind_c <= dk(best) {
                     let h = arena.push(child_vec);
@@ -507,7 +436,6 @@ impl IpTree {
         if trace.active() {
             trace.nodes_pushed += 1;
         }
-        let slab = self.uses_hot_layout();
         while let Some((node_idx, handle)) = stack.pop() {
             stats.nodes_visited += 1;
             let node = self.node(node_idx);
@@ -560,74 +488,22 @@ impl IpTree {
                     }
                     continue;
                 }
-                if slab {
-                    let (base_rows, base_handle) = if contains_q {
-                        let sib = self.child_towards(node_idx, asc.steps()[0].node);
-                        debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
-                        (
-                            self.slabs.kid_cols_of(sib),
-                            step_handles[self.node(sib).level as usize - 1],
-                        )
-                    } else {
-                        (self.slabs.own_cols_of(node_idx), handle)
-                    };
-                    let base_vec = arena.get(base_handle);
-                    // A child whose lower bound already exceeds the radius
-                    // cannot hold an in-range object; skip the derive (the
-                    // PL floor first, then the exact per-row fold — see
-                    // knn_from_ascent for the admissibility argument).
-                    let rowmin = self.slabs.kid_rowmin_of(child);
-                    let mut base_min = f64::INFINITY;
-                    let mut lb = f64::INFINITY;
-                    for (&b, &r) in base_vec.iter().zip(base_rows) {
-                        if b < base_min {
-                            base_min = b;
-                        }
-                        if b.is_finite() {
-                            let v = b + rowmin[r as usize];
-                            if v < lb {
-                                lb = v;
-                            }
-                        }
-                    }
-                    stats.bound_candidates += 1;
-                    if base_min + self.slabs.kid_lb(child) > radius || lb > radius {
-                        stats.bound_pruned += 1;
-                        if trace.active() {
-                            trace.nodes_pruned += 1;
-                        }
-                        continue;
-                    }
-                    if trace.active() {
-                        trace.slab_rows += base_rows.len() as u64;
-                    }
-                    self.derive_child_vec_slab_into(
-                        node_idx, base_rows, base_vec, child, child_vec,
-                    );
-                    let h = arena.push(child_vec);
-                    stack.push((child, h));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                    continue;
-                }
-                let (base_ads, base_handle) = if contains_q {
-                    let sib = self.child_towards(node_idx, asc.steps()[0].node);
-                    debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
-                    (
-                        &self.node(sib).access_doors,
-                        step_handles[self.node(sib).level as usize - 1],
-                    )
-                } else {
-                    (&node.access_doors, handle)
-                };
-                self.derive_child_vec_into(
+                // A child whose lower bound already exceeds the radius
+                // cannot hold an in-range object; skip the derive.
+                if !self.derive_child_vec_bounded(
                     node_idx,
                     child,
-                    base_ads,
-                    arena.get(base_handle),
+                    handle,
+                    asc,
+                    arena,
+                    step_handles,
+                    radius,
+                    stats,
+                    trace,
                     child_vec,
-                );
+                ) {
+                    continue;
+                }
                 let h = arena.push(child_vec);
                 stack.push((child, h));
                 if trace.active() {
@@ -644,43 +520,11 @@ impl IpTree {
     /// dist(q, a') for a' ∈ AD(child) = min over base doors b of
     /// `base_vec[b] + M_parent(b, a')` (Lemmas 8 & 9: both the sibling
     /// case and the outside case route through a known door set whose
-    /// pairwise distances live in the parent's matrix). Writes into `out`
-    /// so callers can reuse one scratch buffer across the traversal.
-    pub(crate) fn derive_child_vec_into(
-        &self,
-        parent: NodeIdx,
-        child: NodeIdx,
-        base_ads: &[indoor_model::DoorId],
-        base_vec: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let pm = &self.node(parent).matrix;
-        let child_ads = &self.node(child).access_doors;
-        out.clear();
-        out.reserve(child_ads.len());
-        for &a in child_ads {
-            let col = pm.col_index(a).expect("child AD in parent matrix");
-            let mut bestv = f64::INFINITY;
-            for (bi, &b) in base_ads.iter().enumerate() {
-                if !base_vec[bi].is_finite() {
-                    continue;
-                }
-                let row = pm.row_index(b).expect("base door in parent matrix");
-                let cand = base_vec[bi] + pm.at(row, col);
-                if cand < bestv {
-                    bestv = cand;
-                }
-            }
-            out.push(bestv);
-        }
-    }
-
-    /// Slab-layout twin of [`IpTree::derive_child_vec_into`]: base rows
-    /// and child columns are precomputed ordinal runs ([`crate::Slabs`]),
-    /// so the double loop streams one cache-aligned row slice per base
-    /// door instead of probing `row_index`/`col_index` per element. The
-    /// output is bit-identical to the pointer variant: the same
-    /// `base + matrix` additions, minimised over the same candidate set.
+    /// pairwise distances live in the parent's matrix). Base rows and
+    /// child columns are precomputed ordinal runs ([`crate::Slabs`]), so
+    /// the double loop streams one cache-aligned row slice per base door.
+    /// Writes into `out` so callers can reuse one scratch buffer across
+    /// the traversal.
     pub(crate) fn derive_child_vec_slab_into(
         &self,
         parent: NodeIdx,
@@ -706,6 +550,77 @@ impl IpTree {
                 }
             }
         }
+    }
+
+    /// The child step shared by kNN, range and keyword kNN: derive
+    /// `child`'s access-door vector from `node` (popped with vector
+    /// `handle`) into `out`, unless an admissible lower bound already
+    /// exceeds `bound` — then the child is counted as pruned and `false`
+    /// is returned without touching a matrix row.
+    ///
+    /// The base is the sibling on q's path when `node` contains q (Lemma
+    /// 8), else `node`'s own access doors (Lemma 9); base rows are column
+    /// ordinals in `node`'s slab (inner matrices are square, so column
+    /// ordinals double as row indices). Bounds, cheapest first: the PL
+    /// table's O(1) floor `base_min + kid_lb(child)`, then the exact
+    /// per-row fold `min_bi base[bi] + rowmin(child)[row(bi)]`. Neither
+    /// exceeds any derived entry (each summand lower-bounds its factor
+    /// exactly and fl(+) is monotone non-decreasing), so a child failing
+    /// either would fail `mind_c <= bound` too.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn derive_child_vec_bounded(
+        &self,
+        node: NodeIdx,
+        child: NodeIdx,
+        handle: u32,
+        asc: &Ascent,
+        arena: &DistArena,
+        step_handles: &[u32],
+        bound: f64,
+        stats: &mut QueryStats,
+        trace: &mut crate::telemetry::QueryTrace,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let (base_rows, base_handle) = if asc.on_path(self, node) {
+            let sib = self.child_towards(node, asc.steps()[0].node);
+            debug_assert_ne!(sib, child);
+            debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
+            (
+                self.slabs.kid_cols_of(sib),
+                step_handles[self.node(sib).level as usize - 1],
+            )
+        } else {
+            (self.slabs.own_cols_of(node), handle)
+        };
+        let base_vec = arena.get(base_handle);
+        let rowmin = self.slabs.kid_rowmin_of(child);
+        let mut base_min = f64::INFINITY;
+        let mut lb = f64::INFINITY;
+        for (&b, &r) in base_vec.iter().zip(base_rows) {
+            if b < base_min {
+                base_min = b;
+            }
+            if b.is_finite() {
+                let v = b + rowmin[r as usize];
+                if v < lb {
+                    lb = v;
+                }
+            }
+        }
+        stats.bound_candidates += 1;
+        if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
+            stats.bound_pruned += 1;
+            if trace.active() {
+                trace.nodes_pruned += 1;
+            }
+            return false;
+        }
+        if trace.active() {
+            trace.slab_rows += base_rows.len() as u64;
+        }
+        self.derive_child_vec_slab_into(node, base_rows, base_vec, child, out);
+        true
     }
 
     /// Report candidate objects of one leaf through `emit(obj, exact_dist)`.
@@ -735,7 +650,7 @@ impl IpTree {
             // grid builds lazily on this first touch (counted, and billed
             // to the leaf-fold phase by the trace above).
             let node = self.node(leaf);
-            self.leaf_grid.ensure(venue, node, leaf);
+            self.leaf_grid.ensure(self, leaf);
             let n = node.doors.len();
             dq.clear();
             dq.resize(n, f64::INFINITY);

@@ -30,18 +30,17 @@
 //! ingredients exist at build time, so the grid costs no extra
 //! full-graph work.
 //!
-//! Layout mirrors [`crate::slabs::Slabs`]: one f64 arena, 64-byte-aligned
-//! rows, per-leaf offset and stride, `+inf` padding lanes. Grid values
+//! Layout mirrors [`crate::slabs::Slabs`]: per leaf one f64 slab with
+//! 64-byte-aligned rows, a stride, and `+inf` padding lanes. Grid values
 //! may differ from a per-query Dijkstra in final-bit rounding (the same
-//! edge weights are summed in a different association order), which is
-//! why the grid serves **both** the slab and pointer walks — cross-layout
-//! byte-identity is preserved because the layouts share these values.
+//! edge weights are summed in a different association order); every
+//! own-leaf scan reads the grid, so answers are a function of the grid
+//! alone.
 
 use crate::slabs::ROW_ALIGN;
-use crate::tree::{Node, NodeIdx};
+use crate::tree::{IpTree, Node, NodeIdx};
 use indoor_graph::parallel::par_map;
 use indoor_graph::{DijkstraEngine, GraphBuilder, Termination};
-use indoor_model::Venue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -65,7 +64,7 @@ struct LeafSlab {
 /// telemetry trace, and counted by [`LeafGrid::builds`]). Built rows are
 /// bit-identical to an eager build: both call [`leaf_rows`], whose
 /// Dijkstra + detour fold is deterministic per leaf
-/// (`tests/layout_equivalence.rs` pins this).
+/// (`tests/slab_layout.rs` pins this).
 #[derive(Debug)]
 pub struct LeafGrid {
     /// Per node: the built slab, if any. [`OnceLock`] makes first-touch
@@ -76,7 +75,7 @@ pub struct LeafGrid {
     /// count. Zero extent for non-leaves.
     stride: Vec<u32>,
     n_doors: Vec<u32>,
-    n_leaves: usize,
+    pub(crate) n_leaves: usize,
     /// Leaf grids built so far (lazy or forced) — the telemetry counter
     /// behind `indoor_leaf_grid_builds_total`.
     builds: AtomicU64,
@@ -105,13 +104,13 @@ impl LeafGrid {
     /// Build leaf `l`'s grid if it hasn't been built yet (the first-touch
     /// path of the own-leaf scan). Concurrent callers for one leaf do the
     /// work once.
-    pub(crate) fn ensure(&self, venue: &Venue, node: &Node, l: NodeIdx) {
+    pub(crate) fn ensure(&self, tree: &IpTree, l: NodeIdx) {
         let i = l as usize;
         self.slabs[i].get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
             let n = self.n_doors[i] as usize;
             let s = self.stride[i] as usize;
-            let rows = leaf_rows(venue, node);
+            let rows = leaf_rows(tree, l);
             let mut data = vec![f64::INFINITY; n * s + ROW_ALIGN];
             let base = {
                 let addr = data.as_ptr() as usize;
@@ -125,11 +124,11 @@ impl LeafGrid {
     }
 
     /// Build every leaf grid now, fanned over the worker pool — the eager
-    /// mode audits and layout-equivalence tests compare against.
-    pub(crate) fn force_build(&self, venue: &Venue, nodes: &[Node], threads: usize) {
+    /// mode audits and the lazy-vs-eager test compare against.
+    pub(crate) fn force_build(&self, tree: &IpTree) {
         let leaf_idxs: Vec<u32> = (0..self.n_leaves as u32).collect();
-        par_map(&leaf_idxs, threads, |_, &li| {
-            self.ensure(venue, &nodes[li as usize], li);
+        par_map(&leaf_idxs, tree.config.threads, |_, &li| {
+            self.ensure(tree, li);
         });
     }
 
@@ -150,15 +149,11 @@ impl LeafGrid {
             .get()
             .expect("leaf grid row read before ensure()");
         let start = slab.base + s * self.stride[i] as usize;
-        #[cfg(feature = "layout-audit")]
-        {
-            assert!(s < n);
-            assert_eq!(
-                (slab.data[start..].as_ptr() as usize) % 64,
-                0,
-                "leaf {l} grid row {s} misaligned"
-            );
-        }
+        debug_assert_eq!(
+            (slab.data[start..].as_ptr() as usize) % 64,
+            0,
+            "leaf {l} grid row {s} misaligned"
+        );
         &slab.data[start..start + n]
     }
 
@@ -174,28 +169,28 @@ impl LeafGrid {
         built + self.stride.len() * 4 + self.n_doors.len() * 4
     }
 
-    /// Structural + semantic re-verification (test / `layout-audit` use):
-    /// every row 64-byte-aligned, diagonals exactly zero, every entry
-    /// admissible against the access-door detour bound, and symmetric to
-    /// within rounding.
-    pub(crate) fn audit(&self, nodes: &[Node]) {
-        for (i, node) in nodes.iter().enumerate() {
+    /// Structural + semantic re-verification: every row 64-byte-aligned
+    /// (`row` asserts it), diagonals exactly zero, every entry admissible
+    /// against the access-door detour bound, and symmetric to within
+    /// rounding. Every leaf grid must have been built.
+    pub(crate) fn audit(&self, tree: &IpTree) {
+        for (i, node) in tree.nodes.iter().enumerate() {
             let n = self.n_doors[i] as usize;
             if n == 0 {
                 continue;
             }
             assert!(node.is_leaf(), "grid extent on inner node {i}");
             assert_eq!(n, node.doors.len(), "leaf {i} grid width");
-            let m = &node.matrix;
-            let n_ads = m.cols.len();
             for s in 0..n {
                 let row = self.row(i as NodeIdx, s);
+                let ms = tree.slabs.row(i as NodeIdx, s);
                 assert_eq!(row[s].to_bits(), 0.0_f64.to_bits(), "leaf {i} diagonal {s}");
                 for (t, &v) in row.iter().enumerate() {
                     assert!(v >= 0.0, "leaf {i} grid ({s},{t}) negative: {v}");
                     // Never worse than any access-door detour...
-                    for a in 0..n_ads {
-                        let detour = m.dist[s * n_ads + a] + m.dist[t * n_ads + a];
+                    let mt = tree.slabs.row(i as NodeIdx, t);
+                    for (&sa, &ta) in ms.iter().zip(mt) {
+                        let detour = sa + ta;
                         assert!(
                             v <= detour || (v - detour).abs() <= 1e-9 * detour.max(1.0),
                             "leaf {i} grid ({s},{t}) {v} exceeds detour {detour}"
@@ -216,11 +211,11 @@ impl LeafGrid {
 
 /// The row-major `n × n` global distance table of one leaf (see the
 /// module docs for the decomposition argument).
-fn leaf_rows(venue: &Venue, node: &Node) -> Vec<f64> {
+fn leaf_rows(tree: &IpTree, leaf: NodeIdx) -> Vec<f64> {
+    let venue = &*tree.venue;
+    let node = tree.node(leaf);
     let doors = &node.doors;
     let n = doors.len();
-    let m = &node.matrix;
-    let n_ads = m.cols.len();
 
     // Leaf-local subgraph: the venue D2D builder's per-partition door
     // cliques, restricted to this leaf's partitions, with identical
@@ -244,6 +239,8 @@ fn leaf_rows(venue: &Venue, node: &Node) -> Vec<f64> {
     let graph = gb.build();
     let mut engine = DijkstraEngine::new(n);
     let all: Vec<u32> = (0..n as u32).collect();
+    // The leaf's matrix: one row per leaf door, one column per access door.
+    let m: Vec<&[f64]> = (0..n).map(|d| tree.slabs.row(leaf, d)).collect();
 
     let mut out = vec![f64::INFINITY; n * n];
     for s in 0..n {
@@ -262,8 +259,8 @@ fn leaf_rows(venue: &Venue, node: &Node) -> Vec<f64> {
         // this is the exact global distance.
         for (t, slot) in row.iter_mut().enumerate() {
             let mut best = *slot;
-            for a in 0..n_ads {
-                let cand = m.dist[s * n_ads + a] + m.dist[t * n_ads + a];
+            for (&sa, &ta) in m[s].iter().zip(m[t]) {
+                let cand = sa + ta;
                 if cand < best {
                     best = cand;
                 }
@@ -306,7 +303,7 @@ mod tests {
         tree.build_leaf_grid(); // grids are lazy; force them for direct row reads
         assert_eq!(
             tree.leaf_grid_builds(),
-            tree.nodes.iter().filter(|n| n.is_leaf()).count() as u64,
+            tree.num_leaves() as u64,
             "forced build counts every leaf once"
         );
         let mut engine = DijkstraEngine::new(venue.num_doors());

@@ -24,7 +24,7 @@
 //! "Object deltas and the service version counter".
 
 use crate::exec::EpochMarks;
-use crate::tree::{IpTree, Node, NodeIdx, NO_NODE};
+use crate::tree::{IpTree, NodeIdx, NO_NODE};
 use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId};
 use std::collections::{HashMap, HashSet};
 
@@ -271,7 +271,6 @@ impl ObjectIndex {
     /// have gaps — e.g. the live set surviving a delta history). Each id
     /// must appear at most once.
     pub fn build_with_ids(tree: &IpTree, objects: &[(ObjectId, IndoorPoint)]) -> ObjectIndex {
-        let venue = &*tree.venue;
         let slots = objects
             .iter()
             .map(|(id, _)| id.index() + 1)
@@ -316,7 +315,7 @@ impl ObjectIndex {
             let mut data = LeafObjects::new(n_ads);
             let mut row = vec![f64::INFINITY; n_ads];
             for (slot, &oid) in objs.iter().enumerate() {
-                dist_row(venue, node, &store[oid.index()], &mut row);
+                dist_row(tree, leaf, &store[oid.index()], &mut row);
                 data.objs.push(oid);
                 data.live.push(true);
                 data.dist.extend_from_slice(&row);
@@ -449,7 +448,7 @@ impl ObjectIndex {
             .entry(leaf)
             .or_insert_with(|| LeafObjects::new(node.access_doors.len()));
         let mut row = vec![f64::INFINITY; node.access_doors.len()];
-        dist_row(&tree.venue, node, &at, &mut row);
+        dist_row(tree, leaf, &at, &mut row);
         let slot = data.push(id, &row);
         self.locs[id.index()] = ObjLoc {
             leaf,
@@ -560,16 +559,14 @@ impl ObjectIndex {
 /// `row[ad] = min over doors d of Partition(o) of M_leaf(d, ad) + |o, d|`
 /// — the per-access-door distance row of one object, straight from the
 /// leaf matrix (shared by `build` and incremental inserts).
-fn dist_row(venue: &indoor_model::Venue, node: &Node, o: &IndoorPoint, row: &mut [f64]) {
+fn dist_row(tree: &IpTree, leaf: NodeIdx, o: &IndoorPoint, row: &mut [f64]) {
+    let venue = &*tree.venue;
     row.fill(f64::INFINITY);
     for &d in &venue.partition(o.partition).doors {
-        let r = node
-            .matrix
-            .row_index(d)
-            .expect("partition door is a row of its leaf matrix");
+        let r = tree.slabs.leaf_row_of(&tree.door_leaves, leaf, d.0);
         let exit = o.distance_to_door(venue, d);
-        for (ci, slot) in row.iter_mut().enumerate() {
-            let cand = node.matrix.at(r, ci) + exit;
+        for (slot, &m) in row.iter_mut().zip(tree.slabs.row(leaf, r as usize)) {
+            let cand = m + exit;
             if cand < *slot {
                 *slot = cand;
             }

@@ -143,8 +143,8 @@ impl IpTree {
                     None => return self.dijkstra_expand(a, b),
                 },
             };
-            let node = self.node(node_idx);
-            let fwd = node.matrix.row_index(a).zip(node.matrix.col_index(b));
+            let slabs = &self.slabs;
+            let fwd = slabs.row_of(node_idx, a).zip(slabs.col_of(node_idx, b));
             let Some((row, col)) = fwd else {
                 // Only the transposed entry exists (leaf matrices are
                 // door × access-door): expand the reverse and flip.
@@ -152,7 +152,7 @@ impl IpTree {
                 rev.reverse();
                 return rev;
             };
-            match node.matrix.hop_at(row, col) {
+            match slabs.hop(node_idx, row, col) {
                 Some(k) if k != a && k != b => {
                     let mut left = self.expand(a, k, Some(node_idx));
                     let right = self.expand(k, b, Some(node_idx));
@@ -161,7 +161,7 @@ impl IpTree {
                     return left;
                 }
                 _ => {
-                    if node.is_leaf() {
+                    if self.node(node_idx).is_leaf() {
                         // Leaf NULL entry: genuinely a final edge.
                         return vec![a, b];
                     }
@@ -175,9 +175,9 @@ impl IpTree {
 
     /// Does `n`'s matrix contain the pair in either orientation?
     fn matrix_has_pair(&self, n: NodeIdx, a: DoorId, b: DoorId) -> bool {
-        let m = &self.node(n).matrix;
-        (m.row_index(a).is_some() && m.col_index(b).is_some())
-            || (m.row_index(b).is_some() && m.col_index(a).is_some())
+        let m = &self.slabs;
+        (m.row_of(n, a).is_some() && m.col_of(n, b).is_some())
+            || (m.row_of(n, b).is_some() && m.col_of(n, a).is_some())
     }
 
     /// All nodes whose matrix contains door `d`: its leaves (rows of leaf

@@ -1,14 +1,17 @@
-//! Implicit-layout hot data: SoA distance slabs and admissible
+//! The matrix store: SoA distance slabs, next-hop entries and admissible
 //! interpolated lower bounds (DESIGN.md §14).
 //!
-//! The tree's per-node [`crate::tree::DistMatrix`] values are repacked at
-//! construction time into one contiguous f64 arena with cache-line-aligned
-//! rows and a precomputed stride per node, so the kNN/range/ascent hot
-//! loops read straight slices instead of chasing per-node boxes and
-//! binary-searching door ids. On top of the slab sits the lower-bound
+//! [`Slabs::build`] consumes the per-node [`crate::tree::DistMatrix`]
+//! values the builders produce: `dist` rows go into one contiguous f64
+//! arena with cache-line-aligned rows and a precomputed stride per node,
+//! `next_hop` and the row/column door-id lists are moved in for path
+//! recovery, and the matrices are dropped — the slab holds the only copy
+//! of every distance. The kNN/range/ascent hot loops read straight row
+//! slices and hoisted column ordinals instead of chasing per-node boxes
+//! and binary-searching door ids. On top of the slab sits the lower-bound
 //! layer:
 //!
-//! * per-node `(min, max)` envelopes over the finite matrix entries;
+//! * per-node minimum over the finite matrix entries (`env_min`);
 //! * a piecewise-linear bound table over column ordinals (knot spacing
 //!   [`PL_SPACING`], ~O(doors) memory) whose interpolated value never
 //!   exceeds the column minimum — each knot is the minimum of the column
@@ -19,15 +22,16 @@
 //!   columns and cached as `kid_lb`: an O(1) admissible lower bound on
 //!   the derived child vector used by k-best pruning.
 //!
-//! Every value in the arena is a bit-exact copy of the matrix entry it
-//! shadows (padding lanes are `+inf`), which is what keeps slab-mode
-//! answers byte-identical to the pointer walk. The `layout-audit` feature
-//! turns every accessor into a checked access (in-bounds + 64-byte row
-//! alignment); [`Slabs::audit`] additionally re-verifies the whole arena
-//! against the source matrices.
+//! Padding lanes are `+inf` and never read by query code. Accessors
+//! `debug_assert!` in-bounds + 64-byte row alignment (tier-1's debug
+//! `cargo test` runs every query path through them); [`Slabs::audit`]
+//! re-verifies the whole structure against the arena itself, and the
+//! values against ground-truth Dijkstra are `build.rs`'s
+//! `structural_invariants`.
 
-use crate::tree::{Node, NodeIdx};
+use crate::tree::{DistMatrix, Node, NodeIdx, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
+use indoor_model::DoorId;
 
 /// f64 lanes per cache line; every slab row starts on a 64-byte boundary.
 pub(crate) const ROW_ALIGN: usize = 8;
@@ -38,15 +42,14 @@ pub(crate) const PL_SPACING: usize = 8;
 /// Per-node bound data computed in parallel before the arena is packed.
 struct NodeBounds {
     env_min: f64,
-    env_max: f64,
     /// PL knots at column ordinals `0, S, 2S, ...` (one past the last
     /// column, so every column sits in a closed segment).
     knots: Vec<f64>,
 }
 
-/// The implicit-layout companion of the node array. Node numbering is the
-/// build's level-order arena (leaves first, root last), so a leaf-to-root
-/// walk already ascends addresses; the slab preserves that order.
+/// Every node matrix of a built tree. Node numbering is the build's
+/// level-order arena (leaves first, root last), so a leaf-to-root walk
+/// already ascends addresses; the slab preserves that order.
 #[derive(Debug)]
 pub struct Slabs {
     /// One arena for every node matrix; `base` indexes the first element
@@ -59,11 +62,13 @@ pub struct Slabs {
     stride: Vec<u32>,
     n_rows: Vec<u32>,
     n_cols: Vec<u32>,
-    /// SoA mirrors of the hot per-node scalars.
-    pub(crate) parent: Vec<NodeIdx>,
-    pub(crate) level: Vec<u32>,
-    /// Position of each node in its parent's `children` list (0 for root).
-    pub(crate) slot_in_parent: Vec<u16>,
+    /// Per node: next-hop door per matrix entry, row-major with `n_cols`
+    /// columns ([`NO_DOOR`] = NULL), and the sorted door ids its rows and
+    /// columns stand for — what path recovery reads. Moved out of the
+    /// builders' matrices, not copied.
+    hops: Vec<Box<[u32]>>,
+    pub(crate) row_doors: Vec<Vec<DoorId>>,
+    pub(crate) col_doors: Vec<Vec<DoorId>>,
     /// Kid-column CSR: for node `c`, `kid_cols[kid_cols_off[c]..kid_cols_off[c+1]]`
     /// are the column indices of `c`'s access doors in `parent(c)`'s
     /// matrix. Inner matrices have `rows == cols`, so the same run doubles
@@ -92,27 +97,32 @@ pub struct Slabs {
     /// for the root.
     kid_rowmin: Vec<f64>,
     kid_rowmin_off: Vec<u32>,
-    /// Per node: (min, max) over the finite matrix entries.
+    /// Per node: minimum over the finite matrix entries (`+inf` when the
+    /// matrix is empty or all-infinite).
     env_min: Vec<f64>,
-    env_max: Vec<f64>,
     /// Per venue door: its row index within each of its (≤ 2) leaves'
     /// matrices, aligned with the tree's `door_leaves`.
     pub(crate) door_rows: Vec<[u32; 2]>,
 }
 
 impl Slabs {
-    pub(crate) fn build(nodes: &[Node], door_leaves: &[[NodeIdx; 2]], threads: usize) -> Slabs {
-        let idxs: Vec<u32> = (0..nodes.len() as u32).collect();
-        let bounds: Vec<NodeBounds> =
-            par_map(&idxs, threads, |_, &i| node_bounds(&nodes[i as usize]));
+    /// Pack the finished matrices (`matrices[i]` belongs to `nodes[i]`),
+    /// consuming them.
+    pub(crate) fn build(
+        nodes: &[Node],
+        matrices: Vec<DistMatrix>,
+        door_leaves: &[[NodeIdx; 2]],
+        threads: usize,
+    ) -> Slabs {
+        debug_assert_eq!(nodes.len(), matrices.len());
+        let bounds: Vec<NodeBounds> = par_map(&matrices, threads, |_, m| node_bounds(m));
 
         let mut off = Vec::with_capacity(nodes.len());
         let mut stride = Vec::with_capacity(nodes.len());
         let mut n_rows = Vec::with_capacity(nodes.len());
         let mut n_cols = Vec::with_capacity(nodes.len());
         let mut total = 0usize;
-        for node in nodes {
-            let m = &node.matrix;
+        for m in &matrices {
             let (r, c) = (m.rows.len(), m.cols.len());
             let s = c.div_ceil(ROW_ALIGN) * ROW_ALIGN;
             off.push(total);
@@ -123,71 +133,37 @@ impl Slabs {
         }
 
         // Over-allocate so the first row can start on a cache line
-        // wherever the allocator put us; padding lanes stay +inf.
+        // wherever the allocator put us; padding lanes stay +inf. Each
+        // matrix gives up its `dist` box as soon as its rows are in, and
+        // its hop box and door lists change owner without a copy.
         let mut arena = vec![f64::INFINITY; total + ROW_ALIGN];
         let base = {
             let addr = arena.as_ptr() as usize;
             (64 - addr % 64) % 64 / std::mem::size_of::<f64>()
         };
-        for (i, node) in nodes.iter().enumerate() {
-            let m = &node.matrix;
+        let mut hops = Vec::with_capacity(nodes.len());
+        let mut row_doors = Vec::with_capacity(nodes.len());
+        let mut col_doors = Vec::with_capacity(nodes.len());
+        for (i, m) in matrices.into_iter().enumerate() {
             let (r, c, s) = (m.rows.len(), m.cols.len(), stride[i] as usize);
             let start = base + off[i];
             for row in 0..r {
                 arena[start + row * s..start + row * s + c]
                     .copy_from_slice(&m.dist[row * c..(row + 1) * c]);
             }
-        }
-
-        let mut parent = Vec::with_capacity(nodes.len());
-        let mut level = Vec::with_capacity(nodes.len());
-        let mut slot_in_parent = vec![0u16; nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            parent.push(node.parent);
-            level.push(node.level);
-            for (slot, &c) in node.children.iter().enumerate() {
-                slot_in_parent[c as usize] = slot as u16;
-                debug_assert_eq!(nodes[c as usize].parent, i as NodeIdx);
-            }
+            hops.push(m.next_hop);
+            row_doors.push(m.rows);
+            col_doors.push(m.cols);
         }
 
         let mut pl_knots = Vec::new();
         let mut pl_off = Vec::with_capacity(nodes.len() + 1);
         let mut env_min = Vec::with_capacity(nodes.len());
-        let mut env_max = Vec::with_capacity(nodes.len());
         pl_off.push(0);
         for b in &bounds {
             pl_knots.extend_from_slice(&b.knots);
             pl_off.push(pl_knots.len() as u32);
             env_min.push(b.env_min);
-            env_max.push(b.env_max);
-        }
-
-        // Column CSRs. `kid_cols` for node c lives under parent(c)'s
-        // matrix; `own_cols` for node n under n's own matrix.
-        let mut kid_cols = Vec::new();
-        let mut kid_cols_off = Vec::with_capacity(nodes.len() + 1);
-        let mut own_cols = Vec::new();
-        let mut own_cols_off = Vec::with_capacity(nodes.len() + 1);
-        kid_cols_off.push(0);
-        own_cols_off.push(0);
-        for node in nodes {
-            if node.parent != crate::tree::NO_NODE {
-                let pm = &nodes[node.parent as usize].matrix;
-                for &a in &node.access_doors {
-                    let col = pm.col_index(a).expect("child access door in parent matrix");
-                    kid_cols.push(col as u32);
-                }
-            }
-            kid_cols_off.push(kid_cols.len() as u32);
-            for &a in &node.access_doors {
-                let col = node
-                    .matrix
-                    .col_index(a)
-                    .expect("own access door in own matrix");
-                own_cols.push(col as u32);
-            }
-            own_cols_off.push(own_cols.len() as u32);
         }
 
         let mut slabs = Slabs {
@@ -197,29 +173,55 @@ impl Slabs {
             stride,
             n_rows,
             n_cols,
-            parent,
-            level,
-            slot_in_parent,
-            kid_cols,
-            kid_cols_off,
-            own_cols,
-            own_cols_off,
+            hops,
+            row_doors,
+            col_doors,
+            kid_cols: Vec::new(),
+            kid_cols_off: Vec::new(),
+            own_cols: Vec::new(),
+            own_cols_off: Vec::new(),
             pl_knots,
             pl_off,
             kid_lb: Vec::new(),
             kid_rowmin: Vec::new(),
             kid_rowmin_off: Vec::new(),
             env_min,
-            env_max,
             door_rows: Vec::new(),
         };
+
+        // Column CSRs. `kid_cols` for node c lives under parent(c)'s
+        // matrix; `own_cols` for node n under n's own matrix.
+        let mut kid_cols = Vec::new();
+        let mut kid_cols_off = Vec::with_capacity(nodes.len() + 1);
+        let mut own_cols = Vec::new();
+        let mut own_cols_off = Vec::with_capacity(nodes.len() + 1);
+        kid_cols_off.push(0);
+        own_cols_off.push(0);
+        for (i, node) in nodes.iter().enumerate() {
+            if node.parent != NO_NODE {
+                for &a in &node.access_doors {
+                    let col = slabs.col_of(node.parent, a);
+                    kid_cols.push(col.expect("child access door in parent matrix") as u32);
+                }
+            }
+            kid_cols_off.push(kid_cols.len() as u32);
+            for &a in &node.access_doors {
+                let col = slabs.col_of(i as NodeIdx, a);
+                own_cols.push(col.expect("own access door in own matrix") as u32);
+            }
+            own_cols_off.push(own_cols.len() as u32);
+        }
+        slabs.kid_cols = kid_cols;
+        slabs.kid_cols_off = kid_cols_off;
+        slabs.own_cols = own_cols;
+        slabs.own_cols_off = own_cols_off;
 
         // kid_lb: the parent's interpolated table evaluated over the
         // child's access-door columns — cached here so the k-best pruning
         // check at query time is a single add + compare.
         let mut kid_lb = Vec::with_capacity(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
-            if node.parent == crate::tree::NO_NODE {
+            if node.parent == NO_NODE {
                 kid_lb.push(0.0);
                 continue;
             }
@@ -237,7 +239,7 @@ impl Slabs {
         let mut kid_rowmin_off = Vec::with_capacity(nodes.len() + 1);
         kid_rowmin_off.push(0);
         for (i, node) in nodes.iter().enumerate() {
-            if node.parent != crate::tree::NO_NODE {
+            if node.parent != NO_NODE {
                 let p = node.parent;
                 for r in 0..slabs.n_rows[p as usize] as usize {
                     let row = slabs.row(p, r);
@@ -259,12 +261,11 @@ impl Slabs {
         let mut door_rows = vec![[0u32; 2]; door_leaves.len()];
         for (d, leaves) in door_leaves.iter().enumerate() {
             for (k, &l) in leaves.iter().enumerate() {
-                if l == crate::tree::NO_NODE {
+                if l == NO_NODE {
                     continue;
                 }
-                let row = nodes[l as usize]
-                    .matrix
-                    .row_index(indoor_model::DoorId(d as u32))
+                let row = slabs
+                    .row_of(l, DoorId(d as u32))
                     .expect("door is a row of its leaf matrix");
                 door_rows[d][k] = row as u32;
             }
@@ -273,25 +274,49 @@ impl Slabs {
         slabs
     }
 
-    /// Row `r` of node `n`'s matrix as a contiguous slice.
+    /// Row `r` of node `n`'s matrix as a contiguous slice, one distance
+    /// per column.
     #[inline]
-    pub(crate) fn row(&self, n: NodeIdx, r: usize) -> &[f64] {
+    pub fn row(&self, n: NodeIdx, r: usize) -> &[f64] {
         let i = n as usize;
-        #[cfg(feature = "layout-audit")]
-        {
-            assert!(r < self.n_rows[i] as usize, "slab row {r} out of bounds");
-        }
+        debug_assert!(r < self.n_rows[i] as usize, "slab row {r} out of bounds");
         let start = self.base + self.off[i] + r * self.stride[i] as usize;
         let row = &self.arena[start..start + self.n_cols[i] as usize];
-        #[cfg(feature = "layout-audit")]
-        {
-            assert_eq!(
-                row.as_ptr() as usize % 64,
-                0,
-                "slab row {r} of node {n} not cache-line-aligned"
-            );
-        }
+        debug_assert_eq!(
+            row.as_ptr() as usize % 64,
+            0,
+            "slab row {r} of node {n} not cache-line-aligned"
+        );
         row
+    }
+
+    /// Number of rows of node `n`'s matrix.
+    #[inline]
+    pub fn n_rows(&self, n: NodeIdx) -> usize {
+        self.n_rows[n as usize] as usize
+    }
+
+    /// Next-hop door of entry `(r, c)` of node `n`'s matrix (§2.1.1);
+    /// `None` for NULL entries (final edges).
+    #[inline]
+    pub fn hop(&self, n: NodeIdx, r: usize, c: usize) -> Option<DoorId> {
+        let i = n as usize;
+        match self.hops[i][r * self.n_cols[i] as usize + c] {
+            NO_DOOR => None,
+            d => Some(DoorId(d)),
+        }
+    }
+
+    /// Row ordinal of door `d` in node `n`'s matrix, if it is a row.
+    #[inline]
+    pub(crate) fn row_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
+        self.row_doors[n as usize].binary_search(&d).ok()
+    }
+
+    /// Column ordinal of door `d` in node `n`'s matrix, if it is a column.
+    #[inline]
+    pub(crate) fn col_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
+        self.col_doors[n as usize].binary_search(&d).ok()
     }
 
     /// Column indices of `c`'s access doors in its parent's matrix (rows
@@ -317,8 +342,7 @@ impl Slabs {
         if pair[0] == leaf {
             self.door_rows[d as usize][0]
         } else {
-            #[cfg(feature = "layout-audit")]
-            assert_eq!(pair[1], leaf, "door {d} not in leaf {leaf}");
+            debug_assert_eq!(pair[1], leaf, "door {d} not in leaf {leaf}");
             self.door_rows[d as usize][1]
         }
     }
@@ -356,20 +380,34 @@ impl Slabs {
         &self.kid_rowmin[self.kid_rowmin_off[i] as usize..self.kid_rowmin_off[i + 1] as usize]
     }
 
-    /// `(min, max)` over the finite entries of node `n`'s matrix
-    /// (`(inf, -inf)` when the matrix is empty or all-infinite).
+    /// Minimum over the finite entries of node `n`'s matrix (`+inf` when
+    /// the matrix is empty or all-infinite).
     #[inline]
-    pub fn envelope(&self, n: NodeIdx) -> (f64, f64) {
-        (self.env_min[n as usize], self.env_max[n as usize])
+    pub fn env_min(&self, n: NodeIdx) -> f64 {
+        self.env_min[n as usize]
     }
 
+    /// Bytes of the distance arena and the next-hop entries — the
+    /// matrices proper ([`crate::TreeStats::matrix_bytes`]).
+    pub(crate) fn matrix_bytes(&self) -> usize {
+        self.arena.len() * 8 + self.hops.iter().map(|h| h.len() * 4).sum::<usize>()
+    }
+
+    /// Every array of the store, once (per-node boxes and lists with
+    /// their headers).
     pub fn size_bytes(&self) -> usize {
-        self.arena.len() * 8
+        let door_lists = |lists: &[Vec<DoorId>]| {
+            lists
+                .iter()
+                .map(|l| l.len() * 4 + std::mem::size_of::<Vec<DoorId>>())
+                .sum::<usize>()
+        };
+        self.matrix_bytes()
+            + self.hops.len() * std::mem::size_of::<Box<[u32]>>()
+            + door_lists(&self.row_doors)
+            + door_lists(&self.col_doors)
             + self.off.len() * std::mem::size_of::<usize>()
             + (self.stride.len() + self.n_rows.len() + self.n_cols.len()) * 4
-            + self.parent.len() * 4
-            + self.level.len() * 4
-            + self.slot_in_parent.len() * 2
             + (self.kid_cols.len() + self.kid_cols_off.len()) * 4
             + (self.own_cols.len() + self.own_cols_off.len()) * 4
             + self.pl_knots.len() * 8
@@ -377,79 +415,78 @@ impl Slabs {
             + self.kid_lb.len() * 8
             + self.kid_rowmin.len() * 8
             + self.kid_rowmin_off.len() * 4
-            + (self.env_min.len() + self.env_max.len()) * 8
+            + self.env_min.len() * 8
             + self.door_rows.len() * 8
     }
 
-    /// Full structural audit: every row in-bounds, cache-line-aligned, and
-    /// bit-identical to the matrix entry it shadows; every CSR column
-    /// valid; every envelope bracketing; every PL value admissible.
-    /// Cheap enough to run from tests regardless of features.
+    /// Full structural audit against the arena itself: every row
+    /// cache-line-aligned and as wide as its door list, every CSR ordinal
+    /// naming the door it was hoisted for, `env_min` the exact finite
+    /// minimum, every PL value and `kid_lb` admissible, `kid_rowmin`
+    /// exact. (That the arena holds the *right* distances is checked
+    /// against Dijkstra by `build.rs`'s `structural_invariants`.)
     pub(crate) fn audit(&self, nodes: &[Node]) {
         assert_eq!(self.off.len(), nodes.len());
         for (i, node) in nodes.iter().enumerate() {
             let n = i as NodeIdx;
-            let m = &node.matrix;
-            let cols = m.cols.len();
-            assert_eq!(self.n_rows[i] as usize, m.rows.len());
-            assert_eq!(self.n_cols[i] as usize, cols);
+            let (rows, cols) = (self.n_rows(n), self.n_cols[i] as usize);
+            let (row_doors, col_doors) = (&self.row_doors[i], &self.col_doors[i]);
+            assert_eq!(row_doors.len(), rows);
+            assert_eq!(col_doors.len(), cols);
+            assert_eq!(self.hops[i].len(), rows * cols);
             assert!(self.stride[i] as usize >= cols);
             assert_eq!(self.stride[i] as usize % ROW_ALIGN, 0);
-            let (emin, emax) = self.envelope(n);
-            let mut saw_finite = false;
-            for r in 0..m.rows.len() {
+            let mut finite_min = f64::INFINITY;
+            let mut colmin = vec![f64::INFINITY; cols];
+            for r in 0..rows {
                 let row = self.row(n, r);
                 assert_eq!(row.as_ptr() as usize % 64, 0, "row unaligned");
-                for (c, slab_v) in row.iter().enumerate().take(cols) {
-                    let v = m.at(r, c);
-                    assert_eq!(v.to_bits(), slab_v.to_bits(), "slab value drift");
+                for (&v, cm) in row.iter().zip(&mut colmin) {
+                    *cm = cm.min(v);
                     if v.is_finite() {
-                        saw_finite = true;
-                        assert!(emin <= v && v <= emax, "envelope does not bracket");
+                        finite_min = finite_min.min(v);
                     }
                 }
             }
-            if !saw_finite {
-                assert!(emin.is_infinite() && emax.is_infinite());
-            }
+            assert_eq!(self.env_min(n).to_bits(), finite_min.to_bits(), "env_min");
             // PL admissibility against true column minima.
-            for c in 0..cols {
-                let colmin = (0..m.rows.len())
-                    .map(|r| m.at(r, c))
-                    .fold(f64::INFINITY, f64::min);
+            for (c, &cm) in colmin.iter().enumerate() {
                 assert!(
-                    self.pl_bound(n, c) <= colmin,
-                    "PL bound {} exceeds column minimum {} (node {n}, col {c})",
+                    self.pl_bound(n, c) <= cm,
+                    "PL bound {} exceeds column minimum {cm} (node {n}, col {c})",
                     self.pl_bound(n, c),
-                    colmin
                 );
             }
-            for &c in self.own_cols_of(n) {
-                assert!((c as usize) < cols);
+            let own = self.own_cols_of(n);
+            assert_eq!(own.len(), node.access_doors.len());
+            for (&c, &a) in own.iter().zip(&node.access_doors) {
+                assert_eq!(col_doors[c as usize], a);
             }
-            if node.parent != crate::tree::NO_NODE {
-                let pm = &nodes[node.parent as usize].matrix;
+            if node.is_leaf() {
+                assert_eq!((row_doors, col_doors), (&node.doors, &node.access_doors));
+            } else {
+                assert_eq!(row_doors, col_doors, "inner matrix square");
+            }
+            if node.parent != NO_NODE {
+                let p = node.parent;
                 let run = self.kid_cols_of(n);
                 assert_eq!(run.len(), node.access_doors.len());
                 for (&c, &a) in run.iter().zip(&node.access_doors) {
-                    assert_eq!(pm.cols[c as usize], a);
+                    assert_eq!(self.col_doors[p as usize][c as usize], a);
                 }
-                // kid_lb lower-bounds every entry in the child's columns.
-                for &c in run {
-                    for r in 0..pm.rows.len() {
-                        assert!(self.kid_lb(n) <= pm.at(r, c as usize));
-                    }
-                }
+                // kid_lb lower-bounds every entry in the child's columns;
                 // kid_rowmin is the exact per-row minimum (not merely a
                 // bound): the fold in the k-best prune relies on it being
                 // one of the row's true values.
                 let rowmin = self.kid_rowmin_of(n);
-                assert_eq!(rowmin.len(), pm.rows.len());
+                assert_eq!(rowmin.len(), self.n_rows(p));
                 for (r, &rm) in rowmin.iter().enumerate() {
+                    let prow = self.row(p, r);
                     let want = run
                         .iter()
-                        .map(|&c| pm.at(r, c as usize))
+                        .map(|&c| prow[c as usize])
                         .fold(f64::INFINITY, f64::min);
+                    assert!(self.kid_lb(n) <= want);
                     assert_eq!(rm.to_bits(), want.to_bits(), "kid_rowmin drift");
                 }
             }
@@ -457,29 +494,22 @@ impl Slabs {
     }
 }
 
-/// Envelope + PL knots of one node's matrix. Knot `j` (at ordinal `j*S`)
+/// `env_min` + PL knots of one node's matrix. Knot `j` (at ordinal `j*S`)
 /// is the minimum column-minimum over the window `[j*S - S, j*S + S)`: one
 /// full segment to either side, so both knots bounding any segment already
 /// lower-bound every column inside it.
-fn node_bounds(node: &Node) -> NodeBounds {
-    let m = &node.matrix;
+fn node_bounds(m: &DistMatrix) -> NodeBounds {
     let cols = m.cols.len();
     let mut colmin = vec![f64::INFINITY; cols];
     let mut env_min = f64::INFINITY;
-    let mut env_max = f64::NEG_INFINITY;
     for r in 0..m.rows.len() {
         for (c, cm) in colmin.iter_mut().enumerate() {
-            let v = m.at(r, c);
+            let v = m.dist[r * cols + c];
             if v < *cm {
                 *cm = v;
             }
-            if v.is_finite() {
-                if v < env_min {
-                    env_min = v;
-                }
-                if v > env_max {
-                    env_max = v;
-                }
+            if v.is_finite() && v < env_min {
+                env_min = v;
             }
         }
     }
@@ -494,9 +524,5 @@ fn node_bounds(node: &Node) -> NodeBounds {
             .fold(f64::INFINITY, f64::min);
         knots.push(v);
     }
-    NodeBounds {
-        env_min,
-        env_max,
-        knots,
-    }
+    NodeBounds { env_min, knots }
 }

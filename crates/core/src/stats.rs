@@ -24,7 +24,7 @@ pub struct TreeStats {
     /// α: average number of superior doors per partition.
     pub avg_superior_doors: f64,
     pub max_superior_doors: usize,
-    /// Bytes held by distance matrices alone.
+    /// Bytes held by the matrices alone: distance arena + next hops.
     pub matrix_bytes: usize,
     /// Full index footprint.
     pub total_bytes: usize,
@@ -62,7 +62,7 @@ impl TreeStats {
             avg_fanout,
             avg_superior_doors,
             max_superior_doors,
-            matrix_bytes: nodes.iter().map(|n| n.matrix.size_bytes()).sum(),
+            matrix_bytes: tree.slabs.matrix_bytes(),
             total_bytes: tree.size_bytes(),
         }
     }

@@ -64,7 +64,10 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// A distance matrix attached to a tree node.
+/// One node's distance matrix as the builders produce it — the value
+/// `matrices::build_{leaf,inner}_matrix` return, the level-graph builder
+/// reads, and [`crate::slabs::Slabs::build`] consumes. A built tree holds
+/// no `DistMatrix`: the slab is the matrix store (DESIGN.md §14.1).
 ///
 /// * Leaf nodes: `rows` = every door of the node, `cols` = its access
 ///   doors; entry `(d, a)` stores the global shortest distance `dist(d, a)`
@@ -75,7 +78,7 @@ impl std::error::Error for BuildError {}
 ///
 /// `next_hop` uses [`NO_DOOR`] for NULL entries (final edges).
 #[derive(Debug, Clone)]
-pub struct DistMatrix {
+pub(crate) struct DistMatrix {
     pub rows: Vec<DoorId>,
     pub cols: Vec<DoorId>,
     pub dist: Box<[f64]>,
@@ -83,43 +86,15 @@ pub struct DistMatrix {
 }
 
 impl DistMatrix {
-    #[inline]
-    pub fn row_index(&self, d: DoorId) -> Option<usize> {
-        self.rows.binary_search(&d).ok()
-    }
-
-    #[inline]
-    pub fn col_index(&self, d: DoorId) -> Option<usize> {
-        self.cols.binary_search(&d).ok()
-    }
-
-    #[inline]
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.dist[row * self.cols.len() + col]
-    }
-
-    #[inline]
-    pub fn hop_at(&self, row: usize, col: usize) -> Option<DoorId> {
-        match self.next_hop[row * self.cols.len() + col] {
-            NO_DOOR => None,
-            d => Some(DoorId(d)),
-        }
-    }
-
     /// Distance between two doors if both are present (forward or, for
     /// rectangular leaf matrices, transposed).
     pub fn lookup_dist(&self, from: DoorId, to: DoorId) -> Option<f64> {
-        if let (Some(r), Some(c)) = (self.row_index(from), self.col_index(to)) {
-            return Some(self.at(r, c));
-        }
-        if let (Some(r), Some(c)) = (self.row_index(to), self.col_index(from)) {
-            return Some(self.at(r, c));
-        }
-        None
-    }
-
-    pub fn size_bytes(&self) -> usize {
-        self.rows.len() * 4 + self.cols.len() * 4 + self.dist.len() * 8 + self.next_hop.len() * 4
+        let at = |r: DoorId, c: DoorId| {
+            let row = self.rows.binary_search(&r).ok()?;
+            let col = self.cols.binary_search(&c).ok()?;
+            Some(self.dist[row * self.cols.len() + col])
+        };
+        at(from, to).or_else(|| at(to, from))
     }
 }
 
@@ -137,7 +112,6 @@ pub struct Node {
     pub partitions: Vec<PartitionId>,
     /// Every door of this leaf, sorted (empty for non-leaf nodes).
     pub doors: Vec<DoorId>,
-    pub matrix: DistMatrix,
 }
 
 impl Node {
@@ -158,7 +132,6 @@ impl Node {
             + self.access_doors.len() * 4
             + self.partitions.len() * 4
             + self.doors.len() * 4
-            + self.matrix.size_bytes()
     }
 }
 
@@ -212,20 +185,16 @@ pub struct IpTree {
     /// mutation of `objects`, whoever triggers it — the stamp result
     /// caches key object answers by ([`IpTree::objects_generation`]).
     pub(crate) objects_gen: std::sync::atomic::AtomicU64,
-    /// Implicit-layout companion: the node matrices repacked into one
-    /// cache-line-aligned SoA arena plus the admissible lower-bound layer
-    /// (DESIGN.md §14). Built once at construction; values are bit-exact
-    /// copies of the matrices, so either layout answers identically.
+    /// The matrix store (DESIGN.md §14): every node's distance rows in
+    /// one cache-line-aligned SoA arena, the next-hop entries and
+    /// row/column door lists path recovery reads, and the admissible
+    /// lower-bound layer. Packed once at construction from the builders'
+    /// matrices, which are consumed.
     pub(crate) slabs: crate::slabs::Slabs,
     /// Per-leaf global door-to-door distance grid (DESIGN.md §14.4):
     /// turns the own-leaf exact scan from a per-query D2D expansion into
-    /// one seed × row fold. Shared by both layouts, so flipping
-    /// `hot_layout` stays byte-identical.
+    /// one seed × row fold.
     pub(crate) leaf_grid: crate::leafdist::LeafGrid,
-    /// Whether the query kernels walk the slab layout (default) or the
-    /// original pointer-and-binary-search layout. Runtime-flippable so
-    /// benches and equivalence tests compare both on one tree.
-    pub(crate) hot_layout: std::sync::atomic::AtomicBool,
 }
 
 impl IpTree {
@@ -257,7 +226,7 @@ impl IpTree {
     }
 
     pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
+        self.leaf_grid.n_leaves
     }
 
     /// Height of the tree (root level; leaves are level 1).
@@ -349,22 +318,7 @@ impl IpTree {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Switch the query kernels between the implicit slab layout (default,
-    /// `true`) and the original pointer walk. Both layouts answer
-    /// byte-identically — see `tests/layout_equivalence.rs`.
-    pub fn set_hot_layout(&self, slab: bool) {
-        self.hot_layout
-            .store(slab, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether queries currently walk the slab layout.
-    #[inline]
-    pub fn uses_hot_layout(&self) -> bool {
-        self.hot_layout.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The implicit-layout slabs and lower-bound tables (read-only; used
-    /// by the admissibility proptests and the `layout-audit` pass).
+    /// The matrix store and its lower-bound tables (read-only).
     #[inline]
     pub fn slabs(&self) -> &crate::slabs::Slabs {
         &self.slabs
@@ -374,8 +328,7 @@ impl IpTree {
     /// the eager mode audits and warm-start benches compare the lazy path
     /// against. Idempotent; already-built leaves are skipped.
     pub fn build_leaf_grid(&self) {
-        self.leaf_grid
-            .force_build(&self.venue, &self.nodes, self.config.threads);
+        self.leaf_grid.force_build(self);
     }
 
     /// Leaf door grids built so far, lazily or via
@@ -385,19 +338,19 @@ impl IpTree {
         self.leaf_grid.builds()
     }
 
-    /// Re-verify the whole slab arena against the source matrices: every
-    /// row in-bounds and cache-line-aligned, every value bit-identical,
-    /// every bound admissible. Panics on violation. Forces any
-    /// lazily-deferred leaf grids to build first, so the audit always
-    /// covers the full grid.
+    /// Re-verify the slab arena and the leaf grids: every row in-bounds
+    /// and cache-line-aligned, every ordinal CSR consistent with the door
+    /// lists, every bound admissible against the arena itself. Panics on
+    /// violation. Forces any lazily-deferred leaf grids to build first,
+    /// so the audit always covers the full grid.
     pub fn audit_layout(&self) {
         self.slabs.audit(&self.nodes);
         self.build_leaf_grid();
-        self.leaf_grid.audit(&self.nodes);
+        self.leaf_grid.audit(self);
     }
 
-    /// Total bytes of index structure (Fig. 8(b)), including the implicit
-    /// slab layout.
+    /// Total bytes of index structure (Fig. 8(b)): topology, the slab
+    /// matrix store, and the leaf grids built so far.
     pub fn size_bytes(&self) -> usize {
         self.nodes.iter().map(Node::size_bytes).sum::<usize>()
             + self.slabs.size_bytes()

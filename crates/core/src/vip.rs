@@ -17,109 +17,147 @@ use std::sync::Arc;
 /// the door (the chain bottoms out at the leaf level).
 const ARG_LEAF: u16 = u16::MAX;
 
-/// One ancestor row of a door's table.
-#[derive(Debug, Clone)]
-struct TableNode {
-    node: NodeIdx,
-    /// The node the minimisation ran over (child of `node` on the door's
-    /// chain); `NO_NODE` for the leaf row itself.
-    prev: NodeIdx,
-    /// Offset into `dists`/`args`.
-    offset: u32,
-}
+/// Doors per work unit of the table build.
+const DOORS_PER_CHUNK: u32 = 1024;
 
-/// Materialised ancestor distances of one door.
-#[derive(Debug, Clone, Default)]
-struct DoorTable {
-    nodes: Vec<TableNode>,
-    /// Concatenated rows, aligned with each node's access-door list.
+/// The materialised ancestor distances of every door (§2.2) in one flat
+/// table — the only copy, read by the distance sweeps and by
+/// [`VipTree::table_chain`]'s argmin replay alike. Each door owns a run of
+/// rows, one per ancestor of its (≤ 2) leaves, sorted by owner node (the
+/// node arena is level-order, so ancestor walks probe monotonically
+/// increasing entries); rows are contiguous in run order.
+#[derive(Debug, Default)]
+struct DoorTables {
+    /// Per door: its run in `nodes`/`prev` (`door_off[d]..door_off[d+1]`).
+    door_off: Vec<u32>,
+    /// Row owner nodes, sorted within each door's run.
+    nodes: Vec<NodeIdx>,
+    /// Aligned with `nodes`: the node the row's minimisation ran over
+    /// (child of the owner on the door's chain); `NO_NODE` for leaf rows.
+    prev: Vec<NodeIdx>,
+    /// Row `k` spans `row_off[k]..row_off[k+1]` of `dists`/`args`, one
+    /// entry per access door of its owner (one trailing sentinel).
+    row_off: Vec<u32>,
     dists: Vec<f64>,
-    /// Argmin index into `prev`'s access-door list (`ARG_LEAF` for leaf
-    /// rows or entries lifted straight off the leaf matrix).
+    /// Aligned with `dists`: argmin index into `prev`'s access-door list
+    /// (`ARG_LEAF` for leaf rows — straight off the leaf matrix).
     args: Vec<u16>,
 }
 
-impl DoorTable {
-    fn row(&self, node: NodeIdx) -> Option<(&TableNode, usize)> {
-        self.nodes
-            .iter()
-            .find(|t| t.node == node)
-            .map(|t| (t, t.offset as usize))
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<TableNode>()
-            + self.dists.len() * 8
-            + self.args.len() * 2
-    }
-}
-
-/// The per-door tables repacked for the hot layout: every door's rows
-/// concatenated into one f64 arena, with the row index sorted by node
-/// index (the build's node arena is level-order, so ancestor walks probe
-/// monotonically increasing entries). Distances are bit-exact copies of
-/// [`DoorTable::dists`]; argmin replay for path recovery stays on the
-/// original tables.
-#[derive(Debug, Default)]
-struct TableSlab {
-    /// Per door: its run in `nodes`/`row_off` (`door_off[d]..door_off[d+1]`).
-    door_off: Vec<u32>,
-    /// Table-row owner nodes, sorted within each door's run.
-    nodes: Vec<NodeIdx>,
-    /// Aligned with `nodes`: the row's offset in `dists` (length = the
-    /// node's access-door count, known to every caller).
-    row_off: Vec<u32>,
+/// Reusable per-worker buffers for one door's rows in chain order, before
+/// they are appended sorted.
+#[derive(Default)]
+struct DoorScratch {
+    /// `(owner, prev, offset into dists/args)`.
+    rows: Vec<(NodeIdx, NodeIdx, u32)>,
     dists: Vec<f64>,
+    args: Vec<u16>,
 }
 
-impl TableSlab {
-    fn build(tables: &[DoorTable]) -> TableSlab {
-        let mut slab = TableSlab {
-            door_off: Vec::with_capacity(tables.len() + 1),
-            ..TableSlab::default()
-        };
-        slab.door_off.push(0);
-        let mut order: Vec<usize> = Vec::new();
-        for table in tables {
-            order.clear();
-            order.extend(0..table.nodes.len());
-            order.sort_unstable_by_key(|&k| table.nodes[k].node);
-            for &k in &order {
-                let tn = &table.nodes[k];
-                let len = match table
-                    .nodes
-                    .iter()
-                    .map(|t| t.offset)
-                    .filter(|&o| o > tn.offset)
-                    .min()
-                {
-                    Some(next) => (next - tn.offset) as usize,
-                    None => table.dists.len() - tn.offset as usize,
-                };
-                slab.nodes.push(tn.node);
-                slab.row_off.push(slab.dists.len() as u32);
-                slab.dists
-                    .extend_from_slice(&table.dists[tn.offset as usize..tn.offset as usize + len]);
+impl DoorTables {
+    /// Append the ancestor table of door `d` (§2.2); doors must be pushed
+    /// in id order.
+    fn push_door(&mut self, ip: &IpTree, d: u32, scratch: &mut DoorScratch) {
+        let DoorScratch { rows, dists, args } = scratch;
+        rows.clear();
+        dists.clear();
+        args.clear();
+        for leaf in ip.door_leaves[d as usize] {
+            if leaf == NO_NODE {
+                continue;
             }
-            slab.door_off.push(slab.nodes.len() as u32);
+            // Leaf row: distances straight from the leaf matrix.
+            let r = ip.slabs.leaf_row_of(&ip.door_leaves, leaf, d);
+            let mut cur_off = dists.len();
+            rows.push((leaf, NO_NODE, cur_off as u32));
+            dists.extend_from_slice(ip.slabs.row(leaf, r as usize));
+            args.resize(dists.len(), ARG_LEAF);
+            // Ascend to the root, minimising over the previous level.
+            let mut cur = leaf;
+            loop {
+                let parent = ip.node(cur).parent;
+                if parent == NO_NODE || rows.iter().any(|row| row.0 == parent) {
+                    break; // root, or shared upper chain already materialised
+                }
+                let kid = ip.slabs.kid_cols_of(cur);
+                let offset = dists.len();
+                for &col in ip.slabs.own_cols_of(parent) {
+                    let mut best = f64::INFINITY;
+                    let mut best_idx = ARG_LEAF;
+                    for (bi, &krow) in kid.iter().enumerate() {
+                        let cand =
+                            dists[cur_off + bi] + ip.slabs.row(parent, krow as usize)[col as usize];
+                        if cand < best {
+                            best = cand;
+                            best_idx = bi as u16;
+                        }
+                    }
+                    dists.push(best);
+                    args.push(best_idx);
+                }
+                rows.push((parent, cur, offset as u32));
+                (cur, cur_off) = (parent, offset);
+            }
         }
-        slab
+        rows.sort_unstable_by_key(|row| row.0);
+        for &(node, prev, off) in rows.iter() {
+            let span = off as usize..off as usize + ip.node(node).access_doors.len();
+            self.nodes.push(node);
+            self.prev.push(prev);
+            self.row_off.push(self.dists.len() as u32);
+            self.dists.extend_from_slice(&dists[span.clone()]);
+            self.args.extend_from_slice(&args[span]);
+        }
+        self.door_off.push(self.nodes.len() as u32);
     }
 
-    /// Offset of door `d`'s row for `node` in `dists`, if materialised.
+    /// Concatenate chunk-local tables (consecutive door ranges, in order)
+    /// into the final one, sized exactly.
+    fn concat(parts: Vec<DoorTables>) -> DoorTables {
+        let total = |len: fn(&DoorTables) -> usize| parts.iter().map(len).sum::<usize>();
+        let mut all = DoorTables {
+            door_off: Vec::with_capacity(total(|p| p.door_off.len()) + 1),
+            nodes: Vec::with_capacity(total(|p| p.nodes.len())),
+            prev: Vec::with_capacity(total(|p| p.prev.len())),
+            row_off: Vec::with_capacity(total(|p| p.row_off.len()) + 1),
+            dists: Vec::with_capacity(total(|p| p.dists.len())),
+            args: Vec::with_capacity(total(|p| p.args.len())),
+        };
+        all.door_off.push(0);
+        for p in parts {
+            let (row_base, dist_base) = (all.nodes.len() as u32, all.dists.len() as u32);
+            all.door_off.extend(p.door_off.iter().map(|o| o + row_base));
+            all.nodes.extend_from_slice(&p.nodes);
+            all.prev.extend_from_slice(&p.prev);
+            all.row_off.extend(p.row_off.iter().map(|o| o + dist_base));
+            all.dists.extend_from_slice(&p.dists);
+            all.args.extend_from_slice(&p.args);
+        }
+        all.row_off.push(all.dists.len() as u32);
+        all
+    }
+
+    /// Door `d`'s row for `node`, if materialised: its position `k` in
+    /// `nodes`/`prev` and its span in `dists`/`args`.
     #[inline]
-    fn row_offset(&self, d: u32, node: NodeIdx) -> Option<usize> {
+    fn row_at(&self, d: u32, node: NodeIdx) -> Option<(usize, std::ops::Range<usize>)> {
         let lo = self.door_off[d as usize] as usize;
         let hi = self.door_off[d as usize + 1] as usize;
-        let k = self.nodes[lo..hi].binary_search(&node).ok()?;
-        Some(self.row_off[lo + k] as usize)
+        let k = lo + self.nodes[lo..hi].binary_search(&node).ok()?;
+        Some((k, self.row_off[k] as usize..self.row_off[k + 1] as usize))
     }
 
+    /// Distances from door `d` to the access doors of `node`.
+    #[inline]
+    fn dists_at(&self, d: u32, node: NodeIdx) -> Option<&[f64]> {
+        self.row_at(d, node).map(|(_, span)| &self.dists[span])
+    }
+
+    /// Every array, once.
     fn size_bytes(&self) -> usize {
-        self.door_off.len() * 4
-            + self.nodes.len() * 4
-            + self.row_off.len() * 4
+        (self.door_off.len() + self.nodes.len() + self.prev.len() + self.row_off.len()) * 4
             + self.dists.len() * 8
+            + self.args.len() * 2
     }
 }
 
@@ -127,8 +165,7 @@ impl TableSlab {
 #[derive(Debug)]
 pub struct VipTree {
     ip: IpTree,
-    tables: Vec<DoorTable>,
-    slab: TableSlab,
+    tables: DoorTables,
 }
 
 impl VipTree {
@@ -141,87 +178,31 @@ impl VipTree {
     /// Materialise tables over an existing IP-tree.
     ///
     /// Every door's table depends only on the finished IP-tree, so the
-    /// materialisation fans out over `ip.config.threads` workers (one
-    /// table per door, written into its own slot — bit-identical to the
-    /// serial pass for any thread count).
+    /// materialisation fans out over `ip.config.threads` workers in fixed
+    /// chunks of consecutive doors, each appended to a chunk-local flat
+    /// table; concatenating the chunks in door order gives the same bytes
+    /// for any thread count, and no per-door allocation outlives the
+    /// build.
     pub fn from_ip_tree(ip: IpTree) -> VipTree {
-        let n_doors = ip.venue.num_doors();
-        let door_ids: Vec<u32> = (0..n_doors as u32).collect();
-        let tables: Vec<DoorTable> =
-            indoor_graph::parallel::par_map(&door_ids, ip.config.threads, |_, &d| {
-                Self::door_table(&ip, d)
-            });
-        let slab = TableSlab::build(&tables);
-        VipTree { ip, tables, slab }
-    }
-
-    /// Build the ancestor table of one door (§2.2).
-    fn door_table(ip: &IpTree, d: u32) -> DoorTable {
-        let door = DoorId(d);
-        let mut table = DoorTable::default();
-        for leaf in ip.door_leaves[d as usize] {
-            if leaf == NO_NODE {
-                continue;
-            }
-            // Leaf row: distances straight from the leaf matrix.
-            if table.row(leaf).is_none() {
-                let node = ip.node(leaf);
-                let offset = table.dists.len() as u32;
-                let row = node
-                    .matrix
-                    .row_index(door)
-                    .expect("door is a row of its leaf matrix");
-                for (ci, _) in node.access_doors.iter().enumerate() {
-                    table.dists.push(node.matrix.at(row, ci));
-                    table.args.push(ARG_LEAF);
+        let n_doors = ip.venue.num_doors() as u32;
+        let chunks: Vec<std::ops::Range<u32>> = (0..n_doors)
+            .step_by(DOORS_PER_CHUNK as usize)
+            .map(|lo| lo..n_doors.min(lo + DOORS_PER_CHUNK))
+            .collect();
+        let parts = indoor_graph::parallel::par_map_init(
+            &chunks,
+            ip.config.threads,
+            DoorScratch::default,
+            |scratch, _, chunk| {
+                let mut part = DoorTables::default();
+                for d in chunk.clone() {
+                    part.push_door(&ip, d, scratch);
                 }
-                table.nodes.push(TableNode {
-                    node: leaf,
-                    prev: NO_NODE,
-                    offset,
-                });
-            }
-            // Ascend to the root, minimising over the previous level.
-            let mut cur = leaf;
-            loop {
-                let parent = ip.node(cur).parent;
-                if parent == NO_NODE {
-                    break;
-                }
-                if table.row(parent).is_some() {
-                    break; // shared upper chain already materialised
-                }
-                let (_, prev_off) = table.row(cur).expect("chain built bottom-up");
-                let pnode = ip.node(parent);
-                let child_ads = &ip.node(cur).access_doors;
-                let offset = table.dists.len() as u32;
-                for &a in &pnode.access_doors {
-                    let col = pnode.matrix.col_index(a).expect("parent AD in own matrix");
-                    let mut best = f64::INFINITY;
-                    let mut best_idx = ARG_LEAF;
-                    for (bi, &b) in child_ads.iter().enumerate() {
-                        let row = pnode
-                            .matrix
-                            .row_index(b)
-                            .expect("child AD in parent matrix");
-                        let cand = table.dists[prev_off + bi] + pnode.matrix.at(row, col);
-                        if cand < best {
-                            best = cand;
-                            best_idx = bi as u16;
-                        }
-                    }
-                    table.dists.push(best);
-                    table.args.push(best_idx);
-                }
-                table.nodes.push(TableNode {
-                    node: parent,
-                    prev: cur,
-                    offset,
-                });
-                cur = parent;
-            }
-        }
-        table
+                part
+            },
+        );
+        let tables = DoorTables::concat(parts);
+        VipTree { ip, tables }
     }
 
     /// Access to the underlying IP-tree (shared kNN/range machinery,
@@ -231,24 +212,20 @@ impl VipTree {
         &self.ip
     }
 
-    /// Switch the query kernels between the implicit slab layout (default)
-    /// and the original pointer walk — see [`IpTree::set_hot_layout`].
-    pub fn set_hot_layout(&self, slab: bool) {
-        self.ip.set_hot_layout(slab);
-    }
-
     #[inline]
     pub fn venue(&self) -> &Arc<Venue> {
         self.ip.venue()
     }
 
-    /// dist(door → access door `ad_idx` of ancestor `node`) from the
-    /// materialised table.
-    fn table_dist(&self, door: DoorId, node: NodeIdx, ad_idx: usize) -> f64 {
-        match self.tables[door.index()].row(node) {
-            Some((_, off)) => self.tables[door.index()].dists[off + ad_idx],
-            None => f64::INFINITY,
-        }
+    /// One row of a door's materialised table (§2.2), if `node` is an
+    /// ancestor of one of the door's leaves: the chain predecessor the
+    /// row was minimised over (`NO_NODE` for a leaf row), the distances
+    /// to `node`'s access doors, and the argmin indices into the
+    /// predecessor's access-door list (`u16::MAX` on leaf rows).
+    pub fn table_row(&self, door: DoorId, node: NodeIdx) -> Option<(NodeIdx, &[f64], &[u16])> {
+        let t = &self.tables;
+        let (k, span) = t.row_at(door.0, node)?;
+        Some((t.prev[k], &t.dists[span.clone()], &t.args[span]))
     }
 
     /// §3.1.2: shortest distance in O(ρ²) via table lookups.
@@ -362,14 +339,14 @@ impl VipTree {
     /// as partial edges with their context nodes.
     fn table_chain(&self, door: DoorId, node: NodeIdx, ad_idx: usize) -> Vec<PartialEdge> {
         let ip = &self.ip;
-        let table = &self.tables[door.index()];
+        let table = &self.tables;
         let mut edges: Vec<PartialEdge> = Vec::new();
         let mut cur = node;
         let mut idx = ad_idx;
         loop {
-            let (tn, off) = table.row(cur).expect("chain node in table");
+            let (k, span) = table.row_at(door.0, cur).expect("chain node in table");
             let cur_door = ip.node(cur).access_doors[idx];
-            match table.args[off + idx] {
+            match table.args[span.start + idx] {
                 ARG_LEAF => {
                     // Leaf row: one edge door → cur_door in the leaf matrix.
                     if door != cur_door {
@@ -382,7 +359,7 @@ impl VipTree {
                     break;
                 }
                 arg => {
-                    let prev = tn.prev;
+                    let prev = table.prev[k];
                     let prev_door = ip.node(prev).access_doors[arg as usize];
                     if prev_door != cur_door {
                         edges.push(PartialEdge {
@@ -413,50 +390,27 @@ impl VipTree {
         let lca = ip.lca(leaf_s, leaf_t);
         let ns = ip.child_towards(lca, leaf_s);
         let nt = ip.child_towards(lca, leaf_t);
-        let lca_node = ip.node(lca);
-        let ads = &ip.node(ns).access_doors;
-        let adt = &ip.node(nt).access_doors;
-
         // dist(s, di) for di ∈ AD(Ns) via the superior doors' tables; keep
         // the argmin superior door for path recovery. The side buffers
-        // come from the scratch, cleared and refilled per query.
-        let slab_mode = ip.uses_hot_layout();
-        let side = |p: &IndoorPoint,
-                    n: NodeIdx,
-                    ads: &[DoorId],
-                    dists: &mut Vec<f64>,
-                    vias: &mut Vec<DoorId>| {
-            let sup = ip.superior_doors(p.partition);
+        // come from the scratch, cleared and refilled per query. One table
+        // row per superior door, swept contiguously; superior doors are
+        // visited in order and updates are strictly improving, so each
+        // access door keeps its first minimal superior door.
+        let side = |p: &IndoorPoint, n: NodeIdx, dists: &mut Vec<f64>, vias: &mut Vec<DoorId>| {
+            let n_ads = ip.node(n).access_doors.len();
             dists.clear();
-            dists.resize(ads.len(), f64::INFINITY);
+            dists.resize(n_ads, f64::INFINITY);
             vias.clear();
-            vias.resize(ads.len(), DoorId(0));
-            if slab_mode {
-                // One table-slab row per superior door, swept contiguously
-                // (same candidates and visit order as the pointer scan
-                // below, so same bytes and argmins — see
-                // `ascend_via_tables_into`).
-                for &u in sup {
-                    let Some(off) = self.slab.row_offset(u.0, n) else {
-                        continue;
-                    };
-                    let du = p.distance_to_door(venue, u);
-                    let row = &self.slab.dists[off..off + ads.len()];
-                    for (i, d) in dists.iter_mut().enumerate() {
-                        let cand = du + row[i];
-                        if cand < *d {
-                            *d = cand;
-                            vias[i] = u;
-                        }
-                    }
-                }
-                return;
-            }
-            for (i, _) in ads.iter().enumerate() {
-                for &u in sup {
-                    let cand = p.distance_to_door(venue, u) + self.table_dist(u, n, i);
-                    if cand < dists[i] {
-                        dists[i] = cand;
+            vias.resize(n_ads, DoorId(0));
+            for &u in ip.superior_doors(p.partition) {
+                let Some(row) = self.tables.dists_at(u.0, n) else {
+                    continue;
+                };
+                let du = p.distance_to_door(venue, u);
+                for (i, d) in dists.iter_mut().enumerate() {
+                    let cand = du + row[i];
+                    if cand < *d {
+                        *d = cand;
                         vias[i] = u;
                     }
                 }
@@ -469,62 +423,40 @@ impl VipTree {
             via_t: vt,
             ..
         } = scratch;
-        side(s, ns, ads, ds, vs);
-        side(t, nt, adt, dt, vt);
+        side(s, ns, ds, vs);
+        side(t, nt, dt, vt);
 
         let mut best = f64::INFINITY;
         let mut bi = usize::MAX;
         let mut bj = usize::MAX;
-        if slab_mode {
-            // Envelope early-exit over the LCA slab: a row whose floor
-            // `(ds[i] + env_min) + dt_min` already reaches the incumbent
-            // cannot improve it (floating-point rounding is monotone, so
-            // the floor never exceeds any candidate as computed) and is
-            // skipped without touching the matrix. Skips need `>=`,
-            // updates `<`, so best and both argmins match the pointer
-            // walk exactly.
-            let kid_s = ip.slabs.kid_cols_of(ns);
-            let kid_t = ip.slabs.kid_cols_of(nt);
-            let (env_min, _) = ip.slabs.envelope(lca);
-            let dt_min = dt
-                .iter()
-                .copied()
-                .filter(|d| d.is_finite())
-                .fold(f64::INFINITY, f64::min);
-            for (i, &dsi) in ds.iter().enumerate() {
-                if !dsi.is_finite() || (dsi + env_min) + dt_min >= best {
-                    continue;
-                }
-                let row = ip.slabs.row(lca, kid_s[i] as usize);
-                for (j, &dtj) in dt.iter().enumerate() {
-                    if !dtj.is_finite() {
-                        continue;
-                    }
-                    let cand = dsi + row[kid_t[j] as usize] + dtj;
-                    if cand < best {
-                        best = cand;
-                        bi = i;
-                        bj = j;
-                    }
-                }
+        // Envelope early-exit over the LCA slab: a row whose floor
+        // `(ds[i] + env_min) + dt_min` already reaches the incumbent
+        // cannot improve it (floating-point rounding is monotone, so the
+        // floor never exceeds any candidate as computed) and is skipped
+        // without touching the matrix. Skips need `>=`, updates `<`, so
+        // best and both argmins are exactly the exhaustive scan's.
+        let kid_s = ip.slabs.kid_cols_of(ns);
+        let kid_t = ip.slabs.kid_cols_of(nt);
+        let env_min = ip.slabs.env_min(lca);
+        let dt_min = dt
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(f64::INFINITY, f64::min);
+        for (i, &dsi) in ds.iter().enumerate() {
+            if !dsi.is_finite() || (dsi + env_min) + dt_min >= best {
+                continue;
             }
-        } else {
-            for (i, &di) in ads.iter().enumerate() {
-                if !ds[i].is_finite() {
+            let row = ip.slabs.row(lca, kid_s[i] as usize);
+            for (j, &dtj) in dt.iter().enumerate() {
+                if !dtj.is_finite() {
                     continue;
                 }
-                let row = lca_node.matrix.row_index(di).expect("AD in LCA matrix");
-                for (j, &dj) in adt.iter().enumerate() {
-                    if !dt[j].is_finite() {
-                        continue;
-                    }
-                    let col = lca_node.matrix.col_index(dj).expect("AD in LCA matrix");
-                    let cand = ds[i] + lca_node.matrix.at(row, col) + dt[j];
-                    if cand < best {
-                        best = cand;
-                        bi = i;
-                        bj = j;
-                    }
+                let cand = dsi + row[kid_t[j] as usize] + dtj;
+                if cand < best {
+                    best = cand;
+                    bi = i;
+                    bj = j;
                 }
             }
         }
@@ -557,62 +489,33 @@ impl VipTree {
         asc.clear();
         let mut cur = ip.leaf_of(p.partition);
 
-        if ip.uses_hot_layout() {
-            // Slab walk: per chain node, one binary-searched row per
-            // superior door swept contiguously over the access-door
-            // ordinals, with `p`'s distance to the door hoisted out of the
-            // sweep — the pointer walk recomputes it and linear-scans the
-            // table once per (access door, superior door) pair. Superior
-            // doors are visited in the same order, updates are strictly
-            // improving, so the argmin door (`via`) and every f64 match
-            // the pointer walk bit for bit.
-            loop {
-                let node = ip.node(cur);
-                let n_ads = node.access_doors.len();
-                let step = asc.push_step(cur);
-                step.dists.resize(n_ads, f64::INFINITY);
-                step.prov
-                    .resize(n_ads, Provenance::Source { via: DoorId(0) });
-                for &u in sup {
-                    let Some(off) = self.slab.row_offset(u.0, cur) else {
-                        continue;
-                    };
-                    let du = p.distance_to_door(venue, u);
-                    let row = &self.slab.dists[off..off + n_ads];
-                    for (i, d) in step.dists.iter_mut().enumerate() {
-                        let cand = du + row[i];
-                        if cand < *d {
-                            *d = cand;
-                            step.prov[i] = Provenance::Source { via: u };
-                        }
-                    }
-                }
-                if cur == target {
-                    return;
-                }
-                cur = node.parent;
-                debug_assert_ne!(cur, NO_NODE);
-            }
-        }
-
+        // Per chain node, one binary-searched table row per superior door
+        // swept contiguously over the access-door ordinals, with `p`'s
+        // distance to the door hoisted out of the sweep. Superior doors
+        // are visited in order and updates are strictly improving, so the
+        // argmin door (`via`) is the first minimal one.
         loop {
             let node = ip.node(cur);
+            let n_ads = node.access_doors.len();
             let step = asc.push_step(cur);
-            for (i, _) in node.access_doors.iter().enumerate() {
-                let mut best = f64::INFINITY;
-                let mut via = DoorId(0);
-                for &u in sup {
-                    let cand = p.distance_to_door(venue, u) + self.table_dist(u, cur, i);
-                    if cand < best {
-                        best = cand;
-                        via = u;
+            step.dists.resize(n_ads, f64::INFINITY);
+            step.prov
+                .resize(n_ads, Provenance::Source { via: DoorId(0) });
+            for &u in sup {
+                let Some(row) = self.tables.dists_at(u.0, cur) else {
+                    continue;
+                };
+                let du = p.distance_to_door(venue, u);
+                for (i, d) in step.dists.iter_mut().enumerate() {
+                    let cand = du + row[i];
+                    if cand < *d {
+                        *d = cand;
+                        step.prov[i] = Provenance::Source { via: u };
                     }
                 }
-                step.dists.push(best);
-                step.prov.push(Provenance::Source { via });
             }
             if cur == target {
-                break;
+                return;
             }
             cur = node.parent;
             debug_assert_ne!(cur, NO_NODE);
@@ -701,12 +604,9 @@ impl VipTree {
         self.ip.range_from_ascent(q, radius, &mut scratch, stats)
     }
 
-    /// Total index size: IP-tree plus the door tables and their slab
-    /// repack (Fig. 8(b)).
+    /// Total index size: IP-tree plus the door tables (Fig. 8(b)).
     pub fn size_bytes(&self) -> usize {
-        self.ip.size_bytes()
-            + self.tables.iter().map(DoorTable::size_bytes).sum::<usize>()
-            + self.slab.size_bytes()
+        self.ip.size_bytes() + self.tables.size_bytes()
     }
 
     pub fn decompose_fallback_count(&self) -> u64 {

@@ -1,7 +1,8 @@
 //! Parallel build determinism: `VipTree::build` / `IpTree::build` with
 //! `threads = 1` and `threads = N` must produce **bit-identical** indexes —
-//! every distance-matrix entry, next-hop, access-door list, and superior-
-//! door set — and therefore identical query answers. This is the contract
+//! every slab arena row, next-hop entry, access-door list, superior-door
+//! set and VIP table row — and therefore identical query answers. This is
+//! the contract
 //! that makes `VipTreeConfig::threads` safe to default to "all cores"
 //! (DESIGN.md, "Parallel build determinism").
 
@@ -24,23 +25,27 @@ fn assert_trees_bit_identical(a: &IpTree, b: &IpTree, label: &str) {
             na.partitions, nb.partitions,
             "{label}: node {idx} partitions"
         );
-        assert_eq!(na.matrix.rows, nb.matrix.rows, "{label}: node {idx} rows");
-        assert_eq!(na.matrix.cols, nb.matrix.cols, "{label}: node {idx} cols");
+        let (sa, sb) = (a.slabs(), b.slabs());
         assert_eq!(
-            na.matrix.next_hop, nb.matrix.next_hop,
-            "{label}: node {idx} next hops"
+            sa.n_rows(idx),
+            sb.n_rows(idx),
+            "{label}: node {idx} matrix rows"
         );
-        assert_eq!(
-            na.matrix.dist.len(),
-            nb.matrix.dist.len(),
-            "{label}: node {idx} matrix size"
-        );
-        for (i, (x, y)) in na.matrix.dist.iter().zip(nb.matrix.dist.iter()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{label}: node {idx} dist[{i}]: {x} vs {y}"
-            );
+        for r in 0..sa.n_rows(idx) {
+            let (ra, rb) = (sa.row(idx, r), sb.row(idx, r));
+            assert_eq!(ra.len(), rb.len(), "{label}: node {idx} matrix cols");
+            for (c, (x, y)) in ra.iter().zip(rb).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{label}: node {idx} dist[{r}][{c}]: {x} vs {y}"
+                );
+                assert_eq!(
+                    sa.hop(idx, r, c),
+                    sb.hop(idx, r, c),
+                    "{label}: node {idx} next hop [{r}][{c}]"
+                );
+            }
         }
     }
     for p in 0..a.venue().num_partitions() as u32 {
@@ -68,6 +73,26 @@ fn check_venue(venue: Arc<Venue>, label: &str) {
         vip_parallel.size_bytes(),
         "{label}: table footprint"
     );
+    for d in 0..venue.num_doors() as u32 {
+        for n in 0..vip_serial.ip_tree().num_nodes() as u32 {
+            let rows = (
+                vip_serial.table_row(DoorId(d), n),
+                vip_parallel.table_row(DoorId(d), n),
+            );
+            let ((pa, da, aa), (pb, db, ab)) = match rows {
+                (Some(x), Some(y)) => (x, y),
+                (None, None) => continue,
+                _ => panic!("{label}: door {d} node {n}: row in one table only"),
+            };
+            assert_eq!((pa, aa), (pb, ab), "{label}: door {d} node {n} chain");
+            assert!(
+                da.iter()
+                    .map(|x| x.to_bits())
+                    .eq(db.iter().map(|x| x.to_bits())),
+                "{label}: door {d} node {n} table dists"
+            );
+        }
+    }
 
     // Same answers, bit for bit, across query kinds.
     for (s, t) in workload::query_pairs(&venue, 40, 0xD15) {

@@ -43,6 +43,17 @@ fn menzies_2_correct_and_paper_shaped() {
     );
     assert!(stats.avg_fanout < 8.0, "f {}", stats.avg_fanout);
 
+    // Footprint pin: every distance is stored once — the slab arena is
+    // the matrix store and the VIP table is one flat structure. With
+    // every leaf grid built the index is ≈ 2.52 MB; a second copy of
+    // either (≥ 215 kB) cannot come back unnoticed.
+    tree.ip_tree().build_leaf_grid();
+    assert!(
+        tree.size_bytes() <= 2_650_000,
+        "index {} B",
+        tree.size_bytes()
+    );
+
     let mut engine = DijkstraEngine::new(venue.num_doors());
     for (s, t) in workload::query_pairs(&venue, 60, 1) {
         let want = oracle(&venue, &mut engine, &s, &t).expect("connected venue");
