@@ -73,8 +73,8 @@ pub use persist::{
 pub use repl::{WalEntry, WalSubscription};
 pub use retry::RetryPolicy;
 pub use service::{
-    AdmissionConfig, IndoorService, KindStats, OverloadPolicy, ServiceError, ServiceStats,
-    ShardConfig, ShardStats, SyncPolicy, DEFAULT_CACHE_CAPACITY,
+    AdmissionConfig, IndoorService, KindStats, Mutation, OverloadPolicy, ServiceError,
+    ServiceStats, ShardConfig, ShardStats, SyncPolicy, DEFAULT_CACHE_CAPACITY,
 };
 pub use slabs::Slabs;
 pub use stats::TreeStats;

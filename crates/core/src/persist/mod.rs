@@ -23,8 +23,8 @@
 //!   tails, serve. Snapshotting rotates the logs.
 //!
 //! The **LSN = version invariant** is what ties the two halves together:
-//! every mutation path holds its shard's journal lock across *apply +
-//! version bump + WAL append*, so the log order is the apply order, the
+//! `Shard::apply` holds its shard's journal lock across *WAL append +
+//! install + version bump*, so the log order is the apply order, the
 //! snapshot's captured version is a cut point of that order, and "replay
 //! the suffix past the version" is exact — no record is lost, none is
 //! applied twice. Kill-and-recover equivalence (recovered answers
@@ -54,7 +54,7 @@ pub mod storage;
 pub(crate) mod wal;
 
 pub use format::{PersistError, SNAPSHOT_FILE};
-pub(crate) use recover::rebuild_from_create;
+pub(crate) use recover::rebuild;
 pub use recover::RecoveryReport;
 pub use snapshot::SnapshotReport;
 pub use storage::{CrashMode, FaultAt, FaultKind, FaultStorage, OsStorage, Storage, StorageFile};

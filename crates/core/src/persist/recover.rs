@@ -3,16 +3,16 @@
 //!
 //! [`IndoorService::open`] is the inverse of
 //! [`IndoorService::save_snapshot`] plus the journal: every shard is
-//! rebuilt from its snapshot state (venue JSON → `Venue` → `VipTree`,
-//! object/keyword sets re-attached with their stable ids via
-//! `build_with_ids`), then the WAL records with `LSN > version` are
-//! re-applied **through the same code paths** the live service used
-//! (`apply_object_deltas`, keyword `apply_delta`, wholesale attach) — so
-//! the delta-vs-rebuild equivalence contract of `tests/object_deltas.rs`
-//! is exactly what makes a recovered service answer byte-identically to
-//! one that never went down (`tests/persistence.rs` proves it end to
-//! end). Restored `epoch`/`version` counters continue monotonically,
-//! which keeps future WAL LSNs and cache stamps well-ordered.
+//! rebuilt journal-less from its snapshot state (venue JSON → `Venue` →
+//! `Shard::build`, object/keyword sets seeded with their stable ids),
+//! then the WAL records with `LSN > version` are re-applied **through
+//! the function the live service used** (`Shard::apply`, at the record's
+//! own LSN) — so the delta-vs-rebuild equivalence contract of
+//! `tests/object_deltas.rs` is exactly what makes a recovered service
+//! answer byte-identically to one that never went down
+//! (`tests/persistence.rs` proves it end to end). Restored
+//! `epoch`/`version` counters continue monotonically, which keeps future
+//! WAL LSNs and cache stamps well-ordered.
 //!
 //! Recovery itself is **recover-or-reject**: every read goes through the
 //! service's [`Storage`], every structural anomaly beyond a torn tail is
@@ -23,12 +23,9 @@
 use super::format::{PersistError, SNAPSHOT_FILE};
 use super::snapshot::{read_snapshot, SlotState};
 use super::storage::{OsStorage, Storage};
-use super::wal::{self, OwnedWalRecord, WalEntry};
-use crate::exec::QueryEngine;
-use crate::keywords::KeywordObjects;
-use crate::service::{AdmissionConfig, IndoorService, Shard, SyncPolicy};
-use crate::vip::VipTree;
-use indoor_model::Venue;
+use super::wal::{self, WalEntry, WalRecord};
+use crate::service::{IndoorService, Lsn, Seed, ServiceError, Shard, ShardConfig};
+use indoor_model::{Venue, VenueId};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
@@ -47,88 +44,27 @@ pub struct RecoveryReport {
     pub truncated_tails: usize,
 }
 
-/// A shard being rebuilt: the engine plus its restored counters. Also
-/// the follower-side bootstrap unit of replication (`crate::repl`
-/// rebuilds a replica shard from a shipped `Create` record through
-/// exactly this path).
-pub(crate) struct Rebuilt {
-    pub(crate) engine: Arc<QueryEngine>,
-    pub(crate) epoch: u64,
-    pub(crate) version: u64,
-    pub(crate) cache_capacity: usize,
-    pub(crate) admission: AdmissionConfig,
-    pub(crate) sync: SyncPolicy,
-}
-
-fn rebuild_from_state(state: &SlotState, path: &Path) -> Result<Rebuilt, PersistError> {
-    let venue =
-        Venue::load_json(state.venue_json.as_slice()).map_err(|e| PersistError::load(path, e))?;
-    let tree = VipTree::build(Arc::new(venue), &state.tree).map_err(PersistError::Build)?;
-    if let Some(objects) = &state.objects {
-        tree.attach_objects_with_ids(objects);
-    }
-    let engine = QueryEngine::for_vip(Arc::new(tree)).with_threads(state.engine_threads);
-    if let Some(keywords) = &state.keywords {
-        let kw = KeywordObjects::build_with_ids(engine.tree().ip(), keywords);
-        engine.set_keywords(Some(Arc::new(kw)));
-    }
-    Ok(Rebuilt {
-        engine: Arc::new(engine),
-        epoch: state.epoch,
-        version: state.version,
-        cache_capacity: state.cache_capacity,
-        admission: state.admission,
-        sync: state.sync,
-    })
-}
-
-pub(crate) fn rebuild_from_create(
-    record: &OwnedWalRecord,
+/// Rebuild a journal-less shard from a persisted venue document — a
+/// snapshot slot's or a `Create` record's (replayed here, or shipped to a
+/// replica: `crate::repl` bootstraps through exactly this path).
+pub(crate) fn rebuild(
+    venue_json: &[u8],
+    config: &ShardConfig,
+    seed: Seed,
     path: &Path,
-) -> Result<Rebuilt, PersistError> {
-    let OwnedWalRecord::Create {
-        tree: config,
-        engine_threads,
-        cache_capacity,
-        admission,
-        sync,
-        venue_json,
-        objects,
-        keywords,
-    } = record
-    else {
-        unreachable!("caller matched Create");
-    };
-    let venue = Venue::load_json(venue_json.as_slice()).map_err(|e| PersistError::load(path, e))?;
-    let tree = VipTree::build(Arc::new(venue), config).map_err(PersistError::Build)?;
-    // Mirror `add_venue`: positional attach only when non-empty, so a
-    // recovered never-attached tree still reports no object index.
-    if !objects.is_empty() {
-        tree.attach_objects(objects);
-    }
-    let engine = QueryEngine::for_vip(Arc::new(tree)).with_threads(*engine_threads);
-    if !keywords.is_empty() {
-        let kw = KeywordObjects::build(engine.tree().ip(), keywords);
-        engine.set_keywords(Some(Arc::new(kw)));
-    }
-    Ok(Rebuilt {
-        engine: Arc::new(engine),
-        epoch: 0,
-        version: 0,
-        cache_capacity: *cache_capacity,
-        admission: *admission,
-        sync: *sync,
-    })
+) -> Result<Shard, PersistError> {
+    let venue = Venue::load_json(venue_json).map_err(|e| PersistError::load(path, e))?;
+    Shard::build(Arc::new(venue), config, seed).map_err(PersistError::Build)
 }
 
 /// Replay one venue's WAL suffix onto its rebuilt shard.
 fn replay(
     slot: usize,
-    mut live: Option<Rebuilt>,
-    entries: &[WalEntry],
+    mut live: Option<Shard>,
+    entries: Vec<WalEntry>,
     path: &Path,
     report: &mut RecoveryReport,
-) -> Result<Option<Rebuilt>, PersistError> {
+) -> Result<Option<Shard>, PersistError> {
     // Slots are never reused, so a log holds at most one lifecycle:
     // Create … Remove (plus racing stragglers after the Remove). If the
     // venue ends up removed, every mutation record in the log is moot —
@@ -138,29 +74,30 @@ fn replay(
     // must not read as corruption.
     let ends_removed = entries
         .iter()
-        .any(|e| matches!(e.record, OwnedWalRecord::Remove));
+        .any(|e| matches!(e.record, WalRecord::Remove));
     let mut removed = false;
     for entry in entries {
-        match &entry.record {
-            OwnedWalRecord::Create { .. } => {
+        let mutation = match entry.record {
+            WalRecord::Create { config, venue_json } => {
                 // Skipped when snapshot state already covers the venue (a
                 // log not rotated yet) — and when the log ends in Remove:
                 // building a tree only to drop it at the Remove record
                 // would waste the whole venue-construction cost.
                 if live.is_none() && !ends_removed {
-                    live = Some(rebuild_from_create(&entry.record, path)?);
+                    let seed = Seed::positional(&config);
+                    live = Some(rebuild(&venue_json, &config, seed, path)?);
                     report.replayed_records += 1;
                 }
                 continue;
             }
-            OwnedWalRecord::Remove => {
+            WalRecord::Remove => {
                 live = None;
                 removed = true;
                 report.replayed_records += 1;
                 continue;
             }
-            _ => {}
-        }
+            WalRecord::Mutation(mutation) => mutation,
+        };
         if removed || (live.is_none() && ends_removed) {
             // Moot mutation: either it raced `remove_venue` and landed
             // after the Remove record, or the snapshot already records
@@ -168,7 +105,7 @@ fn replay(
             // rotation) still ends in its Remove.
             continue;
         }
-        let Some(shard) = live.as_mut() else {
+        let Some(shard) = live.as_ref() else {
             return Err(PersistError::corrupt(
                 path,
                 0,
@@ -178,54 +115,32 @@ fn replay(
                 ),
             ));
         };
-        if entry.lsn <= shard.version {
+        if entry.lsn <= shard.version() {
             continue; // the snapshot already includes this record
         }
-        if entry.lsn != shard.version + 1 {
-            return Err(PersistError::corrupt(
-                path,
-                0,
-                format!(
-                    "LSN gap in venue slot {slot}: record {} after version {}",
-                    entry.lsn, shard.version
-                ),
-            ));
+        match shard.apply(VenueId::from(slot), mutation, Lsn::Expected(entry.lsn)) {
+            Ok(_) => report.replayed_records += 1,
+            Err(ServiceError::Delta(_, source)) => {
+                return Err(PersistError::Replay {
+                    path: path.to_path_buf(),
+                    lsn: entry.lsn,
+                    source,
+                })
+            }
+            // A journal-less shard cannot fail to persist or be degraded:
+            // what is left is a record that skips past `version + 1`.
+            Err(_) => {
+                return Err(PersistError::corrupt(
+                    path,
+                    0,
+                    format!(
+                        "LSN gap in venue slot {slot}: record {} after version {}",
+                        entry.lsn,
+                        shard.version()
+                    ),
+                ))
+            }
         }
-        match &entry.record {
-            OwnedWalRecord::Deltas(deltas) => {
-                shard
-                    .engine
-                    .tree()
-                    .ip()
-                    .apply_object_deltas(deltas)
-                    .map_err(|e| PersistError::Replay {
-                        path: path.to_path_buf(),
-                        lsn: entry.lsn,
-                        source: e,
-                    })?;
-            }
-            OwnedWalRecord::Attach(objects) => {
-                shard.engine.tree().ip().attach_objects(objects);
-                shard.epoch += 1;
-            }
-            OwnedWalRecord::KeywordUpdates(updates) => {
-                let ip = shard.engine.tree().ip();
-                let mut kw = match shard.engine.keywords() {
-                    Some(kw) => (*kw).clone(),
-                    None => KeywordObjects::build(ip, &[]),
-                };
-                kw.apply_delta(ip, updates)
-                    .map_err(|e| PersistError::Replay {
-                        path: path.to_path_buf(),
-                        lsn: entry.lsn,
-                        source: e,
-                    })?;
-                shard.engine.set_keywords(Some(Arc::new(kw)));
-            }
-            OwnedWalRecord::Create { .. } | OwnedWalRecord::Remove => unreachable!(),
-        }
-        shard.version = entry.lsn;
-        report.replayed_records += 1;
     }
     Ok(live)
 }
@@ -302,7 +217,7 @@ impl IndoorService {
         states.resize_with(max_slot, || None);
 
         let mut slots: Vec<Option<Arc<Shard>>> = Vec::with_capacity(states.len());
-        for (slot, state) in states.iter().enumerate() {
+        for (slot, state) in states.into_iter().enumerate() {
             let path = wal::wal_path(dir, slot);
             let entries = if storage.exists(&path) {
                 let (entries, truncated) = wal::read_and_repair(&storage, &path)?;
@@ -315,21 +230,10 @@ impl IndoorService {
             };
 
             let rebuilt = state
-                .as_ref()
-                .map(|s| rebuild_from_state(s, &snapshot_path))
+                .map(|s| rebuild(&s.venue_json, &s.config, s.seed, &snapshot_path))
                 .transpose()?;
-            let rebuilt = replay(slot, rebuilt, &entries, &path, &mut report)?;
-
-            slots.push(rebuilt.map(|r| {
-                Arc::new(Shard::new(
-                    r.engine,
-                    r.epoch,
-                    r.version,
-                    r.cache_capacity,
-                    r.admission,
-                    r.sync,
-                ))
-            }));
+            let rebuilt = replay(slot, rebuilt, entries, &path, &mut report)?;
+            slots.push(rebuilt.map(Arc::new));
         }
 
         // Every surviving slot journals from here on: reopen (or create)

@@ -33,10 +33,9 @@
 use super::format::{self, PersistError, SNAPSHOT_FILE, SNAPSHOT_MAGIC};
 use super::storage::Storage;
 use super::wal::{self, RotateFailure};
-use crate::service::{AdmissionConfig, IndoorService, Shard, SyncPolicy};
-use crate::tree::VipTreeConfig;
+use crate::service::{IndoorService, Seed, Shard, ShardConfig};
 use indoor_model::wire::{WireReader, WireWriter};
-use indoor_model::{IndoorPoint, LoadError, ObjectId};
+use indoor_model::{LoadError, ObjectId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -54,18 +53,13 @@ pub struct SnapshotReport {
 
 /// The rebuildable state of one occupied shard slot.
 pub(crate) struct SlotState {
-    pub epoch: u64,
-    pub version: u64,
-    pub tree: VipTreeConfig,
-    pub engine_threads: usize,
-    pub cache_capacity: usize,
-    pub admission: AdmissionConfig,
-    pub sync: SyncPolicy,
+    /// The config head; its positional seed stays empty — the live sets
+    /// in `seed` carry their stable ids instead.
+    pub config: ShardConfig,
     pub venue_json: Vec<u8>,
-    /// `None` when the tree never had an object set attached.
-    pub objects: Option<Vec<(ObjectId, IndoorPoint)>>,
-    /// `None` when the engine never had a keyword index attached.
-    pub keywords: Option<Vec<(ObjectId, IndoorPoint, Vec<String>)>>,
+    /// The `epoch`/`version` counters and the live object and keyword
+    /// sets at the captured version.
+    pub seed: Seed,
 }
 
 const SLOT_EMPTY: u8 = 0;
@@ -78,15 +72,11 @@ fn encode_slot(state: Option<&SlotState>) -> Vec<u8> {
         return w.into_bytes();
     };
     w.put_u8(SLOT_VENUE);
-    w.put_u64(s.epoch);
-    w.put_u64(s.version);
-    wal::encode_config(&mut w, &s.tree);
-    w.put_u32(s.engine_threads as u32);
-    w.put_u64(s.cache_capacity as u64);
-    wal::encode_admission(&mut w, &s.admission);
-    wal::encode_sync(&mut w, &s.sync);
+    w.put_u64(s.seed.epoch);
+    w.put_u64(s.seed.version);
+    s.config.encode_head(&mut w);
     w.put_bytes(&s.venue_json);
-    match &s.objects {
+    match &s.seed.objects {
         None => w.put_u8(0),
         Some(objects) => {
             w.put_u8(1);
@@ -97,7 +87,7 @@ fn encode_slot(state: Option<&SlotState>) -> Vec<u8> {
             }
         }
     }
-    match &s.keywords {
+    match &s.seed.keywords {
         None => w.put_u8(0),
         Some(keywords) => {
             w.put_u8(1);
@@ -130,11 +120,7 @@ fn decode_slot(payload: &[u8]) -> Result<Option<SlotState>, LoadError> {
     }
     let epoch = r.get_u64("epoch")?;
     let version = r.get_u64("version")?;
-    let tree = wal::decode_config(&mut r)?;
-    let engine_threads = r.get_u32("engine threads")? as usize;
-    let cache_capacity = r.get_u64("cache capacity")? as usize;
-    let admission = wal::decode_admission(&mut r)?;
-    let sync = wal::decode_sync(&mut r)?;
+    let config = ShardConfig::decode_head(&mut r)?;
     let venue_json = r.get_bytes("venue json")?.to_vec();
     let objects = match r.get_u8("objects presence flag")? {
         0 => None,
@@ -163,17 +149,26 @@ fn decode_slot(payload: &[u8]) -> Result<Option<SlotState>, LoadError> {
     };
     r.finish("end of slot")?;
     Ok(Some(SlotState {
-        epoch,
-        version,
-        tree,
-        engine_threads,
-        cache_capacity,
-        admission,
-        sync,
+        config,
         venue_json,
-        objects,
-        keywords,
+        seed: Seed {
+            epoch,
+            version,
+            objects,
+            keywords,
+        },
     }))
+}
+
+/// The whole snapshot file: magic, slot count, one CRC-framed section per
+/// slot.
+fn encode_snapshot(states: &[Option<SlotState>]) -> Vec<u8> {
+    let mut out = Vec::from(SNAPSHOT_MAGIC.as_slice());
+    out.extend_from_slice(&(states.len() as u32).to_le_bytes());
+    for state in states {
+        format::write_section(&mut out, &encode_slot(state.as_ref()));
+    }
+    out
 }
 
 /// Read a snapshot file back into per-slot states.
@@ -222,61 +217,48 @@ pub(crate) fn read_snapshot(
 /// `Arc` handles to the immutable copy-on-write snapshots. Cheap to
 /// take — serialisation happens later, outside every lock, via
 /// [`ShardCapture::into_state`].
-struct ShardCapture {
-    engine: Arc<crate::exec::QueryEngine>,
+struct ShardCapture<'a> {
+    shard: &'a Shard,
     epoch: u64,
     version: u64,
-    cache_capacity: usize,
-    admission: AdmissionConfig,
-    sync: SyncPolicy,
     objects: Option<Arc<crate::objects::ObjectIndex>>,
     keywords: Option<Arc<crate::keywords::KeywordObjects>>,
 }
 
-impl ShardCapture {
+impl ShardCapture<'_> {
     /// Capture the shard. Must be called with the shard's journal lock
     /// held, so the `(snapshots, version)` pair is a consistent cut of
     /// the mutation order; does only counter reads and `Arc` clones —
     /// updaters are excluded for nanoseconds, not for the serialisation.
-    fn take(shard: &Shard) -> ShardCapture {
-        let (engine, epoch, version) = {
-            let serving = shard.serving.read().expect("serving lock");
-            (serving.engine.clone(), serving.epoch, serving.version)
-        };
-        let cache_capacity = shard.cache.lock().expect("cache poisoned").capacity();
-        let objects = engine.tree().ip().object_index();
-        let keywords = engine.keywords();
+    fn take(shard: &Shard) -> ShardCapture<'_> {
+        let (epoch, version) = shard.counters();
         ShardCapture {
-            engine,
+            shard,
             epoch,
             version,
-            cache_capacity,
-            admission: shard.admission_config(),
-            sync: shard.sync_policy(),
-            objects,
-            keywords,
+            objects: shard.engine.tree().ip().object_index(),
+            keywords: shard.engine.keywords(),
         }
     }
 
     /// Serialise the captured snapshots (venue JSON, live sets). Run
-    /// outside every lock; everything `Arc`ed here is immutable.
+    /// outside every lock; everything `Arc`ed here is immutable, and so
+    /// is the config head the shard was built with.
     fn into_state(self) -> SlotState {
-        let ip = self.engine.tree().ip();
         let mut venue_json = Vec::new();
+        let ip = self.shard.engine.tree().ip();
         ip.venue()
             .save_json(&mut venue_json)
             .expect("venue serialises to memory");
         SlotState {
-            epoch: self.epoch,
-            version: self.version,
-            tree: ip.build_config().clone(),
-            engine_threads: self.engine.configured_threads(),
-            cache_capacity: self.cache_capacity,
-            admission: self.admission,
-            sync: self.sync,
+            config: self.shard.config_head(),
             venue_json,
-            objects: self.objects.map(|oi| oi.live_pairs()),
-            keywords: self.keywords.map(|kw| kw.live_labelled()),
+            seed: Seed {
+                epoch: self.epoch,
+                version: self.version,
+                objects: self.objects.map(|oi| oi.live_pairs()),
+                keywords: self.keywords.map(|kw| kw.live_labelled()),
+            },
         }
     }
 }
@@ -330,12 +312,7 @@ impl IndoorService {
             .map(|c| c.map(ShardCapture::into_state))
             .collect();
 
-        let mut out = Vec::from(SNAPSHOT_MAGIC.as_slice());
-        out.extend_from_slice(&(states.len() as u32).to_le_bytes());
-        for state in &states {
-            let payload = encode_slot(state.as_ref());
-            format::write_section(&mut out, &payload);
-        }
+        let out = encode_snapshot(&states);
         let bytes = out.len();
         let tmp = dir.join("snapshot.tmp");
         let path = dir.join(SNAPSHOT_FILE);
@@ -365,7 +342,13 @@ impl IndoorService {
                     (Some(shard), Some(state)) => {
                         let mut journal = shard.journal.lock().expect("journal lock");
                         if journal.is_some() {
-                            match wal::rotate(&storage, dir, slot, state.version, state.sync) {
+                            match wal::rotate(
+                                &storage,
+                                dir,
+                                slot,
+                                state.seed.version,
+                                state.config.sync,
+                            ) {
                                 Ok((fresh, dropped)) => {
                                     *journal = Some(fresh);
                                     wal_records_dropped += dropped;
@@ -419,5 +402,24 @@ fn same_dir(a: &Path, b: &Path) -> bool {
     match (a.canonicalize(), b.canonicalize()) {
         (Ok(a), Ok(b)) => a == b,
         _ => a == b,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// As the WAL's re-encode test, for the snapshot: a file written
+    /// before the config codec merged decodes and re-encodes to itself,
+    /// framing included.
+    #[test]
+    fn snapshot_written_before_the_codec_merge_re_encodes_to_the_same_bytes() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/data/crc_bytewise")
+            .join(SNAPSHOT_FILE);
+        let storage: Arc<dyn Storage> = Arc::new(crate::persist::OsStorage);
+        let states = read_snapshot(&storage, &path).expect("decode old snapshot");
+        assert!(matches!(states[..], [Some(_)]), "one occupied slot");
+        assert!(encode_snapshot(&states) == std::fs::read(&path).unwrap());
     }
 }

@@ -18,13 +18,13 @@
 
 use super::format::{self, FrameRead, PersistError, WAL_MAGIC};
 use super::storage::{Storage, StorageFile};
-use crate::service::{AdmissionConfig, OverloadPolicy, SyncPolicy};
-use crate::tree::VipTreeConfig;
+use crate::service::{Mutation, ShardConfig, SyncPolicy};
 use indoor_model::wire::{WireReader, WireWriter};
-use indoor_model::{IndoorPoint, LoadError, ObjectDelta, ObjectUpdate};
+use indoor_model::LoadError;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// LSN of a venue's `Create` record (before any mutation).
 pub(crate) const LSN_CREATE: u64 = 0;
@@ -32,46 +32,20 @@ pub(crate) const LSN_CREATE: u64 = 0;
 /// removal is replayed no matter when the last snapshot was taken.
 pub(crate) const LSN_REMOVE: u64 = u64::MAX;
 
-/// A mutation record, borrowed for appending.
+/// One log record: borrowed from the caller's arguments when appended,
+/// owned when decoded for replay or replication.
+#[derive(Debug)]
 pub(crate) enum WalRecord<'a> {
     /// Venue registered: everything needed to rebuild the shard from
-    /// nothing (`add_venue` semantics, config included).
+    /// nothing (`add_venue` semantics) — the config, its positional seed
+    /// included, and the venue document.
     Create {
-        tree: &'a VipTreeConfig,
-        engine_threads: usize,
-        cache_capacity: usize,
-        admission: &'a AdmissionConfig,
-        sync: SyncPolicy,
-        venue_json: &'a [u8],
-        objects: &'a [IndoorPoint],
-        keywords: &'a [(IndoorPoint, Vec<String>)],
+        config: Cow<'a, ShardConfig>,
+        venue_json: Cow<'a, [u8]>,
     },
-    /// An `update_objects` batch.
-    Deltas(&'a [ObjectDelta]),
-    /// An `update_keyword_objects` batch.
-    KeywordUpdates(&'a [ObjectUpdate]),
-    /// An `attach_objects` wholesale replacement (positional ids).
-    Attach(&'a [IndoorPoint]),
+    /// An object-set mutation at `LSN = version + 1`.
+    Mutation(Mutation<'a>),
     /// Venue unregistered.
-    Remove,
-}
-
-/// A decoded record (owned), as replayed by recovery.
-#[derive(Debug)]
-pub(crate) enum OwnedWalRecord {
-    Create {
-        tree: VipTreeConfig,
-        engine_threads: usize,
-        cache_capacity: usize,
-        admission: AdmissionConfig,
-        sync: SyncPolicy,
-        venue_json: Vec<u8>,
-        objects: Vec<IndoorPoint>,
-        keywords: Vec<(IndoorPoint, Vec<String>)>,
-    },
-    Deltas(Vec<ObjectDelta>),
-    KeywordUpdates(Vec<ObjectUpdate>),
-    Attach(Vec<IndoorPoint>),
     Remove,
 }
 
@@ -79,7 +53,7 @@ pub(crate) enum OwnedWalRecord {
 #[derive(Debug)]
 pub(crate) struct WalEntry {
     pub lsn: u64,
-    pub record: OwnedWalRecord,
+    pub record: WalRecord<'static>,
 }
 
 const TAG_CREATE: u8 = 0;
@@ -88,155 +62,26 @@ const TAG_KEYWORDS: u8 = 2;
 const TAG_ATTACH: u8 = 3;
 const TAG_REMOVE: u8 = 4;
 
-const POLICY_SHED: u8 = 0;
-const POLICY_BLOCK: u8 = 1;
-
-/// Tree-config wire layout, shared by WAL `Create` records and snapshot
-/// slots — one definition, so the two file kinds cannot drift apart.
-pub(crate) fn encode_config(w: &mut WireWriter, cfg: &VipTreeConfig) {
-    w.put_u32(cfg.min_degree as u32);
-    w.put_u8(cfg.use_superior_doors as u8);
-    w.put_u32(cfg.threads as u32);
-}
-
-pub(crate) fn decode_config(r: &mut WireReader<'_>) -> Result<VipTreeConfig, LoadError> {
-    Ok(VipTreeConfig {
-        min_degree: r.get_u32("tree min_degree")? as usize,
-        use_superior_doors: r.get_u8("tree use_superior_doors flag")? != 0,
-        threads: r.get_u32("tree build threads")? as usize,
-    })
-}
-
-/// Admission-control wire layout, shared like [`encode_config`].
-pub(crate) fn encode_admission(w: &mut WireWriter, a: &AdmissionConfig) {
-    w.put_u64(a.max_in_flight as u64);
-    match a.policy {
-        OverloadPolicy::Shed => {
-            w.put_u8(POLICY_SHED);
-            w.put_u64(0);
-        }
-        OverloadPolicy::Block { timeout } => {
-            w.put_u8(POLICY_BLOCK);
-            w.put_u64(timeout.as_millis() as u64);
-        }
-    }
-}
-
-const SYNC_NEVER: u8 = 0;
-const SYNC_PER_APPEND: u8 = 1;
-const SYNC_GROUP_COMMIT: u8 = 2;
-const SYNC_EVERY_N: u8 = 3;
-
-/// Sync-policy wire layout (tag + one u64 parameter), shared by WAL
-/// `Create` records and snapshot slots like [`encode_config`].
-pub(crate) fn encode_sync(w: &mut WireWriter, s: &SyncPolicy) {
-    match s {
-        SyncPolicy::Never => {
-            w.put_u8(SYNC_NEVER);
-            w.put_u64(0);
-        }
-        SyncPolicy::PerAppend => {
-            w.put_u8(SYNC_PER_APPEND);
-            w.put_u64(0);
-        }
-        SyncPolicy::GroupCommit { max_delay } => {
-            w.put_u8(SYNC_GROUP_COMMIT);
-            w.put_u64(max_delay.as_micros() as u64);
-        }
-        SyncPolicy::EveryN { n } => {
-            w.put_u8(SYNC_EVERY_N);
-            w.put_u64(*n as u64);
-        }
-    }
-}
-
-pub(crate) fn decode_sync(r: &mut WireReader<'_>) -> Result<SyncPolicy, LoadError> {
-    let tag = r.get_u8("sync policy tag")?;
-    let param = r.get_u64("sync policy parameter")?;
-    Ok(match tag {
-        SYNC_NEVER => SyncPolicy::Never,
-        SYNC_PER_APPEND => SyncPolicy::PerAppend,
-        SYNC_GROUP_COMMIT => SyncPolicy::GroupCommit {
-            max_delay: Duration::from_micros(param),
-        },
-        SYNC_EVERY_N => SyncPolicy::EveryN { n: param as u32 },
-        other => {
-            return Err(LoadError::Wire {
-                offset: 0,
-                expected: "sync policy tag 0..=3",
-                found: format!("tag {other}"),
-            })
-        }
-    })
-}
-
-pub(crate) fn decode_admission(r: &mut WireReader<'_>) -> Result<AdmissionConfig, LoadError> {
-    let max_in_flight = r.get_u64("admission max_in_flight")? as usize;
-    let tag = r.get_u8("admission policy tag")?;
-    let timeout_ms = r.get_u64("admission block timeout ms")?;
-    let policy = match tag {
-        POLICY_SHED => OverloadPolicy::Shed,
-        POLICY_BLOCK => OverloadPolicy::Block {
-            timeout: Duration::from_millis(timeout_ms),
-        },
-        other => {
-            return Err(LoadError::Wire {
-                offset: 0,
-                expected: "admission policy tag 0 or 1",
-                found: format!("tag {other}"),
-            })
-        }
-    };
-    Ok(AdmissionConfig {
-        max_in_flight,
-        policy,
-    })
-}
-
 /// Encode `record` (with its LSN) into a frame payload.
 pub(crate) fn encode_record(lsn: u64, record: &WalRecord<'_>) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u64(lsn);
     match record {
-        WalRecord::Create {
-            tree,
-            engine_threads,
-            cache_capacity,
-            admission,
-            sync,
-            venue_json,
-            objects,
-            keywords,
-        } => {
+        WalRecord::Create { config, venue_json } => {
             w.put_u8(TAG_CREATE);
-            encode_config(&mut w, tree);
-            w.put_u32(*engine_threads as u32);
-            w.put_u64(*cache_capacity as u64);
-            encode_admission(&mut w, admission);
-            encode_sync(&mut w, sync);
+            config.encode_head(&mut w);
             w.put_bytes(venue_json);
-            w.put_points(objects);
-            w.put_u32(keywords.len() as u32);
-            for (p, labels) in *keywords {
-                w.put_point(p);
-                w.put_labels(labels);
-            }
+            config.encode_seed(&mut w);
         }
-        WalRecord::Deltas(deltas) => {
+        WalRecord::Mutation(Mutation::Deltas(deltas)) => {
             w.put_u8(TAG_DELTAS);
-            w.put_u32(deltas.len() as u32);
-            for d in *deltas {
-                w.put_delta(d);
-            }
+            w.put_deltas(deltas);
         }
-        WalRecord::KeywordUpdates(updates) => {
+        WalRecord::Mutation(Mutation::KeywordUpdates(updates)) => {
             w.put_u8(TAG_KEYWORDS);
-            w.put_u32(updates.len() as u32);
-            for u in *updates {
-                w.put_update(u);
-            }
+            w.put_updates(updates);
         }
-        WalRecord::Attach(objects) => {
+        WalRecord::Mutation(Mutation::Attach(objects)) => {
             w.put_u8(TAG_ATTACH);
             w.put_points(objects);
         }
@@ -251,48 +96,18 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalEntry, LoadError> {
     let lsn = r.get_u64("record LSN")?;
     let record = match r.get_u8("record kind tag")? {
         TAG_CREATE => {
-            let tree = decode_config(&mut r)?;
-            let engine_threads = r.get_u32("engine threads")? as usize;
-            let cache_capacity = r.get_u64("cache capacity")? as usize;
-            let admission = decode_admission(&mut r)?;
-            let sync = decode_sync(&mut r)?;
+            let mut config = ShardConfig::decode_head(&mut r)?;
             let venue_json = r.get_bytes("venue json")?.to_vec();
-            let objects = r.get_points()?;
-            let n = r.get_u32("keyword object count")? as usize;
-            let mut keywords = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                let p = r.get_point()?;
-                keywords.push((p, r.get_labels()?));
-            }
-            OwnedWalRecord::Create {
-                tree,
-                engine_threads,
-                cache_capacity,
-                admission,
-                sync,
-                venue_json,
-                objects,
-                keywords,
+            config.decode_seed(&mut r)?;
+            WalRecord::Create {
+                config: Cow::Owned(config),
+                venue_json: Cow::Owned(venue_json),
             }
         }
-        TAG_DELTAS => {
-            let n = r.get_u32("delta count")? as usize;
-            let mut deltas = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                deltas.push(r.get_delta()?);
-            }
-            OwnedWalRecord::Deltas(deltas)
-        }
-        TAG_KEYWORDS => {
-            let n = r.get_u32("update count")? as usize;
-            let mut updates = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                updates.push(r.get_update()?);
-            }
-            OwnedWalRecord::KeywordUpdates(updates)
-        }
-        TAG_ATTACH => OwnedWalRecord::Attach(r.get_points()?),
-        TAG_REMOVE => OwnedWalRecord::Remove,
+        TAG_DELTAS => WalRecord::Mutation(Mutation::Deltas(r.get_deltas()?.into())),
+        TAG_KEYWORDS => WalRecord::Mutation(Mutation::KeywordUpdates(r.get_updates()?.into())),
+        TAG_ATTACH => WalRecord::Mutation(Mutation::Attach(r.get_points()?.into())),
+        TAG_REMOVE => WalRecord::Remove,
         other => {
             return Err(LoadError::Wire {
                 offset: 8,
@@ -628,4 +443,40 @@ pub(crate) fn rotate(
     let wal = VenueWal::open_append(storage, dir, slot, policy)
         .map_err(RotateFailure::HandleInvalidated)?;
     Ok((wal, dropped))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The record codec was merged with the config codec and the wire
+    /// frames' mutation bodies; the bytes were not. Every record of three
+    /// logs written before that merge — all five kinds, a `Create` with
+    /// every config field off its default — decodes and re-encodes to the
+    /// payload it came from.
+    #[test]
+    fn records_written_before_the_codec_merge_re_encode_to_the_same_bytes() {
+        let storage: Arc<dyn Storage> = Arc::new(crate::persist::OsStorage);
+        let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+        let mut kinds = [0usize; 5];
+        for log in [
+            "shard_lifecycle/venue-0.wal",
+            "shard_lifecycle/venue-1.wal",
+            "crc_bytewise/venue-0.wal",
+        ] {
+            let records = read_raw_suffix(&storage, &data.join(log), 0).expect("read old log");
+            for (lsn, payload) in records {
+                let entry = decode_record(&payload).expect("decode old record");
+                assert_eq!(
+                    encode_record(entry.lsn, &entry.record)[..],
+                    payload[..],
+                    "{log}: LSN {lsn}"
+                );
+                kinds[payload[8] as usize] += 1;
+            }
+        }
+        // Create, Deltas, KeywordUpdates, Attach, Remove: the two
+        // lifecycle logs hold 2 + 4 + 4 + 1 + 1, the rotated one 3 + 3.
+        assert_eq!(kinds, [2, 7, 7, 1, 1]);
+    }
 }

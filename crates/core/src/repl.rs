@@ -27,13 +27,13 @@
 //! # Follower side
 //!
 //! [`IndoorService::apply_replicated`] decodes one shipped payload and
-//! applies it **through the same code paths recovery replays** — delta
-//! batches via `apply_object_deltas`, keyword updates via the keyword
-//! index's `apply_delta`, wholesale attaches, venue create/remove — so
-//! the replica's answers are byte-identical to the leader's for every
-//! query kind (the same equivalence contract `tests/persistence.rs`
-//! proves for restart). Records must arrive contiguously
-//! (`LSN == version + 1`); a gap is a typed error, never a silent skip.
+//! hands it to **the function the leader ran and recovery replays** —
+//! `Shard::build` for a `Create`, `Shard::apply` at the record's own LSN
+//! for a mutation — so the replica's answers are byte-identical to the
+//! leader's for every query kind (the same equivalence contract
+//! `tests/persistence.rs` proves for restart). Records must arrive
+//! contiguously (`LSN == version + 1`); a gap is a typed error, never a
+//! silent skip.
 //! Followers are volatile by construction: a durable follower would
 //! re-journal shipped records under its own LSNs and is refused.
 //!
@@ -43,9 +43,9 @@
 //! `venue_stats().replication_lag` is `leader_version - version`,
 //! reaching 0 when the follower has caught up.
 
-use crate::persist::wal::{self, OwnedWalRecord, LSN_REMOVE};
-use crate::persist::{rebuild_from_create, PersistError};
-use crate::service::{IndoorService, ServiceError, Shard};
+use crate::persist::wal::{self, WalRecord, LSN_REMOVE};
+use crate::persist::{rebuild, PersistError};
+use crate::service::{IndoorService, Lsn, Seed, ServiceError};
 use indoor_model::VenueId;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -104,9 +104,7 @@ impl IndoorService {
         // registration all happen under it, so the backlog ends exactly
         // where the live stream begins.
         let journal = shard.journal.lock().expect("journal lock");
-        if let Some(reason) = shard.degraded_reason() {
-            return Err(ServiceError::Degraded(venue, reason));
-        }
+        shard.ensure_writable(venue)?;
         if journal.is_none() {
             return Err(repl_err(
                 venue,
@@ -117,7 +115,7 @@ impl IndoorService {
             .persist_root
             .as_ref()
             .expect("journalled shard implies persist root");
-        let version = shard.serving.read().expect("serving lock").version;
+        let version = shard.version();
         let path = wal::wal_path(root, venue.index());
         let backlog = wal::read_raw_suffix(&self.storage, &path, from_lsn)
             .map_err(|e| ServiceError::Persist(venue, Arc::new(e)))?;
@@ -198,24 +196,14 @@ impl IndoorService {
         }
         let entry = wal::decode_record(payload)
             .map_err(|e| repl_err(venue, format!("undecodable replicated record: {e}")))?;
-        let lsn = entry.lsn;
-        match &entry.record {
-            OwnedWalRecord::Create { .. } => {
-                let r =
-                    rebuild_from_create(&entry.record, Path::new("<replicated>")).map_err(|e| {
-                        match e {
-                            PersistError::Build(b) => ServiceError::Build(b),
-                            other => repl_err(venue, format!("replica rebuild failed: {other}")),
-                        }
+        match entry.record {
+            WalRecord::Create { config, venue_json } => {
+                let seed = Seed::positional(&config);
+                let shard = rebuild(&venue_json, &config, seed, Path::new("<replicated>"))
+                    .map_err(|e| match e {
+                        PersistError::Build(b) => ServiceError::Build(b),
+                        other => repl_err(venue, format!("replica rebuild failed: {other}")),
                     })?;
-                let shard = Arc::new(Shard::new(
-                    r.engine,
-                    r.epoch,
-                    r.version,
-                    r.cache_capacity,
-                    r.admission,
-                    r.sync,
-                ));
                 let mut shards = self.shards.write().expect("shard map lock");
                 if shards.len() <= venue.index() {
                     shards.resize_with(venue.index() + 1, || None);
@@ -225,10 +213,10 @@ impl IndoorService {
                     return Err(repl_err(venue, "Create for an already-registered venue"));
                 }
                 self.wire_telemetry(&shard, venue);
-                *slot = Some(shard);
+                *slot = Some(Arc::new(shard));
                 Ok(0)
             }
-            OwnedWalRecord::Remove => {
+            WalRecord::Remove => {
                 let mut shards = self.shards.write().expect("shard map lock");
                 match shards.get_mut(venue.index()) {
                     Some(slot @ Some(_)) => {
@@ -240,49 +228,10 @@ impl IndoorService {
                     _ => Err(repl_err(venue, "Remove for an absent venue")),
                 }
             }
-            mutation => {
+            WalRecord::Mutation(mutation) => {
                 let shard = self.shard(venue)?;
-                // The journal mutex doubles as the replica's apply-order
-                // lock (its journal is always None on a follower).
-                let journal = shard.journal.lock().expect("journal lock");
-                let version = shard.serving.read().expect("serving lock").version;
-                if lsn != version + 1 {
-                    return Err(repl_err(
-                        venue,
-                        format!(
-                            "replication gap: record LSN {lsn} against replica version {version}"
-                        ),
-                    ));
-                }
-                let engine = shard.engine();
-                match mutation {
-                    OwnedWalRecord::Deltas(deltas) => {
-                        engine
-                            .tree()
-                            .ip()
-                            .apply_object_deltas(deltas)
-                            .map_err(|e| ServiceError::Delta(venue, e))?;
-                    }
-                    OwnedWalRecord::Attach(objects) => {
-                        engine.tree().ip().attach_objects(objects);
-                        shard.serving.write().expect("serving lock").epoch += 1;
-                        shard.cache.lock().expect("cache poisoned").clear();
-                    }
-                    OwnedWalRecord::KeywordUpdates(updates) => {
-                        let ip = engine.tree().ip();
-                        let mut kw = match engine.keywords() {
-                            Some(kw) => (*kw).clone(),
-                            None => crate::keywords::KeywordObjects::build(ip, &[]),
-                        };
-                        kw.apply_delta(ip, updates)
-                            .map_err(|e| ServiceError::Delta(venue, e))?;
-                        engine.set_keywords(Some(Arc::new(kw)));
-                    }
-                    OwnedWalRecord::Create { .. } | OwnedWalRecord::Remove => unreachable!(),
-                }
-                shard.serving.write().expect("serving lock").version = lsn;
+                let (lsn, _) = self.apply(&shard, venue, mutation, Lsn::Expected(entry.lsn))?;
                 shard.leader_version.fetch_max(lsn, Ordering::AcqRel);
-                drop(journal);
                 Ok(lsn)
             }
         }

@@ -16,13 +16,20 @@
 //! [`IndoorService::remove_venue`], [`IndoorService::attach_objects`]
 //! (wholesale replacement) and [`IndoorService::update_objects`]
 //! (incremental [`ObjectDelta`] batches) — takes `&self`: the shard map
-//! sits behind an `RwLock` and each shard's serving state behind its own,
-//! so churn on one venue runs concurrently with `execute_batch` on every
-//! other (and only briefly gates new queries on its own). There is no
-//! service-wide pause and no "tree handle still shared" failure mode:
-//! object sets swap *inside* the shared tree (see
+//! sits behind an `RwLock`, and a shard's engine is never replaced once
+//! built (queries borrow it through the `Arc<Shard>` they routed to —
+//! there is no per-shard serving lock), so churn on one venue runs
+//! concurrently with `execute_batch` on every other, and with queries on
+//! its own, which meet an updater only at the pointer store that
+//! publishes a snapshot. There is no service-wide pause and no "tree
+//! handle still shared" failure mode: object sets swap *inside* the
+//! shared tree (see
 //! [`IpTree::attach_objects`](crate::IpTree::attach_objects)), so
-//! in-flight queries finish on the snapshot they started with.
+//! in-flight queries finish on the snapshot they started with. Updaters
+//! of one venue serialise on its journal mutex, and every one of them —
+//! a live [`IndoorService::mutate`], a record replayed from the WAL, a
+//! record shipped by a replication leader — is the same function,
+//! `Shard::apply` in the `shard` submodule.
 //!
 //! # Caching and invalidation
 //!
@@ -86,22 +93,25 @@
 //! more than the cache hit it would carry.
 
 use crate::exec::{AdmissionGate, AdmissionPermit, AdmitError, QueryEngine};
-use crate::keywords::KeywordObjects;
-use crate::objects::{DeltaReport, ObjectIndex};
+use crate::objects::DeltaReport;
 use crate::persist::storage::{OsStorage, Storage, StorageLock};
 use crate::persist::wal::{self, VenueWal, WalRecord, LSN_CREATE, LSN_REMOVE};
 use crate::persist::PersistError;
-use crate::tree::{BuildError, VipTreeConfig};
-use crate::vip::VipTree;
+use crate::tree::BuildError;
 use indoor_model::{
-    wire, DeltaError, IndoorPoint, ObjectDelta, ObjectUpdate, QueryKind, QueryRequest,
-    QueryResponse, Venue, VenueId,
+    DeltaError, IndoorPoint, ObjectDelta, ObjectUpdate, QueryKind, QueryRequest, QueryResponse,
+    Venue, VenueId,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
+
+mod shard;
+pub(crate) use shard::{Lsn, Seed, Shard};
+pub use shard::{Mutation, ShardConfig};
 
 /// Default per-shard result-cache capacity (entries) when
 /// [`ShardConfig::cache_capacity`] is 0.
@@ -278,77 +288,6 @@ pub enum SyncPolicy {
     EveryN { n: u32 },
 }
 
-/// Per-venue construction parameters for [`IndoorService::add_venue`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardConfig {
-    /// Tree construction parameters.
-    pub tree: VipTreeConfig,
-    /// Worker threads for this shard's batch execution (0 = all cores).
-    pub threads: usize,
-    /// Objects to attach for kNN/range queries.
-    pub objects: Vec<IndoorPoint>,
-    /// Labelled objects for keyword-kNN. When non-empty, the shard builds
-    /// a [`KeywordObjects`] index and threads it through its engine
-    /// automatically; [`IndoorService::update_keyword_objects`] maintains
-    /// it incrementally afterwards.
-    pub keywords: Vec<(IndoorPoint, Vec<String>)>,
-    /// Result-cache capacity in entries (0 = [`DEFAULT_CACHE_CAPACITY`]).
-    pub cache_capacity: usize,
-    /// In-flight query budget and overload policy (default: unbounded).
-    pub admission: AdmissionConfig,
-    /// When acknowledged WAL appends become power-crash durable
-    /// (default: [`SyncPolicy::Never`]). Ignored on a volatile service.
-    pub sync: SyncPolicy,
-}
-
-impl ShardConfig {
-    /// Serialise to the WAL `Create` record's field encoding — the
-    /// canonical opaque-bytes form venue-admin wire frames carry, so the
-    /// network layer never mirrors this struct field by field.
-    pub fn encode_wire(&self) -> Vec<u8> {
-        let mut w = wire::WireWriter::new();
-        wal::encode_config(&mut w, &self.tree);
-        w.put_u32(self.threads as u32);
-        w.put_u64(self.cache_capacity as u64);
-        wal::encode_admission(&mut w, &self.admission);
-        wal::encode_sync(&mut w, &self.sync);
-        w.put_points(&self.objects);
-        w.put_u32(self.keywords.len() as u32);
-        for (p, labels) in &self.keywords {
-            w.put_point(p);
-            w.put_labels(labels);
-        }
-        w.into_bytes()
-    }
-
-    /// Inverse of [`ShardConfig::encode_wire`]; rejects trailing bytes.
-    pub fn decode_wire(bytes: &[u8]) -> Result<ShardConfig, indoor_model::LoadError> {
-        let mut r = wire::WireReader::new(bytes);
-        let tree = wal::decode_config(&mut r)?;
-        let threads = r.get_u32("engine threads")? as usize;
-        let cache_capacity = r.get_u64("cache capacity")? as usize;
-        let admission = wal::decode_admission(&mut r)?;
-        let sync = wal::decode_sync(&mut r)?;
-        let objects = r.get_points()?;
-        let n = r.get_u32("keyword object count")? as usize;
-        let mut keywords = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            let p = r.get_point()?;
-            keywords.push((p, r.get_labels()?));
-        }
-        r.finish("end of shard config")?;
-        Ok(ShardConfig {
-            tree,
-            threads,
-            objects,
-            keywords,
-            cache_capacity,
-            admission,
-            sync,
-        })
-    }
-}
-
 /// Errors from routing requests to venue shards.
 #[derive(Debug, Clone)]
 pub enum ServiceError {
@@ -478,26 +417,6 @@ impl PartialEq for ServiceError {
     }
 }
 
-/// A shard's swappable serving state. Captured (engine + version) under
-/// one read-lock acquisition so answers are always stamped with the
-/// version of the snapshot that computed them.
-#[derive(Debug)]
-pub(crate) struct Serving {
-    pub(crate) engine: Arc<QueryEngine>,
-    /// Wholesale rebuild count (bumped by `attach_objects`) —
-    /// observability, mirrored from the pre-delta-era contract.
-    pub(crate) epoch: u64,
-    /// Object-mutation count (rebuilds, deltas and keyword updates
-    /// alike) — observability, and the **LSN** of the WAL record each
-    /// mutation appends on a durable service. Cache correctness keys on
-    /// the *data* generation counters
-    /// ([`crate::IpTree::objects_generation`],
-    /// [`QueryEngine::keywords_generation`]), which bump on every swap no
-    /// matter who triggers it, so even out-of-band mutation through a
-    /// handle from [`IndoorService::engine`] invalidates structurally.
-    pub(crate) version: u64,
-}
-
 /// One shard's serving-phase histograms, shared with the service's
 /// telemetry [`crate::telemetry::Registry`] (which exports them). Set
 /// once when the shard is published; every record site guards on the
@@ -529,119 +448,7 @@ struct AdmissionControl {
     timeouts: AtomicU64,
 }
 
-/// One venue's serving state.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) serving: RwLock<Serving>,
-    pub(crate) cache: Mutex<ClockCache>,
-    /// The shard's WAL append handle (`None` on a volatile service) —
-    /// and, crucially, the **mutation-ordering lock**: every mutating
-    /// path holds it across *WAL append + apply + version bump*, so log
-    /// order is apply order (the LSN = version invariant), and a
-    /// snapshot capture under the same lock is a consistent cut of that
-    /// order. Queries never take it.
-    pub(crate) journal: Mutex<Option<VenueWal>>,
-    /// `Some(reason)` once the shard has entered read-only degraded mode
-    /// (its journal can no longer be trusted). Sticky until restart.
-    degraded: Mutex<Option<Arc<str>>>,
-    admission: AdmissionControl,
-    /// The journal's append-durability policy (persisted with the venue).
-    sync: SyncPolicy,
-    /// Live replication subscribers: every successful journal append is
-    /// published here (under the journal lock, so subscribers see exactly
-    /// the log order). Closed receivers are pruned lazily on publish.
-    pub(crate) repl_taps: Mutex<Vec<std::sync::mpsc::Sender<crate::repl::WalEntry>>>,
-    /// On a **follower** shard: the leader's version as last reported by
-    /// the replication stream (0 on a leader). `venue_stats` surfaces
-    /// `leader_version - version` as the follower's lag.
-    pub(crate) leader_version: AtomicU64,
-    /// Serving-phase histograms, wired once when the shard is published
-    /// into a service (never on bare engine tests — those run untimed).
-    tel: std::sync::OnceLock<Arc<ShardTelemetry>>,
-}
-
 impl Shard {
-    pub(crate) fn new(
-        engine: Arc<QueryEngine>,
-        epoch: u64,
-        version: u64,
-        cache_capacity: usize,
-        admission: AdmissionConfig,
-        sync: SyncPolicy,
-    ) -> Shard {
-        let capacity = if cache_capacity == 0 {
-            DEFAULT_CACHE_CAPACITY
-        } else {
-            cache_capacity
-        };
-        Shard {
-            serving: RwLock::new(Serving {
-                engine,
-                epoch,
-                version,
-            }),
-            cache: Mutex::new(ClockCache::new(capacity)),
-            journal: Mutex::new(None),
-            degraded: Mutex::new(None),
-            admission: AdmissionControl {
-                gate: (admission.max_in_flight > 0)
-                    .then(|| AdmissionGate::new(admission.max_in_flight)),
-                config: admission,
-                shed: AtomicU64::new(0),
-                timeouts: AtomicU64::new(0),
-            },
-            sync,
-            repl_taps: Mutex::new(Vec::new()),
-            leader_version: AtomicU64::new(0),
-            tel: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Attach the shard's serving-phase histograms (first call wins).
-    pub(crate) fn set_telemetry(&self, tel: Arc<ShardTelemetry>) {
-        let _ = self.tel.set(tel);
-    }
-
-    /// The shard's telemetry sink, iff wired **and** the global sampling
-    /// gate is open. Every serving-path timer goes through this, so
-    /// `telemetry::set_sampling(false)` (or the `telemetry-off` feature)
-    /// drops the instrumentation to a load + branch.
-    #[inline]
-    fn tel(&self) -> Option<&ShardTelemetry> {
-        if !crate::telemetry::sampling_enabled() {
-            return None;
-        }
-        self.tel.get().map(|t| t.as_ref())
-    }
-
-    /// The currently serving engine.
-    pub(crate) fn engine(&self) -> Arc<QueryEngine> {
-        self.serving.read().expect("serving lock").engine.clone()
-    }
-
-    /// This shard's admission configuration (persisted by snapshots).
-    pub(crate) fn admission_config(&self) -> AdmissionConfig {
-        self.admission.config
-    }
-
-    /// This shard's append-durability policy (persisted by snapshots).
-    pub(crate) fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
-    /// Enter read-only degraded mode. Sticky: the first reason wins and
-    /// later failures do not overwrite it.
-    pub(crate) fn degrade(&self, reason: impl Into<String>) {
-        let mut d = self.degraded.lock().expect("degraded lock");
-        if d.is_none() {
-            *d = Some(Arc::from(reason.into()));
-        }
-    }
-
-    pub(crate) fn degraded_reason(&self) -> Option<Arc<str>> {
-        self.degraded.lock().expect("degraded lock").clone()
-    }
-
     /// Take an admission permit of `weight`, or the typed overload error.
     /// `Ok(None)` means the shard is unbounded.
     fn admit(
@@ -679,58 +486,6 @@ impl Shard {
                 }
             }
         })
-    }
-}
-
-/// Refuse mutations on a degraded shard (reads stay open).
-fn ensure_writable(shard: &Shard, venue: VenueId) -> Result<(), ServiceError> {
-    match shard.degraded_reason() {
-        Some(reason) => Err(ServiceError::Degraded(venue, reason)),
-        None => Ok(()),
-    }
-}
-
-/// Append one record to the shard's journal (no-op when volatile). On
-/// failure the caller's mutation **must not** be applied; if the append's
-/// own rollback also failed the journal is poisoned and the shard drops
-/// into degraded mode here.
-fn journal_append(
-    shard: &Shard,
-    journal: &mut Option<VenueWal>,
-    venue: VenueId,
-    lsn: u64,
-    record: &WalRecord<'_>,
-) -> Result<(), ServiceError> {
-    let Some(wal) = journal.as_mut() else {
-        return Ok(());
-    };
-    let t0 = shard.tel().map(|_| Instant::now());
-    let appended = wal.append(lsn, record);
-    if let (Some(t0), Some(tel)) = (t0, shard.tel()) {
-        tel.wal_append_us.record(t0.elapsed().as_micros() as u64);
-    }
-    match appended {
-        Ok(()) => {
-            // Publish to live replication subscribers. Still under the
-            // journal lock (the caller holds it across append + apply),
-            // so taps observe exactly the log order with no gaps between
-            // a subscriber's suffix fetch and its live tail. The payload
-            // is re-encoded once and shared.
-            let mut taps = shard.repl_taps.lock().expect("repl taps lock");
-            if !taps.is_empty() {
-                let payload: Arc<[u8]> = wal::encode_record(lsn, record).into();
-                taps.retain(|tap| tap.send((lsn, payload.clone())).is_ok());
-            }
-            Ok(())
-        }
-        Err(e) => {
-            if wal.poisoned() {
-                shard.degrade(format!(
-                    "WAL append of LSN {lsn} failed and its rollback failed: {e}"
-                ));
-            }
-            Err(ServiceError::Persist(venue, Arc::new(e)))
-        }
     }
 }
 
@@ -826,10 +581,12 @@ pub struct ServiceStats {
     pub admission_timeouts: u64,
     /// Venues in read-only degraded mode.
     pub degraded_venues: usize,
-    /// Individual object deltas absorbed across all venues (batch sizes
-    /// summed over [`IndoorService::update_objects`] and
-    /// [`IndoorService::update_keyword_objects`]; rejected batches count
-    /// nothing).
+    /// Individual object deltas absorbed across all venues since this
+    /// process started: batch sizes summed over every delta and keyword
+    /// batch applied — live calls ([`IndoorService::mutate`]) and records
+    /// shipped to a follower ([`IndoorService::apply_replicated`]) alike.
+    /// Rejected batches, wholesale attaches and records replayed by
+    /// [`IndoorService::open`] count nothing.
     pub deltas_absorbed: u64,
     /// Per-kind counters, indexed by [`QueryKind::index`].
     pub kinds: [KindStats; QueryKind::COUNT],
@@ -1038,7 +795,7 @@ impl IndoorService {
             query_latency_us,
         }));
         shard
-            .engine()
+            .engine
             .set_telemetry(Arc::new(crate::exec::EngineTelemetry {
                 descent_us: reg.histogram(
                     "indoor_phase_descent_us",
@@ -1098,28 +855,9 @@ impl IndoorService {
         venue: Arc<Venue>,
         config: ShardConfig,
     ) -> Result<VenueId, ServiceError> {
-        let tree = VipTree::build(venue.clone(), &config.tree).map_err(ServiceError::Build)?;
-        if !config.objects.is_empty() {
-            tree.attach_objects(&config.objects);
-        }
-        let mut engine = QueryEngine::for_vip(Arc::new(tree)).with_threads(config.threads);
-        if !config.keywords.is_empty() {
-            let kw = KeywordObjects::build(engine.tree().ip(), &config.keywords);
-            engine = engine.with_keywords(Arc::new(kw));
-        }
-        let capacity = if config.cache_capacity == 0 {
-            DEFAULT_CACHE_CAPACITY
-        } else {
-            config.cache_capacity
-        };
-        let shard = Arc::new(Shard::new(
-            Arc::new(engine),
-            0,
-            0,
-            capacity,
-            config.admission,
-            config.sync,
-        ));
+        let shard = Shard::build(venue.clone(), &config, Seed::positional(&config))
+            .map_err(ServiceError::Build)?;
+        let shard = Arc::new(shard);
         let Some(root) = &self.persist_root else {
             let mut shards = self.shards.write().expect("shard map lock");
             let id = VenueId::from(shards.len());
@@ -1148,15 +886,14 @@ impl IndoorService {
             shards.push(None);
             id
         };
+        // Journal what the shard runs with: the cache default resolved.
+        let config = ShardConfig {
+            cache_capacity: shard.config_head().cache_capacity,
+            ..config
+        };
         let record = WalRecord::Create {
-            tree: &config.tree,
-            engine_threads: config.threads,
-            cache_capacity: capacity,
-            admission: &config.admission,
-            sync: config.sync,
-            venue_json: &venue_json,
-            objects: &config.objects,
-            keywords: &config.keywords,
+            config: Cow::Borrowed(&config),
+            venue_json: Cow::Borrowed(&venue_json),
         };
         let created = VenueWal::create(&self.storage, root, id.index(), config.sync)
             .and_then(|mut wal| wal.append(LSN_CREATE, &record).map(|()| wal));
@@ -1193,8 +930,8 @@ impl IndoorService {
         // replay (the venue is gone either way).
         let shard = self.shard(venue)?;
         let mut journal = shard.journal.lock().expect("journal lock");
-        ensure_writable(&shard, venue)?;
-        journal_append(&shard, &mut journal, venue, LSN_REMOVE, &WalRecord::Remove)?;
+        shard.ensure_writable(venue)?;
+        shard.journal_append(&mut journal, venue, LSN_REMOVE, &WalRecord::Remove)?;
         drop(journal);
         let mut shards = self.shards.write().expect("shard map lock");
         let unrouted = match shards.get_mut(venue.index()) {
@@ -1256,29 +993,19 @@ impl IndoorService {
     /// snapshot). Durable services must churn through the service's own
     /// mutation methods.
     pub fn engine(&self, venue: VenueId) -> Result<Arc<QueryEngine>, ServiceError> {
-        Ok(self.shard(venue)?.engine())
+        Ok(self.shard(venue)?.engine.clone())
     }
 
     /// A venue's rebuild epoch (bumped by every
     /// [`IndoorService::attach_objects`]).
     pub fn epoch(&self, venue: VenueId) -> Result<u64, ServiceError> {
-        Ok(self
-            .shard(venue)?
-            .serving
-            .read()
-            .expect("serving lock")
-            .epoch)
+        Ok(self.shard(venue)?.counters().0)
     }
 
     /// A venue's object-set version (bumped by every object mutation:
     /// rebuilds **and** delta batches).
     pub fn version(&self, venue: VenueId) -> Result<u64, ServiceError> {
-        Ok(self
-            .shard(venue)?
-            .serving
-            .read()
-            .expect("serving lock")
-            .version)
+        Ok(self.shard(venue)?.version())
     }
 
     /// Why a venue is read-only, if it is. `None` = serving mutations
@@ -1298,125 +1025,86 @@ impl IndoorService {
             .ok_or(ServiceError::UnknownVenue(venue))
     }
 
+    /// Absorb one [`Mutation`] into a venue and return the version (LSN)
+    /// it published together with what the batch did — the one live
+    /// mutation path; [`IndoorService::attach_objects`],
+    /// [`IndoorService::update_objects`] and
+    /// [`IndoorService::update_keyword_objects`] are spellings of it.
+    ///
+    /// Validation is atomic: an invalid batch leaves the venue unchanged
+    /// — and so does a batch whose WAL record fails to journal (the
+    /// prepared snapshot is discarded unpublished). Runs under `&self`:
+    /// concurrent queries finish on the snapshot they started with, other
+    /// venues never notice, and concurrent mutations of the same venue
+    /// serialise on its journal mutex, each acknowledged with its own LSN.
+    pub fn mutate(
+        &self,
+        venue: VenueId,
+        mutation: Mutation<'_>,
+    ) -> Result<(u64, DeltaReport), ServiceError> {
+        self.apply(&*self.shard(venue)?, venue, mutation, Lsn::Assigned)
+    }
+
+    /// `Shard::apply` plus the service-wide delta tally — shared by the
+    /// live path and [`IndoorService::apply_replicated`], so a follower
+    /// counts what it absorbs exactly as its leader did.
+    pub(crate) fn apply(
+        &self,
+        shard: &Shard,
+        venue: VenueId,
+        mutation: Mutation<'_>,
+        lsn: Lsn,
+    ) -> Result<(u64, DeltaReport), ServiceError> {
+        let deltas = mutation.delta_count();
+        let applied = shard.apply(venue, mutation, lsn)?;
+        self.deltas_absorbed.fetch_add(deltas, Ordering::Relaxed);
+        Ok(applied)
+    }
+
     /// Replace a venue's object set wholesale (§3.4 overnight churn).
     ///
     /// The replacement index is built outside every lock, journalled,
     /// swapped into the shared tree, and the rebuild epoch + object
     /// version bump — making every previously cached object answer
     /// unreachable. The keyword index is untouched (it has its own
-    /// object set; see [`IndoorService::update_keyword_objects`]). Runs
-    /// under `&self`: concurrent queries finish on the snapshot they
-    /// started with, and other venues never notice.
+    /// object set; see [`IndoorService::update_keyword_objects`]).
     pub fn attach_objects(
         &self,
         venue: VenueId,
         objects: &[IndoorPoint],
     ) -> Result<(), ServiceError> {
-        let shard = self.shard(venue)?;
-        let engine = shard.engine();
-        // Built outside every lock; `install_objects` swaps and bumps the
-        // tree's object generation — queries never stall on the build.
-        let oi = ObjectIndex::build(engine.tree().ip(), objects);
-        // Journal lock held across append + apply + bump: LSN = version,
-        // and journal-before-apply — a failed append changes nothing.
-        let mut journal = shard.journal.lock().expect("journal lock");
-        ensure_writable(&shard, venue)?;
-        let lsn = shard.serving.read().expect("serving lock").version + 1;
-        journal_append(
-            &shard,
-            &mut journal,
-            venue,
-            lsn,
-            &WalRecord::Attach(objects),
-        )?;
-        engine.tree().ip().install_objects(oi);
-        let mut s = shard.serving.write().expect("serving lock");
-        s.epoch += 1;
-        s.version = lsn;
-        drop(s);
-        drop(journal);
-        // Memory hygiene only — correctness is carried by the stamps.
-        shard.cache.lock().expect("cache poisoned").clear();
-        Ok(())
+        self.mutate(venue, Mutation::Attach(objects.into()))
+            .map(|_| ())
     }
 
     /// Absorb an incremental object-delta batch into a venue (the
     /// live-service churn path: insert/remove/move against stable ids).
     ///
     /// Only the leaves the deltas land in are touched
-    /// ([`ObjectIndex::apply_delta`]); the object version bumps (epoch —
-    /// the rebuild counter — does not), cached object answers go
-    /// structurally stale, and cached shortest-distance/path answers
-    /// survive untouched. Validation is atomic: an invalid batch leaves
-    /// the venue unchanged — and so does a batch whose WAL record fails
-    /// to journal (the prepared snapshot is discarded unpublished).
+    /// ([`ObjectIndex::apply_delta`](crate::ObjectIndex::apply_delta));
+    /// the object version bumps (epoch — the rebuild counter — does not),
+    /// cached object answers go structurally stale, and cached
+    /// shortest-distance/path answers survive untouched.
     pub fn update_objects(
         &self,
         venue: VenueId,
         deltas: &[ObjectDelta],
     ) -> Result<DeltaReport, ServiceError> {
-        let shard = self.shard(venue)?;
-        // Journal lock held across append + apply + bump so log order is
-        // apply order (LSN = version); a rejected batch journals nothing,
-        // an unjournalled batch applies nothing. Still applied outside
-        // the serving lock: the tree serialises updaters itself and its
-        // generation counter carries the cache stamps, so the
-        // copy-on-write clone never gates this venue's queries.
-        let mut journal = shard.journal.lock().expect("journal lock");
-        ensure_writable(&shard, venue)?;
-        let engine = shard.engine();
-        let prepared = engine
-            .tree()
-            .ip()
-            .prepare_object_deltas(deltas)
-            .map_err(|e| ServiceError::Delta(venue, e))?;
-        let lsn = shard.serving.read().expect("serving lock").version + 1;
-        journal_append(&shard, &mut journal, venue, lsn, &WalRecord::Deltas(deltas))?;
-        let report = prepared.install();
-        shard.serving.write().expect("serving lock").version = lsn;
-        drop(journal);
-        self.deltas_absorbed
-            .fetch_add(deltas.len() as u64, Ordering::Relaxed);
-        Ok(report)
+        self.mutate(venue, Mutation::Deltas(deltas.into()))
+            .map(|(_, report)| report)
     }
 
     /// Absorb labelled deltas into a venue's keyword index (building one
     /// from empty if the venue has none), re-threading inverted lists for
     /// the touched objects only. Bumps the object version like
-    /// [`IndoorService::update_objects`]. Keyword updaters are serialised
-    /// under the journal lock (the keyword index has no tree-side updater
-    /// mutex), so concurrent keyword batches never lose deltas.
+    /// [`IndoorService::update_objects`].
     pub fn update_keyword_objects(
         &self,
         venue: VenueId,
         updates: &[ObjectUpdate],
     ) -> Result<DeltaReport, ServiceError> {
-        let shard = self.shard(venue)?;
-        let mut journal = shard.journal.lock().expect("journal lock");
-        ensure_writable(&shard, venue)?;
-        let engine = shard.engine();
-        let tree_ip = engine.tree().ip();
-        let mut kw = match engine.keywords() {
-            Some(kw) => (*kw).clone(),
-            None => KeywordObjects::build(tree_ip, &[]),
-        };
-        let report = kw
-            .apply_delta(tree_ip, updates)
-            .map_err(|e| ServiceError::Delta(venue, e))?;
-        let lsn = shard.serving.read().expect("serving lock").version + 1;
-        journal_append(
-            &shard,
-            &mut journal,
-            venue,
-            lsn,
-            &WalRecord::KeywordUpdates(updates),
-        )?;
-        engine.set_keywords(Some(Arc::new(kw)));
-        shard.serving.write().expect("serving lock").version = lsn;
-        drop(journal);
-        self.deltas_absorbed
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-        Ok(report)
+        self.mutate(venue, Mutation::KeywordUpdates(updates.into()))
+            .map(|(_, report)| report)
     }
 
     fn record(&self, kind: QueryKind, hit: bool, elapsed: Duration) {
@@ -1442,10 +1130,10 @@ impl IndoorService {
         let shard = self.shard(venue)?;
         let _permit = shard.admit(venue, 1)?;
         let t0 = Instant::now();
-        let engine = shard.engine();
+        let engine = &shard.engine;
         // Stamps captured before computing: the answer is never stamped
         // newer than the snapshot that produced it (the stale-hit proof).
-        let stamp = Stamps::capture(&engine).for_kind(req.kind());
+        let stamp = Stamps::capture(engine).for_kind(req.kind());
         // Borrowed probe: no request clone (and no allocation) on a hit.
         let hit = shard
             .cache
@@ -1567,8 +1255,8 @@ impl IndoorService {
         };
         // One consistent snapshot for the whole batch share, stamps
         // captured before any computation.
-        let engine = shard.engine();
-        let stamps = Stamps::capture(&engine);
+        let engine = &shard.engine;
+        let stamps = Stamps::capture(engine);
         // Probe under the lock, but record and hand over outside it so an
         // all-hit batch doesn't starve concurrent `execute` callers.
         let t0 = Instant::now();
@@ -1701,10 +1389,7 @@ impl IndoorService {
     /// rather than the whole fleet.
     pub fn venue_stats(&self, venue: VenueId) -> Result<ShardStats, ServiceError> {
         let shard = self.shard(venue)?;
-        let (epoch, version) = {
-            let s = shard.serving.read().expect("serving lock");
-            (s.epoch, s.version)
-        };
+        let (epoch, version) = shard.counters();
         let (cached_entries, cache_capacity, evictions) = {
             let cache = shard.cache.lock().expect("cache poisoned");
             (cache.map.len(), cache.capacity, cache.evictions)
@@ -1713,8 +1398,7 @@ impl IndoorService {
             Some(gate) => (gate.in_flight(), gate.limit()),
             None => (0, 0),
         };
-        let engine = shard.engine();
-        let ip = engine.tree().ip();
+        let ip = shard.engine.tree().ip();
         let obj = ip
             .object_index()
             .map(|idx| idx.index_stats())

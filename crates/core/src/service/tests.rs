@@ -157,7 +157,7 @@ fn three_venue_service() -> (IndoorService, Vec<Arc<Venue>>) {
 /// NaN payload cannot hide behind `PartialEq`.
 fn result_bytes(r: &Result<QueryResponse, ServiceError>) -> Result<Vec<u8>, &ServiceError> {
     r.as_ref().map(|resp| {
-        let mut w = wire::WireWriter::new();
+        let mut w = indoor_model::wire::WireWriter::new();
         w.put_response(resp);
         w.into_bytes()
     })
@@ -524,4 +524,157 @@ fn venue_stats_snapshots_one_shard() {
         service.venue_stats(VenueId::from(7u32)),
         Err(ServiceError::UnknownVenue(_))
     ));
+}
+
+/// The three mutation kinds, each valid against `service_with_one_venue`.
+fn one_of_each(venue: &Venue) -> [Mutation<'static>; 3] {
+    let spots = workload::place_objects(venue, 6, 0xA9);
+    [
+        Mutation::Deltas(
+            vec![ObjectDelta::Move {
+                id: ObjectId(0),
+                to: spots[0],
+            }]
+            .into(),
+        ),
+        Mutation::KeywordUpdates(
+            vec![ObjectUpdate {
+                delta: ObjectDelta::Insert {
+                    id: ObjectId(0),
+                    at: spots[1],
+                },
+                labels: vec!["cafe".into()],
+            }]
+            .into(),
+        ),
+        Mutation::Attach(spots.into()),
+    ]
+}
+
+/// What replay and replication each used to check for themselves: a
+/// record whose LSN is not `version + 1` — a hole *or* a repeat — is
+/// refused before anything is touched, whatever kind it is.
+#[test]
+fn expected_lsn_gap_and_duplicate_refuse_and_leave_the_shard_untouched() {
+    let (service, id, venue) = service_with_one_venue(51);
+    let shard = service.shard(id).unwrap();
+    let [first, ..] = one_of_each(&venue);
+    assert_eq!(shard.apply(id, first, Lsn::Expected(1)).unwrap().0, 1);
+
+    let reqs: Vec<QueryRequest> = workload::query_points(&venue, 3, 8)
+        .into_iter()
+        .flat_map(|q| {
+            let keyword = "cafe".into();
+            [
+                QueryRequest::Knn { q, k: 3 },
+                QueryRequest::KnnKeyword { q, k: 3, keyword },
+            ]
+        })
+        .collect();
+    // Straight off the engine: a cached answer would hide a swap.
+    let observe = || {
+        (
+            shard.counters(),
+            shard.engine.tree().ip().objects_generation(),
+            shard.engine.keywords_generation(),
+            shard.engine.execute_batch(&reqs),
+        )
+    };
+    let before = observe();
+    for stale in [0, 1, 3, u64::MAX] {
+        for mutation in one_of_each(&venue) {
+            let err = shard.apply(id, mutation, Lsn::Expected(stale)).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Replication(v, _) if v == id),
+                "LSN {stale}: {err}"
+            );
+        }
+    }
+    assert!(before == observe(), "a refused record changed the shard");
+    // The one LSN that does extend the history still applies.
+    let [.., attach] = one_of_each(&venue);
+    assert_eq!(shard.apply(id, attach, Lsn::Expected(2)).unwrap().0, 2);
+    assert_eq!(shard.counters(), (1, 2));
+}
+
+/// Validate → journal → install: a batch that fails validation never
+/// reaches the log, on either delta vocabulary.
+#[test]
+fn invalid_batch_on_a_durable_shard_appends_nothing() {
+    use crate::persist::storage::FaultStorage;
+    let storage = FaultStorage::new();
+    let shared: Arc<dyn Storage> = Arc::new(storage.clone());
+    let (service, _) = IndoorService::open_with_storage(PathBuf::from("/apply"), shared).unwrap();
+    let venue = Arc::new(random_venue(53));
+    let config = ShardConfig {
+        threads: 1,
+        objects: workload::place_objects(&venue, 8, 53),
+        ..ShardConfig::default()
+    };
+    let id = service.add_venue(venue.clone(), config).unwrap();
+    let [valid, ..] = one_of_each(&venue);
+    service.mutate(id, valid).unwrap();
+
+    let log = wal::wal_path(std::path::Path::new("/apply"), id.index());
+    let len = storage.file_len(&log).unwrap();
+    let ghost = ObjectDelta::Remove {
+        id: ObjectId(9_999),
+    };
+    assert!(matches!(
+        service.update_objects(id, &[ghost]),
+        Err(ServiceError::Delta(..))
+    ));
+    let labelled_ghost = ObjectUpdate {
+        delta: ghost,
+        labels: Vec::new(),
+    };
+    assert!(matches!(
+        service.update_keyword_objects(id, &[labelled_ghost]),
+        Err(ServiceError::Delta(..))
+    ));
+    assert_eq!(storage.file_len(&log).unwrap(), len, "WAL grew");
+    assert_eq!(service.version(id).unwrap(), 1);
+    // The next valid batch takes the LSN the rejected ones never used.
+    let [valid, ..] = one_of_each(&venue);
+    assert_eq!(service.mutate(id, valid).unwrap().0, 2);
+    assert!(storage.file_len(&log).unwrap() > len);
+}
+
+/// An attach bumps epoch and version as one publication: `epoch` is
+/// stored first, `version` read first, so under an attach-only history
+/// (where the two are equal at rest) no reader ever holds a version
+/// ahead of the epoch it reads next.
+#[test]
+fn attach_publishes_epoch_before_version() {
+    let (service, id, venue) = service_with_one_venue(57);
+    let objects = workload::place_objects(&venue, 4, 57);
+    let attaches = 400u64;
+    let start = std::sync::Barrier::new(2);
+    let reads = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            start.wait();
+            let mut reads = 0u64;
+            loop {
+                let s = service.venue_stats(id).unwrap();
+                assert!(
+                    s.epoch >= s.version,
+                    "version {} visible before epoch {}",
+                    s.version,
+                    s.epoch
+                );
+                reads += 1;
+                if s.version == attaches {
+                    return reads;
+                }
+            }
+        });
+        start.wait();
+        for _ in 0..attaches {
+            service.attach_objects(id, &objects).unwrap();
+        }
+        reader.join().unwrap()
+    });
+    assert!(reads > 0);
+    assert_eq!(service.epoch(id).unwrap(), attaches);
+    assert_eq!(service.version(id).unwrap(), attaches);
 }

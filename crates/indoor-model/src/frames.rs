@@ -553,19 +553,13 @@ impl Frame {
                 w.put_u8(TAG_UPDATE_OBJECTS);
                 w.put_u64(*id);
                 w.put_u32(*venue);
-                w.put_u32(deltas.len() as u32);
-                for d in deltas {
-                    w.put_delta(d);
-                }
+                w.put_deltas(deltas);
             }
             Frame::UpdateKeywords { id, venue, updates } => {
                 w.put_u8(TAG_UPDATE_KEYWORDS);
                 w.put_u64(*id);
                 w.put_u32(*venue);
-                w.put_u32(updates.len() as u32);
-                for u in updates {
-                    w.put_update(u);
-                }
+                w.put_updates(updates);
             }
             Frame::AttachObjects { id, venue, objects } => {
                 w.put_u8(TAG_ATTACH_OBJECTS);
@@ -708,26 +702,16 @@ impl Frame {
                 }
                 Frame::QueryBatch { id, reqs }
             }
-            TAG_UPDATE_OBJECTS => {
-                let id = r.get_u64("update id")?;
-                let venue = r.get_u32("update venue")?;
-                let n = r.get_u32("delta count")? as usize;
-                let mut deltas = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    deltas.push(r.get_delta()?);
-                }
-                Frame::UpdateObjects { id, venue, deltas }
-            }
-            TAG_UPDATE_KEYWORDS => {
-                let id = r.get_u64("update id")?;
-                let venue = r.get_u32("update venue")?;
-                let n = r.get_u32("update count")? as usize;
-                let mut updates = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    updates.push(r.get_update()?);
-                }
-                Frame::UpdateKeywords { id, venue, updates }
-            }
+            TAG_UPDATE_OBJECTS => Frame::UpdateObjects {
+                id: r.get_u64("update id")?,
+                venue: r.get_u32("update venue")?,
+                deltas: r.get_deltas()?,
+            },
+            TAG_UPDATE_KEYWORDS => Frame::UpdateKeywords {
+                id: r.get_u64("update id")?,
+                venue: r.get_u32("update venue")?,
+                updates: r.get_updates()?,
+            },
             TAG_ATTACH_OBJECTS => Frame::AttachObjects {
                 id: r.get_u64("attach id")?,
                 venue: r.get_u32("attach venue")?,

@@ -191,6 +191,23 @@ impl WireWriter {
         self.put_labels(&u.labels);
     }
 
+    /// Count-prefixed delta batch — the body of a WAL `Deltas` record and
+    /// of an `UpdateObjects` frame alike.
+    pub fn put_deltas(&mut self, deltas: &[ObjectDelta]) {
+        self.put_u32(deltas.len() as u32);
+        for d in deltas {
+            self.put_delta(d);
+        }
+    }
+
+    /// Count-prefixed labelled batch (see [`WireWriter::put_deltas`]).
+    pub fn put_updates(&mut self, updates: &[ObjectUpdate]) {
+        self.put_u32(updates.len() as u32);
+        for u in updates {
+            self.put_update(u);
+        }
+    }
+
     /// A typed query request, tagged by [`crate::QueryKind::index`]. `k` rides as
     /// a `u64` so the layout is identical across 32/64-bit hosts.
     pub fn put_request(&mut self, req: &QueryRequest) {
@@ -416,6 +433,27 @@ impl<'a> WireReader<'a> {
         let delta = self.get_delta()?;
         let labels = self.get_labels()?;
         Ok(ObjectUpdate { delta, labels })
+    }
+
+    /// Count-prefixed delta batch (see [`WireWriter::put_deltas`]); the
+    /// count is capped before allocation like [`WireReader::get_points`].
+    pub fn get_deltas(&mut self) -> Result<Vec<ObjectDelta>, LoadError> {
+        let n = self.get_u32("delta count")? as usize;
+        let mut deltas = Vec::with_capacity(n.min(65_536));
+        for _ in 0..n {
+            deltas.push(self.get_delta()?);
+        }
+        Ok(deltas)
+    }
+
+    /// Count-prefixed labelled batch (see [`WireWriter::put_updates`]).
+    pub fn get_updates(&mut self) -> Result<Vec<ObjectUpdate>, LoadError> {
+        let n = self.get_u32("update count")? as usize;
+        let mut updates = Vec::with_capacity(n.min(65_536));
+        for _ in 0..n {
+            updates.push(self.get_update()?);
+        }
+        Ok(updates)
     }
 
     /// Decode a typed query request (see [`WireWriter::put_request`]).

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vip_tree::{IndoorService, QueryRequest, ShardConfig};
+use vip_tree::{IndoorService, Mutation, QueryRequest, ShardConfig};
 
 /// Tuning knobs for the serving loops.
 #[derive(Debug, Clone, Copy)]
@@ -289,21 +289,18 @@ fn answer_queries(
 fn serve_admin(service: &IndoorService, frame: &Frame) -> Option<Frame> {
     Some(match frame {
         Frame::Ping { id } => Frame::Pong { id: *id },
-        Frame::UpdateObjects { id, venue, deltas } => mutation_reply(service, *id, *venue, || {
-            service
-                .update_objects(VenueId::from(*venue), deltas)
-                .map(|_| ())
-        }),
-        Frame::UpdateKeywords { id, venue, updates } => {
-            mutation_reply(service, *id, *venue, || {
-                service
-                    .update_keyword_objects(VenueId::from(*venue), updates)
-                    .map(|_| ())
-            })
+        Frame::UpdateObjects { id, venue, deltas } => {
+            mutation_reply(service, *id, *venue, Mutation::Deltas(deltas.into()))
         }
-        Frame::AttachObjects { id, venue, objects } => mutation_reply(service, *id, *venue, || {
-            service.attach_objects(VenueId::from(*venue), objects)
-        }),
+        Frame::UpdateKeywords { id, venue, updates } => mutation_reply(
+            service,
+            *id,
+            *venue,
+            Mutation::KeywordUpdates(updates.into()),
+        ),
+        Frame::AttachObjects { id, venue, objects } => {
+            mutation_reply(service, *id, *venue, Mutation::Attach(objects.into()))
+        }
         Frame::AddVenue {
             id,
             venue_json,
@@ -330,19 +327,12 @@ fn serve_admin(service: &IndoorService, frame: &Frame) -> Option<Frame> {
     })
 }
 
-/// Run a mutation and reply `MutationOk` with the venue's post-apply
-/// version, or the typed error.
-fn mutation_reply(
-    service: &IndoorService,
-    id: u64,
-    venue: u32,
-    op: impl FnOnce() -> Result<(), vip_tree::ServiceError>,
-) -> Frame {
-    match op() {
-        Ok(()) => Frame::MutationOk {
-            id,
-            version: service.version(VenueId::from(venue)).unwrap_or(0),
-        },
+/// Run a mutation and reply `MutationOk` with the version it published
+/// — its own LSN, whatever other connections did to the venue meanwhile —
+/// or the typed error.
+fn mutation_reply(service: &IndoorService, id: u64, venue: u32, mutation: Mutation<'_>) -> Frame {
+    match service.mutate(VenueId::from(venue), mutation) {
+        Ok((version, _)) => Frame::MutationOk { id, version },
         Err(e) => Frame::Error {
             id,
             err: wire_error(&e),

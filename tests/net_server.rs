@@ -293,6 +293,51 @@ fn flood_past_capacity_sheds_typed_errors_without_losing_connections() {
     );
 }
 
+/// An acknowledgement carries the LSN of the mutation it acknowledges,
+/// not whatever the venue's version happens to be when the reply is
+/// built: two connections churning one venue get 600 distinct versions,
+/// `1..=600` with no duplicate and no hole.
+#[test]
+fn concurrent_mutation_acks_carry_their_own_lsn() {
+    let (venue, config, _) = fixture(95);
+    let spots = workload::place_objects(&venue, 8, 95);
+    let service = Arc::new(IndoorService::new());
+    let id = service.add_venue(venue, config).unwrap();
+    let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let per_conn = 300usize;
+
+    let start = std::sync::Barrier::new(2);
+    let mut versions: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2u32)
+            .map(|conn| {
+                let (start, spots) = (&start, &spots);
+                scope.spawn(move || {
+                    let mut client = NetClient::connect(addr).unwrap();
+                    start.wait();
+                    (0..per_conn)
+                        .map(|i| {
+                            let delta = ObjectDelta::Move {
+                                id: ObjectId(conn),
+                                to: spots[i % spots.len()],
+                            };
+                            client.update_objects(id.index() as u32, &[delta]).unwrap()
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    versions.sort_unstable();
+    let expected: Vec<u64> = (1..=2 * per_conn as u64).collect();
+    assert_eq!(versions, expected, "every ack names its own LSN");
+    assert_eq!(service.version(id).unwrap(), 2 * per_conn as u64);
+}
+
 /// Mutate the leader through the wire while a follower tails: kNN /
 /// range / keyword / distance / path answers must match on both sides
 /// once lag hits 0, and continue matching after the leader dies.
@@ -407,6 +452,12 @@ fn follower_catches_up_tails_live_and_survives_leader_death() {
         lag.value,
         indoor_model::metrics::MetricValue::Gauge(0.0),
         "caught-up replica must export zero lag"
+    );
+    // ...and has counted every delta it absorbed on the way there.
+    assert_eq!(
+        replica.stats().deltas_absorbed,
+        leader.stats().deltas_absorbed,
+        "a follower counts what it absorbs"
     );
 
     // The orphaned replica still serves, byte-identical to the leader's

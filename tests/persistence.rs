@@ -196,9 +196,11 @@ proptest! {
         let f = Fixture::new(Arc::new(random_venue(seed % 97)), seed);
 
         // Durable service under test + volatile never-restarted reference,
-        // fed identical churn.
+        // fed identical churn — and a volatile follower fed only what the
+        // durable service journals: one history, three executors.
         let durable = IndoorService::open(dir).expect("open empty dir");
         let reference = IndoorService::new();
+        let follower = IndoorService::new();
         let id = durable.add_venue(f.venue.clone(), f.config()).unwrap();
         let ref_id = reference.add_venue(f.venue.clone(), f.config()).unwrap();
         prop_assert_eq!(id, ref_id);
@@ -207,7 +209,20 @@ proptest! {
         let mut kw_objects = LiveSet::seeded(f.keywords.len());
         let rounds = rng.gen_range(2..6);
         let snapshot_at = rng.gen_range(0..rounds);
+        // The follower bootstraps from LSN 0, so it subscribes no later
+        // than the snapshot whose rotation drops the `Create` record. (Its
+        // own generator: the churn below draws what it always drew.)
+        let follow_at = StdRng::seed_from_u64(seed ^ 0xF011).gen_range(0..=snapshot_at);
+        let mut live_tail = None;
         for round in 0..rounds {
+            if round == follow_at {
+                let sub = durable.wal_subscribe(id, 0).expect("log still holds Create");
+                prop_assert_eq!(sub.backlog.len() as u64, sub.version + 1);
+                for (_, payload) in &sub.backlog {
+                    follower.apply_replicated(id, payload).unwrap();
+                }
+                live_tail = Some(sub.live);
+            }
             if round == snapshot_at {
                 let report = durable.save_snapshot(dir).expect("snapshot");
                 prop_assert_eq!(report.venues, 1);
@@ -232,6 +247,17 @@ proptest! {
                 objects = LiveSet::seeded(fresh.len());
             }
         }
+
+        // Everything journalled after the cut reached the tap, in log
+        // order: the follower is the reference, record for record.
+        for (lsn, payload) in live_tail.expect("subscribed").try_iter() {
+            prop_assert_eq!(follower.apply_replicated(id, &payload), Ok(lsn));
+        }
+        assert_same_answers(&follower, &reference, id, &f, seed, "follower");
+        prop_assert_eq!(
+            follower.stats().deltas_absorbed,
+            reference.stats().deltas_absorbed
+        );
 
         // Kill (drop) and recover.
         drop(durable);
@@ -560,6 +586,122 @@ fn files_framed_by_the_bytewise_crc_still_open_and_replay() {
         14,
         "old files",
     );
+}
+
+/// Venue 0 of `tests/data/shard_lifecycle/` (see its README): every field
+/// of the config head away from its default, so a `Create` record that
+/// dropped or reordered one would rebuild a visibly different shard.
+fn shard_lifecycle_config(f: &Fixture) -> ShardConfig {
+    ShardConfig {
+        tree: VipTreeConfig {
+            min_degree: 3,
+            use_superior_doors: false,
+            threads: 2,
+        },
+        threads: 2,
+        objects: f.objects.clone(),
+        keywords: f.keywords.clone(),
+        cache_capacity: 96,
+        admission: AdmissionConfig {
+            max_in_flight: 8,
+            policy: OverloadPolicy::Block {
+                timeout: std::time::Duration::from_millis(250),
+            },
+        },
+        sync: SyncPolicy::EveryN { n: 3 },
+    }
+}
+
+/// The history behind `tests/data/shard_lifecycle/`: venue 0 lives its
+/// whole life in the log (`Create`, four rounds of plain + keyword churn,
+/// one wholesale `Attach`, never a snapshot); venue 1 is created and
+/// removed, so its log ends in `Remove`.
+fn shard_lifecycle_history(svc: &IndoorService, f: &Fixture) {
+    let id = svc
+        .add_venue(f.venue.clone(), shard_lifecycle_config(f))
+        .unwrap();
+    let doomed = svc
+        .add_venue(
+            f.venue.clone(),
+            ShardConfig {
+                threads: 1,
+                ..ShardConfig::default()
+            },
+        )
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5AD);
+    let mut objects = LiveSet::seeded(f.objects.len());
+    let mut kw_objects = LiveSet::seeded(f.keywords.len());
+    for round in 0..4 {
+        let deltas: Vec<ObjectDelta> = objects
+            .random_batch(&f.pool, &mut rng)
+            .into_iter()
+            .map(|u| u.delta)
+            .collect();
+        svc.update_objects(id, &deltas).unwrap();
+        let updates = kw_objects.random_batch(&f.pool, &mut rng);
+        svc.update_keyword_objects(id, &updates).unwrap();
+        if round == 1 {
+            let fresh = workload::place_objects(&f.venue, 12, 0x5AD);
+            svc.attach_objects(id, &fresh).unwrap();
+            objects = LiveSet::seeded(fresh.len());
+        }
+    }
+    svc.remove_venue(doomed).unwrap();
+}
+
+/// The shard lifecycle was rewritten around one builder, one `apply` and
+/// one config codec; the files were not. Two logs and a wire-encoded
+/// config written by the commit *before* that rewrite must rebuild the
+/// same shard, replay to the same answers and re-encode to the same bytes.
+#[test]
+fn logs_written_before_the_lifecycle_merge_replay_to_the_same_shard() {
+    let f = Fixture::new(Arc::new(random_venue(19)), 19);
+    let guard = scratch_dir("lifecycle-fixture");
+    let dir = &guard.0;
+    let checked_in =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/shard_lifecycle");
+    for name in ["venue-0.wal", "venue-1.wal"] {
+        std::fs::copy(checked_in.join(name), dir.join(name)).expect("copy fixture file");
+    }
+    let (recovered, report) = IndoorService::open_with_report(dir).expect("open old logs");
+    assert!(!report.snapshot_loaded);
+    assert_eq!(report.venues, 1, "venue 1 ends removed");
+    assert_eq!(
+        report.replayed_records, 11,
+        "venue 0: Create + 4 delta + 4 keyword + 1 attach; venue 1: its Remove"
+    );
+    assert_eq!(report.truncated_tails, 0);
+
+    let reference = IndoorService::new();
+    shard_lifecycle_history(&reference, &f);
+    let id = VenueId::from(0usize);
+    assert_same_answers(&recovered, &reference, id, &f, 19, "old logs");
+    // The config head came back out of the `Create` record whole.
+    let stats = recovered.venue_stats(id).unwrap();
+    assert_eq!((stats.cache_capacity, stats.admission_capacity), (96, 8));
+    assert_eq!(recovered.engine(id).unwrap().threads(), 2);
+    assert_eq!(recovered.venues(), vec![id], "slot 1 stays burned");
+
+    // And the live path still writes those bytes: the same history on a
+    // fresh durable service journals byte-identical logs.
+    let rewrite = scratch_dir("lifecycle-rewrite");
+    let durable = IndoorService::open(&rewrite.0).unwrap();
+    shard_lifecycle_history(&durable, &f);
+    drop(durable);
+    for name in ["venue-0.wal", "venue-1.wal"] {
+        assert!(
+            std::fs::read(rewrite.0.join(name)).unwrap()
+                == std::fs::read(checked_in.join(name)).unwrap(),
+            "{name}: today's log differs from the one written before the merge"
+        );
+    }
+
+    // The same config as `AddVenue` frames carry it, byte for byte.
+    let on_wire = std::fs::read(checked_in.join("add_venue_config.bin")).unwrap();
+    assert_eq!(shard_lifecycle_config(&f).encode_wire(), on_wire);
+    let decoded = ShardConfig::decode_wire(&on_wire).expect("decode old config");
+    assert_eq!(decoded.encode_wire(), on_wire);
 }
 
 /// Shorthand: a durable service on an in-memory fault-injected disk.
