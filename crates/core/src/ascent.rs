@@ -1,5 +1,6 @@
-//! Algorithm 2 (`getDistances`) and Algorithm 3 (shortest distance) for
-//! the IP-tree (§3.1.1).
+//! Algorithm 2 (`getDistances`) for the IP-tree (§3.1.1), and the query
+//! core both trees share: Algorithm 3 (shortest distance), the §3.2 path
+//! query and the entry to Algorithm 5, written once over a [`Climber`].
 //!
 //! The ascent starts at the source's leaf, computing the distance from the
 //! point to every access door of the leaf through the *superior doors* of
@@ -10,9 +11,10 @@
 //! shortest-path algorithm can replay the chain (the "thick arrows" of
 //! Fig. 5(b)).
 
+use crate::path::PartialEdge;
 use crate::tree::{IpTree, NodeIdx};
-use indoor_graph::NO_VERTEX;
-use indoor_model::{DoorId, IndoorPath, IndoorPoint, QueryStats};
+use crate::QueryScratch;
+use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId, QueryStats};
 
 /// How an access-door distance was obtained, for path replay.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +38,35 @@ pub(crate) struct AscentStep {
     pub prov: Vec<Provenance>,
 }
 
-/// The full ascent from `Leaf(p)` up to (and including) `target`.
+impl AscentStep {
+    /// Size a fresh step for `n_ads` access doors, none reached yet.
+    pub(crate) fn reset_sources(&mut self, n_ads: usize) {
+        self.dists.resize(n_ads, f64::INFINITY);
+        self.prov
+            .resize(n_ads, Provenance::Source { via: DoorId(0) });
+    }
+
+    /// Offer door `u` of the point's partition, `du` away from the point,
+    /// as the way to every access door: `row[i]` is `dist(u, door i)`,
+    /// one contiguous matrix or table row. Callers offer doors in order
+    /// and updates are strictly improving, so each access door keeps its
+    /// first minimal `u` as provenance.
+    #[inline]
+    pub(crate) fn offer_source(&mut self, u: DoorId, du: f64, row: &[f64]) {
+        for (i, d) in self.dists.iter_mut().enumerate() {
+            let cand = du + row[i];
+            if cand < *d {
+                *d = cand;
+                self.prov[i] = Provenance::Source { via: u };
+            }
+        }
+    }
+}
+
+/// The full ascent from `Leaf(p)` up to (and including) `target` — or,
+/// from a climber that needs no lower levels to reach it (the VIP-tree's
+/// tables), `target`'s step alone: [`Ascent::last`] is all Algorithm 3
+/// reads.
 ///
 /// The step buffers — including every step's `dists`/`prov` vectors —
 /// survive [`Ascent::clear`], so a pooled [`crate::QueryScratch`] refills
@@ -97,6 +127,7 @@ impl Ascent {
     }
 
     /// The step for `node` if it lies on the ascent's root path, in O(1).
+    /// For ascents recorded from the leaf, as Algorithm 5's always are.
     ///
     /// Steps run from the leaf (level 1) upward one level at a time, so
     /// `steps` *is* a level-indexed dense array: the step for a node at
@@ -128,28 +159,15 @@ impl IpTree {
 
         // One contiguous leaf-matrix row per superior door (leaf columns
         // *are* the access doors, so the column ordinal is the access-door
-        // index), with `p`'s distance to that door hoisted out of the
-        // column sweep. Superior doors are visited in order and updates
-        // are strictly improving, so each column keeps its first minimum
-        // and that door as provenance; local access doors are overwritten
-        // with their direct distance afterwards — they are never routed
-        // through a superior door.
+        // index). Local access doors are overwritten with their direct
+        // distance afterwards — they are never routed through a superior
+        // door.
         let step = asc.push_step(leaf);
-        let n_ads = node.access_doors.len();
-        step.dists.resize(n_ads, f64::INFINITY);
-        step.prov
-            .resize(n_ads, Provenance::Source { via: DoorId(0) });
+        step.reset_sources(node.access_doors.len());
         for &u in self.superior_doors(p.partition) {
             let row_u = self.slabs.leaf_row_of(&self.door_leaves, leaf, u.0);
             let du = p.distance_to_door(venue, u);
-            let row = self.slabs.row(leaf, row_u as usize);
-            for (ai, d) in step.dists.iter_mut().enumerate() {
-                let cand = du + row[ai];
-                if cand < *d {
-                    *d = cand;
-                    step.prov[ai] = Provenance::Source { via: u };
-                }
-            }
+            step.offer_source(u, du, self.slabs.row(leaf, row_u as usize));
         }
         for (ai, &a) in node.access_doors.iter().enumerate() {
             if part_doors.binary_search(&a).is_ok() {
@@ -225,20 +243,8 @@ impl IpTree {
         match (direct, via) {
             (Some(d), Some((vd, _))) if d <= vd => Some((d, Vec::new())),
             (Some(d), None) => Some((d, Vec::new())),
-            (_, Some((vd, exit_door))) => {
-                // Reconstruct s's door .. t's door from parent pointers.
-                let mut seq: Vec<DoorId> = Vec::new();
-                let mut cur = exit_door;
-                loop {
-                    seq.push(DoorId(cur));
-                    match engine.parent(cur) {
-                        Some(p) if p != NO_VERTEX => cur = p,
-                        _ => break,
-                    }
-                }
-                seq.reverse();
-                Some((vd, seq))
-            }
+            // s's door .. t's door, from the parent pointers.
+            (_, Some((vd, exit_door))) => Some((vd, crate::path::door_chain(&engine, exit_door))),
             (None, None) => None,
         }
     }
@@ -266,89 +272,9 @@ impl IpTree {
         &self,
         s: &IndoorPoint,
         t: &IndoorPoint,
-        scratch: &mut crate::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> Option<f64> {
         self.shortest_distance_stats(s, t, scratch, &mut QueryStats::default())
-    }
-
-    pub(crate) fn shortest_distance_stats(
-        &self,
-        s: &IndoorPoint,
-        t: &IndoorPoint,
-        scratch: &mut crate::QueryScratch,
-        stats: &mut QueryStats,
-    ) -> Option<f64> {
-        stats.queries += 1;
-        let leaf_s = self.leaf_of(s.partition);
-        let leaf_t = self.leaf_of(t.partition);
-        if leaf_s == leaf_t {
-            return self.same_leaf_route(s, t).map(|(d, _)| d);
-        }
-        stats.door_pairs += (self.superior_doors(s.partition).len()
-            * self.superior_doors(t.partition).len()) as u64;
-
-        let crate::QueryScratch { asc_s, asc_t, .. } = scratch;
-        let (d, _) = self.cross_leaf_distance_into(s, t, leaf_s, leaf_t, asc_s, asc_t)?;
-        Some(d)
-    }
-
-    /// Cross-leaf distance plus the minimising access-door pair; the two
-    /// ascents are left in the caller's buffers for path recovery. `None`
-    /// when unreachable.
-    pub(crate) fn cross_leaf_distance_into(
-        &self,
-        s: &IndoorPoint,
-        t: &IndoorPoint,
-        leaf_s: NodeIdx,
-        leaf_t: NodeIdx,
-        asc_s: &mut Ascent,
-        asc_t: &mut Ascent,
-    ) -> Option<(f64, (usize, usize))> {
-        let lca = self.lca(leaf_s, leaf_t);
-        let ns = self.child_towards(lca, leaf_s);
-        let nt = self.child_towards(lca, leaf_t);
-        self.ascend_into(s, ns, asc_s);
-        self.ascend_into(t, nt, asc_t);
-        let ds = &asc_s.last().dists;
-        let dt = &asc_t.last().dists;
-
-        let mut best = f64::INFINITY;
-        let mut best_pair = (usize::MAX, usize::MAX);
-
-        // Envelope early-exit: any pairing through row `i` costs at least
-        // `ds[i] + env_min(lca) + min(dt)`, so a row whose floor already
-        // reaches the incumbent is skipped without touching the matrix.
-        // The floor is admissible and the skip condition is `>=` while
-        // updates require strictly `<`, so the surviving minimum and
-        // argmin pair are exactly the exhaustive scan's.
-        let kid_s = self.slabs.kid_cols_of(ns);
-        let kid_t = self.slabs.kid_cols_of(nt);
-        let env_min = self.slabs.env_min(lca);
-        let dt_min = dt
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        for (i, &dsi) in ds.iter().enumerate() {
-            if !dsi.is_finite() || dsi + env_min + dt_min >= best {
-                continue;
-            }
-            let row = self.slabs.row(lca, kid_s[i] as usize);
-            for (j, &dtj) in dt.iter().enumerate() {
-                if !dtj.is_finite() {
-                    continue;
-                }
-                let cand = dsi + row[kid_t[j] as usize] + dtj;
-                if cand < best {
-                    best = cand;
-                    best_pair = (i, j);
-                }
-            }
-        }
-        if !best.is_finite() {
-            return None;
-        }
-        Some((best, best_pair))
     }
 
     /// §3.2: shortest path between two points.
@@ -362,28 +288,184 @@ impl IpTree {
         &self,
         s: &IndoorPoint,
         t: &IndoorPoint,
-        scratch: &mut crate::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> Option<IndoorPath> {
-        let leaf_s = self.leaf_of(s.partition);
-        let leaf_t = self.leaf_of(t.partition);
+        self.shortest_path_between(s, t, scratch)
+    }
+}
+
+/// The one thing the IP-tree and the VIP-tree do differently — how
+/// `dist(p, access door)` is obtained (Algorithm 2's matrix walk against
+/// §3.1.2's table sweep) and how the chain behind one is replayed — and,
+/// as provided methods, every query written once over it (DESIGN.md
+/// §14.5).
+pub(crate) trait Climber {
+    /// The tree whose topology, matrices and object set the queries read.
+    fn ip(&self) -> &IpTree;
+
+    /// Algorithm 2 from `Leaf(p)` to the root: one step per level, each
+    /// holding `p`'s distance to every access door of that ancestor —
+    /// what Algorithm 5 descends from.
+    fn ascend_to_root(&self, p: &IndoorPoint, asc: &mut Ascent);
+
+    /// Leave in `asc.last()` the distances from `p` to the access doors of
+    /// its ancestor `n`, with whatever [`Climber::replay`] needs beneath.
+    fn climb(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent);
+
+    /// The minimising chain behind access door `i` of the node `climb`
+    /// stopped at: the door of the point's partition it enters through,
+    /// and the partial edges from there to door `i`, bottom-up.
+    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>);
+
+    /// Algorithm 5 from a fresh ascent.
+    fn knn_stats(
+        &self,
+        q: &IndoorPoint,
+        k: usize,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+    ) -> Vec<(ObjectId, f64)> {
+        self.ascend_to_root(q, &mut scratch.asc_s);
+        self.ip().knn_from_ascent(q, k, scratch, stats)
+    }
+
+    /// Algorithm 5 with `d_k` fixed at `radius`, from a fresh ascent.
+    fn range_stats(
+        &self,
+        q: &IndoorPoint,
+        radius: f64,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+    ) -> Vec<(ObjectId, f64)> {
+        self.ascend_to_root(q, &mut scratch.asc_s);
+        self.ip().range_from_ascent(q, radius, scratch, stats)
+    }
+
+    /// Algorithm 3, counting the door pairs of Fig. 9(a).
+    fn shortest_distance_stats(
+        &self,
+        s: &IndoorPoint,
+        t: &IndoorPoint,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+    ) -> Option<f64> {
+        stats.queries += 1;
+        let ip = self.ip();
+        let (leaf_s, leaf_t) = (ip.leaf_of(s.partition), ip.leaf_of(t.partition));
         if leaf_s == leaf_t {
-            let (length, doors) = self.same_leaf_route(s, t)?;
-            return Some(IndoorPath {
-                source: *s,
-                target: *t,
-                doors,
-                length,
-            });
+            return ip.same_leaf_route(s, t).map(|(d, _)| d);
         }
-        let crate::QueryScratch { asc_s, asc_t, .. } = scratch;
-        let (length, (i, j)) = self.cross_leaf_distance_into(s, t, leaf_s, leaf_t, asc_s, asc_t)?;
-        let doors = self.recover_cross_leaf_path(asc_s, i, asc_t, j);
+        stats.door_pairs +=
+            (ip.superior_doors(s.partition).len() * ip.superior_doors(t.partition).len()) as u64;
+        let (d, _) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
+        Some(d)
+    }
+
+    /// §3.2–3.3: Algorithm 3, then the two minimising chains replayed
+    /// around the LCA edge.
+    fn shortest_path_between(
+        &self,
+        s: &IndoorPoint,
+        t: &IndoorPoint,
+        scratch: &mut QueryScratch,
+    ) -> Option<IndoorPath> {
+        let ip = self.ip();
+        let (leaf_s, leaf_t) = (ip.leaf_of(s.partition), ip.leaf_of(t.partition));
+        let (length, doors) = if leaf_s == leaf_t {
+            ip.same_leaf_route(s, t)?
+        } else {
+            let (length, (i, j)) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
+            let (asc_s, asc_t) = (&scratch.asc_s, &scratch.asc_t);
+            let (ns, nt) = (ip.node(asc_s.last().node), ip.node(asc_t.last().node));
+            debug_assert_eq!(ns.parent, nt.parent, "both climbs stop under the LCA");
+            let middle = (ns.access_doors[i], nt.access_doors[j], ns.parent);
+            let doors = ip.cross_leaf_path(self.replay(asc_s, i), middle, self.replay(asc_t, j));
+            (length, doors)
+        };
         Some(IndoorPath {
             source: *s,
             target: *t,
             doors,
             length,
         })
+    }
+
+    /// Cross-leaf distance plus the minimising access-door pair of the
+    /// LCA's two children; both climbs are left in `scratch.asc_s` /
+    /// `asc_t` for [`Climber::replay`]. `None` when unreachable.
+    fn cross_leaf(
+        &self,
+        s: &IndoorPoint,
+        t: &IndoorPoint,
+        leaf_s: NodeIdx,
+        leaf_t: NodeIdx,
+        scratch: &mut QueryScratch,
+    ) -> Option<(f64, (usize, usize))> {
+        let ip = self.ip();
+        let lca = ip.lca(leaf_s, leaf_t);
+        let ns = ip.child_towards(lca, leaf_s);
+        let nt = ip.child_towards(lca, leaf_t);
+        self.climb(s, ns, &mut scratch.asc_s);
+        self.climb(t, nt, &mut scratch.asc_t);
+        let ds = &scratch.asc_s.last().dists;
+        let dt = &scratch.asc_t.last().dists;
+
+        let mut best = f64::INFINITY;
+        let mut best_pair = (usize::MAX, usize::MAX);
+
+        // Envelope early-exit: any pairing through row `i` costs at least
+        // `(ds[i] + env_min(lca)) + min(dt)` — the candidates' own
+        // association order, and rounding is monotone, so the floor never
+        // exceeds a candidate as computed — and a row whose floor already
+        // reaches the incumbent is skipped without touching the matrix.
+        // The skip condition is `>=` while updates require strictly `<`,
+        // so the surviving minimum and argmin pair are exactly the
+        // exhaustive scan's.
+        let kid_s = ip.slabs.kid_cols_of(ns);
+        let kid_t = ip.slabs.kid_cols_of(nt);
+        let env_min = ip.slabs.env_min(lca);
+        let dt_min = dt
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(f64::INFINITY, f64::min);
+        for (i, &dsi) in ds.iter().enumerate() {
+            if !dsi.is_finite() || (dsi + env_min) + dt_min >= best {
+                continue;
+            }
+            let row = ip.slabs.row(lca, kid_s[i] as usize);
+            for (j, &dtj) in dt.iter().enumerate() {
+                if !dtj.is_finite() {
+                    continue;
+                }
+                let cand = dsi + row[kid_t[j] as usize] + dtj;
+                if cand < best {
+                    best = cand;
+                    best_pair = (i, j);
+                }
+            }
+        }
+        best.is_finite().then_some((best, best_pair))
+    }
+}
+
+/// The IP-tree climbs by matrix walk, recording every level, and replays
+/// the recorded provenance.
+impl Climber for IpTree {
+    fn ip(&self) -> &IpTree {
+        self
+    }
+
+    fn ascend_to_root(&self, p: &IndoorPoint, asc: &mut Ascent) {
+        self.ascend_into(p, self.root(), asc);
+    }
+
+    fn climb(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent) {
+        self.ascend_into(p, n, asc);
+    }
+
+    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>) {
+        self.replay_ascent(asc, i)
     }
 }
 

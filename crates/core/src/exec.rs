@@ -18,14 +18,14 @@
 //! input order (see DESIGN.md, "Query scratch reuse and batch
 //! determinism").
 
-use crate::ascent::Ascent;
+use crate::ascent::{Ascent, Climber};
 use crate::keywords::KeywordObjects;
 use crate::knn::DistArena;
 use crate::tree::{IpTree, NodeIdx};
 use crate::vip::VipTree;
 use geometry::TotalF64;
 use indoor_graph::parallel::par_map_init;
-use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId, QueryRequest, QueryResponse};
+use indoor_model::{IndoorPath, IndoorPoint, ObjectId, QueryRequest, QueryResponse, QueryStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,19 +91,13 @@ pub struct QueryScratch {
     pub(crate) heap: BinaryHeap<Reverse<(TotalF64, NodeIdx, u32)>>,
     /// Current k-best max-heap (`peek()` is `d_k`).
     pub(crate) best: BinaryHeap<(TotalF64, ObjectId)>,
-    /// DFS stack of range queries.
-    pub(crate) stack: Vec<(NodeIdx, u32)>,
+    /// DFS stack of range queries: `(mindist, node, vector handle)`.
+    pub(crate) stack: Vec<(f64, NodeIdx, u32)>,
     /// Leaf-scan candidate marks, cleared by epoch.
     pub(crate) marks: EpochMarks,
     /// Own-leaf scan buffer: distance from `q` to every door of its leaf,
     /// folded from the leaf door grid (DESIGN.md §14.4).
     pub(crate) leaf_dq: Vec<f64>,
-    /// VIP cross-leaf side buffers: distances/argmin superior doors to the
-    /// source- and target-side access doors.
-    pub(crate) sd_s: Vec<f64>,
-    pub(crate) sd_t: Vec<f64>,
-    pub(crate) via_s: Vec<DoorId>,
-    pub(crate) via_t: Vec<DoorId>,
     /// Per-query span state (phase timings + hot-path counters). Armed by
     /// [`QueryEngine`]'s dispatch point when the sampling gate is open and
     /// the engine has a telemetry sink; dormant (one cleared bool) on
@@ -239,6 +233,16 @@ impl TreeHandle {
             TreeHandle::Vip(t) => t.ip_tree(),
         }
     }
+
+    /// How this backend climbs — the one place the two differ; every
+    /// query is written over it.
+    #[inline]
+    pub(crate) fn climber(&self) -> &dyn Climber {
+        match self {
+            TreeHandle::Ip(t) => &**t,
+            TreeHandle::Vip(t) => &**t,
+        }
+    }
 }
 
 /// Concurrent batched query facade over a shared index.
@@ -364,14 +368,6 @@ impl QueryEngine {
         self.keywords.read().expect("keywords lock").clone()
     }
 
-    /// Deconstruct into the backend handle, releasing this engine's clone
-    /// of the tree `Arc`. (Object churn no longer needs this — attach and
-    /// delta application swap under `&self` — but callers that want to
-    /// retire an engine and keep its tree still do.)
-    pub fn into_tree(self) -> TreeHandle {
-        self.tree
-    }
-
     /// The effective worker count a batch call will use.
     pub fn threads(&self) -> usize {
         indoor_graph::parallel::effective_threads(self.threads)
@@ -390,10 +386,8 @@ impl QueryEngine {
         q: &IndoorPoint,
         k: usize,
     ) -> Vec<(ObjectId, f64)> {
-        match &self.tree {
-            TreeHandle::Ip(t) => t.knn_in(q, k, scratch),
-            TreeHandle::Vip(t) => t.knn_in(q, k, scratch),
-        }
+        let stats = &mut QueryStats::default();
+        self.tree.climber().knn_stats(q, k, scratch, stats)
     }
 
     fn range_one(
@@ -402,10 +396,8 @@ impl QueryEngine {
         q: &IndoorPoint,
         radius: f64,
     ) -> Vec<(ObjectId, f64)> {
-        match &self.tree {
-            TreeHandle::Ip(t) => t.range_in(q, radius, scratch),
-            TreeHandle::Vip(t) => t.range_in(q, radius, scratch),
-        }
+        let stats = &mut QueryStats::default();
+        self.tree.climber().range_stats(q, radius, scratch, stats)
     }
 
     fn distance_one(
@@ -414,10 +406,10 @@ impl QueryEngine {
         s: &IndoorPoint,
         t: &IndoorPoint,
     ) -> Option<f64> {
-        match &self.tree {
-            TreeHandle::Ip(tr) => tr.shortest_distance_in(s, t, scratch),
-            TreeHandle::Vip(tr) => tr.shortest_distance_in(s, t, scratch),
-        }
+        let stats = &mut QueryStats::default();
+        self.tree
+            .climber()
+            .shortest_distance_stats(s, t, scratch, stats)
     }
 
     fn path_one(
@@ -426,10 +418,7 @@ impl QueryEngine {
         s: &IndoorPoint,
         t: &IndoorPoint,
     ) -> Option<IndoorPath> {
-        match &self.tree {
-            TreeHandle::Ip(tr) => tr.shortest_path_in(s, t, scratch),
-            TreeHandle::Vip(tr) => tr.shortest_path_in(s, t, scratch),
-        }
+        self.tree.climber().shortest_path_between(s, t, scratch)
     }
 
     fn keyword_one(

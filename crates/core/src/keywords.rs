@@ -9,14 +9,11 @@
 //! list), so a keyword-constrained kNN prunes both by distance (Algorithm
 //! 5) and by term containment.
 
-use crate::ascent::Ascent;
-use crate::exec::{EpochMarks, QueryScratch};
+use crate::exec::QueryScratch;
 use crate::objects::{DeltaReport, ObjectIndex};
-use crate::tree::{IpTree, NodeIdx, NO_NODE};
-use geometry::TotalF64;
+use crate::tree::{IpTree, NodeIdx};
 use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId, ObjectUpdate, QueryStats};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Interned term identifier.
 pub type TermId = u32;
@@ -257,158 +254,17 @@ impl KeywordObjects {
             return Vec::new();
         }
         tree.ascend_into(q, tree.root(), &mut scratch.asc_s);
-        let QueryScratch {
-            asc_s,
-            arena,
-            step_handles,
-            child_vec,
-            heap,
-            best,
-            marks,
-            leaf_dq,
-            trace,
-            ..
-        } = scratch;
-        let asc = &*asc_s;
-        arena.seed(asc, step_handles);
-
-        best.clear();
-        let dk = |best: &BinaryHeap<(TotalF64, ObjectId)>| {
-            if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().unwrap().0 .0
-            }
-        };
-
-        // The shared child step counts bound checks; this query has no
-        // stats surface to report them on.
-        let mut unread_stats = QueryStats::default();
-        heap.clear();
-        heap.push(Reverse((
-            TotalF64(0.0),
-            tree.root(),
-            *step_handles.last().expect("ascent is non-empty"),
-        )));
-        if trace.active() {
-            trace.nodes_pushed += 1;
-        }
-        while let Some(Reverse((TotalF64(mind), node_idx, handle))) = heap.pop() {
-            if mind > dk(best) {
-                break;
-            }
-            let node = tree.node(node_idx);
-            if node.is_leaf() {
-                self.scan_keyword_leaf(
-                    tree,
-                    q,
-                    node_idx,
-                    arena.get(handle),
-                    asc,
-                    term,
-                    k,
-                    marks,
-                    leaf_dq,
-                    trace,
-                    best,
-                );
-                continue;
-            }
-            for &child in &node.children {
-                if !self.subtree_has(child, term) {
-                    continue; // inverted-list pruning
-                }
-                if let Some(step) = asc.step_for(tree, child) {
-                    let h = step_handles[tree.node(step.node).level as usize - 1];
-                    heap.push(Reverse((TotalF64(0.0), child, h)));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                    continue;
-                }
-                if !tree.derive_child_vec_bounded(
-                    node_idx,
-                    child,
-                    handle,
-                    asc,
-                    arena,
-                    step_handles,
-                    dk(best),
-                    &mut unread_stats,
-                    trace,
-                    child_vec,
-                ) {
-                    continue;
-                }
-                let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-                if mind_c <= dk(best) {
-                    let h = arena.push(child_vec);
-                    heap.push(Reverse((TotalF64(mind_c), child, h)));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                } else if trace.active() {
-                    trace.nodes_pruned += 1;
-                }
-            }
-        }
-
-        let th = trace.start();
-        let mut out: Vec<(ObjectId, f64)> = best.drain().map(|(TotalF64(d), o)| (o, d)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        trace.stop_heap(th);
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_keyword_leaf(
-        &self,
-        tree: &IpTree,
-        q: &IndoorPoint,
-        leaf: NodeIdx,
-        vec: &[f64],
-        asc: &Ascent,
-        term: TermId,
-        k: usize,
-        marks: &mut EpochMarks,
-        dq: &mut Vec<f64>,
-        trace: &mut crate::telemetry::QueryTrace,
-        best: &mut BinaryHeap<(TotalF64, ObjectId)>,
-    ) {
-        let bound = if best.len() < k {
-            f64::INFINITY
-        } else {
-            best.peek().unwrap().0 .0
-        };
-        let mut kb = 0u64;
-        let mut emit = |o: ObjectId, d: f64| {
-            if !self.object_has(o, term) || !d.is_finite() {
-                return;
-            }
-            // (distance, id) tie-break — see `IpTree::knn_from_ascent`.
-            if best.len() < k || (TotalF64(d), o) < *best.peek().unwrap() {
-                best.push((TotalF64(d), o));
-                if best.len() > k {
-                    best.pop();
-                }
-                kb += 1;
-            }
-        };
-        tree.scan_leaf(
+        // The walk counts bound checks; this query has no stats surface
+        // to report them on.
+        tree.best_first(
             q,
+            k,
             &self.objects,
-            leaf,
-            vec,
-            asc,
-            bound,
-            marks,
-            dq,
-            trace,
-            &mut emit,
-        );
-        if trace.active() {
-            trace.kbest_updates += kb;
-        }
+            |n| self.subtree_has(n, term),
+            |o| self.object_has(o, term),
+            scratch,
+            &mut QueryStats::default(),
+        )
     }
 }
 
@@ -422,9 +278,8 @@ fn adjust_term_counts(
     terms: &[TermId],
     delta: i64,
 ) {
-    let mut cur = leaf;
-    loop {
-        let counts = &mut node_terms[cur as usize];
+    for n in tree.ancestors(leaf) {
+        let counts = &mut node_terms[n as usize];
         for &t in terms {
             let c = counts.entry(t).or_insert(0);
             *c = (*c as i64 + delta) as u32;
@@ -432,11 +287,6 @@ fn adjust_term_counts(
                 counts.remove(&t);
             }
         }
-        let parent = tree.node(cur).parent;
-        if parent == NO_NODE {
-            break;
-        }
-        cur = parent;
     }
 }
 
@@ -445,6 +295,7 @@ mod tests {
     use super::*;
     use crate::tree::VipTreeConfig;
     use indoor_synth::{random_venue, workload};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn label_for(i: usize) -> Vec<String> {
@@ -490,6 +341,69 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The keyword walk is the kNN walk plus two filters that touch
+        /// no distance: when every object carries the label they pass
+        /// everything, so keyword kNN is plain kNN bit for bit — before
+        /// and after the same delta history on both stores — and a label
+        /// nothing carries (any more) answers empty.
+        #[test]
+        fn every_object_labelled_is_plain_knn(
+            seed in 0u64..2_000,
+            ops in proptest::collection::vec((0u8..3, 0usize..1_000, 0usize..40), 0..24),
+        ) {
+            let venue = Arc::new(random_venue(seed));
+            let tree = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            let pool = workload::place_objects(&venue, 40, seed ^ 0x7);
+            let all = || vec!["all".to_string()];
+            let mut labelled: Vec<_> = pool[..20].iter().map(|p| (*p, all())).collect();
+            labelled[0].1.push("rare".into());
+            tree.attach_objects(&pool[..20]);
+            let mut kw = KeywordObjects::build(&tree, &labelled);
+
+            // One history for both stores. It opens by removing the only
+            // carrier of "rare" and never empties the live set.
+            let mut live: Vec<u32> = (1..20).collect();
+            let mut history = vec![ObjectDelta::Remove { id: ObjectId(0) }];
+            for &(op, pick, at) in &ops {
+                let slot = pick % live.len();
+                let (fresh, to) = (ObjectId(20 + history.len() as u32), pool[at]);
+                history.push(match op {
+                    1 if live.len() > 1 => ObjectDelta::Remove { id: ObjectId(live.swap_remove(slot)) },
+                    2 => ObjectDelta::Move { id: ObjectId(live[slot]), to },
+                    _ => {
+                        live.push(fresh.0);
+                        ObjectDelta::Insert { id: fresh, at: to }
+                    }
+                });
+            }
+
+            let bits = |v: Vec<(ObjectId, f64)>| -> Vec<(u32, u64)> {
+                v.into_iter().map(|(o, d)| (o.0, d.to_bits())).collect()
+            };
+            let mut scratch = QueryScratch::new();
+            for (gone, history) in [("never-seen", history), ("rare", Vec::new())] {
+                for q in workload::query_points(&venue, 5, seed ^ 0x51) {
+                    for k in [1, 3, 10, 64] {
+                        let plain = tree.knn_in(&q, k, &mut scratch);
+                        let keyed = kw.knn_keyword_in(&tree, &q, k, "all", &mut scratch);
+                        prop_assert_eq!(bits(keyed), bits(plain), "seed {} k {}", seed, k);
+                        let none = kw.knn_keyword_in(&tree, &q, k, gone, &mut scratch);
+                        prop_assert!(none.is_empty(), "seed {}: {:?} carry {}", seed, none, gone);
+                    }
+                }
+                tree.apply_object_deltas(&history).unwrap();
+                let labelled: Vec<ObjectUpdate> = history
+                    .into_iter()
+                    .map(|delta| ObjectUpdate { delta, labels: all() })
+                    .collect();
+                kw.apply_delta(&tree, &labelled).unwrap();
             }
         }
     }

@@ -15,14 +15,13 @@
 //! computed into a reused scratch buffer before being appended to the
 //! arena.
 
-use crate::ascent::Ascent;
+use crate::ascent::{Ascent, Climber};
 use crate::exec::{EpochMarks, QueryScratch};
 use crate::objects::ObjectIndex;
 use crate::tree::{IpTree, NodeIdx};
 use geometry::TotalF64;
 use indoor_model::{IndoorPoint, ObjectId, QueryStats};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A bump arena of access-door distance vectors.
 ///
@@ -213,50 +212,8 @@ impl IpTree {
         self.range_stats(q, radius, scratch, &mut QueryStats::default())
     }
 
-    pub fn knn_with_stats(
-        &self,
-        q: &IndoorPoint,
-        k: usize,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        let mut scratch = self.scratch.checkout();
-        self.knn_stats(q, k, &mut scratch, stats)
-    }
-
-    pub fn range_with_stats(
-        &self,
-        q: &IndoorPoint,
-        radius: f64,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        let mut scratch = self.scratch.checkout();
-        self.range_stats(q, radius, &mut scratch, stats)
-    }
-
-    pub(crate) fn knn_stats(
-        &self,
-        q: &IndoorPoint,
-        k: usize,
-        scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        self.ascend_into(q, self.root(), &mut scratch.asc_s);
-        self.knn_from_ascent(q, k, scratch, stats)
-    }
-
-    pub(crate) fn range_stats(
-        &self,
-        q: &IndoorPoint,
-        radius: f64,
-        scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        self.ascend_into(q, self.root(), &mut scratch.asc_s);
-        self.range_from_ascent(q, radius, scratch, stats)
-    }
-
-    /// Algorithm 5 over the ascent already recorded in `scratch.asc_s`
-    /// (the VIP-tree records a table-backed one).
+    /// kNN over the attached object set, from the ascent already recorded
+    /// in `scratch.asc_s` (either climber's).
     pub(crate) fn knn_from_ascent(
         &self,
         q: &IndoorPoint,
@@ -272,6 +229,26 @@ impl IpTree {
         if k == 0 || oi.num_live() == 0 {
             return Vec::new();
         }
+        let holds = |n: NodeIdx| oi.subtree_count[n as usize] != 0;
+        self.best_first(q, k, oi, holds, |_| true, scratch, stats)
+    }
+
+    /// Algorithm 5: the `k >= 1` nearest objects of `oi` that `may_be`
+    /// answers, best-first over the ascent already recorded in
+    /// `scratch.asc_s`, descending only into children that `may_hold` one.
+    /// The two filters are all that tells a plain kNN from a keyword kNN;
+    /// neither touches a distance.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn best_first(
+        &self,
+        q: &IndoorPoint,
+        k: usize,
+        oi: &ObjectIndex,
+        may_hold: impl Fn(NodeIdx) -> bool,
+        may_be: impl Fn(ObjectId) -> bool,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+    ) -> Vec<(ObjectId, f64)> {
         let QueryScratch {
             asc_s,
             arena,
@@ -287,30 +264,6 @@ impl IpTree {
         let asc = &*asc_s;
         // Current k-best as a max-heap: peek() is d_k.
         best.clear();
-        let dk = |best: &BinaryHeap<(TotalF64, ObjectId)>| {
-            if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().unwrap().0 .0
-            }
-        };
-        // Tie-break by (distance, id): the k-best set is the k smallest
-        // pairs, independent of leaf-scan encounter order — which makes
-        // answers byte-identical across physically different layouts of
-        // the same live object set (delta-maintained vs rebuilt).
-        // Returns whether the candidate entered the k-best set.
-        let consider = |best: &mut BinaryHeap<(TotalF64, ObjectId)>, o: ObjectId, d: f64| {
-            if d.is_finite() && (best.len() < k || (TotalF64(d), o) < *best.peek().unwrap()) {
-                best.push((TotalF64(d), o));
-                if best.len() > k {
-                    best.pop();
-                }
-                true
-            } else {
-                false
-            }
-        };
-
         arena.seed(asc, step_handles);
         heap.clear();
         heap.push(Reverse((
@@ -323,74 +276,66 @@ impl IpTree {
         }
 
         while let Some(Reverse((TotalF64(mind), node_idx, handle))) = heap.pop() {
-            if mind > dk(best) {
+            let dk = if best.len() < k {
+                f64::INFINITY
+            } else {
+                best.peek().expect("k >= 1 answers held").0 .0
+            };
+            if mind > dk {
                 break;
             }
             stats.nodes_visited += 1;
-            let node = self.node(node_idx);
-            if node.is_leaf() {
+            if self.node(node_idx).is_leaf() {
                 let mut kb = 0u64;
+                // Tie-break by (distance, id): the k-best set is the k
+                // smallest pairs, independent of leaf-scan encounter order
+                // — which makes answers byte-identical across physically
+                // different layouts of the same live object set
+                // (delta-maintained vs rebuilt).
+                let mut consider = |o: ObjectId, d: f64| {
+                    if may_be(o)
+                        && d.is_finite()
+                        && (best.len() < k
+                            || (TotalF64(d), o) < *best.peek().expect("k >= 1 answers held"))
+                    {
+                        best.push((TotalF64(d), o));
+                        if best.len() > k {
+                            best.pop();
+                        }
+                        kb += 1;
+                    }
+                };
                 self.scan_leaf(
                     q,
                     oi,
                     node_idx,
                     arena.get(handle),
                     asc,
-                    dk(best),
+                    dk,
                     marks,
                     leaf_dq,
                     trace,
-                    &mut |o, d| {
-                        if consider(best, o, d) {
-                            kb += 1;
-                        }
-                    },
+                    &mut consider,
                 );
                 if trace.active() {
                     trace.kbest_updates += kb;
                 }
                 continue;
             }
-            for &child in &node.children {
-                if oi.subtree_count[child as usize] == 0 {
-                    continue;
-                }
-                if let Some(step) = asc.step_for(self, child) {
-                    // Child contains q: mindist 0, vector from the ascent.
-                    let h = step_handles[self.node(step.node).level as usize - 1];
-                    heap.push(Reverse((TotalF64(0.0), child, h)));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                    continue;
-                }
-                // Lemma 8/9: derive the child's vector from this node,
-                // unless a lower bound already rules the child out.
-                if !self.derive_child_vec_bounded(
-                    node_idx,
-                    child,
-                    handle,
-                    asc,
-                    arena,
-                    step_handles,
-                    dk(best),
-                    stats,
-                    trace,
-                    child_vec,
-                ) {
-                    continue;
-                }
-                let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-                if mind_c <= dk(best) {
-                    let h = arena.push(child_vec);
-                    heap.push(Reverse((TotalF64(mind_c), child, h)));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                } else if trace.active() {
-                    trace.nodes_pruned += 1;
-                }
-            }
+            // d_k only moves in leaf scans: one bound serves every child.
+            self.expand_children(
+                node_idx,
+                handle,
+                dk,
+                &may_hold,
+                asc,
+                arena,
+                step_handles,
+                child_vec,
+                stats,
+                trace,
+                |mind, child, h| heap.push(Reverse((TotalF64(mind), child, h))),
+            );
         }
 
         let th = trace.start();
@@ -400,6 +345,9 @@ impl IpTree {
         out
     }
 
+    /// Range over the attached object set, from the ascent already
+    /// recorded in `scratch.asc_s`: a plain DFS with the fixed bound
+    /// (Algorithm 5 with `d_k = radius`).
     pub(crate) fn range_from_ascent(
         &self,
         q: &IndoorPoint,
@@ -427,32 +375,21 @@ impl IpTree {
         let mut out: Vec<(ObjectId, f64)> = Vec::new();
         arena.seed(asc, step_handles);
 
-        // Plain DFS with the fixed bound (Algorithm 5 with d_k = r).
         stack.clear();
         stack.push((
+            0.0,
             self.root(),
             *step_handles.last().expect("ascent is non-empty"),
         ));
         if trace.active() {
             trace.nodes_pushed += 1;
         }
-        while let Some((node_idx, handle)) = stack.pop() {
+        while let Some((mind, node_idx, handle)) = stack.pop() {
             stats.nodes_visited += 1;
-            let node = self.node(node_idx);
-            let contains_q = asc.on_path(self, node_idx);
-            let mind = if contains_q {
-                0.0
-            } else {
-                arena
-                    .get(handle)
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min)
-            };
             if mind > radius {
                 continue;
             }
-            if node.is_leaf() {
+            if self.node(node_idx).is_leaf() {
                 let mut kb = 0u64;
                 self.scan_leaf(
                     q,
@@ -476,40 +413,19 @@ impl IpTree {
                 }
                 continue;
             }
-            for &child in &node.children {
-                if oi.subtree_count[child as usize] == 0 {
-                    continue;
-                }
-                if let Some(step) = asc.step_for(self, child) {
-                    let h = step_handles[self.node(step.node).level as usize - 1];
-                    stack.push((child, h));
-                    if trace.active() {
-                        trace.nodes_pushed += 1;
-                    }
-                    continue;
-                }
-                // A child whose lower bound already exceeds the radius
-                // cannot hold an in-range object; skip the derive.
-                if !self.derive_child_vec_bounded(
-                    node_idx,
-                    child,
-                    handle,
-                    asc,
-                    arena,
-                    step_handles,
-                    radius,
-                    stats,
-                    trace,
-                    child_vec,
-                ) {
-                    continue;
-                }
-                let h = arena.push(child_vec);
-                stack.push((child, h));
-                if trace.active() {
-                    trace.nodes_pushed += 1;
-                }
-            }
+            self.expand_children(
+                node_idx,
+                handle,
+                radius,
+                |n| oi.subtree_count[n as usize] != 0,
+                asc,
+                arena,
+                step_handles,
+                child_vec,
+                stats,
+                trace,
+                |mind, child, h| stack.push((mind, child, h)),
+            );
         }
         let th = trace.start();
         out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -525,7 +441,7 @@ impl IpTree {
     /// the double loop streams one cache-aligned row slice per base door.
     /// Writes into `out` so callers can reuse one scratch buffer across
     /// the traversal.
-    pub(crate) fn derive_child_vec_slab_into(
+    fn derive_child_vec_slab_into(
         &self,
         parent: NodeIdx,
         base_rows: &[u32],
@@ -552,80 +468,103 @@ impl IpTree {
         }
     }
 
-    /// The child step shared by kNN, range and keyword kNN: derive
-    /// `child`'s access-door vector from `node` (popped with vector
-    /// `handle`) into `out`, unless an admissible lower bound already
-    /// exceeds `bound` — then the child is counted as pruned and `false`
-    /// is returned without touching a matrix row.
+    /// The child step of Algorithm 5, spelled once for the best-first
+    /// loop and range's DFS: offer to `push`, as `(mindist, child, vector
+    /// handle)`, every child of the popped `node` (vector `handle`) that
+    /// `may_hold` an answer and lies within `bound`.
     ///
-    /// The base is the sibling on q's path when `node` contains q (Lemma
-    /// 8), else `node`'s own access doors (Lemma 9); base rows are column
-    /// ordinals in `node`'s slab (inner matrices are square, so column
-    /// ordinals double as row indices). Bounds, cheapest first: the PL
-    /// table's O(1) floor `base_min + kid_lb(child)`, then the exact
-    /// per-row fold `min_bi base[bi] + rowmin(child)[row(bi)]`. Neither
-    /// exceeds any derived entry (each summand lower-bounds its factor
-    /// exactly and fl(+) is monotone non-decreasing), so a child failing
-    /// either would fail `mind_c <= bound` too.
+    /// A child containing q has mindist 0 and its vector from the ascent.
+    /// Any other child's vector is derived from `node`'s matrix — unless
+    /// an admissible lower bound already exceeds `bound`: then the child
+    /// is counted as pruned without touching a matrix row. The base is
+    /// the sibling on q's path when `node` contains q (Lemma 8), else
+    /// `node`'s own access doors (Lemma 9); base rows are column ordinals
+    /// in `node`'s slab (inner matrices are square, so column ordinals
+    /// double as row indices). Bounds, cheapest first: the PL table's O(1)
+    /// floor `base_min + kid_lb(child)`, then the exact per-row fold
+    /// `min_bi base[bi] + rowmin(child)[row(bi)]`. Neither exceeds any
+    /// derived entry (each summand lower-bounds its factor exactly and
+    /// fl(+) is monotone non-decreasing), so a child failing either would
+    /// fail `mind_c <= bound` too.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn derive_child_vec_bounded(
+    fn expand_children(
         &self,
         node: NodeIdx,
-        child: NodeIdx,
         handle: u32,
-        asc: &Ascent,
-        arena: &DistArena,
-        step_handles: &[u32],
         bound: f64,
+        may_hold: impl Fn(NodeIdx) -> bool,
+        asc: &Ascent,
+        arena: &mut DistArena,
+        step_handles: &[u32],
+        child_vec: &mut Vec<f64>,
         stats: &mut QueryStats,
         trace: &mut crate::telemetry::QueryTrace,
-        out: &mut Vec<f64>,
-    ) -> bool {
+        mut push: impl FnMut(f64, NodeIdx, u32),
+    ) {
         let (base_rows, base_handle) = if asc.on_path(self, node) {
-            let sib = self.child_towards(node, asc.steps()[0].node);
-            debug_assert_ne!(sib, child);
-            debug_assert!(asc.on_path(self, sib), "sibling on ascent path");
-            (
-                self.slabs.kid_cols_of(sib),
-                step_handles[self.node(sib).level as usize - 1],
-            )
+            // Steps are level-indexed: the one below `node`'s is its child
+            // on q's path.
+            let below = self.node(node).level as usize - 2;
+            let sib = asc.steps()[below].node;
+            (self.slabs.kid_cols_of(sib), step_handles[below])
         } else {
             (self.slabs.own_cols_of(node), handle)
         };
-        let base_vec = arena.get(base_handle);
-        let rowmin = self.slabs.kid_rowmin_of(child);
-        let mut base_min = f64::INFINITY;
-        let mut lb = f64::INFINITY;
-        for (&b, &r) in base_vec.iter().zip(base_rows) {
-            if b < base_min {
-                base_min = b;
+        for &child in &self.node(node).children {
+            if !may_hold(child) {
+                continue;
             }
-            if b.is_finite() {
-                let v = b + rowmin[r as usize];
-                if v < lb {
-                    lb = v;
+            let (mind, h) = if let Some(step) = asc.step_for(self, child) {
+                (0.0, step_handles[self.node(step.node).level as usize - 1])
+            } else {
+                let base_vec = arena.get(base_handle);
+                let rowmin = self.slabs.kid_rowmin_of(child);
+                let mut base_min = f64::INFINITY;
+                let mut lb = f64::INFINITY;
+                for (&b, &r) in base_vec.iter().zip(base_rows) {
+                    if b < base_min {
+                        base_min = b;
+                    }
+                    if b.is_finite() {
+                        let v = b + rowmin[r as usize];
+                        if v < lb {
+                            lb = v;
+                        }
+                    }
                 }
-            }
-        }
-        stats.bound_candidates += 1;
-        if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
-            stats.bound_pruned += 1;
+                stats.bound_candidates += 1;
+                if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
+                    stats.bound_pruned += 1;
+                    if trace.active() {
+                        trace.nodes_pruned += 1;
+                    }
+                    continue;
+                }
+                if trace.active() {
+                    trace.slab_rows += base_rows.len() as u64;
+                }
+                self.derive_child_vec_slab_into(node, base_rows, base_vec, child, child_vec);
+                let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
+                if mind_c <= bound {
+                    (mind_c, arena.push(child_vec))
+                } else {
+                    if trace.active() {
+                        trace.nodes_pruned += 1;
+                    }
+                    continue;
+                }
+            };
+            push(mind, child, h);
             if trace.active() {
-                trace.nodes_pruned += 1;
+                trace.nodes_pushed += 1;
             }
-            return false;
         }
-        if trace.active() {
-            trace.slab_rows += base_rows.len() as u64;
-        }
-        self.derive_child_vec_slab_into(node, base_rows, base_vec, child, out);
-        true
     }
 
     /// Report candidate objects of one leaf through `emit(obj, exact_dist)`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_leaf(
+    fn scan_leaf(
         &self,
         q: &IndoorPoint,
         oi: &ObjectIndex,
@@ -702,90 +641,6 @@ mod tests {
     use indoor_synth::{random_venue, workload};
     use proptest::prelude::*;
     use std::sync::Arc;
-
-    #[test]
-    #[ignore]
-    fn profile_mc_knn_phases() {
-        use std::time::Instant;
-        let venue = Arc::new(indoor_synth::presets::melbourne_central().build());
-        let objects = workload::place_objects(&venue, 200, 0xB0B);
-        let tree = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
-        tree.attach_objects(&objects);
-        let points = workload::query_points(&venue, 300, 0x9E);
-        for q in &points {
-            std::hint::black_box(tree.knn(q, 5));
-        }
-        let t0 = Instant::now();
-        for q in &points {
-            std::hint::black_box(tree.knn(q, 5));
-        }
-        let total = t0.elapsed();
-        let ip = tree.ip_tree();
-        let mut scratch = ip.scratch.checkout();
-        let t0 = Instant::now();
-        for q in &points {
-            tree.ascend_via_tables_into(q, ip.root(), &mut scratch.asc_s);
-            std::hint::black_box(scratch.asc_s.steps().len());
-        }
-        let asc_t = t0.elapsed();
-        let t0 = Instant::now();
-        for q in &points {
-            tree.ascend_via_tables_into(q, ip.root(), &mut scratch.asc_s);
-            let leaf = scratch.asc_s.steps()[0].node;
-            let node = ip.node(leaf);
-            let targets: Vec<u32> = node.doors.iter().map(|d| d.0).collect();
-            let mut engine = ip.engines.checkout();
-            engine.run(
-                venue.d2d(),
-                &q.door_seeds(&venue),
-                indoor_graph::Termination::SettleAll(&targets),
-            );
-            std::hint::black_box(engine.settled_distance(targets[0]));
-        }
-        let leaf_t = t0.elapsed();
-        let oi = ip.object_index().unwrap();
-        let t0 = Instant::now();
-        for q in &points {
-            tree.ascend_via_tables_into(q, ip.root(), &mut scratch.asc_s);
-            let leaf = scratch.asc_s.steps()[0].node;
-            let Some(data) = oi.leaf_data.get(&leaf) else {
-                continue;
-            };
-            let mut targets: Vec<u32> = Vec::new();
-            for (slot, oid) in data.objs.iter().enumerate() {
-                if !data.live[slot] {
-                    continue;
-                }
-                let o = oi.object(*oid);
-                for &door in &venue.partition(o.partition).doors {
-                    targets.push(door.0);
-                }
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            let mut engine = ip.engines.checkout();
-            engine.run(
-                venue.d2d(),
-                &q.door_seeds(&venue),
-                indoor_graph::Termination::SettleAll(&targets),
-            );
-            std::hint::black_box(targets.len());
-        }
-        let obj_t = t0.elapsed();
-        let t0 = Instant::now();
-        for q in &points {
-            std::hint::black_box(tree.range(q, 150.0));
-        }
-        let range_t = t0.elapsed();
-        eprintln!(
-            "knn total {:.2}us  ascent {:.2}us  ascent+ownleaf-dijkstra {:.2}us  objdoor-dijkstra {:.2}us  range total {:.2}us",
-            total.as_secs_f64() * 1e6 / 300.0,
-            asc_t.as_secs_f64() * 1e6 / 300.0,
-            leaf_t.as_secs_f64() * 1e6 / 300.0,
-            obj_t.as_secs_f64() * 1e6 / 300.0,
-            range_t.as_secs_f64() * 1e6 / 300.0,
-        );
-    }
 
     #[test]
     fn arena_handles_round_trip() {

@@ -295,15 +295,7 @@ impl ObjectIndex {
 
         let mut subtree_count = vec![0u32; tree.num_nodes()];
         for (&leaf, objs) in &by_leaf {
-            let mut cur = leaf;
-            loop {
-                subtree_count[cur as usize] += objs.len() as u32;
-                let parent = tree.node(cur).parent;
-                if parent == NO_NODE {
-                    break;
-                }
-                cur = parent;
-            }
+            adjust_counts(tree, &mut subtree_count, leaf, objs.len() as i64);
         }
 
         let mut leaf_builds = 0u64;
@@ -576,15 +568,9 @@ fn dist_row(tree: &IpTree, leaf: NodeIdx, o: &IndoorPoint, row: &mut [f64]) {
 
 /// Add `delta` to the subtree object count of `leaf` and every ancestor.
 fn adjust_counts(tree: &IpTree, counts: &mut [u32], leaf: NodeIdx, delta: i64) {
-    let mut cur = leaf;
-    loop {
-        let c = &mut counts[cur as usize];
+    for n in tree.ancestors(leaf) {
+        let c = &mut counts[n as usize];
         *c = (*c as i64 + delta) as u32;
-        let parent = tree.node(cur).parent;
-        if parent == NO_NODE {
-            break;
-        }
-        cur = parent;
     }
 }
 

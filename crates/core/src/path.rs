@@ -16,7 +16,7 @@
 
 use crate::ascent::{Ascent, Provenance};
 use crate::tree::{IpTree, NodeIdx};
-use indoor_graph::{Termination, NO_VERTEX};
+use indoor_graph::{DijkstraEngine, Termination};
 use indoor_model::DoorId;
 
 /// A partial edge: shortest sub-path from `from` to `to` whose matrix
@@ -26,6 +26,13 @@ pub(crate) struct PartialEdge {
     pub from: DoorId,
     pub to: DoorId,
     pub ctx: NodeIdx,
+}
+
+/// The door sequence Dijkstra's parent pointers hold from a source of the
+/// engine's last run to the labelled door `end`, inclusive.
+pub(crate) fn door_chain(engine: &DijkstraEngine, end: u32) -> Vec<DoorId> {
+    let chain = engine.path_to(end).expect("chain end is labelled");
+    chain.into_iter().map(DoorId).collect()
 }
 
 impl IpTree {
@@ -75,43 +82,31 @@ impl IpTree {
     }
 
     /// Assemble the full door sequence for a cross-leaf path: the source
-    /// ascent chain, the LCA middle edge, and the reversed target chain,
-    /// each partial edge expanded via Algorithm 4.
-    pub(crate) fn recover_cross_leaf_path(
+    /// chain up to access door `di`, the middle edge `di → dj` in `lca`'s
+    /// matrix, and the reversed target chain, each partial edge expanded
+    /// via Algorithm 4. A chain is `(entry door, partial edges bottom-up)`.
+    pub(crate) fn cross_leaf_path(
         &self,
-        asc_s: &Ascent,
-        i: usize,
-        asc_t: &Ascent,
-        j: usize,
+        (s_entry, s_edges): (DoorId, Vec<PartialEdge>),
+        (di, dj, lca): (DoorId, DoorId, NodeIdx),
+        (t_entry, t_edges): (DoorId, Vec<PartialEdge>),
     ) -> Vec<DoorId> {
-        let (s_entry, s_edges) = self.replay_ascent(asc_s, i);
-        let (t_entry, t_edges) = self.replay_ascent(asc_t, j);
-        let ns = asc_s.last().node;
-        let nt = asc_t.last().node;
-        let di = self.node(ns).access_doors[i];
-        let dj = self.node(nt).access_doors[j];
-        let lca = self.node(ns).parent;
-        debug_assert_eq!(lca, self.node(nt).parent);
-
-        let mut seq: Vec<DoorId> = vec![s_entry];
-        let push_expanded = |seq: &mut Vec<DoorId>, full: Vec<DoorId>| {
+        let push_edge = |seq: &mut Vec<DoorId>, from: DoorId, to: DoorId, ctx: NodeIdx| {
+            let full = self.expand(from, to, Some(ctx));
             debug_assert_eq!(full.first(), seq.last());
             seq.extend_from_slice(&full[1..]);
         };
+        let mut seq: Vec<DoorId> = vec![s_entry];
         for e in &s_edges {
-            let full = self.expand(e.from, e.to, Some(e.ctx));
-            push_expanded(&mut seq, full);
+            push_edge(&mut seq, e.from, e.to, e.ctx);
         }
         if di != dj {
-            let full = self.expand(di, dj, Some(lca));
-            push_expanded(&mut seq, full);
+            push_edge(&mut seq, di, dj, lca);
         }
         // Target side: edges lead t → dj; reverse each and their order.
         let mut tail: Vec<DoorId> = vec![t_entry];
         for e in &t_edges {
-            let full = self.expand(e.from, e.to, Some(e.ctx));
-            debug_assert_eq!(full.first(), tail.last());
-            tail.extend_from_slice(&full[1..]);
+            push_edge(&mut tail, e.from, e.to, e.ctx);
         }
         tail.reverse(); // now dj .. t_entry
         debug_assert_eq!(tail.first(), Some(&dj));
@@ -235,16 +230,7 @@ impl IpTree {
             &[(a.0, 0.0)],
             Termination::SettleAll(&[b.0]),
         );
-        let mut seq: Vec<DoorId> = Vec::new();
-        let mut cur = b.0;
-        loop {
-            seq.push(DoorId(cur));
-            match engine.parent(cur) {
-                Some(p) if p != NO_VERTEX => cur = p,
-                _ => break,
-            }
-        }
-        seq.reverse();
+        let seq = door_chain(&engine, b.0);
         debug_assert_eq!(seq.first(), Some(&a));
         seq
     }

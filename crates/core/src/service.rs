@@ -99,8 +99,8 @@ use crate::persist::wal::{self, VenueWal, WalRecord, LSN_CREATE, LSN_REMOVE};
 use crate::persist::PersistError;
 use crate::tree::BuildError;
 use indoor_model::{
-    DeltaError, IndoorPoint, ObjectDelta, ObjectUpdate, QueryKind, QueryRequest, QueryResponse,
-    Venue, VenueId,
+    DeltaError, IndoorPoint, ObjectDelta, ObjectUpdate, PartitionId, QueryKind, QueryRequest,
+    QueryResponse, Venue, VenueId,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -294,6 +294,9 @@ pub enum ServiceError {
     /// The request named a venue id no shard is registered under (never
     /// registered, or removed).
     UnknownVenue(VenueId),
+    /// A query point named a partition the venue does not have. The
+    /// query did not execute.
+    OutOfVenue(VenueId, PartitionId),
     /// An object delta batch failed validation; the venue's object set is
     /// untouched.
     Delta(VenueId, DeltaError),
@@ -335,6 +338,9 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::UnknownVenue(v) => write!(f, "no venue registered under id {v}"),
+            ServiceError::OutOfVenue(v, p) => {
+                write!(f, "query point names partition {p} outside venue {v}")
+            }
             ServiceError::Delta(v, e) => write!(f, "object delta rejected for venue {v}: {e}"),
             ServiceError::Build(e) => write!(f, "cannot build venue index: {e}"),
             ServiceError::Persist(v, e) => {
@@ -381,6 +387,7 @@ impl PartialEq for ServiceError {
         use ServiceError::*;
         match (self, other) {
             (UnknownVenue(a), UnknownVenue(b)) => a == b,
+            (OutOfVenue(v, p), OutOfVenue(w, q)) => v == w && p == q,
             (Delta(v, e), Delta(w, f)) => v == w && e == f,
             (Build(a), Build(b)) => a == b,
             // PersistError is not PartialEq (it wraps io::Error); the
@@ -449,6 +456,22 @@ struct AdmissionControl {
 }
 
 impl Shard {
+    /// Where outside input meets the shard: every point of a request must
+    /// name a partition of the venue — the tree indexes its
+    /// partition → leaf map unguarded.
+    fn check_points(&self, venue: VenueId, req: &QueryRequest) -> Result<(), ServiceError> {
+        use QueryRequest::*;
+        let n = self.engine.tree().ip().venue().num_partitions();
+        let (a, b) = match req {
+            Knn { q, .. } | Range { q, .. } | KnnKeyword { q, .. } => (q, q),
+            ShortestDistance { s, t } | ShortestPath { s, t } => (s, t),
+        };
+        match [a, b].iter().find(|p| p.partition.index() >= n) {
+            Some(p) => Err(ServiceError::OutOfVenue(venue, p.partition)),
+            None => Ok(()),
+        }
+    }
+
     /// Take an admission permit of `weight`, or the typed overload error.
     /// `Ok(None)` means the shard is unbounded.
     fn admit(
@@ -1128,6 +1151,7 @@ impl IndoorService {
         req: &QueryRequest,
     ) -> Result<QueryResponse, ServiceError> {
         let shard = self.shard(venue)?;
+        shard.check_points(venue, req)?;
         let _permit = shard.admit(venue, 1)?;
         let t0 = Instant::now();
         let engine = &shard.engine;
@@ -1266,6 +1290,12 @@ impl IndoorService {
             let mut cache = shard.cache.lock().expect("cache poisoned");
             for &slot in slots {
                 let req = &reqs[slot].1;
+                // A bad slot answers its error; the rest of the share
+                // answers normally.
+                if let Err(e) = shard.check_points(venue, req) {
+                    answered.push((slot, Err(e)));
+                    continue;
+                }
                 match cache.probe(req, stamps.for_kind(req.kind())) {
                     Some(resp) => hits.push((slot, resp)),
                     None => miss_slots.push(slot),

@@ -22,7 +22,10 @@ use crate::persist::wal::{self, VenueWal, WalRecord};
 use crate::tree::{BuildError, VipTreeConfig};
 use crate::vip::VipTree;
 use indoor_model::wire::{WireReader, WireWriter};
-use indoor_model::{IndoorPoint, LoadError, ObjectDelta, ObjectId, ObjectUpdate, Venue, VenueId};
+use indoor_model::{
+    DeltaError, IndoorPoint, LoadError, ObjectDelta, ObjectId, ObjectUpdate, PartitionId, Venue,
+    VenueId,
+};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -269,6 +272,21 @@ impl Seed {
     }
 }
 
+/// The first of `points` naming a partition `venue` does not have.
+/// Checked once where an outside object set meets a shard — both seeds of
+/// [`Shard::build`], an attach in [`Shard::apply`] (delta batches are
+/// checked by their own validation) — because the tree indexes its
+/// partition → leaf map unguarded.
+fn first_outside<'a>(
+    venue: &Venue,
+    points: impl IntoIterator<Item = (ObjectId, &'a IndoorPoint)>,
+) -> Option<(ObjectId, PartitionId)> {
+    let n = venue.num_partitions();
+    let mut points = points.into_iter();
+    let (id, p) = points.find(|(_, p)| p.partition.index() >= n)?;
+    Some((id, p.partition))
+}
+
 /// One venue's serving state.
 #[derive(Debug)]
 pub(crate) struct Shard {
@@ -354,6 +372,11 @@ impl Shard {
         config: &ShardConfig,
         seed: Seed,
     ) -> Result<Shard, BuildError> {
+        let objects = seed.objects.iter().flatten().map(|(id, p)| (*id, p));
+        let keywords = seed.keywords.iter().flatten().map(|(id, p, _)| (*id, p));
+        if let Some((id, p)) = first_outside(&venue, objects.chain(keywords)) {
+            return Err(BuildError::BadPartition(id, p));
+        }
         let tree = VipTree::build(venue, &config.tree)?;
         if let Some(objects) = seed.objects {
             tree.attach_objects_with_ids(&objects);
@@ -514,10 +537,17 @@ impl Shard {
             Attach(ObjectIndex),
         }
         let ip = self.engine.tree().ip();
+        let invalid = |e| ServiceError::Delta(venue, e);
         // A replacement set depends on nothing the mutex orders: build it
         // first, so other updaters never wait out an index build.
         let replacement = match &mutation {
-            Mutation::Attach(objects) => Some(ObjectIndex::build(ip, objects)),
+            Mutation::Attach(objects) => {
+                let ids = (0..).map(ObjectId);
+                if let Some((id, p)) = first_outside(ip.venue(), ids.zip(objects.iter())) {
+                    return Err(invalid(DeltaError::BadPartition(id, p)));
+                }
+                Some(ObjectIndex::build(ip, objects))
+            }
             _ => None,
         };
         let mut journal = self.journal.lock().expect("journal lock");
@@ -532,7 +562,6 @@ impl Shard {
             }
             _ => version + 1,
         };
-        let invalid = |e| ServiceError::Delta(venue, e);
         let staged = match &mutation {
             // Holds the tree's updater mutex until installed or dropped.
             Mutation::Deltas(deltas) => {

@@ -32,9 +32,18 @@ fn unknown_venue_is_an_error() {
         service.execute(bogus, &req),
         Err(ServiceError::UnknownVenue(bogus))
     );
-    let batch = service.execute_batch(&[(bogus, req.clone()), (id, req)]);
+    // So is a point outside the venue — typed, not an index panic.
+    let nowhere = indoor_model::PartitionId(u32::MAX - 1);
+    let outside = QueryRequest::ShortestPath {
+        s: q,
+        t: IndoorPoint::new(nowhere, geometry::Point::new(0.0, 0.0, 0)),
+    };
+    let out_of_venue = Err(ServiceError::OutOfVenue(id, nowhere));
+    assert_eq!(service.execute(id, &outside), out_of_venue);
+    let batch = service.execute_batch(&[(bogus, req.clone()), (id, outside), (id, req)]);
     assert_eq!(batch[0], Err(ServiceError::UnknownVenue(bogus)));
-    assert!(batch[1].is_ok());
+    assert_eq!(batch[1], out_of_venue);
+    assert!(batch[2].is_ok());
 }
 
 #[test]
@@ -598,7 +607,7 @@ fn expected_lsn_gap_and_duplicate_refuse_and_leave_the_shard_untouched() {
 }
 
 /// Validate → journal → install: a batch that fails validation never
-/// reaches the log, on either delta vocabulary.
+/// reaches the log, on either delta vocabulary or as an attach.
 #[test]
 fn invalid_batch_on_a_durable_shard_appends_nothing() {
     use crate::persist::storage::FaultStorage;
@@ -632,8 +641,16 @@ fn invalid_batch_on_a_durable_shard_appends_nothing() {
         service.update_keyword_objects(id, &[labelled_ghost]),
         Err(ServiceError::Delta(..))
     ));
+    let nowhere = indoor_model::PartitionId(u32::MAX - 1);
+    let outside = IndoorPoint::new(nowhere, geometry::Point::new(0.0, 0.0, 0));
+    let bad_partition = DeltaError::BadPartition(ObjectId(1), nowhere);
+    assert_eq!(
+        service.attach_objects(id, &[workload::place_objects(&venue, 1, 9)[0], outside]),
+        Err(ServiceError::Delta(id, bad_partition))
+    );
     assert_eq!(storage.file_len(&log).unwrap(), len, "WAL grew");
     assert_eq!(service.version(id).unwrap(), 1);
+    assert_eq!(service.epoch(id).unwrap(), 0);
     // The next valid batch takes the LSN the rejected ones never used.
     let [valid, ..] = one_of_each(&venue);
     assert_eq!(service.mutate(id, valid).unwrap().0, 2);

@@ -1,4 +1,4 @@
-use indoor_model::{DoorId, PartitionId, Venue};
+use indoor_model::{DoorId, ObjectId, PartitionId, Venue};
 use std::sync::Arc;
 
 /// Index of a node within an [`IpTree`]'s node array.
@@ -52,12 +52,18 @@ impl VipTreeConfig {
 pub enum BuildError {
     /// `min_degree` must be at least 2.
     BadMinDegree(usize),
+    /// A seed object of a service shard names a partition the venue does
+    /// not have.
+    BadPartition(ObjectId, PartitionId),
 }
 
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::BadMinDegree(t) => write!(f, "min_degree must be >= 2, got {t}"),
+            BuildError::BadPartition(id, p) => {
+                write!(f, "seed object {id} names partition {p} outside the venue")
+            }
         }
     }
 }
@@ -258,19 +264,8 @@ impl IpTree {
 
     /// Walk from `node` to the root, inclusive.
     pub fn ancestors(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
-        let mut cur = node;
-        let mut done = false;
-        std::iter::from_fn(move || {
-            if done {
-                return None;
-            }
-            let out = cur;
-            if cur == self.root {
-                done = true;
-            } else {
-                cur = self.nodes[cur as usize].parent;
-            }
-            Some(out)
+        std::iter::successors(Some(node), move |&n| {
+            Some(self.node(n).parent).filter(|&p| p != NO_NODE)
         })
     }
 

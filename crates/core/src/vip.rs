@@ -7,7 +7,7 @@
 //! two table lookups instead of an ascent, giving O(ρ²) shortest-distance
 //! and O(ρ² + w) expected shortest-path cost (Table 1).
 
-use crate::ascent::{Ascent, Provenance};
+use crate::ascent::{Ascent, Climber, Provenance};
 use crate::path::PartialEdge;
 use crate::tree::{BuildError, IpTree, NodeIdx, VipTreeConfig, NO_NODE};
 use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId, QueryStats, Venue};
@@ -253,26 +253,6 @@ impl VipTree {
         self.shortest_distance_stats(s, t, scratch, &mut QueryStats::default())
     }
 
-    pub(crate) fn shortest_distance_stats(
-        &self,
-        s: &IndoorPoint,
-        t: &IndoorPoint,
-        scratch: &mut crate::QueryScratch,
-        stats: &mut QueryStats,
-    ) -> Option<f64> {
-        stats.queries += 1;
-        let ip = &self.ip;
-        let leaf_s = ip.leaf_of(s.partition);
-        let leaf_t = ip.leaf_of(t.partition);
-        if leaf_s == leaf_t {
-            return ip.same_leaf_route(s, t).map(|(d, _)| d);
-        }
-        stats.door_pairs +=
-            (ip.superior_doors(s.partition).len() * ip.superior_doors(t.partition).len()) as u64;
-        self.cross_leaf(s, t, leaf_s, leaf_t, scratch)
-            .map(|r| r.dist)
-    }
-
     /// §3.3: shortest path; the ascent chains come from the tables'
     /// argmins, everything else matches the IP-tree path algorithm.
     pub fn shortest_path_points(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<IndoorPath> {
@@ -287,52 +267,7 @@ impl VipTree {
         t: &IndoorPoint,
         scratch: &mut crate::QueryScratch,
     ) -> Option<IndoorPath> {
-        let ip = &self.ip;
-        let leaf_s = ip.leaf_of(s.partition);
-        let leaf_t = ip.leaf_of(t.partition);
-        if leaf_s == leaf_t {
-            let (length, doors) = ip.same_leaf_route(s, t)?;
-            return Some(IndoorPath {
-                source: *s,
-                target: *t,
-                doors,
-                length,
-            });
-        }
-        let r = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
-
-        // Source chain: s → via_s → ... → di; target chain reversed.
-        let mut seq: Vec<DoorId> = vec![r.via_s];
-        for e in self.table_chain(r.via_s, r.ns, r.i) {
-            let full = ip.expand(e.from, e.to, Some(e.ctx));
-            debug_assert_eq!(full.first(), seq.last());
-            seq.extend_from_slice(&full[1..]);
-        }
-        let di = ip.node(r.ns).access_doors[r.i];
-        let dj = ip.node(r.nt).access_doors[r.j];
-        if di != dj {
-            let lca = ip.node(r.ns).parent;
-            let full = ip.expand(di, dj, Some(lca));
-            debug_assert_eq!(full.first(), seq.last());
-            seq.extend_from_slice(&full[1..]);
-        }
-        let mut tail: Vec<DoorId> = vec![r.via_t];
-        for e in self.table_chain(r.via_t, r.nt, r.j) {
-            let full = ip.expand(e.from, e.to, Some(e.ctx));
-            debug_assert_eq!(full.first(), tail.last());
-            tail.extend_from_slice(&full[1..]);
-        }
-        tail.reverse();
-        debug_assert_eq!(tail.first(), Some(&dj));
-        seq.extend_from_slice(&tail[1..]);
-        seq.dedup();
-
-        Some(IndoorPath {
-            source: *s,
-            target: *t,
-            doors: seq,
-            length: r.dist,
-        })
+        self.shortest_path_between(s, t, scratch)
     }
 
     /// The minimising chain `door → ... → access door ad_idx of node`,
@@ -377,148 +312,20 @@ impl VipTree {
         edges
     }
 
-    fn cross_leaf(
-        &self,
-        s: &IndoorPoint,
-        t: &IndoorPoint,
-        leaf_s: NodeIdx,
-        leaf_t: NodeIdx,
-        scratch: &mut crate::QueryScratch,
-    ) -> Option<CrossLeaf> {
+    /// §3.1.2 in place of one Algorithm 2 level: append to `asc` the
+    /// step of chain node `n` — `p`'s distance to each of its access
+    /// doors through the superior doors' tables, one binary-searched table
+    /// row per superior door swept contiguously, the argmin door kept as
+    /// provenance for [`VipTree::table_chain`].
+    fn table_step_into(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent) {
         let ip = &self.ip;
-        let venue = &*ip.venue;
-        let lca = ip.lca(leaf_s, leaf_t);
-        let ns = ip.child_towards(lca, leaf_s);
-        let nt = ip.child_towards(lca, leaf_t);
-        // dist(s, di) for di ∈ AD(Ns) via the superior doors' tables; keep
-        // the argmin superior door for path recovery. The side buffers
-        // come from the scratch, cleared and refilled per query. One table
-        // row per superior door, swept contiguously; superior doors are
-        // visited in order and updates are strictly improving, so each
-        // access door keeps its first minimal superior door.
-        let side = |p: &IndoorPoint, n: NodeIdx, dists: &mut Vec<f64>, vias: &mut Vec<DoorId>| {
-            let n_ads = ip.node(n).access_doors.len();
-            dists.clear();
-            dists.resize(n_ads, f64::INFINITY);
-            vias.clear();
-            vias.resize(n_ads, DoorId(0));
-            for &u in ip.superior_doors(p.partition) {
-                let Some(row) = self.tables.dists_at(u.0, n) else {
-                    continue;
-                };
-                let du = p.distance_to_door(venue, u);
-                for (i, d) in dists.iter_mut().enumerate() {
-                    let cand = du + row[i];
-                    if cand < *d {
-                        *d = cand;
-                        vias[i] = u;
-                    }
-                }
-            }
-        };
-        let crate::QueryScratch {
-            sd_s: ds,
-            sd_t: dt,
-            via_s: vs,
-            via_t: vt,
-            ..
-        } = scratch;
-        side(s, ns, ds, vs);
-        side(t, nt, dt, vt);
-
-        let mut best = f64::INFINITY;
-        let mut bi = usize::MAX;
-        let mut bj = usize::MAX;
-        // Envelope early-exit over the LCA slab: a row whose floor
-        // `(ds[i] + env_min) + dt_min` already reaches the incumbent
-        // cannot improve it (floating-point rounding is monotone, so the
-        // floor never exceeds any candidate as computed) and is skipped
-        // without touching the matrix. Skips need `>=`, updates `<`, so
-        // best and both argmins are exactly the exhaustive scan's.
-        let kid_s = ip.slabs.kid_cols_of(ns);
-        let kid_t = ip.slabs.kid_cols_of(nt);
-        let env_min = ip.slabs.env_min(lca);
-        let dt_min = dt
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        for (i, &dsi) in ds.iter().enumerate() {
-            if !dsi.is_finite() || (dsi + env_min) + dt_min >= best {
+        let step = asc.push_step(n);
+        step.reset_sources(ip.node(n).access_doors.len());
+        for &u in ip.superior_doors(p.partition) {
+            let Some(row) = self.tables.dists_at(u.0, n) else {
                 continue;
-            }
-            let row = ip.slabs.row(lca, kid_s[i] as usize);
-            for (j, &dtj) in dt.iter().enumerate() {
-                if !dtj.is_finite() {
-                    continue;
-                }
-                let cand = dsi + row[kid_t[j] as usize] + dtj;
-                if cand < best {
-                    best = cand;
-                    bi = i;
-                    bj = j;
-                }
-            }
-        }
-        if !best.is_finite() {
-            return None;
-        }
-        Some(CrossLeaf {
-            dist: best,
-            ns,
-            nt,
-            i: bi,
-            j: bj,
-            via_s: vs[bi],
-            via_t: vt[bj],
-        })
-    }
-
-    /// Emulates Algorithm 2 using the tables, for the shared kNN engine:
-    /// distances from `p` to the access doors of every ancestor of its
-    /// leaf, written into a reusable [`Ascent`] buffer.
-    pub(crate) fn ascend_via_tables_into(
-        &self,
-        p: &IndoorPoint,
-        target: NodeIdx,
-        asc: &mut Ascent,
-    ) {
-        let ip = &self.ip;
-        let venue = &*ip.venue;
-        let sup = ip.superior_doors(p.partition);
-        asc.clear();
-        let mut cur = ip.leaf_of(p.partition);
-
-        // Per chain node, one binary-searched table row per superior door
-        // swept contiguously over the access-door ordinals, with `p`'s
-        // distance to the door hoisted out of the sweep. Superior doors
-        // are visited in order and updates are strictly improving, so the
-        // argmin door (`via`) is the first minimal one.
-        loop {
-            let node = ip.node(cur);
-            let n_ads = node.access_doors.len();
-            let step = asc.push_step(cur);
-            step.dists.resize(n_ads, f64::INFINITY);
-            step.prov
-                .resize(n_ads, Provenance::Source { via: DoorId(0) });
-            for &u in sup {
-                let Some(row) = self.tables.dists_at(u.0, cur) else {
-                    continue;
-                };
-                let du = p.distance_to_door(venue, u);
-                for (i, d) in step.dists.iter_mut().enumerate() {
-                    let cand = du + row[i];
-                    if cand < *d {
-                        *d = cand;
-                        step.prov[i] = Provenance::Source { via: u };
-                    }
-                }
-            }
-            if cur == target {
-                return;
-            }
-            cur = node.parent;
-            debug_assert_ne!(cur, NO_NODE);
+            };
+            step.offer_source(u, p.distance_to_door(&ip.venue, u), row);
         }
     }
 
@@ -562,9 +369,7 @@ impl VipTree {
         k: usize,
         scratch: &mut crate::QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.ascend_via_tables_into(q, self.ip.root(), &mut scratch.asc_s);
-        self.ip
-            .knn_from_ascent(q, k, scratch, &mut QueryStats::default())
+        self.knn_stats(q, k, scratch, &mut QueryStats::default())
     }
 
     /// As [`VipTree::range`] with caller-owned scratch state.
@@ -574,9 +379,7 @@ impl VipTree {
         radius: f64,
         scratch: &mut crate::QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.ascend_via_tables_into(q, self.ip.root(), &mut scratch.asc_s);
-        self.ip
-            .range_from_ascent(q, radius, scratch, &mut QueryStats::default())
+        self.range_stats(q, radius, scratch, &mut QueryStats::default())
     }
 
     /// As [`VipTree::knn`], accumulating workload counters (nodes visited,
@@ -588,20 +391,7 @@ impl VipTree {
         stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
         let mut scratch = self.ip.scratch.checkout();
-        self.ascend_via_tables_into(q, self.ip.root(), &mut scratch.asc_s);
-        self.ip.knn_from_ascent(q, k, &mut scratch, stats)
-    }
-
-    /// As [`VipTree::range`], accumulating workload counters.
-    pub fn range_with_stats(
-        &self,
-        q: &IndoorPoint,
-        radius: f64,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        let mut scratch = self.ip.scratch.checkout();
-        self.ascend_via_tables_into(q, self.ip.root(), &mut scratch.asc_s);
-        self.ip.range_from_ascent(q, radius, &mut scratch, stats)
+        self.knn_stats(q, k, &mut scratch, stats)
     }
 
     /// Total index size: IP-tree plus the door tables (Fig. 8(b)).
@@ -623,14 +413,33 @@ impl indoor_model::ObjectQueries for VipTree {
     }
 }
 
-struct CrossLeaf {
-    dist: f64,
-    ns: NodeIdx,
-    nt: NodeIdx,
-    i: usize,
-    j: usize,
-    via_s: DoorId,
-    via_t: DoorId,
+/// The VIP-tree climbs by table: one superior-door sweep per node, so a
+/// climb to `n` records `n`'s step alone and the chain beneath it is
+/// replayed from the tables' argmins.
+impl Climber for VipTree {
+    fn ip(&self) -> &IpTree {
+        &self.ip
+    }
+
+    fn ascend_to_root(&self, p: &IndoorPoint, asc: &mut Ascent) {
+        asc.clear();
+        for n in self.ip.ancestors(self.ip.leaf_of(p.partition)) {
+            self.table_step_into(p, n, asc);
+        }
+    }
+
+    fn climb(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent) {
+        asc.clear();
+        self.table_step_into(p, n, asc);
+    }
+
+    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>) {
+        let step = asc.last();
+        let Provenance::Source { via } = step.prov[i] else {
+            unreachable!("table steps record their superior door")
+        };
+        (via, self.table_chain(via, step.node, i))
+    }
 }
 
 #[cfg(test)]

@@ -142,6 +142,9 @@ pub(crate) fn wire_error(e: &vip_tree::ServiceError) -> WireError {
             in_flight: *in_flight as u64,
             limit: *limit as u64,
         },
+        E::OutOfVenue(..) => WireError::Malformed {
+            detail: e.to_string(),
+        },
         E::Delta(v, d) => WireError::Delta {
             venue: v.index() as u32,
             detail: d.to_string(),

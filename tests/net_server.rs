@@ -109,7 +109,7 @@ fn wire_answers_are_byte_identical_to_direct_execution() {
 #[test]
 fn unknown_venue_and_malformed_admin_come_back_typed() {
     let service = Arc::new(IndoorService::new());
-    let server = NetServer::bind(service, "127.0.0.1:0").unwrap();
+    let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     let venue = random_venue(83);
@@ -123,6 +123,83 @@ fn unknown_venue_and_malformed_admin_come_back_typed() {
     }
     // The connection survives the error reply.
     client.ping().unwrap();
+
+    // A point outside the venue is outside input like any other: every
+    // way one can arrive answers typed and non-retryable, and the *same*
+    // connection then serves a good query.
+    use indoor_spatial::model::frames::WireError;
+    let (venue, mut config, reqs) = fixture(83);
+    config.admission = AdmissionConfig {
+        max_in_flight: 4,
+        policy: OverloadPolicy::Shed,
+    };
+    let id = client.add_venue(&venue, &config).unwrap();
+    let good = QueryRequest::Knn {
+        q: config.objects[0],
+        k: 2,
+    };
+    let answer = client.query(id, &good).unwrap();
+    let outside = IndoorPoint::new(PartitionId(u32::MAX - 1), Point::new(0.0, 0.0, 0));
+    let malformed = |got: Result<(), NetError>, what: &str| match got {
+        Err(NetError::Server(e @ WireError::Malformed { .. })) => {
+            assert!(!e.is_retryable(), "{what}: {e:?}")
+        }
+        other => panic!("{what}: want typed Malformed, got {other:?}"),
+    };
+    let bad_queries = [
+        QueryRequest::Knn { q: outside, k: 3 },
+        QueryRequest::Range {
+            q: outside,
+            radius: 50.0,
+        },
+        QueryRequest::ShortestDistance {
+            s: config.objects[0],
+            t: outside,
+        },
+    ];
+    for bad in &bad_queries {
+        malformed(client.query(id, bad).map(drop), "bad query point");
+        assert_eq!(client.query(id, &good).unwrap(), answer);
+    }
+    // One bad slot answers its error; the rest of the batch answers.
+    let mut batch: Vec<(u32, QueryRequest)> = reqs.iter().map(|r| (id, r.clone())).collect();
+    batch.insert(2, (id, bad_queries[0].clone()));
+    for (slot, (got, (_, req))) in client
+        .query_batch(&batch)
+        .unwrap()
+        .into_iter()
+        .zip(&batch)
+        .enumerate()
+    {
+        match slot {
+            2 => malformed(got.map(drop).map_err(NetError::Server), "bad batch slot"),
+            _ => assert_eq!(got.unwrap(), client.query(id, req).unwrap(), "slot {slot}"),
+        }
+    }
+    // A bad attach leaves version, epoch and object set untouched.
+    let before = service.venue_stats(VenueId::from(id)).unwrap();
+    match client.attach_objects(id, &[config.objects[1], outside]) {
+        Err(NetError::Server(e @ WireError::Delta { .. })) => assert!(!e.is_retryable()),
+        other => panic!("bad attach point: want typed Delta, got {other:?}"),
+    }
+    assert_eq!(service.venue_stats(VenueId::from(id)).unwrap(), before);
+    assert_eq!(client.query(id, &good).unwrap(), answer);
+    // A bad seed (plain or labelled) registers nothing.
+    for seed in 0..2 {
+        let mut bad = config.clone();
+        match seed {
+            0 => bad.objects[3] = outside,
+            _ => bad.keywords[3].0 = outside,
+        }
+        match client.add_venue(&venue, &bad) {
+            Err(NetError::Server(e @ WireError::Build { .. })) => assert!(!e.is_retryable()),
+            other => panic!("bad seed point: want typed Build, got {other:?}"),
+        }
+        assert_eq!(client.query(id, &good).unwrap(), answer);
+    }
+    assert_eq!(service.venue_count(), 1);
+    // A rejected request holds no admission permit.
+    assert_eq!(service.stats().in_flight, 0);
 }
 
 /// `set_read_timeout` bounds `try_recv_answer` only. A blocking call made
