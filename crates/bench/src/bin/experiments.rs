@@ -13,7 +13,8 @@
 //! compares.
 
 use indoor_bench::{
-    build_suite, datasets, fmt_bytes, fmt_us, time_queries, AnyIndex, Scale, SuiteOptions,
+    build_suite, datasets, fmt_bytes, fmt_us, force_leaf_grid, time_queries, AnyIndex, Scale,
+    SuiteOptions,
 };
 use indoor_model::{IndoorPoint, QueryStats};
 use indoor_synth::{presets, workload};
@@ -136,17 +137,31 @@ fn table2(scale: Scale) {
 fn table1(scale: Scale) {
     println!("\n== Table 1: measured complexity parameters (rho, f, M, D, alpha) ==");
     println!(
-        "{:<10} {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>8} {:>10} {:>10}",
-        "dataset", "rho", "f", "M", "D", "alpha", "height", "max_sup", "IP size", "VIP size"
+        "{:<10} {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>8} {:>10} {:>10} {:>10}",
+        "dataset",
+        "rho",
+        "f",
+        "M",
+        "D",
+        "alpha",
+        "height",
+        "max_sup",
+        "IP tree",
+        "VIP tree",
+        "grid"
     );
     for (name, spec) in datasets(scale) {
         let venue = Arc::new(spec.build());
         let cfg = VipTreeConfig::default();
         let ip = IpTree::build(venue.clone(), &cfg).unwrap();
         let vip = VipTree::build(venue.clone(), &cfg).unwrap();
+        // Tree bytes are read before the grid exists; both trees have the
+        // same leaves, so one grid column serves both.
+        let (ip_tree, vip_tree) = (ip.size_bytes(), vip.size_bytes());
+        let grid = force_leaf_grid(&ip);
         let s = TreeStats::compute(&ip);
         println!(
-            "{:<10} {:>6.2} {:>6.2} {:>7} {:>8} {:>7.2} {:>7} {:>8} {} {}",
+            "{:<10} {:>6.2} {:>6.2} {:>7} {:>8} {:>7.2} {:>7} {:>8} {} {} {}",
             name,
             s.avg_access_doors,
             s.avg_fanout,
@@ -155,8 +170,9 @@ fn table1(scale: Scale) {
             s.avg_superior_doors,
             s.height,
             s.max_superior_doors,
-            fmt_bytes(ip.size_bytes()),
-            fmt_bytes(vip.size_bytes()),
+            fmt_bytes(ip_tree),
+            fmt_bytes(vip_tree),
+            fmt_bytes(grid),
         );
     }
 }
@@ -174,8 +190,8 @@ fn fig7(args: &Args) {
     let objects = workload::place_objects(&venue, 50, 12);
     let points = workload::query_points(&venue, args.queries, 13);
     println!(
-        "{:<6} {:>12} {:>12} {:>14} {:>12}",
-        "t", "memory", "build time", "SD query", "kNN query"
+        "{:<6} {:>12} {:>12} {:>12} {:>14} {:>12}",
+        "t", "tree", "grid", "build time", "SD query", "kNN query"
     );
     for t in [2usize, 10, 20, 60, 100] {
         let cfg = VipTreeConfig {
@@ -185,6 +201,8 @@ fn fig7(args: &Args) {
         let t0 = Instant::now();
         let vip = VipTree::build(venue.clone(), &cfg).unwrap();
         let build = t0.elapsed();
+        let tree = vip.size_bytes();
+        let grid = force_leaf_grid(vip.ip_tree());
         vip.attach_objects(&objects);
         let (sd_us, _) = time_queries(&pairs, args.pairs, BUDGET, |(s, t)| {
             std::hint::black_box(vip.shortest_distance_points(s, t));
@@ -193,9 +211,10 @@ fn fig7(args: &Args) {
             std::hint::black_box(vip.knn(q, 5));
         });
         println!(
-            "{:<6} {:>12} {:>12} {:>14} {:>12}",
+            "{:<6} {:>12} {:>12} {:>12} {:>14} {:>12}",
             t,
-            fmt_bytes(vip.size_bytes()),
+            fmt_bytes(tree),
+            fmt_bytes(grid),
             format!("{:.1?}", build),
             fmt_us(sd_us),
             fmt_us(knn_us)
@@ -211,13 +230,21 @@ fn fig8(args: &Args) {
         let venue = Arc::new(spec.build());
         let suite = build_suite(&venue, &SuiteOptions::default());
         println!("-- {name} ({} doors)", venue.num_doors());
-        println!("{:<10} {:>14} {:>12}", "index", "build time", "size");
-        for (ix, build) in &suite {
+        println!(
+            "{:<10} {:>14} {:>14} {:>12}",
+            "index", "build time", "size w/o grid", "grid"
+        );
+        for (ix, build, grid) in &suite {
             println!(
-                "{:<10} {:>14} {:>12}",
+                "{:<10} {:>14} {:>14} {:>12}",
                 ix.name(),
                 format!("{:.1?}", build),
-                fmt_bytes(ix.index_size_bytes())
+                fmt_bytes(ix.index_size_bytes() - grid),
+                if *grid == 0 {
+                    "-".to_string()
+                } else {
+                    fmt_bytes(*grid)
+                }
             );
         }
     }
@@ -259,7 +286,7 @@ fn fig9a(args: &Args) {
         );
         let pairs = workload::query_pairs(&venue, args.pairs, 17);
         let (mut mx, mut mxu, mut vip) = (0.0, 0.0, 0.0);
-        for (ix, _) in &suite {
+        for (ix, ..) in &suite {
             let mut st = QueryStats::default();
             match ix {
                 AnyIndex::Mx(m) => {
@@ -303,7 +330,7 @@ fn figure_query_times(args: &Args, kind: Kind, title: &str) {
         let pairs = workload::query_pairs(&venue, args.pairs, 19);
         print!("{name:<10}");
         let mut cols = String::new();
-        for (ix, _) in &suite {
+        for (ix, ..) in &suite {
             let (us, ran) = match kind {
                 Kind::Distance => time_queries(&pairs, args.pairs, BUDGET, |(s, t)| {
                     std::hint::black_box(ix.shortest_distance(s, t));
@@ -332,7 +359,7 @@ fn fig10b(args: &Args) {
         "{:<10} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "index", "Q1", "Q2", "Q3", "Q4", "Q5"
     );
-    for (ix, _) in &suite {
+    for (ix, ..) in &suite {
         let mut row = format!("{:<10}", ix.name());
         for bucket in &buckets {
             if bucket.is_empty() {
@@ -353,7 +380,7 @@ fn fig10b(args: &Args) {
 fn object_suite(
     venue: &Arc<indoor_model::Venue>,
     objects: Vec<IndoorPoint>,
-) -> Vec<(AnyIndex, Duration)> {
+) -> Vec<(AnyIndex, Duration, usize)> {
     build_suite(
         venue,
         &SuiteOptions {
@@ -370,7 +397,7 @@ fn fig11a(args: &Args) {
     let suite = object_suite(&venue, workload::place_objects(&venue, 50, 29));
     let points = workload::query_points(&venue, args.queries, 31);
     println!("{:<10} {:>12} {:>12} {:>12}", "index", "k=1", "k=5", "k=10");
-    for (ix, _) in &suite {
+    for (ix, ..) in &suite {
         let mut row = format!("{:<10}", ix.name());
         for k in [1usize, 5, 10] {
             let (us, _) = time_queries(&points, args.queries, BUDGET, |q| {
@@ -393,7 +420,7 @@ fn fig11b(args: &Args) {
     let mut rows: std::collections::BTreeMap<&'static str, String> = Default::default();
     for n_obj in [10usize, 50, 100, 500] {
         let suite = object_suite(&venue, workload::place_objects(&venue, n_obj, 41));
-        for (ix, _) in &suite {
+        for (ix, ..) in &suite {
             let (us, _) = time_queries(&points, args.queries, BUDGET, |q| {
                 std::hint::black_box(ix.knn(q, 5));
             });
@@ -420,7 +447,7 @@ fn fig11_venues(args: &Args, kind: ObjKind, title: &str) {
         let suite = object_suite(&venue, workload::place_objects(&venue, 50, 43));
         let points = workload::query_points(&venue, args.queries, 47);
         let mut cols = String::new();
-        for (ix, _) in &suite {
+        for (ix, ..) in &suite {
             let (us, _) = match kind {
                 ObjKind::Knn => time_queries(&points, args.queries, BUDGET, |q| {
                     std::hint::black_box(ix.knn(q, 5));

@@ -1,10 +1,9 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The binary `experiments` prints paper-style rows; the criterion benches
-//! under `benches/` provide statistically robust micro-measurements of the
-//! same query paths. Both are driven by the helpers here: dataset
-//! selection ([`datasets`]), a uniform handle over all seven competitors
-//! ([`AnyIndex`]), and time-budgeted query loops ([`time_queries`]).
+//! The binary `experiments` prints paper-style rows, driven by the
+//! helpers here: dataset selection ([`datasets`]), a uniform handle over
+//! all seven competitors ([`AnyIndex`]), and time-budgeted query loops
+//! ([`time_queries`]).
 
 pub mod gate;
 
@@ -160,19 +159,33 @@ pub struct SuiteOptions {
     pub objects: Option<Vec<IndoorPoint>>,
 }
 
+/// Build every leaf door grid of `tree` now and return the bytes they
+/// added: the served index is the tree plus every grid, so sizes read
+/// after this are honest and no first-touch grid build lands inside a
+/// timed query loop.
+pub fn force_leaf_grid(tree: &IpTree) -> usize {
+    let before = tree.size_bytes();
+    tree.build_leaf_grid();
+    tree.size_bytes() - before
+}
+
 /// Build every applicable competitor for `venue`, returning
-/// `(index, build_time)` pairs.
-pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Duration)> {
-    let mut out: Vec<(AnyIndex, Duration)> = Vec::new();
+/// `(index, build_time, grid_bytes)`. The VIP- and IP-trees come back
+/// with their leaf grids forced ([`force_leaf_grid`]); `build_time`
+/// excludes the grid, `grid_bytes` is its size (0 for the other indexes).
+pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Duration, usize)> {
+    let mut out: Vec<(AnyIndex, Duration, usize)> = Vec::new();
     let cfg = VipTreeConfig::default();
 
     let t0 = Instant::now();
     let vip = VipTree::build(venue.clone(), &cfg).expect("vip build");
     let t_vip = t0.elapsed();
+    let g_vip = force_leaf_grid(vip.ip_tree());
 
     let t0 = Instant::now();
     let ip = IpTree::build(venue.clone(), &cfg).expect("ip build");
     let t_ip = t0.elapsed();
+    let g_ip = force_leaf_grid(&ip);
 
     let t0 = Instant::now();
     let mut aw = DistAw::new(venue.clone());
@@ -205,11 +218,11 @@ pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Du
         r.attach_objects(objs);
     }
 
-    out.push((AnyIndex::Vip(vip), t_vip));
-    out.push((AnyIndex::Ip(ip), t_ip));
-    out.push((AnyIndex::Aw(aw), t_aw));
-    out.push((AnyIndex::G(g), t_g));
-    out.push((AnyIndex::R(r), t_r));
+    out.push((AnyIndex::Vip(vip), t_vip, g_vip));
+    out.push((AnyIndex::Ip(ip), t_ip, g_ip));
+    out.push((AnyIndex::Aw(aw), t_aw, 0));
+    out.push((AnyIndex::G(g), t_g, 0));
+    out.push((AnyIndex::R(r), t_r, 0));
     if let Some((mx, t_mx)) = mx {
         if opts.with_distaw_plus {
             let t0 = Instant::now();
@@ -217,7 +230,7 @@ pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Du
             if let Some(objs) = &opts.objects {
                 awp.attach_objects(objs);
             }
-            out.push((AnyIndex::AwPlus(awp), t_mx + t0.elapsed()));
+            out.push((AnyIndex::AwPlus(awp), t_mx + t0.elapsed(), 0));
         }
         if opts.with_unoptimised_mx {
             let t0 = Instant::now();
@@ -225,9 +238,9 @@ pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Du
             if let Some(objs) = &opts.objects {
                 mxu.attach_objects(objs);
             }
-            out.push((AnyIndex::MxUnopt(mxu), t0.elapsed()));
+            out.push((AnyIndex::MxUnopt(mxu), t0.elapsed(), 0));
         }
-        out.push((AnyIndex::Mx(mx), t_mx));
+        out.push((AnyIndex::Mx(mx), t_mx, 0));
     }
     out
 }
@@ -302,7 +315,7 @@ mod tests {
         for (s, t) in &pairs {
             let dists: Vec<Option<f64>> = suite
                 .iter()
-                .map(|(ix, _)| ix.shortest_distance(s, t))
+                .map(|(ix, ..)| ix.shortest_distance(s, t))
                 .collect();
             for w in dists.windows(2) {
                 match (w[0], w[1]) {
@@ -317,12 +330,31 @@ mod tests {
         // kNN agreement across all indexes.
         for q in workload::query_points(&venue, 5, 6) {
             let results: Vec<Vec<(indoor_model::ObjectId, f64)>> =
-                suite.iter().map(|(ix, _)| ix.knn(&q, 3)).collect();
+                suite.iter().map(|(ix, ..)| ix.knn(&q, 3)).collect();
             for w in results.windows(2) {
                 assert_eq!(w[0].len(), w[1].len());
                 for (a, b) in w[0].iter().zip(&w[1]) {
                     assert!((a.1 - b.1).abs() < 1e-6 * a.1.max(1.0));
                 }
+            }
+        }
+    }
+
+    /// The trees come back as served — every leaf grid built, its bytes
+    /// reported — so no timed loop pays a first-touch grid build.
+    #[test]
+    fn suite_trees_come_back_with_every_leaf_grid_built() {
+        fn check(tree: &IpTree, grid: usize) {
+            assert_eq!(tree.leaf_grid_builds(), tree.num_leaves() as u64);
+            assert!(grid > 0);
+            assert_eq!(force_leaf_grid(tree), 0, "forcing twice adds nothing");
+        }
+        let venue = Arc::new(random_venue(41));
+        for (ix, _, grid) in build_suite(&venue, &SuiteOptions::default()) {
+            match &ix {
+                AnyIndex::Vip(t) => check(t.ip_tree(), grid),
+                AnyIndex::Ip(t) => check(t, grid),
+                _ => assert_eq!(grid, 0, "{} has no leaf grid", ix.name()),
             }
         }
     }

@@ -286,11 +286,11 @@ impl IpTree {
 
         // --- Per-leaf door-to-door grid: global distances from leaf
         // matrices + leaf-local Dijkstra (no extra full-graph passes),
-        // consumed by the own-leaf exact scan (DESIGN.md §14.4). Shapes
-        // only — each leaf's slab builds lazily on its first own-leaf
+        // consumed by the own-leaf exact scan (DESIGN.md §14.4). Slots
+        // only — each leaf's triangle builds lazily on its first own-leaf
         // scan (`LeafGrid::ensure`), so build time and memory follow the
         // queried leaf set, not the venue size.
-        let leaf_grid = crate::leafdist::LeafGrid::new(&nodes, n_leaves);
+        let leaf_grid = crate::leafdist::LeafGrid::new(n_leaves);
 
         Ok(IpTree {
             venue,

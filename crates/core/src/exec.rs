@@ -95,9 +95,13 @@ pub struct QueryScratch {
     pub(crate) stack: Vec<(f64, NodeIdx, u32)>,
     /// Leaf-scan candidate marks, cleared by epoch.
     pub(crate) marks: EpochMarks,
-    /// Own-leaf scan buffer: distance from `q` to every door of its leaf,
-    /// folded from the leaf door grid (DESIGN.md §14.4).
+    /// Own-leaf scan buffer: distance from `q` to each door of its leaf
+    /// that a live object needs (`NaN` at the rest), folded from the leaf
+    /// door grid (DESIGN.md §14.4).
     pub(crate) leaf_dq: Vec<f64>,
+    /// Own-leaf scan buffer: the leaf ordinal of every door of every live
+    /// object of q's leaf, in scan order.
+    pub(crate) leaf_ords: Vec<u32>,
     /// Per-query span state (phase timings + hot-path counters). Armed by
     /// [`QueryEngine`]'s dispatch point when the sampling gate is open and
     /// the engine has a telemetry sink; dormant (one cleared bool) on

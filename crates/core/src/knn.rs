@@ -258,6 +258,7 @@ impl IpTree {
             best,
             marks,
             leaf_dq,
+            leaf_ords,
             trace,
             ..
         } = scratch;
@@ -314,6 +315,7 @@ impl IpTree {
                     dk,
                     marks,
                     leaf_dq,
+                    leaf_ords,
                     trace,
                     &mut consider,
                 );
@@ -368,6 +370,7 @@ impl IpTree {
             stack,
             marks,
             leaf_dq,
+            leaf_ords,
             trace,
             ..
         } = scratch;
@@ -400,6 +403,7 @@ impl IpTree {
                     radius,
                     marks,
                     leaf_dq,
+                    leaf_ords,
                     trace,
                     &mut |o, d| {
                         if d <= radius {
@@ -574,6 +578,7 @@ impl IpTree {
         bound: f64,
         marks: &mut EpochMarks,
         dq: &mut Vec<f64>,
+        ords: &mut Vec<u32>,
         trace: &mut crate::telemetry::QueryTrace,
         emit: &mut dyn FnMut(ObjectId, f64),
     ) {
@@ -583,46 +588,57 @@ impl IpTree {
         let venue = &*self.venue;
         if asc.on_path(self, leaf) {
             let t0 = trace.start();
-            // q's own leaf: exact distances via the leaf door grid — one
-            // seed × row fold replaces the per-query D2D expansion that
-            // used to dominate kNN/range latency (DESIGN.md §14.4). The
-            // grid builds lazily on this first touch (counted, and billed
-            // to the leaf-fold phase by the trace above).
-            let node = self.node(leaf);
-            self.leaf_grid.ensure(self, leaf);
-            let n = node.doors.len();
+            // q's own leaf: exact distances via the leaf door grid, which
+            // replaces the per-query D2D expansion that used to dominate
+            // kNN/range latency (DESIGN.md §14.4). The grid builds lazily
+            // on this first touch (counted, and billed to the leaf-fold
+            // phase by the trace above). Three passes: map every live
+            // object's doors to leaf ordinals; fold `dq[t]` over q's seeds
+            // once per door some object needs (NaN marks "not folded"),
+            // in one tight loop so the grid reads' cache misses overlap;
+            // then emit.
+            let grid = self.leaf_grid.ensure(self, leaf);
+            let ord = |d: u32| self.slabs.leaf_row_of(&self.door_leaves, leaf, d);
+            let mut seeds = q.door_seeds(venue);
+            for (sd, _) in &mut seeds {
+                *sd = ord(*sd);
+            }
+            let live = || {
+                data.objs
+                    .iter()
+                    .zip(&data.live)
+                    .filter(|&(_, &live)| live) // tombstoned by a delta
+                    .map(|(&oid, _)| (oid, oi.object(oid)))
+            };
+            ords.clear();
+            for (_, o) in live() {
+                ords.extend(venue.partition(o.partition).doors.iter().map(|d| ord(d.0)));
+            }
             dq.clear();
-            dq.resize(n, f64::INFINITY);
-            for (sd, sdist) in q.door_seeds(venue) {
-                let s = node
-                    .doors
-                    .binary_search(&indoor_model::DoorId(sd))
-                    .expect("query partition door is a leaf door");
-                let trow = self.leaf_grid.row(leaf, s);
-                for (out, &t) in dq.iter_mut().zip(trow) {
-                    let cand = sdist + t;
-                    if cand < *out {
-                        *out = cand;
+            dq.resize(self.node(leaf).doors.len(), f64::NAN);
+            for &t in ords.iter() {
+                let t = t as usize;
+                if dq[t].is_nan() {
+                    let mut best = f64::INFINITY;
+                    for &(s, sdist) in &seeds {
+                        let cand = sdist + crate::leafdist::get(grid, s as usize, t);
+                        if cand < best {
+                            best = cand;
+                        }
                     }
+                    dq[t] = best;
                 }
             }
-            for (slot, oid) in data.objs.iter().enumerate() {
-                if !data.live[slot] {
-                    continue; // tombstoned by a delta
-                }
-                let o = oi.object(*oid);
+            let mut ords = ords.iter();
+            for (oid, o) in live() {
                 let mut d = q.direct_distance(venue, o).unwrap_or(f64::INFINITY);
-                for &door in &venue.partition(o.partition).doors {
-                    let t = node
-                        .doors
-                        .binary_search(&door)
-                        .expect("object partition door is a leaf door");
-                    let cand = dq[t] + o.distance_to_door(venue, door);
+                for (&door, &t) in venue.partition(o.partition).doors.iter().zip(&mut ords) {
+                    let cand = dq[t as usize] + o.distance_to_door(venue, door);
                     if cand < d {
                         d = cand;
                     }
                 }
-                emit(*oid, d);
+                emit(oid, d);
             }
             trace.stop_leaf_fold(t0);
             return;

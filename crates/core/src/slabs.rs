@@ -34,7 +34,7 @@ use indoor_graph::parallel::par_map;
 use indoor_model::DoorId;
 
 /// f64 lanes per cache line; every slab row starts on a 64-byte boundary.
-pub(crate) const ROW_ALIGN: usize = 8;
+const ROW_ALIGN: usize = 8;
 
 /// Knot spacing of the piecewise-linear bound table (column ordinals).
 pub(crate) const PL_SPACING: usize = 8;

@@ -199,7 +199,7 @@ pub struct IpTree {
     pub(crate) slabs: crate::slabs::Slabs,
     /// Per-leaf global door-to-door distance grid (DESIGN.md §14.4):
     /// turns the own-leaf exact scan from a per-query D2D expansion into
-    /// one seed × row fold.
+    /// a seed × cell fold at the doors the leaf's objects use.
     pub(crate) leaf_grid: crate::leafdist::LeafGrid,
 }
 
@@ -232,7 +232,7 @@ impl IpTree {
     }
 
     pub fn num_leaves(&self) -> usize {
-        self.leaf_grid.n_leaves
+        self.leaf_grid.n_leaves()
     }
 
     /// Height of the tree (root level; leaves are level 1).

@@ -261,7 +261,7 @@ pub fn run_matrix(seed: u64, compile_threads: usize, opts: &RunOptions) -> Matri
             profile.name
         );
         cells.push(svc);
-        for (index, _) in &suite {
+        for (index, ..) in &suite {
             cells.push(run_index(profile, index, &stream));
         }
     }

@@ -714,7 +714,7 @@ mod tests {
                 ..SuiteOptions::default()
             },
         );
-        for (index, _) in &suite {
+        for (index, ..) in &suite {
             let m = run_index(&p, index, &stream);
             assert_eq!(m.requests, 18, "{}", index.name());
             assert_eq!(m.answered, 18);

@@ -44,12 +44,13 @@ fn menzies_2_correct_and_paper_shaped() {
     assert!(stats.avg_fanout < 8.0, "f {}", stats.avg_fanout);
 
     // Footprint pin: every distance is stored once — the slab arena is
-    // the matrix store and the VIP table is one flat structure. With
-    // every leaf grid built the index is ≈ 2.52 MB; a second copy of
-    // either (≥ 215 kB) cannot come back unnoticed.
+    // the matrix store, the VIP table is one flat structure and each leaf
+    // door pair is one grid cell. With every leaf grid built the index is
+    // ≈ 2.05 MB; a second copy of the VIP table (≥ 215 kB) or a square
+    // grid (≥ 440 kB) cannot come back unnoticed.
     tree.ip_tree().build_leaf_grid();
     assert!(
-        tree.size_bytes() <= 2_650_000,
+        tree.size_bytes() <= 2_150_000,
         "index {} B",
         tree.size_bytes()
     );
