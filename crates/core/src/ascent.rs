@@ -136,7 +136,7 @@ impl Ascent {
     /// to build per query.
     #[inline]
     pub fn step_for(&self, tree: &IpTree, node: NodeIdx) -> Option<&AscentStep> {
-        let level = tree.node(node).level as usize;
+        let level = tree.level(node) as usize;
         debug_assert!(level >= 1);
         self.steps().get(level - 1).filter(|s| s.node == node)
     }
@@ -154,7 +154,7 @@ impl IpTree {
     /// (Eq. 1 restricted per Definition 2). Appends the step to `asc`.
     fn leaf_step_into(&self, p: &IndoorPoint, leaf: NodeIdx, asc: &mut Ascent) {
         let venue = &*self.venue;
-        let node = self.node(leaf);
+        let access = self.access_doors(leaf);
         let part_doors = &venue.partition(p.partition).doors;
 
         // One contiguous leaf-matrix row per superior door (leaf columns
@@ -163,13 +163,13 @@ impl IpTree {
         // distance afterwards — they are never routed through a superior
         // door.
         let step = asc.push_step(leaf);
-        step.reset_sources(node.access_doors.len());
+        step.reset_sources(access.len());
         for &u in self.superior_doors(p.partition) {
             let row_u = self.slabs.leaf_row_of(&self.door_leaves, leaf, u.0);
             let du = p.distance_to_door(venue, u);
             step.offer_source(u, du, self.slabs.row(leaf, row_u as usize));
         }
-        for (ai, &a) in node.access_doors.iter().enumerate() {
+        for (ai, &a) in access.iter().enumerate() {
             if part_doors.binary_search(&a).is_ok() {
                 step.dists[ai] = p.distance_to_door(venue, a);
                 step.prov[ai] = Provenance::Source { via: a };
@@ -186,7 +186,7 @@ impl IpTree {
         self.leaf_step_into(p, leaf, asc);
         let mut cur = leaf;
         while cur != target {
-            let parent = self.node(cur).parent;
+            let parent = self.parent(cur);
             debug_assert_ne!(parent, crate::NO_NODE, "target not an ancestor");
 
             // Row-major sweep over the parent slab: one contiguous row per
@@ -376,9 +376,10 @@ pub(crate) trait Climber {
         } else {
             let (length, (i, j)) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
             let (asc_s, asc_t) = (&scratch.asc_s, &scratch.asc_t);
-            let (ns, nt) = (ip.node(asc_s.last().node), ip.node(asc_t.last().node));
-            debug_assert_eq!(ns.parent, nt.parent, "both climbs stop under the LCA");
-            let middle = (ns.access_doors[i], nt.access_doors[j], ns.parent);
+            let (ns, nt) = (asc_s.last().node, asc_t.last().node);
+            let lca = ip.parent(ns);
+            debug_assert_eq!(lca, ip.parent(nt), "both climbs stop under the LCA");
+            let middle = (ip.access_doors(ns)[i], ip.access_doors(nt)[j], lca);
             let doors = ip.cross_leaf_path(self.replay(asc_s, i), middle, self.replay(asc_t, j));
             (length, doors)
         };
@@ -509,7 +510,7 @@ pub(crate) mod tests {
             // Connected venue: every access door reachable.
             for (k, d) in asc.last().dists.iter().enumerate() {
                 assert!(
-                    d.is_finite() || tree.node(tree.root()).access_doors.is_empty(),
+                    d.is_finite() || tree.access_doors(tree.root()).is_empty(),
                     "unreachable access door idx {k}"
                 );
             }

@@ -9,20 +9,21 @@
 use crate::leaf::assign_leaves;
 use crate::matrices::{build_inner_matrix, build_leaf_matrix, LevelGraph};
 use crate::merge::{create_next_level, ProtoNode};
-use crate::tree::{BuildError, DistMatrix, IpTree, Node, NodeIdx, VipTreeConfig, NO_NODE};
+use crate::tree::{BuildError, DistMatrix, IpTree, NodeIdx, Runs, VipTreeConfig, NO_NODE};
 use indoor_graph::parallel::par_map_init;
 use indoor_graph::EnginePool;
-use indoor_model::{DoorId, Venue};
+use indoor_model::{DoorId, PartitionId, Venue};
 use std::sync::Arc;
 
-/// Level-1 protos (one per leaf), the door → leaf-proto map, and the leaf
-/// partition lists. Shared with `merge` tests.
+/// Level-1 protos (one per leaf), the door → leaf-proto map, and each
+/// leaf's partitions and (sorted) doors. Shared with `merge` tests.
 pub(crate) fn leaf_protos(
     venue: &Venue,
 ) -> (
     Vec<ProtoNode>,
     Vec<[u32; 2]>,
-    Vec<Vec<indoor_model::PartitionId>>,
+    Runs<PartitionId>,
+    Runs<DoorId>,
 ) {
     let assignment = assign_leaves(venue);
     let n_leaves = assignment.leaf_partitions.len();
@@ -43,6 +44,7 @@ pub(crate) fn leaf_protos(
     }
 
     let mut protos = Vec::with_capacity(n_leaves);
+    let mut leaf_doors = Runs::default();
     for (leaf_idx, parts) in assignment.leaf_partitions.iter().enumerate() {
         let mut doors: Vec<DoorId> = parts
             .iter()
@@ -65,9 +67,11 @@ pub(crate) fn leaf_protos(
             access_doors: access,
             members: vec![leaf_idx as u32],
         });
+        leaf_doors.push_run(doors);
     }
 
-    (protos, door_nodes, assignment.leaf_partitions)
+    let partitions = assignment.leaf_partitions.into_iter().collect();
+    (protos, door_nodes, partitions, leaf_doors)
 }
 
 impl IpTree {
@@ -79,17 +83,31 @@ impl IpTree {
         let t = config.min_degree;
 
         // --- Steps 1 & 2: leaves, then merge until <= t nodes remain. ---
+        // Each level is appended to the flat topology columns as it is
+        // made (leaves first; a proto's members index the level below).
         // The leaf-level door → leaves map is stored in the tree as-is, and
-        // the merge loop borrows it for its first pass: no wholesale
-        // snapshot clones of the leaf protos or the door map are taken.
-        let (mut protos, door_leaves, leaf_partitions) = leaf_protos(&venue);
-
-        // levels[0] = leaves; each entry records, per node of that level,
-        // the member indices into the previous level.
-        let mut level_members: Vec<Vec<Vec<u32>>> = Vec::new();
-        let mut level_access: Vec<Vec<Vec<DoorId>>> = Vec::new();
-        level_members.push((0..protos.len()).map(|i| vec![i as u32]).collect());
-        level_access.push(protos.iter().map(|p| p.access_doors.clone()).collect());
+        // the merge loop borrows it for its first pass.
+        let (mut protos, door_leaves, partitions, mut rows) = leaf_protos(&venue);
+        let n_leaves = protos.len();
+        let (mut parent, mut level) = (Vec::new(), Vec::new());
+        let (mut children, mut access) = (Runs::default(), Runs::default());
+        let mut level_first: Vec<usize> = Vec::new(); // node idx of first node per level
+        let mut push_level = |protos: &[ProtoNode]| {
+            let below = level_first.last().copied();
+            level_first.push(parent.len());
+            for p in protos {
+                let me = parent.len() as NodeIdx;
+                let kids = below.map(|b| p.members.iter().map(move |&m| b as NodeIdx + m));
+                children.push_run(kids.into_iter().flatten());
+                for &c in children.get(me as usize) {
+                    parent[c as usize] = me;
+                }
+                parent.push(NO_NODE);
+                level.push(level_first.len() as u32);
+                access.push_run(p.access_doors.iter().copied());
+            }
+        };
+        push_level(&protos);
 
         let mut door_nodes: Option<Vec<[NodeIdx; 2]>> = None;
         while protos.len() > t {
@@ -98,74 +116,45 @@ impl IpTree {
             if out.next.len() >= protos.len() {
                 break; // no progress possible (disconnected pathologies)
             }
-            level_members.push(out.next.iter().map(|p| p.members.clone()).collect());
-            level_access.push(out.next.iter().map(|p| p.access_doors.clone()).collect());
+            push_level(&out.next);
             protos = out.next;
             door_nodes = Some(out.door_nodes);
         }
         if protos.len() > 1 {
             // Merge the <= t survivors into the root (§2.1.2: "all these
             // nodes are merged to form the root node").
-            let members: Vec<u32> = (0..protos.len() as u32).collect();
-            let mut access: Vec<DoorId> = protos
+            let mut exits: Vec<DoorId> = protos
                 .iter()
                 .flat_map(|p| p.access_doors.iter().copied())
                 .filter(|&d| venue.door(d).is_exterior())
                 .collect();
-            access.sort_unstable();
-            access.dedup();
-            level_members.push(vec![members]);
-            level_access.push(vec![access]);
+            exits.sort_unstable();
+            exits.dedup();
+            push_level(&[ProtoNode {
+                access_doors: exits,
+                members: (0..protos.len() as u32).collect(),
+            }]);
         }
 
-        // --- Materialise the node array, leaves first, level by level. ---
-        let n_leaves = leaf_partitions.len();
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut level_first: Vec<usize> = Vec::new(); // node idx of first node per level
-        for (li, members_at_level) in level_members.iter().enumerate() {
-            level_first.push(nodes.len());
-            for (ni, members) in members_at_level.iter().enumerate() {
-                let (partitions, doors) = if li == 0 {
-                    let parts = leaf_partitions[ni].clone();
-                    let mut doors: Vec<DoorId> = parts
-                        .iter()
-                        .flat_map(|p| venue.partition(*p).doors.iter().copied())
-                        .collect();
-                    doors.sort_unstable();
-                    doors.dedup();
-                    (parts, doors)
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let children: Vec<NodeIdx> = if li == 0 {
-                    Vec::new()
-                } else {
-                    members
-                        .iter()
-                        .map(|&m| (level_first[li - 1] + m as usize) as NodeIdx)
-                        .collect()
-                };
-                nodes.push(Node {
-                    parent: NO_NODE,
-                    children,
-                    level: (li + 1) as u32,
-                    access_doors: level_access[li][ni].clone(),
-                    partitions,
-                    doors,
-                });
-            }
-        }
-        let root = (nodes.len() - 1) as NodeIdx;
-        for idx in 0..nodes.len() {
-            for c in nodes[idx].children.clone() {
-                nodes[c as usize].parent = idx as NodeIdx;
-            }
+        let n_nodes = level.len();
+        let root = (n_nodes - 1) as NodeIdx;
+        // An inner node's matrix rows: the union of its children's access
+        // doors (its border).
+        for idx in n_leaves..n_nodes {
+            let mut border: Vec<DoorId> = children
+                .get(idx)
+                .iter()
+                .flat_map(|&c| access.get(c as usize).iter().copied())
+                .collect();
+            border.sort_unstable();
+            border.dedup();
+            rows.push_run(border);
         }
 
         // --- Per-door boundary flag: access door of at least one leaf. ---
         let mut boundary = vec![false; venue.num_doors()];
-        for node in nodes.iter().take(n_leaves) {
-            for &d in &node.access_doors {
+        for leaf in 0..n_leaves {
+            for &d in access.get(leaf) {
                 boundary[d.index()] = true;
             }
         }
@@ -184,19 +173,18 @@ impl IpTree {
             threads,
             || pool.checkout(),
             |engine, _, &li| {
-                let node = &nodes[li];
-                let mut hits: Vec<Vec<bool>> = node
-                    .partitions
+                let mut hits: Vec<Vec<bool>> = partitions
+                    .get(li)
                     .iter()
                     .map(|p| vec![false; venue.partition(*p).doors.len()])
                     .collect();
                 let matrix = build_leaf_matrix(
                     &venue,
                     engine,
-                    &node.doors,
-                    &node.access_doors,
+                    rows.get(li),
+                    access.get(li),
                     &boundary,
-                    &node.partitions,
+                    partitions.get(li),
                     &mut hits,
                 );
                 (matrix, hits)
@@ -204,13 +192,13 @@ impl IpTree {
         );
         // `matrices[i]` is node `i`'s matrix until the slab packer consumes
         // the lot below.
-        let mut matrices: Vec<DistMatrix> = Vec::with_capacity(nodes.len());
+        let mut matrices: Vec<DistMatrix> = Vec::with_capacity(n_nodes);
         let mut superior: Vec<Vec<DoorId>> = vec![Vec::new(); venue.num_partitions()];
         for (li, (matrix, hits)) in leaf_results.into_iter().enumerate() {
             // Local access doors are superior by definition; add the
             // Dijkstra-evidenced ones.
-            for (pi, &p) in nodes[li].partitions.iter().enumerate() {
-                let access = &nodes[li].access_doors;
+            for (pi, &p) in partitions.get(li).iter().enumerate() {
+                let access = access.get(li);
                 let pdoors = &venue.partition(p).doors;
                 let mut sup: Vec<DoorId> = pdoors
                     .iter()
@@ -236,53 +224,31 @@ impl IpTree {
         for li in 1..level_first.len() {
             let prev_first = level_first[li - 1];
             let prev_last = level_first[li];
-            let parts: Vec<(&Vec<DoorId>, &DistMatrix)> = (prev_first..prev_last)
-                .map(|i| (&nodes[i].access_doors, &matrices[i]))
+            let parts: Vec<(&[DoorId], &DistMatrix)> = (prev_first..prev_last)
+                .map(|i| (access.get(i), &matrices[i]))
                 .collect();
             let lg = LevelGraph::build_from_parts(venue.num_doors(), &parts);
             drop(parts);
             let lg_pool = EnginePool::new(lg.vertex_door.len());
 
-            let this_last = if li + 1 < level_first.len() {
-                level_first[li + 1]
-            } else {
-                nodes.len()
-            };
-            let borders: Vec<Vec<DoorId>> = (level_first[li]..this_last)
-                .map(|i| {
-                    let mut border: Vec<DoorId> = nodes[i]
-                        .children
-                        .iter()
-                        .flat_map(|&c| nodes[c as usize].access_doors.iter().copied())
-                        .collect();
-                    border.sort_unstable();
-                    border.dedup();
-                    border
-                })
-                .collect();
+            let this_last = level_first.get(li + 1).copied().unwrap_or(n_nodes);
+            let level_nodes: Vec<usize> = (level_first[li]..this_last).collect();
             debug_assert_eq!(matrices.len(), level_first[li]);
             matrices.extend(par_map_init(
-                &borders,
+                &level_nodes,
                 threads,
                 || lg_pool.checkout(),
-                |engine, _, border| build_inner_matrix(&lg, engine, border),
+                |engine, _, &i| build_inner_matrix(&lg, engine, rows.get(i)),
             ));
         }
 
         // --- Partition -> leaf map. ---
         let mut leaf_of_partition = vec![NO_NODE; venue.num_partitions()];
-        for (li, node) in nodes.iter().enumerate().take(n_leaves) {
-            for &p in &node.partitions {
+        for li in 0..n_leaves {
+            for &p in partitions.get(li) {
                 leaf_of_partition[p.index()] = li as NodeIdx;
             }
         }
-
-        // --- The matrix store: the packer takes the matrices by value —
-        // distance rows into the SoA arena, hop entries and door lists
-        // moved — and builds the admissible lower-bound tables (DESIGN.md
-        // §14). Bound extraction fans out over the same worker pool; the
-        // arena fill is a serial sequence of row memcpys.
-        let slabs = crate::slabs::Slabs::build(&nodes, matrices, &door_leaves, threads);
 
         // --- Per-leaf door-to-door grid: global distances from leaf
         // matrices + leaf-local Dijkstra (no extra full-graph passes),
@@ -292,24 +258,38 @@ impl IpTree {
         // queried leaf set, not the venue size.
         let leaf_grid = crate::leafdist::LeafGrid::new(n_leaves);
 
-        Ok(IpTree {
+        let mut tree = IpTree {
             venue,
             config: config.clone(),
-            nodes,
             root,
+            parent,
+            level,
+            children,
+            access,
+            rows,
+            partitions,
             leaf_of_partition,
             door_leaves,
             boundary,
-            superior,
+            superior: superior.into_iter().collect(),
             decompose_fallbacks: std::sync::atomic::AtomicU64::new(0),
             engines: pool,
             scratch: crate::exec::ScratchPool::new(),
             objects: std::sync::RwLock::new(None),
             objects_update: std::sync::Mutex::new(()),
             objects_gen: std::sync::atomic::AtomicU64::new(0),
-            slabs,
+            slabs: crate::slabs::Slabs::default(),
             leaf_grid,
-        })
+        };
+
+        // --- The matrix store: the packer takes the matrices by value —
+        // distance rows into the SoA arena, hop entries into one run per
+        // node — and builds the admissible lower-bound tables against the
+        // tree's door runs (DESIGN.md §14). Bound extraction fans out over
+        // the same worker pool; the arena fill is a serial sequence of
+        // row memcpys.
+        tree.slabs = crate::slabs::Slabs::build(&tree, matrices);
+        Ok(tree)
     }
 }
 
@@ -339,15 +319,17 @@ mod tests {
     fn single_root_and_parent_links() {
         let tree = build(3);
         let root = tree.root();
-        assert_eq!(tree.node(root).parent, NO_NODE);
+        assert_eq!(tree.parent(root), NO_NODE);
         for idx in 0..tree.num_nodes() as NodeIdx {
             if idx != root {
-                let p = tree.node(idx).parent;
+                let p = tree.parent(idx);
                 assert_ne!(p, NO_NODE, "non-root node {idx} without parent");
-                assert!(tree.node(p).children.contains(&idx));
+                assert!(tree.children(p).contains(&idx));
+                assert_eq!(tree.level(p), tree.level(idx) + 1);
             }
-            for &c in &tree.node(idx).children {
-                assert_eq!(tree.node(c).parent, idx);
+            assert_eq!(tree.is_leaf(idx), tree.children(idx).is_empty());
+            for &c in tree.children(idx) {
+                assert_eq!(tree.parent(c), idx);
             }
         }
     }
@@ -366,12 +348,13 @@ mod tests {
                 let mut parts = std::collections::HashSet::new();
                 let mut stack = vec![idx];
                 while let Some(n) = stack.pop() {
-                    let node = tree.node(n);
-                    parts.extend(node.partitions.iter().copied());
-                    stack.extend(node.children.iter().copied());
+                    if tree.is_leaf(n) {
+                        parts.extend(tree.leaf_partitions(n).iter().copied());
+                    }
+                    stack.extend(tree.children(n).iter().copied());
                 }
-                let node = tree.node(idx);
-                for &d in &node.access_doors {
+                let access = tree.access_doors(idx);
+                for &d in access {
                     let door = venue.door(d);
                     let inside = door.partition_ids().any(|p| parts.contains(&p));
                     let outside =
@@ -381,12 +364,12 @@ mod tests {
                 }
                 // Completeness: every door with one side in and one side out
                 // is listed.
-                if node.is_leaf() {
-                    for &d in &node.doors {
+                if tree.is_leaf(idx) {
+                    for &d in tree.leaf_doors(idx) {
                         let door = venue.door(d);
                         let out = door.is_exterior()
                             || door.partition_ids().any(|p| !parts.contains(&p));
-                        prop_assert_eq!(out, node.ad_index(d).is_some());
+                        prop_assert_eq!(out, access.binary_search(&d).is_ok());
                     }
                 }
             }
@@ -396,13 +379,13 @@ mod tests {
             let mut engine = DijkstraEngine::new(venue.num_doors());
             let slabs = tree.slabs();
             for idx in 0..tree.num_nodes() as NodeIdx {
-                for (c, &a) in slabs.col_doors[idx as usize].iter().enumerate() {
+                for (c, &a) in tree.cols(idx).iter().enumerate() {
                     engine.run(
                         venue.d2d(),
                         &[(a.0, 0.0)],
                         indoor_graph::Termination::Exhaust,
                     );
-                    for (r, &d) in slabs.row_doors[idx as usize].iter().enumerate() {
+                    for (r, &d) in tree.rows(idx).iter().enumerate() {
                         let want = engine.settled_distance(d.0).unwrap_or(f64::INFINITY);
                         let got = slabs.row(idx, r)[c];
                         prop_assert!((got - want).abs() < 1e-9 || (got == want),
@@ -415,7 +398,7 @@ mod tests {
             // merge partners), root has <= ... at least 1 child when there
             // are multiple leaves.
             if tree.num_leaves() > 1 {
-                prop_assert!(!tree.node(tree.root()).children.is_empty());
+                prop_assert!(!tree.children(tree.root()).is_empty());
             }
         }
     }

@@ -286,7 +286,7 @@ impl IpTree {
                 break;
             }
             stats.nodes_visited += 1;
-            if self.node(node_idx).is_leaf() {
+            if self.is_leaf(node_idx) {
                 let mut kb = 0u64;
                 // Tie-break by (distance, id): the k-best set is the k
                 // smallest pairs, independent of leaf-scan encounter order
@@ -392,7 +392,7 @@ impl IpTree {
             if mind > radius {
                 continue;
             }
-            if self.node(node_idx).is_leaf() {
+            if self.is_leaf(node_idx) {
                 let mut kb = 0u64;
                 self.scan_leaf(
                     q,
@@ -509,18 +509,18 @@ impl IpTree {
         let (base_rows, base_handle) = if asc.on_path(self, node) {
             // Steps are level-indexed: the one below `node`'s is its child
             // on q's path.
-            let below = self.node(node).level as usize - 2;
+            let below = self.level(node) as usize - 2;
             let sib = asc.steps()[below].node;
             (self.slabs.kid_cols_of(sib), step_handles[below])
         } else {
             (self.slabs.own_cols_of(node), handle)
         };
-        for &child in &self.node(node).children {
+        for &child in self.children(node) {
             if !may_hold(child) {
                 continue;
             }
             let (mind, h) = if let Some(step) = asc.step_for(self, child) {
-                (0.0, step_handles[self.node(step.node).level as usize - 1])
+                (0.0, step_handles[self.level(step.node) as usize - 1])
             } else {
                 let base_vec = arena.get(base_handle);
                 let rowmin = self.slabs.kid_rowmin_of(child);
@@ -615,7 +615,7 @@ impl IpTree {
                 ords.extend(venue.partition(o.partition).doors.iter().map(|d| ord(d.0)));
             }
             dq.clear();
-            dq.resize(self.node(leaf).doors.len(), f64::NAN);
+            dq.resize(self.leaf_doors(leaf).len(), f64::NAN);
             for &t in ords.iter() {
                 let t = t as usize;
                 if dq[t].is_nan() {

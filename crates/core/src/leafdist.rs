@@ -88,10 +88,6 @@ impl LeafGrid {
         }
     }
 
-    pub(crate) fn n_leaves(&self) -> usize {
-        self.grids.len()
-    }
-
     /// Leaf `l`'s packed triangle, built on first call (the first-touch
     /// path of the own-leaf scan). Concurrent callers for one leaf do the
     /// work once.
@@ -105,7 +101,7 @@ impl LeafGrid {
     /// Build every leaf grid now, fanned over the worker pool — the eager
     /// mode audits and the lazy-vs-eager test compare against.
     pub(crate) fn force_build(&self, tree: &IpTree) {
-        let leaf_idxs: Vec<u32> = (0..self.n_leaves() as u32).collect();
+        let leaf_idxs: Vec<u32> = (0..tree.num_leaves() as u32).collect();
         par_map(&leaf_idxs, tree.config.threads, |_, &li| {
             self.ensure(tree, li);
         });
@@ -132,10 +128,13 @@ impl LeafGrid {
     /// every entry non-negative and admissible against the access-door
     /// detour bound.
     pub(crate) fn audit(&self, tree: &IpTree) {
-        for l in 0..self.n_leaves() as NodeIdx {
-            let node = tree.node(l);
-            assert!(node.is_leaf(), "grid slot {l} on an inner node");
-            let n = node.doors.len();
+        assert_eq!(
+            self.grids.len(),
+            tree.num_leaves(),
+            "one grid slot per leaf"
+        );
+        for l in 0..tree.num_leaves() as NodeIdx {
+            let n = tree.leaf_doors(l).len();
             let tri = self.ensure(tree, l);
             assert_eq!(tri.len(), n * (n + 1) / 2, "leaf {l} triangle size");
             for s in 0..n {
@@ -166,15 +165,14 @@ impl LeafGrid {
 /// argument).
 fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[f64]> {
     let venue = &*tree.venue;
-    let node = tree.node(leaf);
-    let doors = &node.doors;
+    let doors = tree.leaf_doors(leaf);
     let n = doors.len();
 
     // Leaf-local subgraph: the venue D2D builder's per-partition door
     // cliques, restricted to this leaf's partitions, with identical
     // weights.
     let mut gb = GraphBuilder::new(n);
-    for &p in &node.partitions {
+    for &p in tree.leaf_partitions(leaf) {
         let part = venue.partition(p);
         for (i, &da) in part.doors.iter().enumerate() {
             let oa = doors
@@ -262,16 +260,16 @@ mod tests {
         );
         let mut engine = DijkstraEngine::new(venue.num_doors());
         for li in 0..tree.num_leaves() as u32 {
-            let node = tree.node(li);
+            let doors = tree.leaf_doors(li);
             let tri = tree.leaf_grid.ensure(&tree, li);
-            let targets: Vec<u32> = node.doors.iter().map(|d| d.0).collect();
-            for (s, &sd) in node.doors.iter().enumerate() {
+            let targets: Vec<u32> = doors.iter().map(|d| d.0).collect();
+            for (s, &sd) in doors.iter().enumerate() {
                 engine.run(
                     venue.d2d(),
                     &[(sd.0, 0.0)],
                     Termination::SettleAll(&targets),
                 );
-                for (t, &td) in node.doors.iter().enumerate() {
+                for (t, &td) in doors.iter().enumerate() {
                     let want = if t == s {
                         0.0
                     } else {
@@ -303,7 +301,7 @@ mod tests {
         eager.build_leaf_grid();
         let cells: usize = (0..eager.num_leaves() as u32)
             .map(|l| {
-                let n = eager.node(l).doors.len();
+                let n = eager.leaf_doors(l).len();
                 n * (n + 1) / 2
             })
             .sum();
@@ -317,7 +315,7 @@ mod tests {
         let objects: Vec<IndoorPoint> = venue.partitions().iter().map(|p| centre(p.id)).collect();
         lazy.attach_objects(&objects);
         for l in 0..lazy.num_leaves() as u32 {
-            let q = centre(lazy.node(l).partitions[0]);
+            let q = centre(lazy.leaf_partitions(l)[0]);
             assert!(!lazy.range(&q, f64::INFINITY).is_empty());
         }
         assert_eq!(lazy.leaf_grid_builds(), lazy.num_leaves() as u64);

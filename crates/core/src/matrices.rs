@@ -155,7 +155,7 @@ impl LevelGraph {
     /// matrix)` of one node.
     pub(crate) fn build_from_parts(
         num_venue_doors: usize,
-        parts: &[(&Vec<DoorId>, &DistMatrix)],
+        parts: &[(&[DoorId], &DistMatrix)],
     ) -> LevelGraph {
         let mut door_vertex = vec![NO_VERTEX; num_venue_doors];
         let mut vertex_door: Vec<DoorId> = Vec::new();

@@ -233,7 +233,7 @@ mod tests {
         #[test]
         fn merge_respects_min_degree(seed in 0u64..5_000, t in 2usize..5) {
             let venue = random_venue(seed);
-            let (protos, door_nodes, _) = leaf_protos(&venue);
+            let (protos, door_nodes, ..) = leaf_protos(&venue);
             let before = protos.len();
             let out = create_next_level(&venue, &protos, &door_nodes, t);
 

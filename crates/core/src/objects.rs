@@ -301,8 +301,7 @@ impl ObjectIndex {
         let mut leaf_builds = 0u64;
         let mut leaf_data = HashMap::with_capacity(by_leaf.len());
         for (leaf, objs) in by_leaf {
-            let node = tree.node(leaf);
-            let n_ads = node.access_doors.len();
+            let n_ads = tree.access_doors(leaf).len();
             let n = objs.len();
             let mut data = LeafObjects::new(n_ads);
             let mut row = vec![f64::INFINITY; n_ads];
@@ -434,12 +433,12 @@ impl ObjectIndex {
     /// returns the touched leaf.
     fn insert_live(&mut self, tree: &IpTree, id: ObjectId, at: IndoorPoint) -> NodeIdx {
         let leaf = tree.leaf_of(at.partition);
-        let node = tree.node(leaf);
+        let n_ads = tree.access_doors(leaf).len();
         let data = self
             .leaf_data
             .entry(leaf)
-            .or_insert_with(|| LeafObjects::new(node.access_doors.len()));
-        let mut row = vec![f64::INFINITY; node.access_doors.len()];
+            .or_insert_with(|| LeafObjects::new(n_ads));
+        let mut row = vec![f64::INFINITY; n_ads];
         dist_row(tree, leaf, &at, &mut row);
         let slot = data.push(id, &row);
         self.locs[id.index()] = ObjLoc {
@@ -601,8 +600,7 @@ mod tests {
 
         let mut engine = DijkstraEngine::new(venue.num_doors());
         for (&leaf, data) in &oi.leaf_data {
-            let node = tree.node(leaf);
-            for (ad_idx, &a) in node.access_doors.iter().enumerate() {
+            for (ad_idx, &a) in tree.access_doors(leaf).iter().enumerate() {
                 engine.run(venue.d2d(), &[(a.0, 0.0)], Termination::Exhaust);
                 for (j, oid) in data.objs.iter().enumerate() {
                     let o = &objects[oid.index()];

@@ -50,7 +50,7 @@ impl IpTree {
         // Walk provenance downwards, emitting edges top-down, then reverse.
         let entry_door = loop {
             let step = &asc.steps()[level];
-            let door = self.node(step.node).access_doors[idx];
+            let door = self.access_doors(step.node)[idx];
             match step.prov[idx] {
                 Provenance::Source { via } => {
                     if via != door {
@@ -64,7 +64,7 @@ impl IpTree {
                 }
                 Provenance::Child { idx: child_idx } => {
                     let child_step = &asc.steps()[level - 1];
-                    let child_door = self.node(child_step.node).access_doors[child_idx as usize];
+                    let child_door = self.access_doors(child_step.node)[child_idx as usize];
                     if child_door != door {
                         edges.push(PartialEdge {
                             from: child_door,
@@ -138,8 +138,7 @@ impl IpTree {
                     None => return self.dijkstra_expand(a, b),
                 },
             };
-            let slabs = &self.slabs;
-            let fwd = slabs.row_of(node_idx, a).zip(slabs.col_of(node_idx, b));
+            let fwd = self.row_of(node_idx, a).zip(self.col_of(node_idx, b));
             let Some((row, col)) = fwd else {
                 // Only the transposed entry exists (leaf matrices are
                 // door × access-door): expand the reverse and flip.
@@ -147,7 +146,7 @@ impl IpTree {
                 rev.reverse();
                 return rev;
             };
-            match slabs.hop(node_idx, row, col) {
+            match self.slabs.hop(node_idx, row, col) {
                 Some(k) if k != a && k != b => {
                     let mut left = self.expand(a, k, Some(node_idx));
                     let right = self.expand(k, b, Some(node_idx));
@@ -156,7 +155,7 @@ impl IpTree {
                     return left;
                 }
                 _ => {
-                    if self.node(node_idx).is_leaf() {
+                    if self.is_leaf(node_idx) {
                         // Leaf NULL entry: genuinely a final edge.
                         return vec![a, b];
                     }
@@ -170,9 +169,8 @@ impl IpTree {
 
     /// Does `n`'s matrix contain the pair in either orientation?
     fn matrix_has_pair(&self, n: NodeIdx, a: DoorId, b: DoorId) -> bool {
-        let m = &self.slabs;
-        (m.row_of(n, a).is_some() && m.col_of(n, b).is_some())
-            || (m.row_of(n, b).is_some() && m.col_of(n, a).is_some())
+        (self.row_of(n, a).is_some() && self.col_of(n, b).is_some())
+            || (self.row_of(n, b).is_some() && self.col_of(n, a).is_some())
     }
 
     /// All nodes whose matrix contains door `d`: its leaves (rows of leaf
@@ -191,11 +189,10 @@ impl IpTree {
             // holds `d` in its matrix.
             let mut cur = leaf;
             loop {
-                let node = self.node(cur);
-                if node.ad_index(d).is_none() {
+                if self.access_doors(cur).binary_search(&d).is_err() {
                     break;
                 }
-                let parent = node.parent;
+                let parent = self.parent(cur);
                 if parent == crate::NO_NODE {
                     break;
                 }
@@ -217,7 +214,7 @@ impl IpTree {
         ca.iter()
             .filter(|n| cb.contains(n) && !banned.contains(n) && self.matrix_has_pair(**n, a, b))
             .copied()
-            .min_by_key(|&n| self.node(n).level)
+            .min_by_key(|&n| self.level(n))
     }
 
     /// Exact fallback: Dijkstra between the two doors on the D2D graph.

@@ -1542,7 +1542,7 @@ impl IndoorService {
                 continue; // removed mid-walk
             };
             let vl = vec![("venue".to_string(), venue.index().to_string())];
-            let gauges: [(&str, &str, f64); 9] = [
+            let gauges: [(&str, &str, f64); 10] = [
                 ("indoor_shard_epoch", "Rebuild epoch", vs.epoch as f64),
                 (
                     "indoor_shard_version",
@@ -1584,11 +1584,16 @@ impl IndoorService {
                     "Live objects in the shard's index",
                     vs.live_objects as f64,
                 ),
+                (
+                    "indoor_object_slots",
+                    "Allocated object slots (live + tombstoned)",
+                    vs.object_slots as f64,
+                ),
             ];
             for (name, help, v) in gauges {
                 push(name, help, vl.clone(), MetricValue::Gauge(v));
             }
-            let counters: [(&str, &str, u64); 6] = [
+            let counters: [(&str, &str, u64); 7] = [
                 (
                     "indoor_cache_evictions_total",
                     "Clock (second-chance) evictions",
@@ -1608,6 +1613,11 @@ impl IndoorService {
                     "indoor_object_leaf_builds_total",
                     "Object-index leaf pages built",
                     vs.object_leaf_builds,
+                ),
+                (
+                    "indoor_object_leaf_touches_total",
+                    "Object-index leaf pages touched by delta application",
+                    vs.object_leaf_touches,
                 ),
                 (
                     "indoor_object_compactions_total",

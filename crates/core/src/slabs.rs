@@ -4,12 +4,13 @@
 //! [`Slabs::build`] consumes the per-node [`crate::tree::DistMatrix`]
 //! values the builders produce: `dist` rows go into one contiguous f64
 //! arena with cache-line-aligned rows and a precomputed stride per node,
-//! `next_hop` and the row/column door-id lists are moved in for path
-//! recovery, and the matrices are dropped — the slab holds the only copy
-//! of every distance. The kNN/range/ascent hot loops read straight row
-//! slices and hoisted column ordinals instead of chasing per-node boxes
-//! and binary-searching door ids. On top of the slab sits the lower-bound
-//! layer:
+//! `next_hop` entries go into one run per node for path recovery, and the
+//! matrices are dropped — the slab holds the only copy of every distance.
+//! The doors a row or column stands for are the tree's own runs
+//! ([`IpTree::rows`] / access doors), not a copy here. The
+//! kNN/range/ascent hot loops read straight row slices and hoisted column
+//! ordinals instead of binary-searching door ids. On top of the slab sits
+//! the lower-bound layer:
 //!
 //! * per-node minimum over the finite matrix entries (`env_min`);
 //! * a piecewise-linear bound table over column ordinals (knot spacing
@@ -29,7 +30,7 @@
 //! values against ground-truth Dijkstra are `build.rs`'s
 //! `structural_invariants`.
 
-use crate::tree::{DistMatrix, Node, NodeIdx, NO_DOOR, NO_NODE};
+use crate::tree::{DistMatrix, IpTree, NodeIdx, Runs, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
 use indoor_model::DoorId;
 
@@ -50,7 +51,7 @@ struct NodeBounds {
 /// Every node matrix of a built tree. Node numbering is the build's
 /// level-order arena (leaves first, root last), so a leaf-to-root walk
 /// already ascends addresses; the slab preserves that order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Slabs {
     /// One arena for every node matrix; `base` indexes the first element
     /// that sits on a 64-byte boundary.
@@ -63,40 +64,30 @@ pub struct Slabs {
     n_rows: Vec<u32>,
     n_cols: Vec<u32>,
     /// Per node: next-hop door per matrix entry, row-major with `n_cols`
-    /// columns ([`NO_DOOR`] = NULL), and the sorted door ids its rows and
-    /// columns stand for — what path recovery reads. Moved out of the
-    /// builders' matrices, not copied.
-    hops: Vec<Box<[u32]>>,
-    pub(crate) row_doors: Vec<Vec<DoorId>>,
-    pub(crate) col_doors: Vec<Vec<DoorId>>,
-    /// Kid-column CSR: for node `c`, `kid_cols[kid_cols_off[c]..kid_cols_off[c+1]]`
-    /// are the column indices of `c`'s access doors in `parent(c)`'s
-    /// matrix. Inner matrices have `rows == cols`, so the same run doubles
-    /// as row indices. Empty for the root.
-    kid_cols: Vec<u32>,
-    kid_cols_off: Vec<u32>,
-    /// For non-leaf node `n`, the column indices of `n.access_doors` in
-    /// `n`'s own matrix (leaf matrices' columns *are* the access doors, so
-    /// leaves get the identity run).
-    own_cols: Vec<u32>,
-    own_cols_off: Vec<u32>,
-    /// PL bound table: knots per node, concatenated.
-    pl_knots: Vec<f64>,
-    pl_off: Vec<u32>,
+    /// columns ([`NO_DOOR`] = NULL) — what path recovery reads.
+    hops: Runs<u32>,
+    /// For node `c`: the column indices of `c`'s access doors in
+    /// `parent(c)`'s matrix. Inner matrices have `rows == cols`, so the
+    /// same run doubles as row indices. Empty for the root.
+    kid_cols: Runs<u32>,
+    /// For node `n`: the column indices of its access doors in its own
+    /// matrix (leaf matrices' columns *are* the access doors, so leaves
+    /// get the identity run).
+    own_cols: Runs<u32>,
+    /// PL bound table: knots per node.
+    pl_knots: Runs<f64>,
     /// Per node `c`: the PL table of `parent(c)` evaluated over `c`'s
     /// access-door columns, minimised — an admissible lower bound on any
     /// derived child vector entry net of the base minimum. 0 for the root.
     kid_lb: Vec<f64>,
-    /// Row-minimum CSR: for non-root node `c`,
-    /// `kid_rowmin[off..][r] = min over c's parent-matrix columns of
-    /// P(r, col)` — the exact per-row distance floor used by k-best
-    /// pruning. Unlike the per-node column minima (which include the zero
-    /// diagonal of every square inner matrix), a row's minimum over *one
-    /// child's* columns is zero only where that row's door really is one
-    /// of the child's access doors, so this bound has teeth. Empty run
-    /// for the root.
-    kid_rowmin: Vec<f64>,
-    kid_rowmin_off: Vec<u32>,
+    /// Row minima: for non-root node `c`, `kid_rowmin_of(c)[r] = min
+    /// over c's parent-matrix columns of P(r, col)` — the exact per-row
+    /// distance floor used by k-best pruning. Unlike the per-node column
+    /// minima (which include the zero diagonal of every square inner
+    /// matrix), a row's minimum over *one child's* columns is zero only
+    /// where that row's door really is one of the child's access doors, so
+    /// this bound has teeth. Empty run for the root.
+    kid_rowmin: Runs<f64>,
     /// Per node: minimum over the finite matrix entries (`+inf` when the
     /// matrix is empty or all-infinite).
     env_min: Vec<f64>,
@@ -106,21 +97,18 @@ pub struct Slabs {
 }
 
 impl Slabs {
-    /// Pack the finished matrices (`matrices[i]` belongs to `nodes[i]`),
-    /// consuming them.
-    pub(crate) fn build(
-        nodes: &[Node],
-        matrices: Vec<DistMatrix>,
-        door_leaves: &[[NodeIdx; 2]],
-        threads: usize,
-    ) -> Slabs {
-        debug_assert_eq!(nodes.len(), matrices.len());
-        let bounds: Vec<NodeBounds> = par_map(&matrices, threads, |_, m| node_bounds(m));
+    /// Pack the finished matrices of `tree` (`matrices[i]` belongs to
+    /// node `i`), consuming them. `tree` is complete but for its slab.
+    pub(crate) fn build(tree: &IpTree, matrices: Vec<DistMatrix>) -> Slabs {
+        let n_nodes = tree.num_nodes();
+        debug_assert_eq!(n_nodes, matrices.len());
+        let bounds: Vec<NodeBounds> =
+            par_map(&matrices, tree.config.threads, |_, m| node_bounds(m));
 
-        let mut off = Vec::with_capacity(nodes.len());
-        let mut stride = Vec::with_capacity(nodes.len());
-        let mut n_rows = Vec::with_capacity(nodes.len());
-        let mut n_cols = Vec::with_capacity(nodes.len());
+        let mut off = Vec::with_capacity(n_nodes);
+        let mut stride = Vec::with_capacity(n_nodes);
+        let mut n_rows = Vec::with_capacity(n_nodes);
+        let mut n_cols = Vec::with_capacity(n_nodes);
         let mut total = 0usize;
         for m in &matrices {
             let (r, c) = (m.rows.len(), m.cols.len());
@@ -134,16 +122,13 @@ impl Slabs {
 
         // Over-allocate so the first row can start on a cache line
         // wherever the allocator put us; padding lanes stay +inf. Each
-        // matrix gives up its `dist` box as soon as its rows are in, and
-        // its hop box and door lists change owner without a copy.
+        // matrix is dropped as soon as its rows and hops are in.
         let mut arena = vec![f64::INFINITY; total + ROW_ALIGN];
         let base = {
             let addr = arena.as_ptr() as usize;
             (64 - addr % 64) % 64 / std::mem::size_of::<f64>()
         };
-        let mut hops = Vec::with_capacity(nodes.len());
-        let mut row_doors = Vec::with_capacity(nodes.len());
-        let mut col_doors = Vec::with_capacity(nodes.len());
+        let mut hops = Runs::default();
         for (i, m) in matrices.into_iter().enumerate() {
             let (r, c, s) = (m.rows.len(), m.cols.len(), stride[i] as usize);
             let start = base + off[i];
@@ -151,19 +136,7 @@ impl Slabs {
                 arena[start + row * s..start + row * s + c]
                     .copy_from_slice(&m.dist[row * c..(row + 1) * c]);
             }
-            hops.push(m.next_hop);
-            row_doors.push(m.rows);
-            col_doors.push(m.cols);
-        }
-
-        let mut pl_knots = Vec::new();
-        let mut pl_off = Vec::with_capacity(nodes.len() + 1);
-        let mut env_min = Vec::with_capacity(nodes.len());
-        pl_off.push(0);
-        for b in &bounds {
-            pl_knots.extend_from_slice(&b.knots);
-            pl_off.push(pl_knots.len() as u32);
-            env_min.push(b.env_min);
+            hops.push_run(m.next_hop.iter().copied());
         }
 
         let mut slabs = Slabs {
@@ -174,103 +147,73 @@ impl Slabs {
             n_rows,
             n_cols,
             hops,
-            row_doors,
-            col_doors,
-            kid_cols: Vec::new(),
-            kid_cols_off: Vec::new(),
-            own_cols: Vec::new(),
-            own_cols_off: Vec::new(),
-            pl_knots,
-            pl_off,
-            kid_lb: Vec::new(),
-            kid_rowmin: Vec::new(),
-            kid_rowmin_off: Vec::new(),
-            env_min,
-            door_rows: Vec::new(),
+            pl_knots: bounds.iter().map(|b| b.knots.iter().copied()).collect(),
+            env_min: bounds.iter().map(|b| b.env_min).collect(),
+            ..Slabs::default()
         };
 
-        // Column CSRs. `kid_cols` for node c lives under parent(c)'s
+        // Column runs. `kid_cols` for node c lives under parent(c)'s
         // matrix; `own_cols` for node n under n's own matrix.
-        let mut kid_cols = Vec::new();
-        let mut kid_cols_off = Vec::with_capacity(nodes.len() + 1);
-        let mut own_cols = Vec::new();
-        let mut own_cols_off = Vec::with_capacity(nodes.len() + 1);
-        kid_cols_off.push(0);
-        own_cols_off.push(0);
-        for (i, node) in nodes.iter().enumerate() {
-            if node.parent != NO_NODE {
-                for &a in &node.access_doors {
-                    let col = slabs.col_of(node.parent, a);
-                    kid_cols.push(col.expect("child access door in parent matrix") as u32);
-                }
+        for n in 0..n_nodes as NodeIdx {
+            let (p, access) = (tree.parent(n), tree.access_doors(n));
+            let cols_in = |m: NodeIdx| {
+                access
+                    .iter()
+                    .map(move |&a| tree.col_of(m, a).expect("access door is a column") as u32)
+            };
+            if p == NO_NODE {
+                slabs.kid_cols.push_run([]);
+            } else {
+                slabs.kid_cols.push_run(cols_in(p));
             }
-            kid_cols_off.push(kid_cols.len() as u32);
-            for &a in &node.access_doors {
-                let col = slabs.col_of(i as NodeIdx, a);
-                own_cols.push(col.expect("own access door in own matrix") as u32);
-            }
-            own_cols_off.push(own_cols.len() as u32);
+            slabs.own_cols.push_run(cols_in(n));
         }
-        slabs.kid_cols = kid_cols;
-        slabs.kid_cols_off = kid_cols_off;
-        slabs.own_cols = own_cols;
-        slabs.own_cols_off = own_cols_off;
 
         // kid_lb: the parent's interpolated table evaluated over the
         // child's access-door columns — cached here so the k-best pruning
         // check at query time is a single add + compare.
-        let mut kid_lb = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            if node.parent == NO_NODE {
-                kid_lb.push(0.0);
-                continue;
-            }
-            let p = node.parent;
-            let mut lb = f64::INFINITY;
-            for &c in slabs.kid_cols_of(i as NodeIdx) {
-                lb = lb.min(slabs.pl_bound(p, c as usize));
-            }
-            kid_lb.push(lb);
-        }
-        slabs.kid_lb = kid_lb;
+        slabs.kid_lb = (0..n_nodes as NodeIdx)
+            .map(|n| match tree.parent(n) {
+                NO_NODE => 0.0,
+                p => slabs.kid_cols_of(n).iter().fold(f64::INFINITY, |lb, &c| {
+                    lb.min(slabs.pl_bound(p, c as usize))
+                }),
+            })
+            .collect();
 
         // Exact per-row floors toward each child's access doors.
-        let mut kid_rowmin = Vec::new();
-        let mut kid_rowmin_off = Vec::with_capacity(nodes.len() + 1);
-        kid_rowmin_off.push(0);
-        for (i, node) in nodes.iter().enumerate() {
-            if node.parent != NO_NODE {
-                let p = node.parent;
-                for r in 0..slabs.n_rows[p as usize] as usize {
+        slabs.kid_rowmin = (0..n_nodes as NodeIdx)
+            .map(|n| {
+                let p = tree.parent(n);
+                let rows = if p == NO_NODE { 0 } else { slabs.n_rows(p) };
+                let slabs = &slabs;
+                (0..rows).map(move |r| {
                     let row = slabs.row(p, r);
                     let mut m = f64::INFINITY;
-                    for &c in slabs.kid_cols_of(i as NodeIdx) {
+                    for &c in slabs.kid_cols_of(n) {
                         let v = row[c as usize];
                         if v < m {
                             m = v;
                         }
                     }
-                    kid_rowmin.push(m);
-                }
-            }
-            kid_rowmin_off.push(kid_rowmin.len() as u32);
-        }
-        slabs.kid_rowmin = kid_rowmin;
-        slabs.kid_rowmin_off = kid_rowmin_off;
+                    m
+                })
+            })
+            .collect();
 
-        let mut door_rows = vec![[0u32; 2]; door_leaves.len()];
-        for (d, leaves) in door_leaves.iter().enumerate() {
-            for (k, &l) in leaves.iter().enumerate() {
-                if l == NO_NODE {
-                    continue;
-                }
-                let row = slabs
-                    .row_of(l, DoorId(d as u32))
-                    .expect("door is a row of its leaf matrix");
-                door_rows[d][k] = row as u32;
-            }
-        }
-        slabs.door_rows = door_rows;
+        slabs.door_rows = tree
+            .door_leaves
+            .iter()
+            .enumerate()
+            .map(|(d, leaves)| {
+                leaves.map(|l| match l {
+                    NO_NODE => 0,
+                    l => tree
+                        .row_of(l, DoorId(d as u32))
+                        .expect("door is a row of its leaf matrix") as u32,
+                })
+            })
+            .collect();
         slabs
     }
 
@@ -301,37 +244,23 @@ impl Slabs {
     #[inline]
     pub fn hop(&self, n: NodeIdx, r: usize, c: usize) -> Option<DoorId> {
         let i = n as usize;
-        match self.hops[i][r * self.n_cols[i] as usize + c] {
+        match self.hops.get(i)[r * self.n_cols[i] as usize + c] {
             NO_DOOR => None,
             d => Some(DoorId(d)),
         }
-    }
-
-    /// Row ordinal of door `d` in node `n`'s matrix, if it is a row.
-    #[inline]
-    pub(crate) fn row_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
-        self.row_doors[n as usize].binary_search(&d).ok()
-    }
-
-    /// Column ordinal of door `d` in node `n`'s matrix, if it is a column.
-    #[inline]
-    pub(crate) fn col_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
-        self.col_doors[n as usize].binary_search(&d).ok()
     }
 
     /// Column indices of `c`'s access doors in its parent's matrix (rows
     /// double as cols for inner matrices). Empty for the root.
     #[inline]
     pub(crate) fn kid_cols_of(&self, c: NodeIdx) -> &[u32] {
-        let i = c as usize;
-        &self.kid_cols[self.kid_cols_off[i] as usize..self.kid_cols_off[i + 1] as usize]
+        self.kid_cols.get(c as usize)
     }
 
     /// Column indices of `n`'s own access doors in `n`'s matrix.
     #[inline]
     pub(crate) fn own_cols_of(&self, n: NodeIdx) -> &[u32] {
-        let i = n as usize;
-        &self.own_cols[self.own_cols_off[i] as usize..self.own_cols_off[i + 1] as usize]
+        self.own_cols.get(n as usize)
     }
 
     /// Row index of door `d` in leaf `leaf`'s matrix (must be one of the
@@ -351,8 +280,7 @@ impl Slabs {
     /// admissible (`pl_bound(n, c) <= M_n(r, c)` for every row `r`).
     #[inline]
     pub fn pl_bound(&self, n: NodeIdx, c: usize) -> f64 {
-        let i = n as usize;
-        let knots = &self.pl_knots[self.pl_off[i] as usize..self.pl_off[i + 1] as usize];
+        let knots = self.pl_knots.get(n as usize);
         let j = c / PL_SPACING;
         let (a, b) = (knots[j], knots[j + 1]);
         if !a.is_finite() || !b.is_finite() {
@@ -376,8 +304,7 @@ impl Slabs {
     /// Empty for the root.
     #[inline]
     pub fn kid_rowmin_of(&self, c: NodeIdx) -> &[f64] {
-        let i = c as usize;
-        &self.kid_rowmin[self.kid_rowmin_off[i] as usize..self.kid_rowmin_off[i + 1] as usize]
+        self.kid_rowmin.get(c as usize)
     }
 
     /// Minimum over the finite entries of node `n`'s matrix (`+inf` when
@@ -390,50 +317,39 @@ impl Slabs {
     /// Bytes of the distance arena and the next-hop entries — the
     /// matrices proper ([`crate::TreeStats::matrix_bytes`]).
     pub(crate) fn matrix_bytes(&self) -> usize {
-        self.arena.len() * 8 + self.hops.iter().map(|h| h.len() * 4).sum::<usize>()
+        self.arena.len() * 8 + self.hops.size_bytes()
     }
 
-    /// Every array of the store, once (per-node boxes and lists with
-    /// their headers).
+    /// Every array of the store, once.
     pub fn size_bytes(&self) -> usize {
-        let door_lists = |lists: &[Vec<DoorId>]| {
-            lists
-                .iter()
-                .map(|l| l.len() * 4 + std::mem::size_of::<Vec<DoorId>>())
-                .sum::<usize>()
-        };
         self.matrix_bytes()
-            + self.hops.len() * std::mem::size_of::<Box<[u32]>>()
-            + door_lists(&self.row_doors)
-            + door_lists(&self.col_doors)
             + self.off.len() * std::mem::size_of::<usize>()
             + (self.stride.len() + self.n_rows.len() + self.n_cols.len()) * 4
-            + (self.kid_cols.len() + self.kid_cols_off.len()) * 4
-            + (self.own_cols.len() + self.own_cols_off.len()) * 4
-            + self.pl_knots.len() * 8
-            + self.pl_off.len() * 4
+            + self.kid_cols.size_bytes()
+            + self.own_cols.size_bytes()
+            + self.pl_knots.size_bytes()
             + self.kid_lb.len() * 8
-            + self.kid_rowmin.len() * 8
-            + self.kid_rowmin_off.len() * 4
+            + self.kid_rowmin.size_bytes()
             + self.env_min.len() * 8
             + self.door_rows.len() * 8
     }
 
-    /// Full structural audit against the arena itself: every row
-    /// cache-line-aligned and as wide as its door list, every CSR ordinal
-    /// naming the door it was hoisted for, `env_min` the exact finite
-    /// minimum, every PL value and `kid_lb` admissible, `kid_rowmin`
-    /// exact. (That the arena holds the *right* distances is checked
-    /// against Dijkstra by `build.rs`'s `structural_invariants`.)
-    pub(crate) fn audit(&self, nodes: &[Node]) {
-        assert_eq!(self.off.len(), nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            let n = i as NodeIdx;
+    /// Full structural audit against the arena itself: every matrix as
+    /// tall and wide as the tree's door runs, every row
+    /// cache-line-aligned, every CSR ordinal naming the door it was
+    /// hoisted for, `env_min` the exact finite minimum, every PL value
+    /// and `kid_lb` admissible, `kid_rowmin` exact. (That the arena
+    /// holds the *right* distances is checked against Dijkstra by
+    /// `build.rs`'s `structural_invariants`.)
+    pub(crate) fn audit(&self, tree: &IpTree) {
+        assert_eq!(self.off.len(), tree.num_nodes());
+        for n in 0..tree.num_nodes() as NodeIdx {
+            let i = n as usize;
             let (rows, cols) = (self.n_rows(n), self.n_cols[i] as usize);
-            let (row_doors, col_doors) = (&self.row_doors[i], &self.col_doors[i]);
-            assert_eq!(row_doors.len(), rows);
-            assert_eq!(col_doors.len(), cols);
-            assert_eq!(self.hops[i].len(), rows * cols);
+            let (access, col_ids) = (tree.access_doors(n), tree.cols(n));
+            assert_eq!(tree.rows(n).len(), rows);
+            assert_eq!(col_ids.len(), cols);
+            assert_eq!(self.hops.get(i).len(), rows * cols);
             assert!(self.stride[i] as usize >= cols);
             assert_eq!(self.stride[i] as usize % ROW_ALIGN, 0);
             let mut finite_min = f64::INFINITY;
@@ -458,21 +374,16 @@ impl Slabs {
                 );
             }
             let own = self.own_cols_of(n);
-            assert_eq!(own.len(), node.access_doors.len());
-            for (&c, &a) in own.iter().zip(&node.access_doors) {
-                assert_eq!(col_doors[c as usize], a);
+            assert_eq!(own.len(), access.len());
+            for (&c, &a) in own.iter().zip(access) {
+                assert_eq!(col_ids[c as usize], a);
             }
-            if node.is_leaf() {
-                assert_eq!((row_doors, col_doors), (&node.doors, &node.access_doors));
-            } else {
-                assert_eq!(row_doors, col_doors, "inner matrix square");
-            }
-            if node.parent != NO_NODE {
-                let p = node.parent;
+            let p = tree.parent(n);
+            if p != NO_NODE {
                 let run = self.kid_cols_of(n);
-                assert_eq!(run.len(), node.access_doors.len());
-                for (&c, &a) in run.iter().zip(&node.access_doors) {
-                    assert_eq!(self.col_doors[p as usize][c as usize], a);
+                assert_eq!(run.len(), access.len());
+                for (&c, &a) in run.iter().zip(access) {
+                    assert_eq!(tree.cols(p)[c as usize], a);
                 }
                 // kid_lb lower-bounds every entry in the child's columns;
                 // kid_rowmin is the exact per-row minimum (not merely a

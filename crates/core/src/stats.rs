@@ -1,7 +1,7 @@
 //! Measured index statistics: the quantities of the paper's Table 1
 //! complexity analysis (ρ, f, M, D, α) plus storage footprints.
 
-use crate::tree::IpTree;
+use crate::tree::{IpTree, NodeIdx};
 
 /// Structural statistics of a built tree. The paper reports ρ (average
 /// access doors per node) and f (average fanout) below 4 on all real data
@@ -32,26 +32,22 @@ pub struct TreeStats {
 
 impl TreeStats {
     pub fn compute(tree: &IpTree) -> TreeStats {
-        let nodes = &tree.nodes;
-        let num_nodes = nodes.len();
+        let num_nodes = tree.num_nodes();
         let num_leaves = tree.num_leaves();
-        let inner: Vec<_> = nodes.iter().filter(|n| !n.is_leaf()).collect();
-        let avg_fanout = if inner.is_empty() {
+        let n_inner = num_nodes - num_leaves;
+        // Every node but the root is exactly one child.
+        let avg_fanout = if n_inner == 0 {
             0.0
         } else {
-            inner.iter().map(|n| n.children.len()).sum::<usize>() as f64 / inner.len() as f64
+            (num_nodes - 1) as f64 / n_inner as f64
         };
-        let avg_access_doors =
-            nodes.iter().map(|n| n.access_doors.len()).sum::<usize>() as f64 / num_nodes as f64;
-        let max_access_doors = nodes
-            .iter()
-            .map(|n| n.access_doors.len())
-            .max()
-            .unwrap_or(0);
-        let sup = &tree.superior;
-        let avg_superior_doors =
-            sup.iter().map(Vec::len).sum::<usize>() as f64 / sup.len().max(1) as f64;
-        let max_superior_doors = sup.iter().map(Vec::len).max().unwrap_or(0);
+        let ads = (0..num_nodes as NodeIdx).map(|n| tree.access_doors(n).len());
+        let avg_access_doors = ads.clone().sum::<usize>() as f64 / num_nodes as f64;
+        let max_access_doors = ads.max().unwrap_or(0);
+        let n_parts = tree.superior.len();
+        let sup = (0..n_parts).map(|p| tree.superior.get(p).len());
+        let avg_superior_doors = sup.clone().sum::<usize>() as f64 / n_parts.max(1) as f64;
+        let max_superior_doors = sup.max().unwrap_or(0);
         TreeStats {
             num_nodes,
             num_leaves,

@@ -1,7 +1,11 @@
+//! The built IP-tree (§2.1) as flat columns (DESIGN.md §14.1): a node is
+//! an index into `parent`, `level` and one [`Runs`] per list, and each
+//! door list is stored once. Distances live in [`crate::slabs::Slabs`].
+
 use indoor_model::{DoorId, ObjectId, PartitionId, Venue};
 use std::sync::Arc;
 
-/// Index of a node within an [`IpTree`]'s node array.
+/// Index of a node: leaves are `0..num_leaves()`, the root is last.
 pub type NodeIdx = u32;
 
 /// Sentinel for "no node".
@@ -104,55 +108,79 @@ impl DistMatrix {
     }
 }
 
-/// One node of the IP-tree.
-#[derive(Debug, Clone)]
-pub struct Node {
-    pub parent: NodeIdx,
-    /// Children node indices; empty for leaves.
-    pub children: Vec<NodeIdx>,
-    /// 1 for leaves, increasing towards the root.
-    pub level: u32,
-    /// Access doors AD(N), sorted (§2.1.1 Definition 1).
-    pub access_doors: Vec<DoorId>,
-    /// Partitions contained in this leaf (empty for non-leaf nodes).
-    pub partitions: Vec<PartitionId>,
-    /// Every door of this leaf, sorted (empty for non-leaf nodes).
-    pub doors: Vec<DoorId>,
+/// Variable-length runs stored back to back: run `i` is
+/// `items[off[i]..off[i + 1]]` — every per-node list of a built tree.
+#[derive(Debug)]
+pub(crate) struct Runs<T> {
+    items: Vec<T>,
+    off: Vec<u32>,
 }
 
-impl Node {
+impl<T> Default for Runs<T> {
+    fn default() -> Self {
+        Runs {
+            items: Vec::new(),
+            off: vec![0],
+        }
+    }
+}
+
+impl<T> Runs<T> {
+    /// Run `i`.
     #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+    pub fn get(&self, i: usize) -> &[T] {
+        &self.items[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
-    /// Index of `d` in `access_doors`.
-    #[inline]
-    pub fn ad_index(&self, d: DoorId) -> Option<usize> {
-        self.access_doors.binary_search(&d).ok()
+    /// Append one run.
+    pub fn push_run(&mut self, run: impl IntoIterator<Item = T>) {
+        self.items.extend(run);
+        self.off.push(self.items.len() as u32);
     }
 
+    /// Number of runs.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Bytes of the items and the offsets.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Node>()
-            + self.children.len() * 4
-            + self.access_doors.len() * 4
-            + self.partitions.len() * 4
-            + self.doors.len() * 4
+        self.items.len() * std::mem::size_of::<T>() + self.off.len() * 4
+    }
+}
+
+impl<T, R: IntoIterator<Item = T>> FromIterator<R> for Runs<T> {
+    fn from_iter<I: IntoIterator<Item = R>>(runs: I) -> Self {
+        let mut out = Runs::default();
+        for run in runs {
+            out.push_run(run);
+        }
+        out
     }
 }
 
 /// The Indoor Partitioning Tree (§2.1).
 ///
-/// Beyond the node array, the tree keeps the lookup maps query processing
-/// needs: partition → leaf, door → (≤ 2) leaves, per-door boundary flags
-/// (is the door an access door of any leaf?), and per-partition superior
-/// doors (§3.1.1 Definition 2).
+/// Nodes are numbered level by level, leaves first, so `is_leaf(n)` is
+/// `n < num_leaves()`. Beside the topology, the tree keeps the lookup
+/// maps query processing needs: partition → leaf, door → (≤ 2) leaves,
+/// per-door boundary flags (is the door an access door of any leaf?),
+/// and per-partition superior doors (§3.1.1 Definition 2).
 #[derive(Debug)]
 pub struct IpTree {
     pub(crate) venue: Arc<Venue>,
     pub(crate) config: VipTreeConfig,
-    pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeIdx,
+    /// Per node, behind `parent`, `level`, `children`, `access_doors`
+    /// and `rows`.
+    pub(crate) parent: Vec<NodeIdx>,
+    pub(crate) level: Vec<u32>,
+    pub(crate) children: Runs<NodeIdx>,
+    pub(crate) access: Runs<DoorId>,
+    pub(crate) rows: Runs<DoorId>,
+    /// Per leaf, behind `leaf_partitions`.
+    pub(crate) partitions: Runs<PartitionId>,
     /// Leaf node containing each partition.
     pub(crate) leaf_of_partition: Vec<NodeIdx>,
     /// The (at most two, deduplicated) leaves containing each door.
@@ -160,7 +188,7 @@ pub struct IpTree {
     /// Whether each door is an access door of at least one leaf.
     pub(crate) boundary: Vec<bool>,
     /// Superior doors per partition (Definition 2).
-    pub(crate) superior: Vec<Vec<DoorId>>,
+    pub(crate) superior: Runs<DoorId>,
     /// Dijkstra fallbacks taken during path decomposition (expected 0; see
     /// DESIGN.md on Algorithm 4 robustness).
     pub(crate) decompose_fallbacks: std::sync::atomic::AtomicU64,
@@ -192,10 +220,9 @@ pub struct IpTree {
     /// caches key object answers by ([`IpTree::objects_generation`]).
     pub(crate) objects_gen: std::sync::atomic::AtomicU64,
     /// The matrix store (DESIGN.md §14): every node's distance rows in
-    /// one cache-line-aligned SoA arena, the next-hop entries and
-    /// row/column door lists path recovery reads, and the admissible
-    /// lower-bound layer. Packed once at construction from the builders'
-    /// matrices, which are consumed.
+    /// one cache-line-aligned SoA arena, the next-hop entries path
+    /// recovery reads, and the admissible lower-bound layer. Packed once
+    /// at construction from the builders' matrices, which are consumed.
     pub(crate) slabs: crate::slabs::Slabs,
     /// Per-leaf global door-to-door distance grid (DESIGN.md §14.4):
     /// turns the own-leaf exact scan from a per-query D2D expansion into
@@ -217,27 +244,96 @@ impl IpTree {
     }
 
     #[inline]
-    pub fn node(&self, idx: NodeIdx) -> &Node {
-        &self.nodes[idx as usize]
-    }
-
-    #[inline]
     pub fn root(&self) -> NodeIdx {
         self.root
     }
 
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
+    #[inline]
     pub fn num_leaves(&self) -> usize {
-        self.leaf_grid.n_leaves()
+        self.partitions.len()
     }
 
     /// Height of the tree (root level; leaves are level 1).
     pub fn height(&self) -> u32 {
-        self.node(self.root).level
+        self.level(self.root)
+    }
+
+    /// Parent of `n` ([`NO_NODE`] for the root).
+    #[inline]
+    pub fn parent(&self, n: NodeIdx) -> NodeIdx {
+        self.parent[n as usize]
+    }
+
+    /// Level of `n`: 1 for leaves, the height for the root.
+    #[inline]
+    pub fn level(&self, n: NodeIdx) -> u32 {
+        self.level[n as usize]
+    }
+
+    /// Children of `n` in build order; empty for leaves.
+    #[inline]
+    pub fn children(&self, n: NodeIdx) -> &[NodeIdx] {
+        self.children.get(n as usize)
+    }
+
+    /// Leaves are numbered first.
+    #[inline]
+    pub fn is_leaf(&self, n: NodeIdx) -> bool {
+        (n as usize) < self.num_leaves()
+    }
+
+    /// Access doors AD(n), sorted (§2.1.1 Definition 1).
+    #[inline]
+    pub fn access_doors(&self, n: NodeIdx) -> &[DoorId] {
+        self.access.get(n as usize)
+    }
+
+    /// Row doors of `n`'s matrix, sorted: every door of a leaf, the
+    /// border of an inner node.
+    #[inline]
+    pub fn rows(&self, n: NodeIdx) -> &[DoorId] {
+        self.rows.get(n as usize)
+    }
+
+    /// Column doors of `n`'s matrix: a leaf's access doors, an inner
+    /// node's rows.
+    #[inline]
+    pub(crate) fn cols(&self, n: NodeIdx) -> &[DoorId] {
+        if self.is_leaf(n) {
+            self.access_doors(n)
+        } else {
+            self.rows(n)
+        }
+    }
+
+    /// Every door of leaf `leaf`, sorted.
+    #[inline]
+    pub fn leaf_doors(&self, leaf: NodeIdx) -> &[DoorId] {
+        debug_assert!(self.is_leaf(leaf));
+        self.rows(leaf)
+    }
+
+    /// Partitions of leaf `leaf`.
+    #[inline]
+    pub fn leaf_partitions(&self, leaf: NodeIdx) -> &[PartitionId] {
+        self.partitions.get(leaf as usize)
+    }
+
+    /// Row ordinal of door `d` in node `n`'s matrix, if it is a row.
+    #[inline]
+    pub(crate) fn row_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
+        self.rows(n).binary_search(&d).ok()
+    }
+
+    /// Column ordinal of door `d` in node `n`'s matrix, if it is a column.
+    #[inline]
+    pub(crate) fn col_of(&self, n: NodeIdx, d: DoorId) -> Option<usize> {
+        self.cols(n).binary_search(&d).ok()
     }
 
     #[inline]
@@ -256,7 +352,7 @@ impl IpTree {
     /// the optimisation is disabled.
     pub fn superior_doors(&self, p: PartitionId) -> &[DoorId] {
         if self.config.use_superior_doors {
-            &self.superior[p.index()]
+            self.superior.get(p.index())
         } else {
             &self.venue.partition(p).doors
         }
@@ -265,7 +361,7 @@ impl IpTree {
     /// Walk from `node` to the root, inclusive.
     pub fn ancestors(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         std::iter::successors(Some(node), move |&n| {
-            Some(self.node(n).parent).filter(|&p| p != NO_NODE)
+            Some(self.parent(n)).filter(|&p| p != NO_NODE)
         })
     }
 
@@ -273,15 +369,15 @@ impl IpTree {
     /// lock-step parent walking suffices).
     pub fn lca(&self, a: NodeIdx, b: NodeIdx) -> NodeIdx {
         let (mut a, mut b) = (a, b);
-        while self.node(a).level < self.node(b).level {
-            a = self.node(a).parent;
+        while self.level(a) < self.level(b) {
+            a = self.parent(a);
         }
-        while self.node(b).level < self.node(a).level {
-            b = self.node(b).parent;
+        while self.level(b) < self.level(a) {
+            b = self.parent(b);
         }
         while a != b {
-            a = self.node(a).parent;
-            b = self.node(b).parent;
+            a = self.parent(a);
+            b = self.parent(b);
         }
         a
     }
@@ -291,7 +387,7 @@ impl IpTree {
     pub fn child_towards(&self, ancestor: NodeIdx, descendant: NodeIdx) -> NodeIdx {
         let mut cur = descendant;
         loop {
-            let parent = self.node(cur).parent;
+            let parent = self.parent(cur);
             if parent == ancestor {
                 return cur;
             }
@@ -339,7 +435,7 @@ impl IpTree {
     /// violation. Forces any lazily-deferred leaf grids to build first,
     /// so the audit always covers the full grid.
     pub fn audit_layout(&self) {
-        self.slabs.audit(&self.nodes);
+        self.slabs.audit(self);
         self.build_leaf_grid();
         self.leaf_grid.audit(self);
     }
@@ -347,16 +443,16 @@ impl IpTree {
     /// Total bytes of index structure (Fig. 8(b)): topology, the slab
     /// matrix store, and the leaf grids built so far.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.iter().map(Node::size_bytes).sum::<usize>()
+        (self.parent.len() + self.level.len()) * 4
+            + self.children.size_bytes()
+            + self.access.size_bytes()
+            + self.rows.size_bytes()
+            + self.partitions.size_bytes()
+            + self.superior.size_bytes()
             + self.slabs.size_bytes()
             + self.leaf_grid.size_bytes()
             + self.leaf_of_partition.len() * 4
             + self.door_leaves.len() * 8
             + self.boundary.len()
-            + self
-                .superior
-                .iter()
-                .map(|s| s.len() * 4 + std::mem::size_of::<Vec<DoorId>>())
-                .sum::<usize>()
     }
 }

@@ -75,7 +75,7 @@ impl DoorTables {
             // Ascend to the root, minimising over the previous level.
             let mut cur = leaf;
             loop {
-                let parent = ip.node(cur).parent;
+                let parent = ip.parent(cur);
                 if parent == NO_NODE || rows.iter().any(|row| row.0 == parent) {
                     break; // root, or shared upper chain already materialised
                 }
@@ -101,7 +101,7 @@ impl DoorTables {
         }
         rows.sort_unstable_by_key(|row| row.0);
         for &(node, prev, off) in rows.iter() {
-            let span = off as usize..off as usize + ip.node(node).access_doors.len();
+            let span = off as usize..off as usize + ip.access_doors(node).len();
             self.nodes.push(node);
             self.prev.push(prev);
             self.row_off.push(self.dists.len() as u32);
@@ -280,7 +280,7 @@ impl VipTree {
         let mut idx = ad_idx;
         loop {
             let (k, span) = table.row_at(door.0, cur).expect("chain node in table");
-            let cur_door = ip.node(cur).access_doors[idx];
+            let cur_door = ip.access_doors(cur)[idx];
             match table.args[span.start + idx] {
                 ARG_LEAF => {
                     // Leaf row: one edge door → cur_door in the leaf matrix.
@@ -295,7 +295,7 @@ impl VipTree {
                 }
                 arg => {
                     let prev = table.prev[k];
-                    let prev_door = ip.node(prev).access_doors[arg as usize];
+                    let prev_door = ip.access_doors(prev)[arg as usize];
                     if prev_door != cur_door {
                         edges.push(PartialEdge {
                             from: prev_door,
@@ -320,7 +320,7 @@ impl VipTree {
     fn table_step_into(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent) {
         let ip = &self.ip;
         let step = asc.push_step(n);
-        step.reset_sources(ip.node(n).access_doors.len());
+        step.reset_sources(ip.access_doors(n).len());
         for &u in ip.superior_doors(p.partition) {
             let Some(row) = self.tables.dists_at(u.0, n) else {
                 continue;

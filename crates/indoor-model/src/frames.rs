@@ -8,9 +8,9 @@
 //! scenario replay — shares one byte layout that cannot drift from the
 //! definition of a request. Frames reference only model types and plain
 //! scalars; service-side structures (shard configs, service errors) cross
-//! the wire as scalar mirrors ([`WireError`], [`WireShardStats`]) or as
-//! opaque payloads encoded by the layer that owns them (venue admin
-//! carries the core crate's own config encoding).
+//! the wire as scalar mirrors ([`WireError`]) or as opaque payloads
+//! encoded by the layer that owns them (venue admin carries the core
+//! crate's own config encoding).
 //!
 //! # Outer framing
 //!
@@ -252,108 +252,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Scalar mirror of one venue shard's stats as they cross the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireShardStats {
-    pub venue: u32,
-    pub epoch: u64,
-    pub version: u64,
-    pub cached_entries: u64,
-    pub cache_capacity: u64,
-    pub evictions: u64,
-    pub in_flight: u64,
-    pub admission_capacity: u64,
-    pub shed: u64,
-    pub admission_timeouts: u64,
-    /// Applied-LSN gap behind the replication leader (0 on a leader or a
-    /// caught-up follower).
-    pub replication_lag: u64,
-    /// Object-index leaf pages built over the venue's lifetime.
-    pub object_leaf_builds: u64,
-    /// Object-index leaf pages touched by delta application.
-    pub object_leaf_touches: u64,
-    /// Object-index compaction passes.
-    pub object_compactions: u64,
-    /// Live objects in the shard's index.
-    pub live_objects: u64,
-    /// Allocated object slots (live + tombstoned).
-    pub object_slots: u64,
-    /// Leaf door-grids built so far (lazy; bounded by the leaf count).
-    pub leaf_grid_builds: u64,
-    pub degraded: Option<String>,
-}
-
-/// Scalar mirror of the service-wide stats snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireServiceStats {
-    pub venues: u64,
-    pub queries: u64,
-    pub cache_hits: u64,
-    pub deltas_absorbed: u64,
-    pub shed: u64,
-    pub admission_timeouts: u64,
-    pub in_flight: u64,
-    pub admission_capacity: u64,
-    pub degraded_venues: u64,
-    pub shards: Vec<WireShardStats>,
-}
-
-fn encode_shard_stats(w: &mut WireWriter, s: &WireShardStats) {
-    w.put_u32(s.venue);
-    w.put_u64(s.epoch);
-    w.put_u64(s.version);
-    w.put_u64(s.cached_entries);
-    w.put_u64(s.cache_capacity);
-    w.put_u64(s.evictions);
-    w.put_u64(s.in_flight);
-    w.put_u64(s.admission_capacity);
-    w.put_u64(s.shed);
-    w.put_u64(s.admission_timeouts);
-    w.put_u64(s.replication_lag);
-    w.put_u64(s.object_leaf_builds);
-    w.put_u64(s.object_leaf_touches);
-    w.put_u64(s.object_compactions);
-    w.put_u64(s.live_objects);
-    w.put_u64(s.object_slots);
-    w.put_u64(s.leaf_grid_builds);
-    match &s.degraded {
-        Some(reason) => {
-            w.put_u8(1);
-            w.put_str(reason);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn decode_shard_stats(r: &mut WireReader<'_>) -> Result<WireShardStats, LoadError> {
-    Ok(WireShardStats {
-        venue: r.get_u32("shard venue")?,
-        epoch: r.get_u64("shard epoch")?,
-        version: r.get_u64("shard version")?,
-        cached_entries: r.get_u64("shard cached entries")?,
-        cache_capacity: r.get_u64("shard cache capacity")?,
-        evictions: r.get_u64("shard evictions")?,
-        in_flight: r.get_u64("shard in_flight")?,
-        admission_capacity: r.get_u64("shard admission capacity")?,
-        shed: r.get_u64("shard shed")?,
-        admission_timeouts: r.get_u64("shard admission timeouts")?,
-        replication_lag: r.get_u64("shard replication lag")?,
-        object_leaf_builds: r.get_u64("shard object leaf builds")?,
-        object_leaf_touches: r.get_u64("shard object leaf touches")?,
-        object_compactions: r.get_u64("shard object compactions")?,
-        live_objects: r.get_u64("shard live objects")?,
-        object_slots: r.get_u64("shard object slots")?,
-        leaf_grid_builds: r.get_u64("shard leaf grid builds")?,
-        degraded: match r.get_u8("shard degraded flag")? {
-            0 => None,
-            1 => Some(r.get_str("shard degraded reason")?.to_string()),
-            other => return Err(r.err("degraded flag 0/1", format!("flag {other}"))),
-        },
-    })
-}
-
 // Frame tags. Client→server tags are < 0x80, server→client ≥ 0x80 — a
 // peer can reject a frame sent in the wrong direction by tag range alone.
+// 0x09 / 0x88 (a stats request and its reply, superseded by the metrics
+// page) are retired and never reused.
 const TAG_PING: u8 = 0x01;
 const TAG_QUERY: u8 = 0x02;
 const TAG_QUERY_BATCH: u8 = 0x03;
@@ -362,7 +264,6 @@ const TAG_UPDATE_KEYWORDS: u8 = 0x05;
 const TAG_ATTACH_OBJECTS: u8 = 0x06;
 const TAG_ADD_VENUE: u8 = 0x07;
 const TAG_REMOVE_VENUE: u8 = 0x08;
-const TAG_STATS: u8 = 0x09;
 const TAG_REPLICATE: u8 = 0x0A;
 const TAG_METRICS: u8 = 0x0B;
 const TAG_PONG: u8 = 0x81;
@@ -372,7 +273,6 @@ const TAG_MUTATION_OK: u8 = 0x84;
 const TAG_VENUE_CREATED: u8 = 0x85;
 const TAG_ACK: u8 = 0x86;
 const TAG_ERROR: u8 = 0x87;
-const TAG_STATS_REPLY: u8 = 0x88;
 const TAG_WAL: u8 = 0x89;
 const TAG_REPL_HEAD: u8 = 0x8A;
 const TAG_REPL_END: u8 = 0x8B;
@@ -432,10 +332,6 @@ pub enum Frame {
         id: u64,
         venue: u32,
     },
-    /// Service-wide stats snapshot; answered by [`Frame::StatsReply`].
-    Stats {
-        id: u64,
-    },
     /// Telemetry exposition page; answered by [`Frame::MetricsText`]
     /// carrying the full Prometheus-style text (see
     /// [`crate::metrics::encode_text`]).
@@ -484,11 +380,6 @@ pub enum Frame {
     Error {
         id: u64,
         err: WireError,
-    },
-    /// Reply to [`Frame::Stats`].
-    StatsReply {
-        id: u64,
-        stats: WireServiceStats,
     },
     /// Reply to [`Frame::Metrics`]: the encoded exposition page. Shipped
     /// as text, not typed series — scrapers diff/lint the page itself,
@@ -582,10 +473,6 @@ impl Frame {
                 w.put_u64(*id);
                 w.put_u32(*venue);
             }
-            Frame::Stats { id } => {
-                w.put_u8(TAG_STATS);
-                w.put_u64(*id);
-            }
             Frame::Metrics { id } => {
                 w.put_u8(TAG_METRICS);
                 w.put_u64(*id);
@@ -630,23 +517,6 @@ impl Frame {
                 w.put_u8(TAG_ERROR);
                 w.put_u64(*id);
                 err.encode(w);
-            }
-            Frame::StatsReply { id, stats } => {
-                w.put_u8(TAG_STATS_REPLY);
-                w.put_u64(*id);
-                w.put_u64(stats.venues);
-                w.put_u64(stats.queries);
-                w.put_u64(stats.cache_hits);
-                w.put_u64(stats.deltas_absorbed);
-                w.put_u64(stats.shed);
-                w.put_u64(stats.admission_timeouts);
-                w.put_u64(stats.in_flight);
-                w.put_u64(stats.admission_capacity);
-                w.put_u64(stats.degraded_venues);
-                w.put_u32(stats.shards.len() as u32);
-                for s in &stats.shards {
-                    encode_shard_stats(w, s);
-                }
             }
             Frame::MetricsText { id, text } => {
                 w.put_u8(TAG_METRICS_TEXT);
@@ -726,9 +596,6 @@ impl Frame {
                 id: r.get_u64("remove id")?,
                 venue: r.get_u32("remove venue")?,
             },
-            TAG_STATS => Frame::Stats {
-                id: r.get_u64("stats id")?,
-            },
             TAG_METRICS => Frame::Metrics {
                 id: r.get_u64("metrics id")?,
             },
@@ -767,38 +634,6 @@ impl Frame {
                 id: r.get_u64("error id")?,
                 err: WireError::decode(&mut r)?,
             },
-            TAG_STATS_REPLY => {
-                let id = r.get_u64("stats id")?;
-                let venues = r.get_u64("stats venues")?;
-                let queries = r.get_u64("stats queries")?;
-                let cache_hits = r.get_u64("stats cache hits")?;
-                let deltas_absorbed = r.get_u64("stats deltas")?;
-                let shed = r.get_u64("stats shed")?;
-                let admission_timeouts = r.get_u64("stats timeouts")?;
-                let in_flight = r.get_u64("stats in_flight")?;
-                let admission_capacity = r.get_u64("stats capacity")?;
-                let degraded_venues = r.get_u64("stats degraded")?;
-                let n = r.get_u32("stats shard count")? as usize;
-                let mut shards = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    shards.push(decode_shard_stats(&mut r)?);
-                }
-                Frame::StatsReply {
-                    id,
-                    stats: WireServiceStats {
-                        venues,
-                        queries,
-                        cache_hits,
-                        deltas_absorbed,
-                        shed,
-                        admission_timeouts,
-                        in_flight,
-                        admission_capacity,
-                        degraded_venues,
-                        shards,
-                    },
-                }
-            }
             TAG_METRICS_TEXT => Frame::MetricsText {
                 id: r.get_u64("metrics id")?,
                 text: r.get_str("metrics text")?.to_string(),
@@ -863,7 +698,6 @@ impl Frame {
             | Frame::AttachObjects { id, .. }
             | Frame::AddVenue { id, .. }
             | Frame::RemoveVenue { id, .. }
-            | Frame::Stats { id }
             | Frame::Metrics { id }
             | Frame::Pong { id }
             | Frame::Answer { id, .. }
@@ -872,7 +706,6 @@ impl Frame {
             | Frame::VenueCreated { id, .. }
             | Frame::Ack { id }
             | Frame::Error { id, .. }
-            | Frame::StatsReply { id, .. }
             | Frame::MetricsText { id, .. } => Some(*id),
             Frame::Replicate { .. }
             | Frame::Wal { .. }
@@ -1082,7 +915,6 @@ mod tests {
                 config: vec![9, 8, 7],
             },
             Frame::RemoveVenue { id: 8, venue: 3 },
-            Frame::Stats { id: 9 },
             Frame::Metrics { id: 12 },
             Frame::Replicate {
                 venue: 2,
@@ -1112,33 +944,6 @@ mod tests {
                 err: WireError::Degraded {
                     venue: 0,
                     detail: "rollback failed".into(),
-                },
-            },
-            Frame::StatsReply {
-                id: 9,
-                stats: WireServiceStats {
-                    venues: 2,
-                    queries: 100,
-                    shed: 3,
-                    shards: vec![
-                        WireShardStats {
-                            venue: 0,
-                            version: 5,
-                            replication_lag: 2,
-                            object_leaf_builds: 7,
-                            live_objects: 40,
-                            leaf_grid_builds: 11,
-                            ..Default::default()
-                        },
-                        WireShardStats {
-                            venue: 1,
-                            degraded: Some("x".into()),
-                            object_slots: 64,
-                            object_compactions: 1,
-                            ..Default::default()
-                        },
-                    ],
-                    ..Default::default()
                 },
             },
             Frame::MetricsText {
@@ -1221,12 +1026,12 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_not_an_error_yet() {
-        let bytes = Frame::Stats { id: 1 }.encode();
+        let bytes = Frame::Metrics { id: 1 }.encode();
         let mut dec = FrameDecoder::new();
         dec.extend(&bytes[..bytes.len() - 1]);
         assert_eq!(dec.next().unwrap(), None);
         dec.extend(&bytes[bytes.len() - 1..]);
-        assert_eq!(dec.next().unwrap(), Some(Frame::Stats { id: 1 }));
+        assert_eq!(dec.next().unwrap(), Some(Frame::Metrics { id: 1 }));
     }
 
     #[test]

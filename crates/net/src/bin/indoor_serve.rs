@@ -158,11 +158,17 @@ fn main() {
             args.data_dir.is_none(),
             "--follow requires a volatile service (followers must not re-journal)"
         );
+        // The leader's venues: one `indoor_shard_epoch{venue="N"}` sample
+        // each on its metrics page.
         let mut probe = indoor_net::NetClient::connect(leader).expect("connect to leader");
-        let shards = probe.stats().expect("leader stats").shards;
+        let page = probe.metrics().expect("leader metrics page");
         drop(probe);
-        for shard in shards {
-            let venue = VenueId::from(shard.venue);
+        let venues = page.lines().filter_map(|l| {
+            let rest = l.strip_prefix("indoor_shard_epoch{venue=\"")?;
+            rest.split('"').next()?.parse::<u32>().ok()
+        });
+        for venue in venues {
+            let venue = VenueId::from(venue);
             let mut rs =
                 follower::subscribe(leader, venue, 0).expect("leader serves suffix from LSN 0");
             let report = rs.catch_up(&service).expect("catch-up applies cleanly");

@@ -2,7 +2,7 @@
 //!
 //! [`NetClient`] offers two styles over one connection:
 //!
-//! * **sequential calls** (`query`, `update_objects`, `stats`, …): send
+//! * **sequential calls** (`query`, `update_objects`, `metrics`, …): send
 //!   one request, wait for its reply. Transient server rejections
 //!   ([`WireError::is_retryable`]) retry under the client's
 //!   [`RetryPolicy`] — the wire mirror of the in-process convention the
@@ -18,7 +18,7 @@
 //! is re-sent or counted and dropped.
 
 use crate::{transient, NetError};
-use indoor_model::frames::{Frame, FrameDecoder, WireError, WireServiceStats, NET_MAGIC};
+use indoor_model::frames::{Frame, FrameDecoder, WireError, NET_MAGIC};
 use indoor_model::{
     IndoorPoint, ObjectDelta, ObjectUpdate, QueryRequest, QueryResponse, Venue, VenueId,
 };
@@ -212,17 +212,6 @@ impl NetClient {
             Frame::Ack { .. } => Ok(()),
             Frame::Error { err, .. } => Err(NetError::Server(err)),
             _ => Err(NetError::Unexpected("want Ack")),
-        }
-    }
-
-    /// The service-wide stats snapshot (including per-venue replication
-    /// lag).
-    pub fn stats(&mut self) -> Result<WireServiceStats, NetError> {
-        let id = self.fresh_id();
-        match self.call(Frame::Stats { id }, id)? {
-            Frame::StatsReply { stats, .. } => Ok(stats),
-            Frame::Error { err, .. } => Err(NetError::Server(err)),
-            _ => Err(NetError::Unexpected("want StatsReply")),
         }
     }
 

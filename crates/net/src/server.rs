@@ -30,9 +30,7 @@
 //! [`ServiceError::Timeout`]: vip_tree::ServiceError::Timeout
 
 use crate::{transient, wire_error};
-use indoor_model::frames::{
-    Frame, FrameDecoder, WireError, WireServiceStats, WireShardStats, NET_MAGIC,
-};
+use indoor_model::frames::{Frame, FrameDecoder, WireError, NET_MAGIC};
 use indoor_model::{Venue, VenueId};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -313,10 +311,6 @@ fn serve_admin(service: &IndoorService, frame: &Frame) -> Option<Frame> {
                 err: wire_error(&e),
             },
         },
-        Frame::Stats { id } => Frame::StatsReply {
-            id: *id,
-            stats: collect_stats(service),
-        },
         Frame::Metrics { id } => Frame::MetricsText {
             id: *id,
             text: indoor_model::metrics::encode_text(&service.metrics_snapshot()),
@@ -362,47 +356,6 @@ fn serve_add_venue(service: &IndoorService, id: u64, venue_json: &[u8], config: 
             id,
             err: wire_error(&e),
         },
-    }
-}
-
-fn collect_stats(service: &IndoorService) -> WireServiceStats {
-    let s = service.stats();
-    let shards = service
-        .venues()
-        .into_iter()
-        .filter_map(|v| service.venue_stats(v).ok())
-        .map(|sh| WireShardStats {
-            venue: sh.venue.index() as u32,
-            epoch: sh.epoch,
-            version: sh.version,
-            cached_entries: sh.cached_entries as u64,
-            cache_capacity: sh.cache_capacity as u64,
-            evictions: sh.evictions,
-            in_flight: sh.in_flight as u64,
-            admission_capacity: sh.admission_capacity as u64,
-            shed: sh.shed,
-            admission_timeouts: sh.admission_timeouts,
-            replication_lag: sh.replication_lag,
-            object_leaf_builds: sh.object_leaf_builds,
-            object_leaf_touches: sh.object_leaf_touches,
-            object_compactions: sh.object_compactions,
-            live_objects: sh.live_objects as u64,
-            object_slots: sh.object_slots as u64,
-            leaf_grid_builds: sh.leaf_grid_builds,
-            degraded: sh.degraded,
-        })
-        .collect();
-    WireServiceStats {
-        venues: s.venues as u64,
-        queries: s.kinds.iter().map(|k| k.queries).sum(),
-        cache_hits: s.kinds.iter().map(|k| k.cache_hits).sum(),
-        deltas_absorbed: s.deltas_absorbed,
-        shed: s.shed,
-        admission_timeouts: s.admission_timeouts,
-        in_flight: s.in_flight as u64,
-        admission_capacity: s.admission_capacity as u64,
-        degraded_venues: s.degraded_venues as u64,
-        shards,
     }
 }
 

@@ -526,18 +526,14 @@ pub fn run_service_wire(
     }
     let wall = t0.elapsed();
 
-    let stats = admin.stats().expect("final stats over the wire");
     drop(admin);
     drop(clients);
     drop(server);
-    // Phase attribution reads the in-process handle the loopback server
-    // shares — the same data `NetClient::metrics` would return as text.
+    // Stats and phase attribution read the in-process handle the
+    // loopback server shares — the same data `NetClient::metrics` would
+    // return as text.
+    let stats = service.stats();
     let phases = phase_attribution(&service.metrics_snapshot());
-    let hit_rate = if stats.queries > 0 {
-        stats.cache_hits as f64 / stats.queries as f64
-    } else {
-        0.0
-    };
     let (answered, dropped) = *answered_dropped.lock().unwrap();
     finish(
         profile,
@@ -549,7 +545,7 @@ pub fn run_service_wire(
         dropped,
         stats.shed,
         stats.admission_timeouts,
-        hit_rate,
+        stats.hit_rate(),
         stats.deltas_absorbed,
     )
 }

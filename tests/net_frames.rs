@@ -8,8 +8,7 @@
 //! errors end connections; service errors ride inside frames).
 
 use indoor_spatial::model::frames::{
-    Frame, FrameDecoder, WireError, WireServiceStats, WireShardStats, FRAME_HEADER_LEN,
-    MAX_FRAME_LEN,
+    Frame, FrameDecoder, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 use indoor_spatial::model::wire::crc32;
 use indoor_spatial::model::{ObjectDelta, ObjectId, ObjectUpdate, QueryResponse};
@@ -41,24 +40,22 @@ fn variant(f: &Frame) -> usize {
         Frame::AttachObjects { .. } => 5,
         Frame::AddVenue { .. } => 6,
         Frame::RemoveVenue { .. } => 7,
-        Frame::Stats { .. } => 8,
-        Frame::Metrics { .. } => 9,
-        Frame::Replicate { .. } => 10,
-        Frame::Pong { .. } => 11,
-        Frame::Answer { .. } => 12,
-        Frame::AnswerBatch { .. } => 13,
-        Frame::MutationOk { .. } => 14,
-        Frame::VenueCreated { .. } => 15,
-        Frame::Ack { .. } => 16,
-        Frame::Error { .. } => 17,
-        Frame::StatsReply { .. } => 18,
-        Frame::MetricsText { .. } => 19,
-        Frame::Wal { .. } => 20,
-        Frame::ReplHead { .. } => 21,
-        Frame::ReplEnd { .. } => 22,
+        Frame::Metrics { .. } => 8,
+        Frame::Replicate { .. } => 9,
+        Frame::Pong { .. } => 10,
+        Frame::Answer { .. } => 11,
+        Frame::AnswerBatch { .. } => 12,
+        Frame::MutationOk { .. } => 13,
+        Frame::VenueCreated { .. } => 14,
+        Frame::Ack { .. } => 15,
+        Frame::Error { .. } => 16,
+        Frame::MetricsText { .. } => 17,
+        Frame::Wal { .. } => 18,
+        Frame::ReplHead { .. } => 19,
+        Frame::ReplEnd { .. } => 20,
     }
 }
-const VARIANTS: usize = 23;
+const VARIANTS: usize = 21;
 
 fn build_frames() -> Vec<Frame> {
     let venue = random_venue(90);
@@ -67,7 +64,6 @@ fn build_frames() -> Vec<Frame> {
     let mut frames = vec![
         Frame::Ping { id: 7 },
         Frame::Pong { id: 7 },
-        Frame::Stats { id: 8 },
         Frame::Metrics { id: 11 },
         Frame::QueryBatch {
             id: 12,
@@ -123,19 +119,6 @@ fn build_frames() -> Vec<Frame> {
         },
         Frame::VenueCreated { id: 20, venue: 4 },
         Frame::Ack { id: 21 },
-        Frame::StatsReply {
-            id: 22,
-            stats: WireServiceStats {
-                venues: 1,
-                queries: 100,
-                shards: vec![WireShardStats {
-                    venue: 0,
-                    degraded: Some("x".into()),
-                    ..Default::default()
-                }],
-                ..Default::default()
-            },
-        },
         Frame::MetricsText {
             id: 23,
             text: "# TYPE indoor_venues gauge\nindoor_venues 2\n".into(),

@@ -653,6 +653,8 @@ fn metrics_page_fetches_over_the_wire_and_lints_clean() {
         "indoor_traced_queries_total{venue=\"0\"}",
         "indoor_venues 1",
         "indoor_leaf_grid_builds_total{venue=\"0\"}",
+        "indoor_object_leaf_touches_total{venue=\"0\"}",
+        "indoor_object_slots{venue=\"0\"}",
     ] {
         assert!(page.contains(needle), "missing {needle} in page:\n{page}");
     }
@@ -663,13 +665,17 @@ fn metrics_page_fetches_over_the_wire_and_lints_clean() {
         .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
         .sum();
     assert!(counted > 0, "no query latencies recorded:\n{page}");
-    // Wire-level shard stats carry the folded object-index anatomy.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shards.len(), 1);
-    assert!(stats.shards[0].live_objects > 0, "{:?}", stats.shards[0]);
-    assert!(
-        stats.shards[0].leaf_grid_builds > 0,
-        "{:?}",
-        stats.shards[0]
-    );
+    // The page carries the folded object-index anatomy per venue.
+    for gauge in [
+        "indoor_live_objects{venue=\"0\"}",
+        "indoor_leaf_grid_builds_total{venue=\"0\"}",
+    ] {
+        let v = page
+            .lines()
+            .find_map(|l| l.strip_prefix(gauge)?.trim().parse::<f64>().ok());
+        assert!(
+            v.is_some_and(|v| v > 0.0),
+            "{gauge} not > 0 in page:\n{page}"
+        );
+    }
 }

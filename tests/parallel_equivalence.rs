@@ -12,19 +12,28 @@ use std::sync::Arc;
 
 fn assert_trees_bit_identical(a: &IpTree, b: &IpTree, label: &str) {
     assert_eq!(a.num_nodes(), b.num_nodes(), "{label}: node count");
+    assert_eq!(a.num_leaves(), b.num_leaves(), "{label}: leaf count");
     for idx in 0..a.num_nodes() as u32 {
-        let (na, nb) = (a.node(idx), b.node(idx));
-        assert_eq!(na.parent, nb.parent, "{label}: node {idx} parent");
-        assert_eq!(na.children, nb.children, "{label}: node {idx} children");
+        assert_eq!(a.parent(idx), b.parent(idx), "{label}: node {idx} parent");
+        assert_eq!(a.level(idx), b.level(idx), "{label}: node {idx} level");
         assert_eq!(
-            na.access_doors, nb.access_doors,
+            a.children(idx),
+            b.children(idx),
+            "{label}: node {idx} children"
+        );
+        assert_eq!(
+            a.access_doors(idx),
+            b.access_doors(idx),
             "{label}: node {idx} access doors"
         );
-        assert_eq!(na.doors, nb.doors, "{label}: node {idx} doors");
-        assert_eq!(
-            na.partitions, nb.partitions,
-            "{label}: node {idx} partitions"
-        );
+        assert_eq!(a.rows(idx), b.rows(idx), "{label}: node {idx} matrix rows");
+        if a.is_leaf(idx) {
+            assert_eq!(
+                a.leaf_partitions(idx),
+                b.leaf_partitions(idx),
+                "{label}: leaf {idx} partitions"
+            );
+        }
         let (sa, sb) = (a.slabs(), b.slabs());
         assert_eq!(
             sa.n_rows(idx),

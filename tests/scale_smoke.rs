@@ -43,14 +43,16 @@ fn menzies_2_correct_and_paper_shaped() {
     );
     assert!(stats.avg_fanout < 8.0, "f {}", stats.avg_fanout);
 
-    // Footprint pin: every distance is stored once — the slab arena is
-    // the matrix store, the VIP table is one flat structure and each leaf
-    // door pair is one grid cell. With every leaf grid built the index is
-    // ≈ 2.05 MB; a second copy of the VIP table (≥ 215 kB) or a square
-    // grid (≥ 440 kB) cannot come back unnoticed.
+    // Footprint pin: every distance and every door list is stored once —
+    // the slab arena is the matrix store, the topology is flat runs, the
+    // VIP table is one flat structure and each leaf door pair is one grid
+    // cell. With every leaf grid built the index is 1 967 079 B; a second
+    // copy of the VIP table (≥ 215 kB), a square grid (≥ 440 kB) or the
+    // per-node list headers and duplicate door lists (≈ 84 kB) cannot
+    // come back unnoticed.
     tree.ip_tree().build_leaf_grid();
     assert!(
-        tree.size_bytes() <= 2_150_000,
+        tree.size_bytes() <= 2_030_000,
         "index {} B",
         tree.size_bytes()
     );
