@@ -2,8 +2,8 @@
 //!
 //! The binary `experiments` prints paper-style rows, driven by the
 //! helpers here: dataset selection ([`datasets`]), a uniform handle over
-//! all seven competitors ([`AnyIndex`]), and time-budgeted query loops
-//! ([`time_queries`]).
+//! all seven competitors ([`AnyIndex`]), and time-budgeted median-of-reps
+//! query loops ([`time_queries`]).
 
 pub mod gate;
 
@@ -245,9 +245,15 @@ pub fn build_suite(venue: &Arc<Venue>, opts: &SuiteOptions) -> Vec<(AnyIndex, Du
     out
 }
 
-/// Mean microseconds per call of `f` over up to `n` workload items,
-/// stopping early after `budget` so slow baselines cannot stall a figure.
-/// Returns `(mean_us, executed)`.
+/// Timed passes per [`time_queries`] cell; the median is reported.
+const TIME_REPS: usize = 5;
+
+/// Median over five timed passes of the mean microseconds per call of
+/// `f` over up to `n` workload items, as `query_bench` does. An untimed
+/// warm-up pass goes first and fixes the item count: it stops early once
+/// it has run at least 10 items past its share of `budget`, so slow
+/// baselines cannot stall a figure, and every timed pass then runs the
+/// same items. Returns `(median_us, executed)`, `executed` per pass.
 pub fn time_queries<T>(
     items: &[T],
     n: usize,
@@ -255,17 +261,25 @@ pub fn time_queries<T>(
     mut f: impl FnMut(&T),
 ) -> (f64, usize) {
     let n = n.min(items.len()).max(1);
+    let share = budget / (TIME_REPS as u32 + 1);
     let start = Instant::now();
     let mut executed = 0usize;
     for item in items.iter().take(n) {
         f(item);
         executed += 1;
-        if start.elapsed() > budget && executed >= 10 {
+        if start.elapsed() > share && executed >= 10 {
             break;
         }
     }
-    let total = start.elapsed();
-    (total.as_micros() as f64 / executed as f64, executed)
+    let mut samples: Vec<f64> = (0..TIME_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            items.iter().take(executed).for_each(&mut f);
+            t0.elapsed().as_secs_f64() * 1e6 / executed as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    (samples[TIME_REPS / 2], executed)
 }
 
 /// Pretty-print helpers for harness tables.
@@ -357,6 +371,23 @@ mod tests {
                 _ => assert_eq!(grid, 0, "{} has no leaf grid", ix.name()),
             }
         }
+    }
+
+    /// The warm-up pass fixes the item count, and every timed pass runs
+    /// exactly those items; a zero budget still runs ten.
+    #[test]
+    fn time_queries_repeats_the_warm_up_items() {
+        let items: Vec<usize> = (0..40).collect();
+        let mut calls = vec![0usize; items.len()];
+        let (_, ran) = time_queries(&items, 25, Duration::from_secs(60), |&i| calls[i] += 1);
+        assert_eq!(ran, 25);
+        assert!(calls[..25].iter().all(|&c| c == TIME_REPS + 1));
+        assert!(calls[25..].iter().all(|&c| c == 0));
+
+        let tick = |_: &usize| std::thread::sleep(Duration::from_micros(1));
+        let (us, ran) = time_queries(&items, 40, Duration::ZERO, tick);
+        assert_eq!(ran, 10);
+        assert!(us.is_finite() && us >= 0.0);
     }
 
     #[test]

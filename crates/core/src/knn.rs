@@ -1,12 +1,15 @@
 //! Algorithm 5: k nearest neighbours and range queries (§3.4).
 //!
-//! Best-first branch-and-bound over the tree. `mindist(q, N)` is zero for
-//! nodes containing `q` (their access-door distances come from the query's
-//! ascent); for any other node it is derived incrementally from its
-//! parent's vector via the parent's matrix — Lemma 8 when the parent
-//! contains `q` (route through the sibling's access doors), Lemma 9
-//! otherwise. Leaves are scanned through the per-access-door sorted object
-//! lists with early termination at the current `d_k`.
+//! Best-first branch-and-bound over the tree, starting at `q`'s own leaf.
+//! The nodes containing `q` have their access-door distances from the
+//! query's ascent, and each enters the frontier as one *deferred* entry
+//! keyed by the exit distance of its child on `q`'s path; its other
+//! children wait until that key is popped. Any other node's vector is
+//! derived incrementally from its parent's via the parent's matrix —
+//! Lemma 8 when the parent contains `q` (route through the sibling's
+//! access doors), Lemma 9 otherwise. Leaves are scanned through the
+//! per-access-door sorted object lists with early termination at the
+//! current `d_k`.
 //!
 //! The traversal state is allocation-lean: every distance vector lives in
 //! one flat [`DistArena`] addressed by `u32` handles (heap/stack entries
@@ -267,14 +270,14 @@ impl IpTree {
         best.clear();
         arena.seed(asc, step_handles);
         heap.clear();
-        heap.push(Reverse((
-            TotalF64(0.0),
-            self.root(),
-            *step_handles.last().expect("ascent is non-empty"),
-        )));
-        if trace.active() {
-            trace.nodes_pushed += 1;
-        }
+        self.seed_frontier(
+            asc,
+            step_handles,
+            f64::INFINITY,
+            &may_hold,
+            trace,
+            |key, node, h| heap.push(Reverse((TotalF64(key), node, h))),
+        );
 
         while let Some(Reverse((TotalF64(mind), node_idx, handle))) = heap.pop() {
             let dk = if best.len() < k {
@@ -349,7 +352,9 @@ impl IpTree {
 
     /// Range over the attached object set, from the ascent already
     /// recorded in `scratch.asc_s`: a plain DFS with the fixed bound
-    /// (Algorithm 5 with `d_k = radius`).
+    /// (Algorithm 5 with `d_k = radius`), seeded as kNN is — so a node on
+    /// q's path whose exit distance exceeds the radius never offers its
+    /// off-path children.
     pub(crate) fn range_from_ascent(
         &self,
         q: &IndoorPoint,
@@ -377,16 +382,12 @@ impl IpTree {
         let asc = &*asc_s;
         let mut out: Vec<(ObjectId, f64)> = Vec::new();
         arena.seed(asc, step_handles);
+        let holds = |n: NodeIdx| oi.subtree_count[n as usize] != 0;
 
         stack.clear();
-        stack.push((
-            0.0,
-            self.root(),
-            *step_handles.last().expect("ascent is non-empty"),
-        ));
-        if trace.active() {
-            trace.nodes_pushed += 1;
-        }
+        self.seed_frontier(asc, step_handles, radius, holds, trace, |key, node, h| {
+            stack.push((key, node, h))
+        });
         while let Some((mind, node_idx, handle)) = stack.pop() {
             stats.nodes_visited += 1;
             if mind > radius {
@@ -421,7 +422,7 @@ impl IpTree {
                 node_idx,
                 handle,
                 radius,
-                |n| oi.subtree_count[n as usize] != 0,
+                holds,
                 asc,
                 arena,
                 step_handles,
@@ -472,13 +473,45 @@ impl IpTree {
         }
     }
 
+    /// Where Algorithm 5 starts, spelled once for the best-first loop and
+    /// range's DFS: offer to `push`, as `(key, node, vector handle)`, q's
+    /// own leaf at key 0 and every inner node N on q's path as one
+    /// deferred entry keyed by `exit(S)`, the minimum of the ascent vector
+    /// of N's child S on the path. Popping N later expands only its
+    /// off-path children ([`IpTree::expand_children`]), with the `d_k` of
+    /// that moment. The key is admissible: a path from q to anything
+    /// outside S crosses an access door of S, and every derived entry
+    /// `fl(base[b] + M)` is ≥ `base[b]` ≥ `exit(S)`. Entries that cannot
+    /// `may_hold` an answer, or whose key exceeds `bound`, are not offered.
+    fn seed_frontier(
+        &self,
+        asc: &Ascent,
+        step_handles: &[u32],
+        bound: f64,
+        may_hold: impl Fn(NodeIdx) -> bool,
+        trace: &mut crate::telemetry::QueryTrace,
+        mut push: impl FnMut(f64, NodeIdx, u32),
+    ) {
+        let mut key = 0.0;
+        for (step, &h) in asc.steps().iter().zip(step_handles) {
+            if key <= bound && may_hold(step.node) {
+                push(key, step.node, h);
+                if trace.active() {
+                    trace.nodes_pushed += 1;
+                }
+            }
+            key = step.dists.iter().copied().fold(f64::INFINITY, f64::min);
+        }
+    }
+
     /// The child step of Algorithm 5, spelled once for the best-first
     /// loop and range's DFS: offer to `push`, as `(mindist, child, vector
     /// handle)`, every child of the popped `node` (vector `handle`) that
-    /// `may_hold` an answer and lies within `bound`.
+    /// is off q's path, `may_hold` an answer and lies within `bound`.
+    /// Children on q's path are already queued by
+    /// [`IpTree::seed_frontier`].
     ///
-    /// A child containing q has mindist 0 and its vector from the ascent.
-    /// Any other child's vector is derived from `node`'s matrix — unless
+    /// A child's vector is derived from `node`'s matrix — unless
     /// an admissible lower bound already exceeds `bound`: then the child
     /// is counted as pruned without touching a matrix row. The base is
     /// the sibling on q's path when `node` contains q (Lemma 8), else
@@ -506,60 +539,54 @@ impl IpTree {
         trace: &mut crate::telemetry::QueryTrace,
         mut push: impl FnMut(f64, NodeIdx, u32),
     ) {
-        let (base_rows, base_handle) = if asc.on_path(self, node) {
+        let (base_rows, base_handle, queued) = if asc.on_path(self, node) {
             // Steps are level-indexed: the one below `node`'s is its child
             // on q's path.
             let below = self.level(node) as usize - 2;
             let sib = asc.steps()[below].node;
-            (self.slabs.kid_cols_of(sib), step_handles[below])
+            (self.slabs.kid_cols_of(sib), step_handles[below], sib)
         } else {
-            (self.slabs.own_cols_of(node), handle)
+            (self.slabs.own_cols_of(node), handle, crate::NO_NODE)
         };
         for &child in self.children(node) {
-            if !may_hold(child) {
+            if child == queued || !may_hold(child) {
                 continue;
             }
-            let (mind, h) = if let Some(step) = asc.step_for(self, child) {
-                (0.0, step_handles[self.level(step.node) as usize - 1])
-            } else {
-                let base_vec = arena.get(base_handle);
-                let rowmin = self.slabs.kid_rowmin_of(child);
-                let mut base_min = f64::INFINITY;
-                let mut lb = f64::INFINITY;
-                for (&b, &r) in base_vec.iter().zip(base_rows) {
-                    if b < base_min {
-                        base_min = b;
-                    }
-                    if b.is_finite() {
-                        let v = b + rowmin[r as usize];
-                        if v < lb {
-                            lb = v;
-                        }
+            let base_vec = arena.get(base_handle);
+            let rowmin = self.slabs.kid_rowmin_of(child);
+            let mut base_min = f64::INFINITY;
+            let mut lb = f64::INFINITY;
+            for (&b, &r) in base_vec.iter().zip(base_rows) {
+                if b < base_min {
+                    base_min = b;
+                }
+                if b.is_finite() {
+                    let v = b + rowmin[r as usize];
+                    if v < lb {
+                        lb = v;
                     }
                 }
-                stats.bound_candidates += 1;
-                if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
-                    stats.bound_pruned += 1;
-                    if trace.active() {
-                        trace.nodes_pruned += 1;
-                    }
-                    continue;
-                }
+            }
+            stats.bound_candidates += 1;
+            if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
+                stats.bound_pruned += 1;
                 if trace.active() {
-                    trace.slab_rows += base_rows.len() as u64;
+                    trace.nodes_pruned += 1;
                 }
-                self.derive_child_vec_slab_into(node, base_rows, base_vec, child, child_vec);
-                let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-                if mind_c <= bound {
-                    (mind_c, arena.push(child_vec))
-                } else {
-                    if trace.active() {
-                        trace.nodes_pruned += 1;
-                    }
-                    continue;
+                continue;
+            }
+            if trace.active() {
+                trace.slab_rows += base_rows.len() as u64;
+            }
+            self.derive_child_vec_slab_into(node, base_rows, base_vec, child, child_vec);
+            let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
+            if mind_c > bound {
+                if trace.active() {
+                    trace.nodes_pruned += 1;
                 }
-            };
-            push(mind, child, h);
+                continue;
+            }
+            push(mind_c, child, arena.push(child_vec));
             if trace.active() {
                 trace.nodes_pushed += 1;
             }
@@ -650,11 +677,12 @@ impl IpTree {
 
 #[cfg(test)]
 mod tests {
+    use crate::ascent::Climber;
     use crate::tree::VipTreeConfig;
-    use crate::{IpTree, VipTree};
+    use crate::{IpTree, KeywordObjects, QueryScratch, VipTree};
     use indoor_graph::DijkstraEngine;
-    use indoor_model::IndoorPoint;
-    use indoor_synth::{random_venue, workload};
+    use indoor_model::{IndoorPoint, QueryStats, Venue};
+    use indoor_synth::{presets, random_venue, workload};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -682,6 +710,145 @@ mod tests {
             .collect();
         d.sort_by(f64::total_cmp);
         d
+    }
+
+    /// The venues the laziness tests walk: `random_venue` seeds plus the
+    /// Melbourne Central preset.
+    fn lazy_venues() -> Vec<Arc<Venue>> {
+        let mut venues: Vec<_> = [3u64, 41, 97, 211, 389]
+            .into_iter()
+            .map(|s| Arc::new(random_venue(s)))
+            .collect();
+        venues.push(Arc::new(presets::melbourne_central().build()));
+        venues
+    }
+
+    /// `q`'s distance to the nearest access door of its own leaf: the key
+    /// of the first deferred entry.
+    fn leaf_exit(tree: &IpTree, q: &IndoorPoint) -> f64 {
+        let asc = tree.ascend(q, tree.root());
+        asc.steps()[0]
+            .dists
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// k objects at q's own position set `d_k = 0` in the own-leaf scan,
+    /// before any deferred ancestor is popped, so no child is ever
+    /// bound-checked — on either climber.
+    #[test]
+    fn k_objects_at_q_check_no_child() {
+        let k = 3;
+        let mut checked = 0;
+        for venue in lazy_venues() {
+            let vip = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            let others = workload::place_objects(&venue, 20, 0x0A);
+            let mut scratch = QueryScratch::new();
+            for q in workload::query_points(&venue, 6, 0xA11) {
+                // On an access door the first deferred key is 0 = d_k.
+                if leaf_exit(vip.ip_tree(), &q) <= 0.0 {
+                    continue;
+                }
+                let mut objects = vec![q; k];
+                objects.extend(&others);
+                vip.attach_objects(&objects);
+                for climber in [vip.ip_tree() as &dyn Climber, &vip] {
+                    let mut stats = QueryStats::default();
+                    let got = climber.knn_stats(&q, k, &mut scratch, &mut stats);
+                    let dists: Vec<f64> = got.iter().map(|&(_, d)| d).collect();
+                    assert_eq!(dists, vec![0.0; k], "{q:?}");
+                    assert_eq!(stats.bound_candidates, 0, "{q:?}: {stats:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    /// A radius below q's leaf exit distance keeps every deferred entry
+    /// off the stack: range scans q's leaf alone, bound-checks no child,
+    /// and still answers as brute force does.
+    #[test]
+    fn range_inside_the_leaf_exit_checks_no_child() {
+        let mut checked = 0;
+        for venue in lazy_venues() {
+            let vip = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            let others = workload::place_objects(&venue, 40, 0x0B);
+            let mut engine = DijkstraEngine::new(venue.num_doors());
+            let mut scratch = QueryScratch::new();
+            for q in workload::query_points(&venue, 6, 0xB22) {
+                let radius = leaf_exit(vip.ip_tree(), &q) / 2.0;
+                if !(radius > 0.0 && radius.is_finite()) {
+                    continue;
+                }
+                let mut objects = vec![q];
+                objects.extend(&others);
+                vip.attach_objects(&objects);
+                let want: Vec<f64> = brute_force(&venue, &mut engine, &q, &objects)
+                    .into_iter()
+                    .filter(|d| *d <= radius)
+                    .collect();
+                for climber in [vip.ip_tree() as &dyn Climber, &vip] {
+                    let mut stats = QueryStats::default();
+                    let got = climber.range_stats(&q, radius, &mut scratch, &mut stats);
+                    assert_eq!(stats.bound_candidates, 0, "{q:?}: {stats:?}");
+                    assert_eq!(
+                        got.len(),
+                        want.len(),
+                        "{q:?} r {radius}: {got:?} vs {want:?}"
+                    );
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!((g.1 - w).abs() < 1e-6 * w.max(1.0), "{got:?} vs {want:?}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    /// A label carried only outside q's top-level subtree — under the
+    /// root's deferred entry, the last one popped — is still found at its
+    /// brute-force distances.
+    #[test]
+    fn keyword_outside_q_top_subtree_is_found() {
+        let mut checked = 0;
+        for venue in lazy_venues() {
+            let tree = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            let points = workload::place_objects(&venue, 40, 0x0C);
+            let mut engine = DijkstraEngine::new(venue.num_doors());
+            for q in workload::query_points(&venue, 4, 0xC33) {
+                let leaf = tree.leaf_of(q.partition);
+                if leaf == tree.root() {
+                    continue;
+                }
+                let top = tree.child_towards(tree.root(), leaf);
+                let far =
+                    |p: &IndoorPoint| tree.ancestors(tree.leaf_of(p.partition)).all(|n| n != top);
+                let labelled: Vec<(IndoorPoint, Vec<String>)> = points
+                    .iter()
+                    .map(|p| (*p, vec![if far(p) { "far" } else { "near" }.to_string()]))
+                    .collect();
+                let carriers: Vec<IndoorPoint> = points.iter().copied().filter(far).collect();
+                if carriers.is_empty() {
+                    continue;
+                }
+                let kw = KeywordObjects::build(&tree, &labelled);
+                let got = kw.knn_keyword(&tree, &q, 3, "far");
+                let want = brute_force(&venue, &mut engine, &q, &carriers);
+                assert_eq!(got.len(), want.len().min(3), "{q:?}");
+                for ((o, g), w) in got.iter().zip(&want) {
+                    assert!(
+                        far(&labelled[o.index()].0),
+                        "{o:?} is under q's top subtree"
+                    );
+                    assert!((g - w).abs() < 1e-6 * w.max(1.0), "{got:?} vs {want:?}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
     }
 
     proptest! {

@@ -27,7 +27,8 @@ pub struct QueryTrace {
     /// Nanoseconds spent draining and ordering the final k-best heap.
     pub heap_ns: u64,
     /// Frontier pushes in the branch-and-bound walk (kNN heap + range
-    /// stack), including the root seed.
+    /// stack), including the seeds: q's leaf and one deferred entry per
+    /// ancestor.
     pub nodes_pushed: u64,
     /// Children skipped by an admissible bound before their distance
     /// vector was derived.
