@@ -1,8 +1,9 @@
 //! Build-throughput benchmark: venue preset × thread count → build time.
 //!
-//! Writes `BENCH_build.json` at the workspace root so successive PRs have
-//! a machine-readable perf trajectory for index construction (the paper's
-//! Fig. 8(a) axis). Run with:
+//! The thread-scaling record for index construction (the paper's Fig.
+//! 8(a) axis), which nothing else measures; the committed
+//! `BENCH_build.json` is its output. Results print; `--out PATH` also
+//! writes them as JSON:
 //!
 //! ```sh
 //! cargo run --release -p indoor-bench --bin build_bench -- [--reps N] [--out PATH]
@@ -44,8 +45,6 @@ fn main() {
         }
     }
     let reps = reps.max(1);
-    let out_path = out_path
-        .unwrap_or_else(|| format!("{}/../../BENCH_build.json", env!("CARGO_MANIFEST_DIR")));
 
     let datasets = [
         ("MC", presets::melbourne_central()),
@@ -88,6 +87,7 @@ fn main() {
         }
     }
 
+    let Some(out_path) = out_path else { return };
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"vip_tree_build\",\n");
     let _ = writeln!(json, "  \"unit\": \"ms (best of {reps})\",");
@@ -118,6 +118,6 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::write(&out_path, json).expect("write BENCH_build.json");
+    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path}");
 }

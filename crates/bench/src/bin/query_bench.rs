@@ -1,97 +1,80 @@
-//! Query-throughput benchmark: venue preset × query type × thread count.
-//!
-//! Writes `BENCH_query.json` at the workspace root so successive PRs have
-//! a machine-readable latency/throughput trajectory for the serving path
-//! (the paper's §4.3 query-cost axis, extended with multi-threaded batch
-//! execution). Run with:
+//! Serving-path cells nothing else measures: the telemetry on/off pair,
+//! admission under a flood, and the persistence paths.
 //!
 //! ```sh
 //! cargo run --release -p indoor-bench --bin query_bench -- [--reps N] [--out PATH]
 //! ```
 //!
-//! Each cell batches the whole workload through a `QueryEngine` and
-//! reports the **median over reps** of per-query latency (batch wall time
-//! divided by batch size). Batches are slot-indexed and deterministic, so
-//! every (venue, query) cell measures identical work at every thread
-//! count; `host_cores` is recorded because speedup saturates there, and
-//! the CI gate (`bench_check`) only hard-fails when it matches the
-//! committed baseline's.
+//! Per-kind query cost, batches, cache hits and churn are `benchmark/`'s
+//! (`tree.*_us`, `service.*`, `objects.update_us_per_batch`); it is the
+//! record for speed and size. This program keeps three kinds of cell,
+//! each checked in the run that measures it:
 //!
-//! Two workload axes beyond the per-kind cells:
-//!
-//! * `mixed` — a shuffled heterogeneous `QueryRequest` batch per venue
-//!   preset through `QueryEngine::execute_batch` (uncached);
-//! * `SVC` rows — the same total mixed workload split over `venues`
-//!   shards of an `IndoorService`, measuring steady-state serving with a
-//!   warm version-stamped result cache (the repeated-batch loop is exactly a
-//!   hot-spot workload, so after the warm-up every request is a hit);
-//! * `persist_*` rows — the durability subsystem: `persist_save` (µs per
-//!   whole-service snapshot), `persist_open` (µs per warm restart from a
-//!   snapshot, tree rebuild included), and `persist_replay` (µs per
-//!   `ObjectDelta` of WAL-suffix replay, isolated by differencing a
-//!   suffix-laden open against a snapshot-only open);
-//! * the `admission` row — p99 latency of queries **admitted** through a
+//! * `telemetry_knn_on` / `telemetry_knn_off` per venue preset — the same
+//!   kNN requests through an `IndoorService` shard with the sampling gate
+//!   open vs closed, sampled interleaved. The program **exits 1** when a
+//!   preset's on/off ratio exceeds [`TELEMETRY_OVERHEAD_MAX`] (DESIGN.md
+//!   §15.4): both cells come from one run on one host, so the ratio needs
+//!   no baseline.
+//! * `admission` — p99 latency of queries **admitted** through a
 //!   shed-policy in-flight gate while a saturator floods the same shard
-//!   past its budget, asserting a non-zero shed rate along the way.
+//!   past its budget; asserts a non-zero shed count.
+//! * `persist_*` per preset — `persist_save` (µs per whole-service
+//!   snapshot), `persist_open` (µs per warm restart from a snapshot, tree
+//!   rebuild included) and `persist_replay` (µs per `ObjectDelta` of
+//!   WAL-suffix replay, isolated by differencing a suffix-laden open
+//!   against a snapshot-only open).
+//!
+//! Results print; `--out PATH` also writes them as JSON.
 
-use indoor_model::{IndoorPoint, ObjectDelta, ObjectId, QueryRequest, VenueId};
+use indoor_model::{IndoorPoint, ObjectDelta, ObjectId, QueryRequest, Venue, VenueId};
 use indoor_synth::{presets, workload};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vip_tree::{
-    AdmissionConfig, IndoorService, KeywordObjects, OverloadPolicy, QueryEngine, ServiceError,
-    ShardConfig, VipTree, VipTreeConfig,
-};
+use vip_tree::{AdmissionConfig, IndoorService, OverloadPolicy, ServiceError, ShardConfig};
 
 const KNN_K: usize = 5;
 const RANGE_RADIUS: f64 = 150.0;
 const KEYWORD: &str = "cafe";
 const N_OBJECTS: usize = 200;
 const N_QUERIES: usize = 300;
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-/// `IndoorService` sharding axis: the same total mixed workload split
-/// over this many venue shards.
-const VENUE_COUNTS: [usize; 3] = [1, 2, 4];
-/// Object deltas per `update_objects` batch in the churn cells.
+/// Object deltas per `update_objects` batch.
 const DELTAS_PER_BATCH: usize = 64;
 /// WAL batches appended for the `persist_replay` cell; sized so replay
 /// work dominates the (differenced-away) tree rebuild.
 const REPLAY_BATCHES: usize = 256;
+/// Largest telemetry on/off ratio a preset may show (DESIGN.md §15.4).
+const TELEMETRY_OVERHEAD_MAX: f64 = 1.10;
+/// Interleaved sample pairs behind the ratio.
+const TELEMETRY_REPS_MIN: usize = 15;
 
 struct Row {
-    dataset: String,
+    dataset: &'static str,
     doors: usize,
     query: &'static str,
-    threads: usize,
-    venues: usize,
     n_queries: usize,
     us_per_query: f64,
-    /// kNN cells only: fraction of branch-and-bound candidates rejected
-    /// by the interpolated lower bound without touching a matrix row.
-    prune_rate: Option<f64>,
 }
 
-/// Median over reps of (batch wall micros / batch size).
-///
-/// A batch of 300 cheap queries finishes in well under a millisecond, so
-/// one raw timing would be scheduler noise; each sample instead loops the
-/// batch until it covers ≥ [`MIN_SAMPLE_MS`] of wall time — keeping even
-/// `--reps 1` CI smoke runs stable enough for the 2.5x regression gate.
-/// The iteration count is calibrated from the **second** run: the first
-/// run is untimed warm-up, which matters for cells with warm-up-dependent
-/// cost (the SVC rows fill their result cache on the first run; timing
-/// must be calibrated against the all-hits steady state, or every timed
-/// sample would cover a fraction of the target window).
+/// Each sample loops its workload until it covers at least this much wall
+/// time, so even `--reps 1` runs are not scheduler noise.
 const MIN_SAMPLE_MS: f64 = 20.0;
 
-fn median_us(reps: usize, n: usize, mut run: impl FnMut()) -> f64 {
-    run(); // warm-up (pools, caches)
+/// How many runs of `run` fill one [`MIN_SAMPLE_MS`] sample. Runs it twice:
+/// an untimed warm-up (pools, lazy grids), then a timed run at steady state.
+fn calibrate(mut run: impl FnMut()) -> usize {
+    run();
     let t0 = Instant::now();
-    run(); // calibration at steady state
+    run();
     let once_ms = (t0.elapsed().as_secs_f64() * 1e3).max(1e-6);
-    let iters = ((MIN_SAMPLE_MS / once_ms).ceil() as usize).clamp(1, 100_000);
+    ((MIN_SAMPLE_MS / once_ms).ceil() as usize).clamp(1, 100_000)
+}
+
+/// Median over reps of (sample wall micros / items per sample).
+fn median_us(reps: usize, n: usize, mut run: impl FnMut()) -> f64 {
+    let iters = calibrate(&mut run);
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
@@ -103,6 +86,227 @@ fn median_us(reps: usize, n: usize, mut run: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// `(on, off, ratio)`: median µs per kNN served through an
+/// `IndoorService` shard — the whole instrumented path (admission, cache
+/// probe, per-query trace, histogram folds) — with the sampling gate open
+/// vs closed, and the on/off ratio. A 1-entry cache keeps repeats from
+/// collapsing into hits.
+///
+/// The two cells are sampled *interleaved* (on, off, on, off, …), and the
+/// ratio is the median of each adjacent pair's ratio, not the ratio of the
+/// two medians: on a shared host a load burst or frequency step longer
+/// than one sample lands on both halves of a pair, so it cancels. The pair
+/// takes at least [`TELEMETRY_REPS_MIN`] samples whatever `--reps` says.
+fn telemetry_pair(
+    venue: &Arc<Venue>,
+    objects: &[IndoorPoint],
+    points: &[IndoorPoint],
+    reps: usize,
+) -> (f64, f64, f64) {
+    let service = IndoorService::new();
+    let id = service
+        .add_venue(
+            venue.clone(),
+            ShardConfig {
+                threads: 1,
+                objects: objects.to_vec(),
+                cache_capacity: 1,
+                ..ShardConfig::default()
+            },
+        )
+        .expect("telemetry shard");
+    let reqs: Vec<(VenueId, QueryRequest)> = points
+        .iter()
+        .map(|q| (id, QueryRequest::Knn { q: *q, k: KNN_K }))
+        .collect();
+    vip_tree::telemetry::set_sampling(true);
+    let iters = calibrate(|| {
+        std::hint::black_box(service.execute_batch(&reqs));
+    });
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..reps.max(TELEMETRY_REPS_MIN) {
+        for (slot, on) in [(0usize, true), (1, false)] {
+            vip_tree::telemetry::set_sampling(on);
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(service.execute_batch(&reqs));
+            }
+            samples[slot].push(t0.elapsed().as_secs_f64() * 1e6 / (reqs.len() * iters) as f64);
+        }
+    }
+    vip_tree::telemetry::set_sampling(true);
+    let median = |mut s: Vec<f64>| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    };
+    let ratios = samples[0].iter().zip(&samples[1]).map(|(on, off)| on / off);
+    let ratio = median(ratios.collect());
+    let [on, off] = samples.map(median);
+    (on, off, ratio)
+}
+
+/// Snapshot save, warm open and WAL-suffix replay of one preset's
+/// service: `(cell, items, µs per item)`.
+fn persist_cells(
+    name: &str,
+    venue: &Arc<Venue>,
+    objects: &[IndoorPoint],
+    reps: usize,
+) -> [(&'static str, usize, f64); 3] {
+    let service = IndoorService::new();
+    let id = service
+        .add_venue(
+            venue.clone(),
+            ShardConfig {
+                threads: 1,
+                objects: objects.to_vec(),
+                keywords: workload::cycling_labels(objects, KEYWORD),
+                ..ShardConfig::default()
+            },
+        )
+        .expect("persist shard");
+    // Some churn first, so the snapshot captures a delta-maintained
+    // live set (gapped stable ids), not a pristine attach.
+    let alt = workload::place_objects(venue, N_OBJECTS, 0xB0D);
+    let moves = |offset: usize| -> Vec<ObjectDelta> {
+        (0..DELTAS_PER_BATCH)
+            .map(|i| ObjectDelta::Move {
+                id: ObjectId(i as u32),
+                to: alt[(offset + i) % alt.len()],
+            })
+            .collect()
+    };
+    service
+        .update_objects(id, &moves(0))
+        .expect("pre-persist churn");
+
+    let base =
+        std::env::temp_dir().join(format!("vip-bench-persist-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+
+    // Save: a volatile service exports (no WAL rotation in the loop).
+    let save_dir = base.join("save");
+    let us_save = median_us(reps, 1, || {
+        std::hint::black_box(service.save_snapshot(&save_dir).expect("save"));
+    });
+
+    // Open: warm restart from a snapshot with an empty WAL.
+    let open_dir = base.join("open");
+    service.save_snapshot(&open_dir).expect("seed open dir");
+    let us_open = median_us(reps, 1, || {
+        std::hint::black_box(IndoorService::open(&open_dir).expect("open"));
+    });
+
+    // Replay: the same snapshot plus a WAL suffix of pure move
+    // deltas; per-delta cost is the differenced open time.
+    let replay_dir = base.join("replay");
+    service.save_snapshot(&replay_dir).expect("seed replay dir");
+    {
+        let durable = IndoorService::open(&replay_dir).expect("open for suffix");
+        for b in 0..REPLAY_BATCHES {
+            durable.update_objects(id, &moves(b)).expect("suffix batch");
+        }
+    }
+    let n_deltas = REPLAY_BATCHES * DELTAS_PER_BATCH;
+    let us_suffix_open = median_us(reps, 1, || {
+        std::hint::black_box(IndoorService::open(&replay_dir).expect("replay open"));
+    });
+    // Floor at 10ns/delta: the difference of two medians can jitter
+    // below zero when replay is nearly free.
+    let us_replay = ((us_suffix_open - us_open) / n_deltas as f64).max(0.01);
+    let _ = std::fs::remove_dir_all(&base);
+
+    println!(
+        "   persist: save {us_save:9.2} us, open {us_open:9.2} us, replay {us_replay:6.3} us/delta ({n_deltas} deltas)"
+    );
+    [
+        ("persist_save", 1, us_save),
+        ("persist_open", 1, us_open),
+        ("persist_replay", n_deltas, us_replay),
+    ]
+}
+
+/// p99 latency of *admitted* queries while a saturator floods the same
+/// bounded shard far past its in-flight budget — the overload behaviour
+/// a production deployment sees (typed `Overloaded` rejections instead of
+/// unbounded queue growth). The saturator claims the whole budget in one
+/// batch-weight admission per pass (oversized batches admit on an idle
+/// gate), so the foreground faces genuine contention even on one core.
+/// Returns `(median over reps of the p99, attempts per rep)`; panics when
+/// nothing was shed.
+fn admission_p99(venue: &Arc<Venue>, objects: &[IndoorPoint], reps: usize) -> (f64, usize) {
+    const ADMIT_LIMIT: usize = 8;
+    const ATTEMPTS: usize = 4_000;
+    let service = IndoorService::new();
+    let id = service
+        .add_venue(
+            venue.clone(),
+            ShardConfig {
+                threads: 1,
+                objects: objects.to_vec(),
+                keywords: workload::cycling_labels(objects, KEYWORD),
+                // Tiny cache: admitted requests measure query work,
+                // not cache hits.
+                cache_capacity: 1,
+                admission: AdmissionConfig {
+                    max_in_flight: ADMIT_LIMIT,
+                    policy: OverloadPolicy::Shed,
+                },
+                ..ShardConfig::default()
+            },
+        )
+        .expect("admission shard");
+    let reqs = workload::mixed_requests(venue, N_QUERIES / 5, KNN_K, RANGE_RADIUS, KEYWORD, 0xAD);
+    let batch: Vec<(VenueId, QueryRequest)> = reqs.iter().map(|r| (id, r.clone())).collect();
+    let stop = AtomicBool::new(false);
+    let mut p99s: Vec<f64> = Vec::new();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(service.execute_batch(&batch));
+                // Brief idle window per pass, so the foreground is
+                // contended rather than starved outright.
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        for _ in 0..reps {
+            let mut lat: Vec<f64> = Vec::new();
+            for i in 0..ATTEMPTS {
+                let t0 = Instant::now();
+                match service.execute(id, &reqs[i % reqs.len()]) {
+                    Ok(resp) => {
+                        std::hint::black_box(resp);
+                        lat.push(t0.elapsed().as_secs_f64() * 1e6);
+                    }
+                    // Client-style backoff: without it every attempt
+                    // lands (and sheds) inside one saturator pass.
+                    Err(ServiceError::Overloaded { .. }) => {
+                        std::thread::sleep(Duration::from_micros(20));
+                    }
+                    Err(e) => panic!("unexpected admission error: {e}"),
+                }
+            }
+            if !lat.is_empty() {
+                lat.sort_by(f64::total_cmp);
+                p99s.push(lat[(lat.len() - 1) * 99 / 100]);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let shed = service.stats().shed;
+    assert!(
+        shed > 0,
+        "saturation produced no sheds — admission gate not engaged"
+    );
+    assert!(!p99s.is_empty(), "every foreground attempt was shed");
+    p99s.sort_by(f64::total_cmp);
+    let us = p99s[p99s.len() / 2];
+    println!(
+        "   admission: p99 {us:9.2} us for admitted queries at budget {ADMIT_LIMIT} ({shed} shed)"
+    );
+    (us, ATTEMPTS)
 }
 
 fn main() {
@@ -121,587 +325,81 @@ fn main() {
         }
     }
     let reps = reps.max(1);
-    let out_path = out_path
-        .unwrap_or_else(|| format!("{}/../../BENCH_query.json", env!("CARGO_MANIFEST_DIR")));
-
-    let datasets = [
-        ("MC", presets::melbourne_central()),
-        ("MC-2", presets::melbourne_central_2()),
-        ("Men", presets::menzies()),
-    ];
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
     let mut rows: Vec<Row> = Vec::new();
-    for (name, spec) in datasets {
+    let mut over_budget: Vec<&str> = Vec::new();
+    for (name, spec) in [
+        ("MC", presets::melbourne_central()),
+        ("MC-2", presets::melbourne_central_2()),
+        ("Men", presets::menzies()),
+    ] {
         let venue = Arc::new(spec.build());
         let doors = venue.stats().doors;
         let objects = workload::place_objects(&venue, N_OBJECTS, 0xB0B);
-        let labelled = workload::cycling_labels(&objects, KEYWORD);
-        let tree = VipTree::build(venue.clone(), &VipTreeConfig::default()).expect("build");
-        tree.attach_objects(&objects);
-        let kw = Arc::new(KeywordObjects::build(tree.ip_tree(), &labelled));
-        let tree = Arc::new(tree);
-
         let points = workload::query_points(&venue, N_QUERIES, 0x9E);
-        let pairs = workload::query_pairs(&venue, N_QUERIES, 0x9F);
-        let mixed =
-            workload::mixed_requests(&venue, N_QUERIES / 5, KNN_K, RANGE_RADIUS, KEYWORD, 0xA0);
-        println!("== {name}: {doors} doors, {N_QUERIES} queries per type");
+        println!("== {name}: {doors} doors");
 
-        // Lower-bound effectiveness over this preset's kNN workload:
-        // counters accumulate across the whole point set, so the rate is
-        // a workload aggregate, not a per-query sample.
-        let prune_rate = {
-            let mut stats = indoor_model::QueryStats::default();
-            for q in &points {
-                std::hint::black_box(tree.knn_with_stats(q, KNN_K, &mut stats));
-            }
-            stats.prune_rate()
-        };
-        println!("   lower-bound prune_rate: {prune_rate:.3}");
-
-        for &threads in &THREAD_COUNTS {
-            let engine = QueryEngine::for_vip(tree.clone())
-                .with_threads(threads)
-                .with_keywords(kw.clone());
-            // Warm-up pass: pool scratches/engines allocate outside the
-            // timed region, like a long-running server's steady state.
-            std::hint::black_box(engine.batch_knn(&points[..8.min(points.len())], KNN_K));
-
-            type Cell<'a> = (&'static str, Box<dyn FnMut() + 'a>);
-            let cells: [Cell; 5] = [
-                (
-                    "knn",
-                    Box::new(|| {
-                        std::hint::black_box(engine.batch_knn(&points, KNN_K));
-                    }),
-                ),
-                (
-                    "range",
-                    Box::new(|| {
-                        std::hint::black_box(engine.batch_range(&points, RANGE_RADIUS));
-                    }),
-                ),
-                (
-                    "keyword",
-                    Box::new(|| {
-                        std::hint::black_box(engine.batch_knn_keyword(&points, KNN_K, KEYWORD));
-                    }),
-                ),
-                (
-                    "shortest_path",
-                    Box::new(|| {
-                        std::hint::black_box(engine.batch_shortest_path(&pairs));
-                    }),
-                ),
-                (
-                    "mixed",
-                    Box::new(|| {
-                        std::hint::black_box(engine.execute_batch(&mixed));
-                    }),
-                ),
-            ];
-            for (query, mut run) in cells {
-                let n = if query == "mixed" {
-                    mixed.len()
-                } else {
-                    N_QUERIES
-                };
-                let us = median_us(reps, n, &mut *run);
-                println!(
-                    "   {query:>13} threads={threads}: {us:9.2} us/query  ({:9.0} q/s)",
-                    1e6 / us
-                );
-                rows.push(Row {
-                    dataset: name.to_string(),
-                    doors,
-                    query,
-                    threads,
-                    venues: 1,
-                    n_queries: n,
-                    us_per_query: us,
-                    prune_rate: (query == "knn").then_some(prune_rate),
-                });
-            }
-        }
-
-        // Telemetry A/B cells: the same kNN workload served through an
-        // `IndoorService` shard (so the whole instrumented path runs —
-        // admission, cache probe, per-query trace, histogram folds) with
-        // the sampling gate open (`on`, the shipped default) vs closed
-        // (`off`). The pair is the zero-cost-when-off contract's
-        // evidence, and `bench_check` hard-fails when `on/off` exceeds
-        // its overhead budget. A 1-entry cache keeps repeats from
-        // collapsing into cache hits: the cells measure query work.
-        {
-            let t_service = IndoorService::new();
-            let tid = t_service
-                .add_venue(
-                    venue.clone(),
-                    ShardConfig {
-                        threads: 1,
-                        objects: objects.clone(),
-                        cache_capacity: 1,
-                        ..ShardConfig::default()
-                    },
-                )
-                .expect("telemetry shard");
-            let knn_reqs: Vec<(VenueId, QueryRequest)> = points
-                .iter()
-                .map(|q| (tid, QueryRequest::Knn { q: *q, k: KNN_K }))
-                .collect();
-            // The two cells are sampled *interleaved* (on, off, on, off,
-            // …) rather than as two back-to-back `median_us` blocks: the
-            // gate reads the on/off ratio, and on a shared host a load
-            // burst or frequency step lasting longer than one cell would
-            // otherwise land entirely on whichever cell ran second and
-            // fake a 20–30% "overhead". Interleaving puts both cells'
-            // samples in the same wall-clock span so drift hits both
-            // medians equally; the pair also gets a rep floor of its own
-            // so the `--reps 1` CI smoke still takes enough samples for
-            // the median to shed outliers.
-            vip_tree::telemetry::set_sampling(true);
-            std::hint::black_box(t_service.execute_batch(&knn_reqs)); // warm-up (lazy grids, pools)
-            let t0 = Instant::now();
-            std::hint::black_box(t_service.execute_batch(&knn_reqs)); // calibrate at steady state
-            let once_ms = (t0.elapsed().as_secs_f64() * 1e3).max(1e-6);
-            let iters = ((MIN_SAMPLE_MS / once_ms).ceil() as usize).clamp(1, 100_000);
-            let mut samples = [Vec::new(), Vec::new()];
-            for _ in 0..reps.max(5) {
-                for (slot, on) in [(0usize, true), (1, false)] {
-                    vip_tree::telemetry::set_sampling(on);
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        std::hint::black_box(t_service.execute_batch(&knn_reqs));
-                    }
-                    samples[slot]
-                        .push(t0.elapsed().as_secs_f64() * 1e6 / (knn_reqs.len() * iters) as f64);
-                }
-            }
-            for (slot, query) in [(0usize, "telemetry_knn_on"), (1, "telemetry_knn_off")] {
-                let s = &mut samples[slot];
-                s.sort_by(f64::total_cmp);
-                let us = s[s.len() / 2];
-                println!(
-                    "   {query:>17} threads=1: {us:9.2} us/query  ({:9.0} q/s)",
-                    1e6 / us
-                );
-                rows.push(Row {
-                    dataset: name.to_string(),
-                    doors,
-                    query,
-                    threads: 1,
-                    venues: 1,
-                    n_queries: knn_reqs.len(),
-                    us_per_query: us,
-                    prune_rate: None,
-                });
-            }
-            vip_tree::telemetry::set_sampling(true);
-        }
-    }
-
-    // Multi-venue serving axis: the same total mixed workload split over
-    // `venue_count` IndoorService shards (presets cycled), measuring the
-    // steady state of a hot-spot workload — after the untimed warm-up
-    // run, every request is answered from the version-stamped cache.
-    for &venue_count in &VENUE_COUNTS {
-        let service = IndoorService::new();
-        let mut reqs: Vec<(VenueId, QueryRequest)> = Vec::new();
-        let mut doors = 0usize;
-        let per_venue_per_kind = (N_QUERIES / (5 * venue_count)).max(1);
-        let specs = [
-            presets::melbourne_central(),
-            presets::melbourne_central_2(),
-            presets::menzies(),
-        ];
-        for v in 0..venue_count {
-            let venue = Arc::new(specs[v % specs.len()].build());
-            doors += venue.stats().doors;
-            let objects = workload::place_objects(&venue, N_OBJECTS, 0xB0B);
-            let labelled = workload::cycling_labels(&objects, KEYWORD);
-            let id = service
-                .add_venue(
-                    venue.clone(),
-                    ShardConfig {
-                        threads: 1,
-                        objects,
-                        keywords: labelled,
-                        ..ShardConfig::default()
-                    },
-                )
-                .expect("build shard");
-            for req in workload::mixed_requests(
-                &venue,
-                per_venue_per_kind,
-                KNN_K,
-                RANGE_RADIUS,
-                KEYWORD,
-                0xA1 + v as u64,
-            ) {
-                reqs.push((id, req));
-            }
-        }
-        workload::shuffle(&mut reqs, 0xA7);
-        let n = reqs.len();
-        let us = median_us(reps, n, &mut || {
-            std::hint::black_box(service.execute_batch(&reqs));
-        });
-        println!("== SVC venues={venue_count}: {doors} doors, {n} mixed requests (warm cache)");
-        println!(
-            "   {:>13} venues={venue_count}: {us:9.2} us/query  ({:9.0} q/s)",
-            "mixed",
-            1e6 / us
-        );
-        rows.push(Row {
-            dataset: "SVC".to_string(),
-            doors,
-            query: "mixed",
-            // execute_batch serves one shard on the caller and one
-            // scoped worker per further shard (each shard itself
-            // single-threaded here), so the actual concurrency of an SVC
-            // cell is its venue count — record it honestly.
-            threads: venue_count,
-            venues: venue_count,
-            n_queries: n,
-            us_per_query: us,
-            prune_rate: None,
-        });
-    }
-
-    // Churn axis: µs per object delta absorbed by one venue while a
-    // mixed query load hammers a *second* venue of the same preset on a
-    // concurrent thread — the live-service update workload
-    // (`IndoorService::update_objects`). `qps` for these rows reads as
-    // updates/sec.
-    for (name, spec) in [
-        ("MC", presets::melbourne_central()),
-        ("MC-2", presets::melbourne_central_2()),
-        ("Men", presets::menzies()),
-    ] {
-        let venue = Arc::new(spec.build());
-        let doors = venue.stats().doors * 2; // two shards of this preset
-        let objects = workload::place_objects(&venue, N_OBJECTS, 0xB0B);
-        let service = IndoorService::new();
-        let churn_id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: objects.clone(),
-                    ..ShardConfig::default()
-                },
-            )
-            .expect("churn shard");
-        let query_id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: workload::place_objects(&venue, N_OBJECTS, 0xB0C),
-                    ..ShardConfig::default()
-                },
-            )
-            .expect("query shard");
-        let reqs: Vec<(VenueId, QueryRequest)> =
-            workload::mixed_requests(&venue, N_QUERIES / 5, KNN_K, RANGE_RADIUS, KEYWORD, 0xA9)
-                .into_iter()
-                .map(|r| (query_id, r))
-                .collect();
-        // Two alternating all-moves batches (always valid, any order).
-        let alt = workload::place_objects(&venue, N_OBJECTS, 0xB0D);
-        let batch_for = |pool: &[IndoorPoint]| -> Vec<ObjectDelta> {
-            (0..DELTAS_PER_BATCH)
-                .map(|i| ObjectDelta::Move {
-                    id: ObjectId(i as u32),
-                    to: pool[i % pool.len()],
-                })
-                .collect()
-        };
-        let batches = [batch_for(&alt), batch_for(&objects)];
-        let stop = AtomicBool::new(false);
-        let us = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::black_box(service.execute_batch(&reqs));
-                }
-            });
-            let mut flip = 0usize;
-            let us = median_us(reps, DELTAS_PER_BATCH, || {
-                std::hint::black_box(
-                    service
-                        .update_objects(churn_id, &batches[flip % 2])
-                        .expect("churn deltas"),
-                );
-                flip += 1;
-            });
-            stop.store(true, Ordering::Relaxed);
-            us
-        });
-        println!(
-            "== {name} churn: {:9.2} us/delta ({:9.0} updates/s) under mixed load on a second venue",
-            us,
-            1e6 / us
-        );
-        rows.push(Row {
-            dataset: name.to_string(),
-            doors,
-            query: "churn",
-            threads: 1,
-            venues: 2,
-            n_queries: DELTAS_PER_BATCH,
-            us_per_query: us,
-            prune_rate: None,
-        });
-    }
-
-    // Admission-control axis: p99 latency of *admitted* queries while a
-    // saturator floods the same bounded shard far past its in-flight
-    // budget, plus the shed rate — the overload behaviour a production
-    // deployment sees (typed `Overloaded` rejections instead of unbounded
-    // queue growth). The saturator claims the whole budget in one
-    // batch-weight admission per pass (oversized batches admit on an idle
-    // gate), so the foreground faces genuine contention even on one core.
-    {
-        const ADMIT_LIMIT: usize = 8;
-        const ATTEMPTS: usize = 4_000;
-        let venue = Arc::new(presets::melbourne_central().build());
-        let doors = venue.stats().doors;
-        let objects = workload::place_objects(&venue, N_OBJECTS, 0xB0B);
-        let labelled = workload::cycling_labels(&objects, KEYWORD);
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects,
-                    keywords: labelled,
-                    // Tiny cache: admitted requests measure query work,
-                    // not cache hits.
-                    cache_capacity: 1,
-                    admission: AdmissionConfig {
-                        max_in_flight: ADMIT_LIMIT,
-                        policy: OverloadPolicy::Shed,
-                    },
-                    ..ShardConfig::default()
-                },
-            )
-            .expect("admission shard");
-        let reqs =
-            workload::mixed_requests(&venue, N_QUERIES / 5, KNN_K, RANGE_RADIUS, KEYWORD, 0xAD);
-        let batch: Vec<(VenueId, QueryRequest)> = reqs.iter().map(|r| (id, r.clone())).collect();
-        let stop = AtomicBool::new(false);
-        let mut p99s: Vec<f64> = Vec::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::black_box(service.execute_batch(&batch));
-                    // Brief idle window per pass, so the foreground is
-                    // contended rather than starved outright.
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            });
-            for _ in 0..reps {
-                let mut lat: Vec<f64> = Vec::new();
-                for i in 0..ATTEMPTS {
-                    let t0 = Instant::now();
-                    match service.execute(id, &reqs[i % reqs.len()]) {
-                        Ok(resp) => {
-                            std::hint::black_box(resp);
-                            lat.push(t0.elapsed().as_secs_f64() * 1e6);
-                        }
-                        // Client-style backoff: without it every attempt
-                        // lands (and sheds) inside one saturator pass.
-                        Err(ServiceError::Overloaded { .. }) => {
-                            std::thread::sleep(Duration::from_micros(20));
-                        }
-                        Err(e) => panic!("unexpected admission error: {e}"),
-                    }
-                }
-                if !lat.is_empty() {
-                    lat.sort_by(f64::total_cmp);
-                    p99s.push(lat[(lat.len() - 1) * 99 / 100]);
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        let stats = service.stats();
-        assert!(
-            stats.shed > 0,
-            "saturation produced no sheds — admission gate not engaged"
-        );
-        assert!(!p99s.is_empty(), "every foreground attempt was shed");
-        p99s.sort_by(f64::total_cmp);
-        let us = p99s[p99s.len() / 2];
-        println!(
-            "== MC admission: p99 {us:9.2} us for admitted queries at budget {ADMIT_LIMIT} ({} shed)",
-            stats.shed
-        );
-        rows.push(Row {
-            dataset: "MC".to_string(),
-            doors,
-            query: "admission",
-            // Two OS threads drive this cell: the saturator and the
-            // foreground prober.
-            threads: 2,
-            venues: 1,
-            n_queries: ATTEMPTS,
-            us_per_query: us,
-            prune_rate: None,
-        });
-    }
-
-    // Durability axis: snapshot save, warm open, and WAL-suffix replay
-    // per preset — the restart path a production service leans on
-    // (`persist_open` ms vs a cold rebuild is the point of snapshots).
-    for (name, spec) in [
-        ("MC", presets::melbourne_central()),
-        ("MC-2", presets::melbourne_central_2()),
-        ("Men", presets::menzies()),
-    ] {
-        let venue = Arc::new(spec.build());
-        let doors = venue.stats().doors;
-        let objects = workload::place_objects(&venue, N_OBJECTS, 0xB0B);
-        let labelled = workload::cycling_labels(&objects, KEYWORD);
-        let service = IndoorService::new();
-        let id = service
-            .add_venue(
-                venue.clone(),
-                ShardConfig {
-                    threads: 1,
-                    objects: objects.clone(),
-                    keywords: labelled,
-                    ..ShardConfig::default()
-                },
-            )
-            .expect("persist shard");
-        // Some churn first, so the snapshot captures a delta-maintained
-        // live set (gapped stable ids), not a pristine attach.
-        let alt = workload::place_objects(&venue, N_OBJECTS, 0xB0D);
-        let churn: Vec<ObjectDelta> = (0..DELTAS_PER_BATCH)
-            .map(|i| ObjectDelta::Move {
-                id: ObjectId(i as u32),
-                to: alt[i % alt.len()],
-            })
-            .collect();
-        service
-            .update_objects(id, &churn)
-            .expect("pre-persist churn");
-
-        let base =
-            std::env::temp_dir().join(format!("vip-bench-persist-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-
-        // Save: a volatile service exports (no WAL rotation in the loop).
-        let save_dir = base.join("save");
-        let us_save = median_us(reps, 1, || {
-            std::hint::black_box(service.save_snapshot(&save_dir).expect("save"));
-        });
-
-        // Open: warm restart from a snapshot with an empty WAL.
-        let open_dir = base.join("open");
-        service.save_snapshot(&open_dir).expect("seed open dir");
-        let us_open = median_us(reps, 1, || {
-            std::hint::black_box(IndoorService::open(&open_dir).expect("open"));
-        });
-
-        // Replay: the same snapshot plus a WAL suffix of pure move
-        // deltas; per-delta cost is the differenced open time.
-        let replay_dir = base.join("replay");
-        service.save_snapshot(&replay_dir).expect("seed replay dir");
-        {
-            let durable = IndoorService::open(&replay_dir).expect("open for suffix");
-            for b in 0..REPLAY_BATCHES {
-                let deltas: Vec<ObjectDelta> = (0..DELTAS_PER_BATCH)
-                    .map(|i| ObjectDelta::Move {
-                        id: ObjectId(i as u32),
-                        to: alt[(b + i) % alt.len()],
-                    })
-                    .collect();
-                durable.update_objects(id, &deltas).expect("suffix batch");
-            }
-        }
-        let n_deltas = REPLAY_BATCHES * DELTAS_PER_BATCH;
-        let us_suffix_open = median_us(reps, 1, || {
-            std::hint::black_box(IndoorService::open(&replay_dir).expect("replay open"));
-        });
-        // Floor at 10ns/delta: the difference of two medians can jitter
-        // below zero when replay is nearly free.
-        let us_replay = ((us_suffix_open - us_open) / n_deltas as f64).max(0.01);
-        let _ = std::fs::remove_dir_all(&base);
-
-        println!(
-            "== {name} persist: save {:9.2} us, open {:9.2} us, replay {:6.3} us/delta ({} deltas)",
-            us_save, us_open, us_replay, n_deltas
-        );
-        for (query, n, us) in [
-            ("persist_save", 1usize, us_save),
-            ("persist_open", 1, us_open),
-            ("persist_replay", n_deltas, us_replay),
-        ] {
-            rows.push(Row {
-                dataset: name.to_string(),
-                doors,
-                query,
-                threads: 1,
-                venues: 1,
-                n_queries: n,
-                us_per_query: us,
-                prune_rate: None,
-            });
-        }
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"vip_tree_query\",\n");
-    let _ = writeln!(
-        json,
-        "  \"unit\": \"us/query (median of {reps} batch reps)\","
-    );
-    let _ = writeln!(json, "  \"host_cores\": {cores},");
-    if let Ok(t) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
-        let _ = writeln!(json, "  \"generated_unix\": {},", t.as_secs());
-    }
-    json.push_str("  \"note\": \"batch results are slot-indexed and bit-identical to the serial loop (tests/concurrent_queries.rs); multi-thread speedup saturates at host_cores; mixed cells run shuffled heterogeneous QueryRequest batches; SVC rows measure IndoorService steady-state serving with a warm version-stamped cache over `venues` shards (venue sets differ per count, so their speedup_vs_serial is fixed at 1.0); churn rows are us per ObjectDelta absorbed by update_objects on one venue while a mixed load hammers a second venue concurrently (qps = updates/sec, speedup fixed at 1.0); persist_save/persist_open are us per whole-service snapshot write / warm restart, persist_replay is us per ObjectDelta of WAL-suffix replay (differenced against a snapshot-only open, floored at 0.01); the admission row is the p99 latency (median over reps) of queries ADMITTED through a shed-policy gate of 8 in-flight while a batch saturator floods the same shard — its qps reads as 1e6/p99, not throughput; prune_rate on kNN cells is the fraction of branch-and-bound candidates rejected by the interpolated lower bound without touching a matrix row\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        // SVC rows serve a *different* venue set per venue count, so no
-        // cross-venue-count speedup is comparable; they report 1.0.
-        let serial_us = if r.dataset == "SVC" {
-            r.us_per_query
+        let (on, off, ratio) = telemetry_pair(&venue, &objects, &points, reps);
+        let verdict = if ratio <= TELEMETRY_OVERHEAD_MAX {
+            "ok"
         } else {
-            rows.iter()
-                .find(|x| {
-                    x.dataset == r.dataset && x.query == r.query && x.threads == 1 && x.venues == 1
-                })
-                .map(|x| x.us_per_query)
-                .unwrap_or(r.us_per_query)
+            over_budget.push(name);
+            "OVER BUDGET"
         };
-        let prune = r
-            .prune_rate
-            .map(|p| format!(", \"prune_rate\": {p:.4}"))
-            .unwrap_or_default();
-        let _ = write!(
-            json,
-            "    {{\"dataset\": \"{}\", \"doors\": {}, \"query\": \"{}\", \"threads\": {}, \"venues\": {}, \"n_queries\": {}, \"us_per_query\": {:.3}, \"qps\": {:.0}, \"speedup_vs_serial\": {:.3}{}}}",
-            r.dataset,
-            r.doors,
-            r.query,
-            r.threads,
-            r.venues,
-            r.n_queries,
-            r.us_per_query,
-            1e6 / r.us_per_query,
-            serial_us / r.us_per_query,
-            prune,
+        println!(
+            "   telemetry kNN on {on:9.2} us, off {off:9.2} us: ratio {ratio:.3} \
+             (max {TELEMETRY_OVERHEAD_MAX}) {verdict}"
         );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        let mut cells = vec![
+            ("telemetry_knn_on", points.len(), on),
+            ("telemetry_knn_off", points.len(), off),
+        ];
+        cells.extend(persist_cells(name, &venue, &objects, reps));
+        if name == "MC" {
+            let (us, attempts) = admission_p99(&venue, &objects, reps);
+            cells.push(("admission", attempts, us));
+        }
+        rows.extend(
+            cells
+                .into_iter()
+                .map(|(query, n_queries, us_per_query)| Row {
+                    dataset: name,
+                    doors,
+                    query,
+                    n_queries,
+                    us_per_query,
+                }),
+        );
     }
-    json.push_str("  ]\n}\n");
 
-    std::fs::write(&out_path, json).expect("write BENCH_query.json");
-    println!("wrote {out_path}");
+    if let Some(out_path) = out_path {
+        let mut json = String::new();
+        json.push_str("{\n  \"benchmark\": \"vip_tree_query\",\n");
+        let _ = writeln!(json, "  \"unit\": \"us (median of {reps} reps)\",");
+        let _ = writeln!(json, "  \"host_cores\": {cores},");
+        json.push_str("  \"note\": \"telemetry_knn_on/off are us per kNN through an IndoorService shard with the sampling gate open/closed; persist_save/persist_open are us per whole-service snapshot write / warm restart, persist_replay is us per ObjectDelta of WAL-suffix replay (differenced against a snapshot-only open, floored at 0.01); admission is the p99 of queries ADMITTED through a shed-policy gate of 8 in-flight while a batch saturator floods the same shard\",\n");
+        json.push_str("  \"results\": [\n");
+        for (i, r) in rows.iter().enumerate() {
+            let _ = write!(
+                json,
+                "    {{\"dataset\": \"{}\", \"doors\": {}, \"query\": \"{}\", \"n_queries\": {}, \"us_per_query\": {:.3}}}",
+                r.dataset, r.doors, r.query, r.n_queries, r.us_per_query,
+            );
+            json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        }
+        json.push_str("  ]\n}\n");
+        std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+        println!("wrote {out_path}");
+    }
+
+    if !over_budget.is_empty() {
+        eprintln!(
+            "telemetry overhead over {TELEMETRY_OVERHEAD_MAX}x on {}",
+            over_budget.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -5,8 +5,6 @@
 //! all seven competitors ([`AnyIndex`]), and time-budgeted median-of-reps
 //! query loops ([`time_queries`]).
 
-pub mod gate;
-
 use indoor_baselines::{DistAw, DistAwPlus, DistMx};
 use indoor_model::{
     AnswerRequest, IndoorIndex, IndoorPath, IndoorPoint, ObjectId, ObjectQueries, QueryRequest,

@@ -18,9 +18,9 @@
 //! process-wide gate ([`set_sampling`] / [`sampling_enabled`]) turns it
 //! on and off at runtime, and the `telemetry-off` cargo feature compiles
 //! the guards down to constant `false` (proving the zero-cost-when-off
-//! contract — the A/B bench cells in `query_bench` gate both sides).
-//! The gate ships **enabled** by default: the enabled overhead is bounded
-//! by `bench_check`'s on/off ratio gate, cheap enough to always-on.
+//! contract — the A/B bench cells in `query_bench` time both sides).
+//! The gate ships **enabled** by default: `query_bench` exits non-zero
+//! when a preset's on/off ratio exceeds 1.10, cheap enough to always-on.
 //!
 //! Two instrument classes hide behind the gate. **Always-on** series
 //! (end-to-end latency, cache probe time) record on every request — one

@@ -207,7 +207,7 @@ pub struct VenueEvent {
 /// stream; runners replay the stream against a service or a bare index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
-    /// Stable cell name in `BENCH_scenarios.json`.
+    /// Stable cell name in the scenario matrix.
     pub name: String,
     /// Logical duration (streams are replayed as fast as possible; ticks
     /// order events and shape the curves, they are not wall-clock).
@@ -342,8 +342,9 @@ impl TickEvents {
 /// Absorbs every event over the same bit-pattern identity the request
 /// cache keys on ([`crate::IndoorPoint::key_bits`]), so two streams
 /// fingerprint equal iff they would behave identically as cache keys and
-/// delta batches. Used by the `scenario_check` CI gate: identical seeds
-/// must reproduce identical fingerprints on any machine.
+/// delta batches. Identical seeds must reproduce identical fingerprints
+/// on any machine: `indoor_scenarios` pins each standard profile's
+/// fingerprint at seed 42 in source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamFingerprint(u64);
 

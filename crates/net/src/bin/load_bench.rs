@@ -1,29 +1,25 @@
-//! Open- and closed-loop load generator over the wire protocol, with a
-//! committed regression baseline (`BENCH_net.json`, gated by
-//! `net_check`).
+//! Closed-loop load generator over the wire protocol, and the flood
+//! contract of the admission gate.
 //!
 //! ```sh
 //! cargo run --release -p indoor-net --bin load_bench -- \
-//!     --out /tmp/BENCH_net.json [--requests 300] [--qps 3000] [--seed 42]
+//!     [--out PATH] [--requests 300] [--seed 42]
 //! ```
 //!
 //! The matrix: closed-loop cells sweep connections × pipeline depth ×
 //! overload policy (shed vs block) against an in-process loopback
-//! server; one open-loop cell issues on a fixed arrival schedule and
-//! measures latency **from the scheduled send time** (the
-//! coordinated-omission correction — a stalled reply inflates every
-//! latency behind it, as it would for real arrivals); one flood cell
-//! pushes pipeline depth far past a tiny admission capacity and asserts
-//! the contract this front-end exists for: the gate sheds (`shed > 0`)
-//! with typed per-request errors while **every connection survives and
-//! every request gets a reply**.
+//! server; one flood cell pushes pipeline depth far past a tiny
+//! admission capacity and asserts the contract this front-end exists
+//! for: the gate sheds (`shed > 0`) with typed per-request errors while
+//! **every connection survives and every request gets a reply**. A
+//! broken contract panics the run. Open-loop latency is `benchmark/`'s
+//! (`net.open3k_*`, DESIGN.md §13.4).
 //!
-//! Each cell reports p50/p99/p999/max (µs) and throughput; `net_check`
-//! gates p50 per cell against the committed baseline and sanity-checks
-//! the tail ordering of the open-loop cell. Latencies land in one
-//! lock-free telemetry histogram per cell — every reply is a sample
-//! shared across connection threads without a mutex, and p999/max come
-//! from the full population, not a sorted per-connection vector.
+//! Each cell prints p50/p99/p999/max (µs) and throughput; `--out PATH`
+//! also writes them as JSON. Latencies land in one lock-free telemetry
+//! histogram per cell — every reply is a sample shared across
+//! connection threads without a mutex, and p999/max come from the full
+//! population, not a sorted per-connection vector.
 
 use indoor_model::QueryRequest;
 use indoor_net::{NetClient, NetServer};
@@ -35,20 +31,17 @@ use vip_tree::telemetry::{HistSnapshot, Histogram};
 use vip_tree::{AdmissionConfig, IndoorService, OverloadPolicy, RetryPolicy, ShardConfig};
 
 struct Args {
-    out: String,
+    out: Option<String>,
     seed: u64,
     /// Requests per connection in every cell.
     requests: usize,
-    /// Per-connection arrival rate of the open-loop cell.
-    qps: f64,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        out: "BENCH_net.json".into(),
+        out: None,
         seed: 42,
         requests: 300,
-        qps: 3000.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -57,12 +50,11 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("missing value after {a}"))
         };
         match a.as_str() {
-            "--out" => args.out = val(),
+            "--out" => args.out = Some(val()),
             "--seed" => args.seed = val().parse().expect("bad --seed"),
             "--requests" => args.requests = val().parse().expect("bad --requests"),
-            "--qps" => args.qps = val().parse().expect("bad --qps"),
             "--help" | "-h" => {
-                println!("usage: load_bench [--out PATH] [--seed S] [--requests N] [--qps Q]");
+                println!("usage: load_bench [--out PATH] [--seed S] [--requests N]");
                 std::process::exit(0);
             }
             other => panic!("unknown argument {other}"),
@@ -159,81 +151,22 @@ fn closed_loop(
     counts
 }
 
-/// One open-loop connection: send on a fixed schedule regardless of
-/// replies; latency from the *scheduled* send time.
-fn open_loop(
-    addr: std::net::SocketAddr,
-    venue: u32,
-    reqs: &[QueryRequest],
-    lat: &Histogram,
-    qps: f64,
-) -> CellCounts {
-    let mut client = NetClient::connect(addr).expect("connect");
-    client
-        .set_read_timeout(Some(Duration::from_micros(200)))
-        .expect("read timeout");
-    let interval = Duration::from_secs_f64(1.0 / qps);
-    let start = Instant::now();
-    let mut counts = CellCounts::default();
-    let mut scheduled: HashMap<u64, Instant> = HashMap::new();
-    let mut next = 0usize;
-    let mut done = 0usize;
-    while done < reqs.len() {
-        let now = Instant::now();
-        while next < reqs.len() && now >= start + interval * next as u32 {
-            let due = start + interval * next as u32;
-            let id = client
-                .send_query(venue, reqs[next].clone())
-                .expect("send survives overload");
-            scheduled.insert(id, due);
-            next += 1;
-        }
-        match client
-            .try_recv_answer()
-            .expect("connection survives overload")
-        {
-            Some((id, result)) => {
-                let due = scheduled.remove(&id).expect("reply matches a sent id");
-                done += 1;
-                match result {
-                    Ok(_) => {
-                        counts.answered += 1;
-                        lat.record(due.elapsed().as_nanos() as u64);
-                    }
-                    Err(e) if e.is_retryable() => counts.shed += 1,
-                    Err(e) => panic!("non-transient server error: {e}"),
-                }
-            }
-            None => {
-                if next < reqs.len() {
-                    let due = start + interval * next as u32;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep((due - now).min(Duration::from_micros(100)));
-                    }
-                }
-            }
-        }
-    }
-    counts
-}
-
-/// Run one cell: a connection per entry of `shares`, each replaying its
-/// own request slice.
+/// Run one cell: a closed-loop connection at pipeline `depth` per entry
+/// of `shares`, each replaying its own request slice.
 fn run_cell(
     addr: std::net::SocketAddr,
     venue: u32,
     shares: &[&[QueryRequest]],
-    mode: impl Fn(std::net::SocketAddr, u32, &[QueryRequest], &Histogram) -> CellCounts + Sync,
+    depth: usize,
 ) -> (CellCounts, HistSnapshot, Duration) {
     let t0 = Instant::now();
     let lat = Histogram::new();
     let mut total = CellCounts::default();
     std::thread::scope(|scope| {
-        let (mode, lat) = (&mode, &lat);
+        let lat = &lat;
         let handles: Vec<_> = shares
             .iter()
-            .map(|&reqs| scope.spawn(move || mode(addr, venue, reqs, lat)))
+            .map(|&reqs| scope.spawn(move || closed_loop(addr, venue, reqs, lat, depth)))
             .collect();
         for h in handles {
             total.merge(h.join().expect("connection thread"));
@@ -295,10 +228,7 @@ fn main() {
         let addr = server.local_addr();
         for conns in [1usize, 2, 4] {
             for depth in [1usize, 4] {
-                let (counts, lat, wall) =
-                    run_cell(addr, venue, &vec![reqs; conns], |a, v, r, h| {
-                        closed_loop(a, v, r, h, depth)
-                    });
+                let (counts, lat, wall) = run_cell(addr, venue, &vec![reqs; conns], depth);
                 let key = format!("(closed, {pname}, c{conns}, d{depth})");
                 let cell = finish(key, (reqs.len() * conns) as u64, counts, lat, wall);
                 println!(
@@ -314,34 +244,6 @@ fn main() {
                 cells.push(cell);
             }
         }
-    }
-
-    // Open-loop: fixed arrival schedule, latency from scheduled send.
-    {
-        let (server, venue) = loopback(
-            args.seed,
-            AdmissionConfig {
-                max_in_flight: 64,
-                policy: OverloadPolicy::Shed,
-            },
-        );
-        let addr = server.local_addr();
-        let qps = args.qps;
-        let (counts, lat, wall) = run_cell(addr, venue, &[reqs; 2], |a, v, r, h| {
-            open_loop(a, v, r, h, qps)
-        });
-        let cell = finish(
-            format!("(open, shed, c2, q{})", qps as u64),
-            (reqs.len() * 2) as u64,
-            counts,
-            lat,
-            wall,
-        );
-        println!(
-            "{:32} p50 {:8.1}us p99 {:8.1}us p999 {:8.1}us max {:8.1}us {:9.0} q/s shed {}",
-            cell.key, cell.p50_us, cell.p99_us, cell.p999_us, cell.max_us, cell.qps, cell.shed
-        );
-        cells.push(cell);
     }
 
     // Flood: depth far past a tiny admission capacity. The acceptance
@@ -379,9 +281,7 @@ fn main() {
             },
         );
         let addr = server.local_addr();
-        let (counts, lat, wall) = run_cell(addr, venue, &shares, |a, v, r, h| {
-            closed_loop(a, v, r, h, 64)
-        });
+        let (counts, lat, wall) = run_cell(addr, venue, &shares, 64);
         let cell = finish(
             format!("(flood, shed, c{FLOOD_CONNS}, d64)"),
             (per_conn * FLOOD_CONNS) as u64,
@@ -407,6 +307,7 @@ fn main() {
         cells.push(cell);
     }
 
+    let Some(path) = args.out else { return };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"net-serving\",\n");
@@ -432,6 +333,6 @@ fn main() {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(&args.out, &out).expect("write bench json");
-    println!("wrote {} ({} cells)", args.out, cells.len());
+    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path} ({} cells)", cells.len());
 }

@@ -21,10 +21,11 @@
 //!    per-cell metrics: p50/p99 latency, throughput, shed/timeout
 //!    counts, cache hit rate, deltas/s absorbed.
 //! 3. [`matrix`] + [`report`] run the standard profile set across the
-//!    suite and emit `BENCH_scenarios.json` plus a human-readable
-//!    crossover matrix; the `scenario_check` binary gates regressions in
-//!    CI through the same engine as `bench_check`
-//!    ([`indoor_bench::gate`]).
+//!    suite and render a human-readable crossover matrix (and, on
+//!    request, JSON). The matrix's checks live in source and run inside
+//!    `scenario_bench`: each profile's fingerprint at seed 42
+//!    ([`PINNED_FINGERPRINTS`]) and its overload expectations. Timings
+//!    are printed, not gated; `benchmark/` is the record for speed.
 
 pub mod compile;
 pub mod matrix;
@@ -34,8 +35,9 @@ pub mod zipf;
 
 pub use compile::{compile, validate_stream, ScenarioWorld};
 pub use matrix::{
-    run_matrix, standard_profiles, standard_world, MatrixOutput, StandardProfile, OBJECTS_PER_VENUE,
+    pinned_fingerprint, run_matrix, standard_profiles, standard_world, MatrixOutput,
+    StandardProfile, OBJECTS_PER_VENUE, PINNED_FINGERPRINTS, PINNED_SEED,
 };
-pub use report::{crossover_matrix, render_json, ProfileDigest};
+pub use report::{crossover_matrix, render_json, IndexCost, ProfileDigest};
 pub use run::{run_index, run_service, run_service_wire, Arrival, CellMetrics, RunOptions};
 pub use zipf::Zipf;

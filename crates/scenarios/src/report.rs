@@ -1,7 +1,6 @@
 //! Machine- and human-readable outputs of a matrix run.
 //!
-//! [`render_json`] emits the `BENCH_scenarios.json` schema consumed by
-//! `scenario_check`:
+//! [`render_json`] emits the document `scenario_bench --out` writes:
 //!
 //! ```json
 //! {
@@ -16,15 +15,16 @@
 //!
 //! Fingerprints are hex **strings**, not numbers — a u64 does not
 //! round-trip through f64 JSON parsing. [`crossover_matrix`] renders the
-//! comparative table (which index wins where, and what overload did to
-//! the service cells).
+//! comparative table (which index wins where, what each index costs to
+//! build and hold, and what overload did to the service cells).
 
 use crate::run::CellMetrics;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Identity of one compiled profile stream: size plus the order- and
-/// content-sensitive fingerprint `scenario_check` compares exactly when
-/// seeds match.
+/// content-sensitive fingerprint (pinned at seed 42 by
+/// [`crate::matrix::PINNED_FINGERPRINTS`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileDigest {
     pub name: String,
@@ -34,7 +34,7 @@ pub struct ProfileDigest {
     pub deltas: usize,
 }
 
-/// Render the committed JSON document.
+/// Render the JSON document.
 pub fn render_json(
     seed: u64,
     workers: usize,
@@ -95,10 +95,23 @@ pub fn render_json(
     s
 }
 
+/// Size and construction time of one bare index of the matrix's suite.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexCost {
+    pub index: String,
+    /// `index_size_bytes` as replayed: objects attached, every leaf grid
+    /// built.
+    pub bytes: usize,
+    /// Construction wall time, leaf grids excluded.
+    pub build: Duration,
+}
+
 /// Render the human-readable crossover matrix: p50 latency per
-/// (profile × index) with the per-profile winner starred, then the
-/// service-cell detail lines (throughput, overload, cache, churn).
-pub fn crossover_matrix(cells: &[CellMetrics]) -> String {
+/// (profile × index) with the per-profile winner starred (`n/a` for a
+/// cell that timed nothing, never starred), each index's size and build
+/// time (when `costs` is non-empty), then the service-cell detail lines
+/// (throughput, overload, cache, churn).
+pub fn crossover_matrix(cells: &[CellMetrics], costs: &[IndexCost]) -> String {
     let mut profiles: Vec<&str> = Vec::new();
     let mut indexes: Vec<&str> = Vec::new();
     for c in cells {
@@ -109,12 +122,7 @@ pub fn crossover_matrix(cells: &[CellMetrics]) -> String {
             indexes.push(&c.index);
         }
     }
-    let cell = |p: &str, ix: &str| {
-        cells
-            .iter()
-            .find(|c| c.profile == p && c.index == ix)
-            .map(|c| c.p50_us)
-    };
+    let cell = |p: &str, ix: &str| cells.iter().find(|c| c.profile == p && c.index == ix);
 
     let mut s = String::new();
     s.push_str("Crossover matrix — p50 us per request (* = fastest for the profile)\n\n");
@@ -127,20 +135,46 @@ pub fn crossover_matrix(cells: &[CellMetrics]) -> String {
         let best = indexes
             .iter()
             .filter_map(|ix| cell(p, ix))
+            .filter(|c| c.answered > 0)
+            .map(|c| c.p50_us)
             .fold(f64::INFINITY, f64::min);
         let _ = write!(s, "{p:<16}");
         for ix in &indexes {
-            match cell(p, ix) {
-                Some(us) => {
-                    let star = if us == best { "*" } else { "" };
-                    let _ = write!(s, "{:>12}", format!("{us:.1}{star}"));
+            let text = match cell(p, ix) {
+                None => "-".to_string(),
+                Some(c) if c.answered == 0 => "n/a".to_string(),
+                Some(c) => {
+                    let star = if c.p50_us == best { "*" } else { "" };
+                    format!("{:.1}{star}", c.p50_us)
                 }
-                None => {
-                    let _ = write!(s, "{:>12}", "-");
-                }
-            }
+            };
+            let _ = write!(s, "{text:>12}");
         }
         s.push('\n');
+    }
+
+    if !costs.is_empty() {
+        s.push_str(
+            "\nIndex cost — slot-0 venue as replayed (objects attached, leaf grids \
+             built; build excludes the grids)\n\n",
+        );
+        let cost_row = |s: &mut String, label: &str, value: &dyn Fn(&IndexCost) -> String| {
+            let _ = write!(s, "{label:<16}");
+            for ix in &indexes {
+                let text = costs
+                    .iter()
+                    .find(|c| c.index == *ix)
+                    .map_or_else(|| "-".to_string(), value);
+                let _ = write!(s, "{text:>12}");
+            }
+            s.push('\n');
+        };
+        cost_row(&mut s, "size KiB", &|c| {
+            format!("{:.1}", c.bytes as f64 / 1024.0)
+        });
+        cost_row(&mut s, "build ms", &|c| {
+            format!("{:.2}", c.build.as_secs_f64() * 1e3)
+        });
     }
 
     s.push_str("\nService cells (end-to-end: admission + cache + churn)\n\n");
@@ -254,9 +288,21 @@ mod tests {
             cell("diurnal", "VIP", 14.0),
             cell("diurnal", "GT", 19.0),
         ];
-        let m = crossover_matrix(&cells);
+        let costs = [IndexCost {
+            index: "VIP".into(),
+            bytes: 2048,
+            build: Duration::from_micros(1500),
+        }];
+        let m = crossover_matrix(&cells, &costs);
         assert!(m.contains("14.0*"), "winner starred:\n{m}");
         assert!(!m.contains("19.0*"), "loser unstarred:\n{m}");
+        let row = |label: &str| m.lines().find(|l| l.starts_with(label)).unwrap();
+        assert_eq!(
+            row("size KiB").split_whitespace().collect::<Vec<_>>(),
+            ["size", "KiB", "-", "2.0", "-"],
+            "{m}"
+        );
+        assert!(row("build ms").ends_with("1.50           -"), "{m}");
         assert!(m.contains("Service cells"), "{m}");
         assert!(m.contains("25.0%"), "hit rate rendered:\n{m}");
     }

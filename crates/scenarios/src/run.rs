@@ -11,19 +11,22 @@
 //! [`run_index`] is the comparative cell: the same stream's slot-0
 //! queries replayed serially through [`AnyIndex::answer`] — no cache, no
 //! admission, no churn (updates are skipped; every competitor index is
-//! an immutable snapshot). Keyword queries answer empty on plain
-//! indexes, so `zipf_keyword` rows for bare indexes measure dispatch
-//! cost only; the service row is the real keyword comparison.
+//! an immutable snapshot). Keyword queries are skipped too: a plain
+//! index answers them empty (DESIGN.md §7.1), so timing them would time
+//! a dispatch. A bare cell over a keyword-only stream times nothing and
+//! reads `n/a` in the crossover matrix; the service row is the real
+//! keyword comparison.
 
 use crate::compile::ScenarioWorld;
 use indoor_bench::AnyIndex;
 use indoor_model::metrics::{MetricValue, MetricsSnapshot};
 use indoor_model::OverloadSpec;
 use indoor_model::{
-    KeywordSkew, ObjectDelta, QueryRequest, ScenarioEvent, TickEvents, VenueId, WorkloadProfile,
+    KeywordSkew, ObjectDelta, QueryKind, QueryRequest, ScenarioEvent, TickEvents, VenueId,
+    WorkloadProfile,
 };
 use indoor_net::{NetClient, NetError, NetServer};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 use vip_tree::telemetry::{HistSnapshot, Histogram};
 use vip_tree::{
@@ -336,9 +339,16 @@ pub fn run_service(
         let parts = assign(&queries, workers, opts.arrival);
         let tick_t0 = Instant::now();
         let (service_ref, lat_ref, ad_ref) = (&service, &lat, &answered_dropped);
+        // A start line: no worker queries until every worker of the tick
+        // is running. Without it a worker's whole share (~100 queries of
+        // a few µs) can finish before the next thread is even woken, so
+        // the "concurrent" clients never meet at a depth-1 gate and the
+        // overload profiles shed nothing.
+        let start_line = &Barrier::new(workers);
         std::thread::scope(|scope| {
             for part in parts {
                 scope.spawn(move || {
+                    start_line.wait();
                     let (mut ok, mut gone) = (0u64, 0u64);
                     for (due, venue, req) in part {
                         let sched = departure(tick_t0, due);
@@ -550,7 +560,8 @@ pub fn run_service_wire(
     )
 }
 
-/// Replay the stream's slot-0 queries serially through one bare index.
+/// Replay the stream's slot-0 queries serially through one bare index,
+/// skipping keyword kNN (see the module docs).
 pub fn run_index(
     profile: &WorkloadProfile,
     index: &AnyIndex,
@@ -561,6 +572,9 @@ pub fn run_index(
     for te in stream {
         for ev in &te.events {
             if let ScenarioEvent::Query { slot: 0, req } = ev {
+                if req.kind() == QueryKind::KnnKeyword {
+                    continue;
+                }
                 let t = Instant::now();
                 std::hint::black_box(index.answer(req));
                 lat.record(t.elapsed().as_nanos() as u64);
@@ -716,5 +730,44 @@ mod tests {
             assert_eq!(m.answered, 18);
             assert_eq!(m.deltas, 0);
         }
+    }
+
+    #[test]
+    fn keyword_only_stream_gives_an_unstarred_na_bare_cell() {
+        let world = ScenarioWorld::new(vec![Arc::new(random_venue(75))]);
+        let mut p = WorkloadProfile::base("keywords_only");
+        p.ticks = 2;
+        p.queries_per_tick = 8;
+        p.keywords = Some(KeywordSkew {
+            vocabulary: 4,
+            exponent: 1,
+        });
+        let mut weights = [0u32; QueryKind::COUNT];
+        weights[QueryKind::KnnKeyword.index()] = 1;
+        p.mix = indoor_model::QueryMix { weights };
+        let stream = compile(&p, &world, 8, 1);
+        validate_stream(&p, &world, &stream).unwrap();
+        let suite = build_suite(
+            world.venue(0),
+            &SuiteOptions {
+                objects: Some(world.base_objects(0, p.objects_per_venue, 8)),
+                ..SuiteOptions::default()
+            },
+        );
+        let bare = run_index(&p, &suite[0].0, &stream);
+        assert_eq!((bare.requests, bare.answered), (0, 0), "{bare:?}");
+
+        // Even at p50 0.0 (an empty histogram), n/a is never the winner:
+        // the one timed cell of the row is.
+        let timed = CellMetrics {
+            index: "SVC".into(),
+            answered: 16,
+            p50_us: 5.0,
+            ..bare.clone()
+        };
+        let m = crate::report::crossover_matrix(&[timed, bare], &[]);
+        let row = m.lines().find(|l| l.starts_with("keywords_only")).unwrap();
+        assert!(row.contains("5.0*"), "{m}");
+        assert!(row.contains("n/a") && !row.contains("n/a*"), "{m}");
     }
 }

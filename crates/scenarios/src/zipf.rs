@@ -5,8 +5,8 @@
 //! (1-based) with weight `1/r^s`. This sampler restricts `s` to integers
 //! so every weight is computed by repeated multiplication of exact IEEE
 //! divisions — `powf` goes through libm and is **not** bit-identical
-//! across platforms, which would break the cross-host stream-fingerprint
-//! gate (`scenario_check`).
+//! across platforms, which would break the stream fingerprints pinned
+//! at seed 42 (`indoor_scenarios::PINNED_FINGERPRINTS`).
 
 use indoor_model::KeywordSkew;
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! Scenario lab: compile a small flash-crowd workload, replay it through
 //! the full `IndoorService` stack and two bare indexes, and print a
 //! mini crossover matrix — the single-profile version of what
-//! `scenario_bench` does for the whole committed suite.
+//! `scenario_bench` does for the whole standard suite.
 //!
 //! The profile: two venues at steady load until an 8x spike piles onto
 //! venue 0 (the "victim") for six ticks while venue 1 (the "bystander")
@@ -75,7 +75,7 @@ fn main() {
     ip.attach_objects(&objects);
     cells.push(run_index(&p, &AnyIndex::Ip(ip), &stream));
 
-    println!("{}", crossover_matrix(&cells));
+    println!("{}", crossover_matrix(&cells, &[]));
 
     // Per-venue attribution: rebuild the service state and show that the
     // spike's shedding landed on the victim shard only.

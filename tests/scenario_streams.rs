@@ -5,9 +5,10 @@
 //! must pass the independent validator (venue ids in range, no query or
 //! delta to a dead venue, no `DeltaError`-shaped update batch).
 //!
-//! These are the properties `scenario_check` relies on in CI: the
-//! fingerprint gate is only meaningful if identical seeds really do
-//! reproduce identical streams on any runner.
+//! These are the properties the pinned fingerprints rely on
+//! (`indoor_scenarios::PINNED_FINGERPRINTS`, asserted by `scenario_bench`
+//! and a unit test at seed 42): a pin is only meaningful if identical
+//! seeds really do reproduce identical streams on any runner.
 
 use indoor_scenarios::{compile, validate_stream, ScenarioWorld};
 use indoor_spatial::model::{AdmissionSpec, OverloadSpec, VenueAction, VenueEvent};
@@ -102,7 +103,7 @@ fn profile(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The fingerprint contract behind `scenario_check`: one seed, one
+    /// The fingerprint contract behind the pins: one seed, one
     /// stream — no matter how many compile threads, and stable across
     /// repeated compilations. A different seed must not collide.
     #[test]

@@ -218,8 +218,8 @@ fn ip_answers_match_the_query_core_fixture() {
 }
 
 /// The walk itself, not only its answers: the `QueryStats` totals the
-/// README's table records (`query_bench`'s gated `prune_rate` is computed
-/// from these counters).
+/// README's table records (`QueryStats::prune_rate` is computed from
+/// these counters).
 #[test]
 fn walk_counters_match_the_query_core_readme() {
     let readme = std::fs::read_to_string(data_path("query_core/README.md")).expect("README");
