@@ -318,27 +318,25 @@ pub(crate) trait Climber {
     fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>);
 
     /// Algorithm 5 from a fresh ascent.
-    fn knn_stats(
+    fn knn_query(
         &self,
         q: &IndoorPoint,
         k: usize,
         scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
         self.ascend_to_root(q, &mut scratch.asc_s);
-        self.ip().knn_from_ascent(q, k, scratch, stats)
+        self.ip().knn_from_ascent(q, k, scratch)
     }
 
     /// Algorithm 5 with `d_k` fixed at `radius`, from a fresh ascent.
-    fn range_stats(
+    fn range_query(
         &self,
         q: &IndoorPoint,
         radius: f64,
         scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
         self.ascend_to_root(q, &mut scratch.asc_s);
-        self.ip().range_from_ascent(q, radius, scratch, stats)
+        self.ip().range_from_ascent(q, radius, scratch)
     }
 
     /// Algorithm 3, counting the door pairs of Fig. 9(a).

@@ -390,8 +390,7 @@ impl QueryEngine {
         q: &IndoorPoint,
         k: usize,
     ) -> Vec<(ObjectId, f64)> {
-        let stats = &mut QueryStats::default();
-        self.tree.climber().knn_stats(q, k, scratch, stats)
+        self.tree.climber().knn_query(q, k, scratch)
     }
 
     fn range_one(
@@ -400,8 +399,7 @@ impl QueryEngine {
         q: &IndoorPoint,
         radius: f64,
     ) -> Vec<(ObjectId, f64)> {
-        let stats = &mut QueryStats::default();
-        self.tree.climber().range_stats(q, radius, scratch, stats)
+        self.tree.climber().range_query(q, radius, scratch)
     }
 
     fn distance_one(

@@ -12,7 +12,7 @@
 use crate::exec::QueryScratch;
 use crate::objects::{DeltaReport, ObjectIndex};
 use crate::tree::{IpTree, NodeIdx};
-use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId, ObjectUpdate, QueryStats};
+use indoor_model::{DeltaError, IndoorPoint, ObjectDelta, ObjectId, ObjectUpdate};
 use std::collections::{HashMap, HashSet};
 
 /// Interned term identifier.
@@ -254,8 +254,6 @@ impl KeywordObjects {
             return Vec::new();
         }
         tree.ascend_into(q, tree.root(), &mut scratch.asc_s);
-        // The walk counts bound checks; this query has no stats surface
-        // to report them on.
         tree.best_first(
             q,
             k,
@@ -263,7 +261,6 @@ impl KeywordObjects {
             |n| self.subtree_has(n, term),
             |o| self.object_has(o, term),
             scratch,
-            &mut QueryStats::default(),
         )
     }
 }

@@ -23,7 +23,7 @@ use crate::exec::{EpochMarks, QueryScratch};
 use crate::objects::ObjectIndex;
 use crate::tree::{IpTree, NodeIdx};
 use geometry::TotalF64;
-use indoor_model::{IndoorPoint, ObjectId, QueryStats};
+use indoor_model::{IndoorPoint, ObjectId};
 use std::cmp::Reverse;
 
 /// A bump arena of access-door distance vectors.
@@ -202,7 +202,7 @@ impl IpTree {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.knn_stats(q, k, scratch, &mut QueryStats::default())
+        self.knn_query(q, k, scratch)
     }
 
     /// As [`IpTree::range`] with caller-owned scratch state.
@@ -212,7 +212,7 @@ impl IpTree {
         radius: f64,
         scratch: &mut QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.range_stats(q, radius, scratch, &mut QueryStats::default())
+        self.range_query(q, radius, scratch)
     }
 
     /// kNN over the attached object set, from the ascent already recorded
@@ -222,9 +222,7 @@ impl IpTree {
         q: &IndoorPoint,
         k: usize,
         scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
-        stats.queries += 1;
         let Some(oi) = self.object_index() else {
             return Vec::new();
         };
@@ -233,15 +231,15 @@ impl IpTree {
             return Vec::new();
         }
         let holds = |n: NodeIdx| oi.subtree_count[n as usize] != 0;
-        self.best_first(q, k, oi, holds, |_| true, scratch, stats)
+        self.best_first(q, k, oi, holds, |_| true, scratch)
     }
 
     /// Algorithm 5: the `k >= 1` nearest objects of `oi` that `may_be`
     /// answers, best-first over the ascent already recorded in
     /// `scratch.asc_s`, descending only into children that `may_hold` one.
     /// The two filters are all that tells a plain kNN from a keyword kNN;
-    /// neither touches a distance.
-    #[allow(clippy::too_many_arguments)]
+    /// neither touches a distance. The walk is counted by `scratch.trace`
+    /// when armed.
     pub(crate) fn best_first(
         &self,
         q: &IndoorPoint,
@@ -250,7 +248,6 @@ impl IpTree {
         may_hold: impl Fn(NodeIdx) -> bool,
         may_be: impl Fn(ObjectId) -> bool,
         scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
         let QueryScratch {
             asc_s,
@@ -288,7 +285,6 @@ impl IpTree {
             if mind > dk {
                 break;
             }
-            stats.nodes_visited += 1;
             if self.is_leaf(node_idx) {
                 let mut kb = 0u64;
                 // Tie-break by (distance, id): the k-best set is the k
@@ -337,7 +333,6 @@ impl IpTree {
                 arena,
                 step_handles,
                 child_vec,
-                stats,
                 trace,
                 |mind, child, h| heap.push(Reverse((TotalF64(mind), child, h))),
             );
@@ -360,9 +355,7 @@ impl IpTree {
         q: &IndoorPoint,
         radius: f64,
         scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
     ) -> Vec<(ObjectId, f64)> {
-        stats.queries += 1;
         let Some(oi) = self.object_index() else {
             return Vec::new();
         };
@@ -389,7 +382,6 @@ impl IpTree {
             stack.push((key, node, h))
         });
         while let Some((mind, node_idx, handle)) = stack.pop() {
-            stats.nodes_visited += 1;
             if mind > radius {
                 continue;
             }
@@ -427,7 +419,6 @@ impl IpTree {
                 arena,
                 step_handles,
                 child_vec,
-                stats,
                 trace,
                 |mind, child, h| stack.push((mind, child, h)),
             );
@@ -518,11 +509,12 @@ impl IpTree {
     /// `node`'s own access doors (Lemma 9); base rows are column ordinals
     /// in `node`'s slab (inner matrices are square, so column ordinals
     /// double as row indices). Bounds, cheapest first: the PL table's O(1)
-    /// floor `base_min + kid_lb(child)`, then the exact per-row fold
-    /// `min_bi base[bi] + rowmin(child)[row(bi)]`. Neither exceeds any
-    /// derived entry (each summand lower-bounds its factor exactly and
-    /// fl(+) is monotone non-decreasing), so a child failing either would
-    /// fail `mind_c <= bound` too.
+    /// floor `base_min + kid_lb(child)`, then the per-row fold
+    /// `lb = min_bi base[bi] + rowmin(child)[row(bi)]`. The first never
+    /// exceeds any derived entry; the second *is* the least one, bit for
+    /// bit (fl(b + ·) is monotone, so the row minimum yields the row's
+    /// least sum; DESIGN.md §14.3) — so a child that passes is pushed
+    /// keyed by `lb`, with no fold over its derived vector.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn expand_children(
@@ -535,7 +527,6 @@ impl IpTree {
         arena: &mut DistArena,
         step_handles: &[u32],
         child_vec: &mut Vec<f64>,
-        stats: &mut QueryStats,
         trace: &mut crate::telemetry::QueryTrace,
         mut push: impl FnMut(f64, NodeIdx, u32),
     ) {
@@ -567,9 +558,7 @@ impl IpTree {
                     }
                 }
             }
-            stats.bound_candidates += 1;
             if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
-                stats.bound_pruned += 1;
                 if trace.active() {
                     trace.nodes_pruned += 1;
                 }
@@ -579,14 +568,16 @@ impl IpTree {
                 trace.slab_rows += base_rows.len() as u64;
             }
             self.derive_child_vec_slab_into(node, base_rows, base_vec, child, child_vec);
-            let mind_c = child_vec.iter().copied().fold(f64::INFINITY, f64::min);
-            if mind_c > bound {
-                if trace.active() {
-                    trace.nodes_pruned += 1;
-                }
-                continue;
-            }
-            push(mind_c, child, arena.push(child_vec));
+            debug_assert_eq!(
+                lb.to_bits(),
+                child_vec
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min)
+                    .to_bits(),
+                "the row-minimum fold is the derived vector's minimum"
+            );
+            push(lb, child, arena.push(child_vec));
             if trace.active() {
                 trace.nodes_pushed += 1;
             }
@@ -678,10 +669,11 @@ impl IpTree {
 #[cfg(test)]
 mod tests {
     use crate::ascent::Climber;
+    use crate::telemetry::QueryTrace;
     use crate::tree::VipTreeConfig;
     use crate::{IpTree, KeywordObjects, QueryScratch, VipTree};
     use indoor_graph::DijkstraEngine;
-    use indoor_model::{IndoorPoint, QueryStats, Venue};
+    use indoor_model::{IndoorPoint, Venue};
     use indoor_synth::{presets, random_venue, workload};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -735,8 +727,8 @@ mod tests {
     }
 
     /// k objects at q's own position set `d_k = 0` in the own-leaf scan,
-    /// before any deferred ancestor is popped, so no child is ever
-    /// bound-checked — on either climber.
+    /// before any deferred ancestor is popped, so no child is ever pruned
+    /// or derived — on either climber.
     #[test]
     fn k_objects_at_q_check_no_child() {
         let k = 3;
@@ -754,11 +746,11 @@ mod tests {
                 objects.extend(&others);
                 vip.attach_objects(&objects);
                 for climber in [vip.ip_tree() as &dyn Climber, &vip] {
-                    let mut stats = QueryStats::default();
-                    let got = climber.knn_stats(&q, k, &mut scratch, &mut stats);
+                    scratch.trace.begin(true);
+                    let got = climber.knn_query(&q, k, &mut scratch);
                     let dists: Vec<f64> = got.iter().map(|&(_, d)| d).collect();
                     assert_eq!(dists, vec![0.0; k], "{q:?}");
-                    assert_eq!(stats.bound_candidates, 0, "{q:?}: {stats:?}");
+                    assert_no_child_pruned_or_derived(&scratch.trace, &q);
                     checked += 1;
                 }
             }
@@ -766,9 +758,19 @@ mod tests {
         assert!(checked > 0);
     }
 
+    /// The walk of a query that must not leave q's leaf, as its armed
+    /// trace counts it: no child pruned, no slab row read deriving one.
+    /// Counts exist only when tracing is compiled in.
+    fn assert_no_child_pruned_or_derived(trace: &QueryTrace, q: &IndoorPoint) {
+        if trace.active() {
+            let walk = (trace.nodes_pruned, trace.slab_rows);
+            assert_eq!(walk, (0, 0), "{q:?}: {trace:?}");
+        }
+    }
+
     /// A radius below q's leaf exit distance keeps every deferred entry
-    /// off the stack: range scans q's leaf alone, bound-checks no child,
-    /// and still answers as brute force does.
+    /// off the stack: range scans q's leaf alone, prunes or derives no
+    /// child, and still answers as brute force does.
     #[test]
     fn range_inside_the_leaf_exit_checks_no_child() {
         let mut checked = 0;
@@ -790,9 +792,9 @@ mod tests {
                     .filter(|d| *d <= radius)
                     .collect();
                 for climber in [vip.ip_tree() as &dyn Climber, &vip] {
-                    let mut stats = QueryStats::default();
-                    let got = climber.range_stats(&q, radius, &mut scratch, &mut stats);
-                    assert_eq!(stats.bound_candidates, 0, "{q:?}: {stats:?}");
+                    scratch.trace.begin(true);
+                    let got = climber.range_query(&q, radius, &mut scratch);
+                    assert_no_child_pruned_or_derived(&scratch.trace, &q);
                     assert_eq!(
                         got.len(),
                         want.len(),

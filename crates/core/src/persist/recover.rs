@@ -28,7 +28,7 @@ use crate::service::{IndoorService, Lsn, Seed, ServiceError, Shard, ShardConfig}
 use indoor_model::{Venue, VenueId};
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// What [`IndoorService::open`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -257,13 +257,10 @@ impl IndoorService {
         report.venues = slots.iter().flatten().count();
         let service = IndoorService {
             shards: RwLock::new(slots),
-            counters: Default::default(),
-            deltas_absorbed: Default::default(),
             storage,
             persist_root: Some(dir.to_path_buf()),
-            persist_lock: Mutex::new(()),
             _persist_dir_lock: Some(dir_lock),
-            registry: crate::telemetry::Registry::new(),
+            ..IndoorService::default()
         };
         // Recovered shards are live publishes too: re-create their
         // venue-labelled instruments (counters restart from zero — the

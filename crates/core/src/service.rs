@@ -92,11 +92,12 @@
 //! wire connection sends) has nothing to hand off, and a hand-off costs
 //! more than the cache hit it would carry.
 
-use crate::exec::{AdmissionGate, AdmissionPermit, AdmitError, QueryEngine};
+use crate::exec::{AdmissionPermit, AdmitError, QueryEngine};
 use crate::objects::DeltaReport;
 use crate::persist::storage::{OsStorage, Storage, StorageLock};
 use crate::persist::wal::{self, VenueWal, WalRecord, LSN_CREATE, LSN_REMOVE};
 use crate::persist::PersistError;
+use crate::telemetry::{Counter, Registry};
 use crate::tree::BuildError;
 use indoor_model::{
     DeltaError, IndoorPoint, ObjectDelta, ObjectUpdate, PartitionId, QueryKind, QueryRequest,
@@ -105,13 +106,15 @@ use indoor_model::{
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 mod shard;
+mod stats;
 pub(crate) use shard::{Lsn, Seed, Shard};
 pub use shard::{Mutation, ShardConfig};
+use stats::{KindSeries, ShardTelemetry};
+pub use stats::{KindStats, ServiceStats, ShardStats};
 
 /// Default per-shard result-cache capacity (entries) when
 /// [`ShardConfig::cache_capacity`] is 0.
@@ -137,7 +140,6 @@ pub(crate) struct ClockCache {
     ring: Vec<QueryRequest>,
     hand: usize,
     capacity: usize,
-    evictions: u64,
 }
 
 #[derive(Debug)]
@@ -159,7 +161,6 @@ impl ClockCache {
             ring: Vec::new(),
             hand: 0,
             capacity: capacity.max(1),
-            evictions: 0,
         }
     }
 
@@ -172,13 +173,15 @@ impl ClockCache {
         Some(e.resp.clone())
     }
 
-    fn insert(&mut self, req: QueryRequest, stamp: u64, resp: QueryResponse) {
+    /// Insert or revive `req`'s entry; `true` when the clock evicted
+    /// another entry to make room.
+    fn insert(&mut self, req: QueryRequest, stamp: u64, resp: QueryResponse) -> bool {
         if let Some(e) = self.map.get_mut(&req) {
             // Re-insert under a fresh stamp revives the slot in place.
             e.stamp = stamp;
             e.resp = resp;
             e.referenced = true;
-            return;
+            return false;
         }
         if self.ring.len() < self.capacity {
             self.ring.push(req.clone());
@@ -190,7 +193,7 @@ impl ClockCache {
                     resp,
                 },
             );
-            return;
+            return false;
         }
         // Clock sweep: grant every referenced entry a second chance; the
         // sweep terminates because it clears flags as it goes.
@@ -212,9 +215,8 @@ impl ClockCache {
                     resp,
                 },
             );
-            self.evictions += 1;
             self.hand = (self.hand + 1) % self.capacity;
-            return;
+            return true;
         }
     }
 
@@ -424,37 +426,6 @@ impl PartialEq for ServiceError {
     }
 }
 
-/// One shard's serving-phase histograms, shared with the service's
-/// telemetry [`crate::telemetry::Registry`] (which exports them). Set
-/// once when the shard is published; every record site guards on the
-/// global sampling gate.
-#[derive(Debug)]
-pub(crate) struct ShardTelemetry {
-    /// Time spent taking an admission permit (µs) — includes blocking
-    /// waits under [`OverloadPolicy::Block`], and the failed attempts of
-    /// shed/timed-out requests.
-    admission_wait_us: Arc<crate::telemetry::Histogram>,
-    /// Result-cache probe time (µs), including the cache-lock wait.
-    cache_probe_us: Arc<crate::telemetry::Histogram>,
-    /// WAL append + fsync time (µs) per the shard's [`SyncPolicy`].
-    wal_append_us: Arc<crate::telemetry::Histogram>,
-    /// End-to-end serving latency per query kind (µs), indexed by
-    /// [`QueryKind::index`]. Batch misses apportion wall time equally,
-    /// matching [`KindStats::latency_ns`].
-    query_latency_us: [Arc<crate::telemetry::Histogram>; QueryKind::COUNT],
-}
-
-/// A shard's admission state: the optional gate plus shed/timeout tallies.
-#[derive(Debug)]
-struct AdmissionControl {
-    config: AdmissionConfig,
-    /// `None` when `max_in_flight` is 0 — unbounded shards pay zero
-    /// admission cost.
-    gate: Option<AdmissionGate>,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-}
-
 impl Shard {
     /// Where outside input meets the shard: every point of a request must
     /// name a partition of the venue — the tree indexes its
@@ -479,11 +450,11 @@ impl Shard {
         venue: VenueId,
         weight: usize,
     ) -> Result<Option<AdmissionPermit<'_>>, ServiceError> {
-        let Some(gate) = &self.admission.gate else {
+        let Some(gate) = &self.gate else {
             return Ok(None);
         };
         let t0 = self.tel().map(|_| Instant::now());
-        let attempt = match self.admission.config.policy {
+        let attempt = match self.admission.policy {
             OverloadPolicy::Shed => gate.try_admit(weight),
             OverloadPolicy::Block { timeout } => gate.admit_within(weight, timeout),
         };
@@ -493,7 +464,9 @@ impl Shard {
         }
         attempt.map(Some).map_err(|e| match e {
             AdmitError::Overloaded { in_flight, limit } => {
-                self.admission.shed.fetch_add(1, Ordering::Relaxed);
+                if let Some(t) = self.wired() {
+                    t.shed.inc();
+                }
                 ServiceError::Overloaded {
                     venue,
                     in_flight,
@@ -501,7 +474,9 @@ impl Shard {
                 }
             }
             AdmitError::Timeout { in_flight, limit } => {
-                self.admission.timeouts.fetch_add(1, Ordering::Relaxed);
+                if let Some(t) = self.wired() {
+                    t.timeouts.inc();
+                }
                 ServiceError::Timeout {
                     venue,
                     in_flight,
@@ -536,158 +511,6 @@ impl Stamps {
             QueryKind::KnnKeyword => self.keywords,
         }
     }
-}
-
-/// Lock-free per-kind counters; snapshot via [`IndoorService::stats`].
-#[derive(Debug, Default)]
-pub(crate) struct KindCounters {
-    queries: AtomicU64,
-    hits: AtomicU64,
-    latency_ns: AtomicU64,
-}
-
-/// Snapshot of one query kind's counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KindStats {
-    pub kind: QueryKind,
-    /// Requests answered (hits + misses).
-    pub queries: u64,
-    /// Requests answered from the result cache.
-    pub cache_hits: u64,
-    /// Total serving latency. Batch misses apportion the batch's wall
-    /// time equally over its requests.
-    pub latency_ns: u64,
-}
-
-impl KindStats {
-    /// Fraction of requests served from cache (0 when none seen).
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
-        }
-    }
-
-    /// Mean serving latency in nanoseconds (0 when none seen).
-    pub fn mean_latency_ns(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.latency_ns as f64 / self.queries as f64
-        }
-    }
-}
-
-/// Point-in-time snapshot of a service's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceStats {
-    /// Registered venue shards.
-    pub venues: usize,
-    /// Live result-cache entries summed over shards (includes entries
-    /// whose stamp has gone stale but which eviction has not reclaimed
-    /// yet).
-    pub cached_entries: usize,
-    /// Result-cache capacity summed over shards.
-    pub cache_capacity: usize,
-    /// Clock-eviction count summed over shards.
-    pub evictions: u64,
-    /// In-flight query weight currently admitted, summed over bounded
-    /// shards (unbounded shards report 0 — they do not track occupancy).
-    pub in_flight: usize,
-    /// Admission capacity summed over bounded shards.
-    pub admission_capacity: usize,
-    /// Requests shed at admission ([`OverloadPolicy::Shed`]).
-    pub shed: u64,
-    /// Requests that timed out waiting for admission
-    /// ([`OverloadPolicy::Block`]).
-    pub admission_timeouts: u64,
-    /// Venues in read-only degraded mode.
-    pub degraded_venues: usize,
-    /// Individual object deltas absorbed across all venues since this
-    /// process started: batch sizes summed over every delta and keyword
-    /// batch applied — live calls ([`IndoorService::mutate`]) and records
-    /// shipped to a follower ([`IndoorService::apply_replicated`]) alike.
-    /// Rejected batches, wholesale attaches and records replayed by
-    /// [`IndoorService::open`] count nothing.
-    pub deltas_absorbed: u64,
-    /// Per-kind counters, indexed by [`QueryKind::index`].
-    pub kinds: [KindStats; QueryKind::COUNT],
-}
-
-impl ServiceStats {
-    /// The counters of one query kind.
-    pub fn kind(&self, kind: QueryKind) -> &KindStats {
-        &self.kinds[kind.index()]
-    }
-
-    /// Requests answered across all kinds.
-    pub fn total_queries(&self) -> u64 {
-        self.kinds.iter().map(|k| k.queries).sum()
-    }
-
-    /// Cache hits across all kinds.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.kinds.iter().map(|k| k.cache_hits).sum()
-    }
-
-    /// Overall cache hit rate (0 when no requests seen).
-    pub fn hit_rate(&self) -> f64 {
-        let q = self.total_queries();
-        if q == 0 {
-            0.0
-        } else {
-            self.total_cache_hits() as f64 / q as f64
-        }
-    }
-}
-
-/// Point-in-time snapshot of **one** venue shard, from
-/// [`IndoorService::venue_stats`] — the per-venue view the scenario lab
-/// reads to tell a flash-crowd victim from its idle neighbours (the
-/// aggregate [`ServiceStats`] sums these over shards).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStats {
-    pub venue: VenueId,
-    /// Rebuild epoch (bumps on [`IndoorService::attach_objects`]).
-    pub epoch: u64,
-    /// Object-set version (bumps on every object mutation).
-    pub version: u64,
-    /// Live result-cache entries (including stale-but-unevicted ones).
-    pub cached_entries: usize,
-    /// Result-cache capacity.
-    pub cache_capacity: usize,
-    /// Clock-eviction count.
-    pub evictions: u64,
-    /// Admitted in-flight query weight (0 on an unbounded shard).
-    pub in_flight: usize,
-    /// Admission capacity (0 = unbounded).
-    pub admission_capacity: usize,
-    /// Requests shed at this shard's gate.
-    pub shed: u64,
-    /// Requests that timed out waiting at this shard's gate.
-    pub admission_timeouts: u64,
-    /// On a replication **follower**: applied-LSN gap behind the leader
-    /// (`leader version − local version` at the last stream report).
-    /// Always 0 on a leader and on venues never fed by a follower.
-    pub replication_lag: u64,
-    /// Why the shard is read-only, if it is.
-    pub degraded: Option<String>,
-    /// The shard's object-index anatomy
-    /// ([`crate::objects::ObjectIndexStats`] folded in): leaf pages built
-    /// over the venue's lifetime.
-    pub object_leaf_builds: u64,
-    /// Object-index leaf pages touched by delta application.
-    pub object_leaf_touches: u64,
-    /// Object-index compaction passes.
-    pub object_compactions: u64,
-    /// Live objects in the index.
-    pub live_objects: usize,
-    /// Allocated object slots (live + tombstoned).
-    pub object_slots: usize,
-    /// Leaf door-grids built so far (lazy: ≤ leaf count until every leaf
-    /// has served an own-leaf scan or an audit forced the rest).
-    pub leaf_grid_builds: u64,
 }
 
 /// Multi-venue query service: routes typed requests to per-venue engine
@@ -730,12 +553,14 @@ pub struct IndoorService {
     /// Slot = `VenueId`; removed venues leave a `None` (ids are never
     /// reused, so a stale id can never alias a new venue).
     pub(crate) shards: RwLock<Vec<Option<Arc<Shard>>>>,
-    pub(crate) counters: [KindCounters; QueryKind::COUNT],
+    /// Per-kind serving counters, indexed by [`QueryKind::index`].
+    pub(crate) kinds: [KindSeries; QueryKind::COUNT],
     /// Individual deltas absorbed service-wide (see
-    /// [`ServiceStats::deltas_absorbed`]). Service-level, not per-shard:
-    /// it survives venue removal, so throughput accounting never loses
-    /// history when a venue retires mid-run.
-    pub(crate) deltas_absorbed: AtomicU64,
+    /// [`ServiceStats::deltas_absorbed`]). Service-level, not per-shard,
+    /// like the per-kind counters: they survive venue removal, so
+    /// throughput accounting never loses history when a venue retires
+    /// mid-run.
+    pub(crate) deltas_absorbed: Arc<Counter>,
     /// Every byte of persistence I/O routes through here —
     /// [`OsStorage`] in production, a fault-injecting test double in the
     /// crash-consistency tests.
@@ -753,24 +578,30 @@ pub struct IndoorService {
     /// directory fails instead of interleaving WAL appends. Released
     /// when the handle drops (so a crash never leaves a stale lock).
     pub(crate) _persist_dir_lock: Option<Box<dyn StorageLock>>,
-    /// All named telemetry instruments (DESIGN.md §15). Venue-labelled
+    /// All named telemetry instruments (DESIGN.md §15), and the only
+    /// store of every serving counter (`stats`). Venue-labelled
     /// instruments are created when a shard is published
     /// ([`IndoorService::wire_telemetry`]) and retired with the venue;
     /// [`IndoorService::metrics_snapshot`] gathers the lot.
-    pub(crate) registry: crate::telemetry::Registry,
+    pub(crate) registry: Registry,
 }
 
 impl Default for IndoorService {
     fn default() -> IndoorService {
+        let registry = Registry::new();
         IndoorService {
             shards: RwLock::default(),
-            counters: Default::default(),
-            deltas_absorbed: AtomicU64::new(0),
+            kinds: KindSeries::register(&registry),
+            deltas_absorbed: registry.counter(
+                "indoor_deltas_absorbed_total",
+                "Object deltas absorbed service-wide",
+                &[],
+            ),
             storage: Arc::new(OsStorage),
             persist_root: None,
             persist_lock: Mutex::new(()),
             _persist_dir_lock: None,
-            registry: crate::telemetry::Registry::new(),
+            registry,
         }
     }
 }
@@ -779,88 +610,6 @@ impl IndoorService {
     /// An empty service; add venues with [`IndoorService::add_venue`].
     pub fn new() -> IndoorService {
         IndoorService::default()
-    }
-
-    /// Create the venue-labelled instruments for a shard being published
-    /// (DESIGN.md §15 names) and wire them into the shard (serving-phase
-    /// histograms) and its engine (per-query phase timings and hot-path
-    /// counters). Called at every publish site — `add_venue` (both
-    /// paths), recovery, and replicated venue birth — and idempotent per
-    /// venue: the registry get-or-creates by `(name, labels)`, so
-    /// re-publishing re-attaches to the same series.
-    pub(crate) fn wire_telemetry(&self, shard: &Shard, venue: VenueId) {
-        let v = venue.index().to_string();
-        let vl: &[(&str, &str)] = &[("venue", &v)];
-        let reg = &self.registry;
-        let query_latency_us = QueryKind::ALL.map(|kind| {
-            reg.histogram(
-                "indoor_query_latency_us",
-                "End-to-end serving latency by query kind (us)",
-                &[("venue", &v), ("kind", kind.label())],
-            )
-        });
-        shard.set_telemetry(Arc::new(ShardTelemetry {
-            admission_wait_us: reg.histogram(
-                "indoor_admission_wait_us",
-                "Admission permit wait, including shed and timed-out attempts (us)",
-                vl,
-            ),
-            cache_probe_us: reg.histogram(
-                "indoor_cache_probe_us",
-                "Result-cache probe time, including the cache lock wait (us)",
-                vl,
-            ),
-            wal_append_us: reg.histogram(
-                "indoor_wal_append_us",
-                "WAL append + fsync time under the shard's sync policy (us)",
-                vl,
-            ),
-            query_latency_us,
-        }));
-        shard
-            .engine
-            .set_telemetry(Arc::new(crate::exec::EngineTelemetry {
-                descent_us: reg.histogram(
-                    "indoor_phase_descent_us",
-                    "Per-query tree descent/ascent phase time (us)",
-                    vl,
-                ),
-                leaf_fold_us: reg.histogram(
-                    "indoor_phase_leaf_fold_us",
-                    "Per-query own-leaf door-grid fold phase time (us)",
-                    vl,
-                ),
-                heap_us: reg.histogram(
-                    "indoor_phase_heap_us",
-                    "Per-query result heap drain/sort phase time (us)",
-                    vl,
-                ),
-                nodes_pushed: reg.counter(
-                    "indoor_nodes_pushed_total",
-                    "Branch-and-bound candidates pushed",
-                    vl,
-                ),
-                nodes_pruned: reg.counter(
-                    "indoor_nodes_pruned_total",
-                    "Candidates pruned by the admissible lower bound",
-                    vl,
-                ),
-                slab_rows: reg.counter(
-                    "indoor_slab_rows_total",
-                    "SoA distance-slab rows walked",
-                    vl,
-                ),
-                kbest_updates: reg.counter(
-                    "indoor_kbest_updates_total",
-                    "k-best set insertions during leaf scans",
-                    vl,
-                ),
-                traced_queries: reg.counter(
-                    "indoor_traced_queries_total",
-                    "Queries that ran with tracing sampled on",
-                    vl,
-                ),
-            }));
     }
 
     /// Build a VIP-tree shard for `venue` and register it, returning the
@@ -1080,7 +829,7 @@ impl IndoorService {
     ) -> Result<(u64, DeltaReport), ServiceError> {
         let deltas = mutation.delta_count();
         let applied = shard.apply(venue, mutation, lsn)?;
-        self.deltas_absorbed.fetch_add(deltas, Ordering::Relaxed);
+        self.deltas_absorbed.add(deltas);
         Ok(applied)
     }
 
@@ -1130,16 +879,6 @@ impl IndoorService {
             .map(|(_, report)| report)
     }
 
-    fn record(&self, kind: QueryKind, hit: bool, elapsed: Duration) {
-        let c = &self.counters[kind.index()];
-        c.queries.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            c.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        c.latency_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Answer one request for one venue, through the admission gate and
     /// the cache. A shed or timed-out request returns the typed overload
     /// error without executing (cache probes count as execution: a hit
@@ -1171,24 +910,17 @@ impl IndoorService {
             tel.cache_probe_us.record(t0.elapsed().as_micros() as u64);
         }
         if let Some(resp) = hit {
-            let elapsed = t0.elapsed();
-            if let Some(tel) = shard.tel() {
-                tel.query_latency_us[req.kind().index()].record(elapsed.as_micros() as u64);
-            }
-            self.record(req.kind(), true, elapsed);
+            self.count_answer(&shard, req.kind(), true, t0.elapsed());
             return Ok(resp);
         }
         let resp = engine.execute(req);
-        shard
-            .cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(req.clone(), stamp, resp.clone());
-        let elapsed = t0.elapsed();
-        if let Some(tel) = shard.tel() {
-            tel.query_latency_us[req.kind().index()].record(elapsed.as_micros() as u64);
+        let mut cache = shard.cache.lock().expect("cache poisoned");
+        let evicted = cache.insert(req.clone(), stamp, resp.clone());
+        drop(cache);
+        if let (true, Some(t)) = (evicted, shard.wired()) {
+            t.evictions.inc();
         }
-        self.record(req.kind(), false, elapsed);
+        self.count_answer(&shard, req.kind(), false, t0.elapsed());
         Ok(resp)
     }
 
@@ -1310,11 +1042,7 @@ impl IndoorService {
             // Apportion the probe loop's wall time equally over the hits.
             let per_hit = t0.elapsed() / hits.len() as u32;
             for (slot, resp) in hits {
-                let kind = reqs[slot].1.kind();
-                if let Some(tel) = shard.tel() {
-                    tel.query_latency_us[kind.index()].record(per_hit.as_micros() as u64);
-                }
-                self.record(kind, true, per_hit);
+                self.count_answer(shard, reqs[slot].1.kind(), true, per_hit);
                 answered.push((slot, Ok(resp)));
             }
         }
@@ -1341,300 +1069,17 @@ impl IndoorService {
         // Apportion the batch's wall time equally over its requests.
         let per_query = t0.elapsed() / miss_slots.len() as u32;
         let mut cache = shard.cache.lock().expect("cache poisoned");
+        let mut evicted = 0;
         for (req, resp) in unique.iter().zip(resps) {
             for &slot in &slots_of[req] {
-                if let Some(tel) = shard.tel() {
-                    tel.query_latency_us[req.kind().index()].record(per_query.as_micros() as u64);
-                }
-                self.record(req.kind(), false, per_query);
+                self.count_answer(shard, req.kind(), false, per_query);
                 answered.push((slot, Ok(resp.clone())));
             }
-            cache.insert(req.clone(), stamps.for_kind(req.kind()), resp);
+            evicted += u64::from(cache.insert(req.clone(), stamps.for_kind(req.kind()), resp));
         }
-    }
-
-    /// Snapshot the per-kind counters, cache occupancy, admission gauges
-    /// and degradation state.
-    pub fn stats(&self) -> ServiceStats {
-        let kinds = QueryKind::ALL.map(|kind| {
-            let c = &self.counters[kind.index()];
-            KindStats {
-                kind,
-                queries: c.queries.load(Ordering::Relaxed),
-                cache_hits: c.hits.load(Ordering::Relaxed),
-                latency_ns: c.latency_ns.load(Ordering::Relaxed),
-            }
-        });
-        let shards: Vec<Arc<Shard>> = self
-            .shards
-            .read()
-            .expect("shard map lock")
-            .iter()
-            .flatten()
-            .cloned()
-            .collect();
-        let mut cached_entries = 0;
-        let mut cache_capacity = 0;
-        let mut evictions = 0;
-        let mut in_flight = 0;
-        let mut admission_capacity = 0;
-        let mut shed = 0;
-        let mut admission_timeouts = 0;
-        let mut degraded_venues = 0;
-        for shard in &shards {
-            let cache = shard.cache.lock().expect("cache poisoned");
-            cached_entries += cache.map.len();
-            cache_capacity += cache.capacity;
-            evictions += cache.evictions;
-            drop(cache);
-            if let Some(gate) = &shard.admission.gate {
-                in_flight += gate.in_flight();
-                admission_capacity += gate.limit();
-            }
-            shed += shard.admission.shed.load(Ordering::Relaxed);
-            admission_timeouts += shard.admission.timeouts.load(Ordering::Relaxed);
-            if shard.degraded_reason().is_some() {
-                degraded_venues += 1;
-            }
+        if let Some(t) = shard.wired() {
+            t.evictions.add(evicted);
         }
-        ServiceStats {
-            venues: shards.len(),
-            cached_entries,
-            cache_capacity,
-            evictions,
-            in_flight,
-            admission_capacity,
-            shed,
-            admission_timeouts,
-            degraded_venues,
-            deltas_absorbed: self.deltas_absorbed.load(Ordering::Relaxed),
-            kinds,
-        }
-    }
-
-    /// Snapshot **one** venue's serving state — version/epoch, cache
-    /// occupancy, admission gauges, degradation. The per-venue complement
-    /// of the service-wide [`IndoorService::stats`]; the scenario lab
-    /// reads it to attribute shed/timeout counts to the flash-crowd venue
-    /// rather than the whole fleet.
-    pub fn venue_stats(&self, venue: VenueId) -> Result<ShardStats, ServiceError> {
-        let shard = self.shard(venue)?;
-        let (epoch, version) = shard.counters();
-        let (cached_entries, cache_capacity, evictions) = {
-            let cache = shard.cache.lock().expect("cache poisoned");
-            (cache.map.len(), cache.capacity, cache.evictions)
-        };
-        let (in_flight, admission_capacity) = match &shard.admission.gate {
-            Some(gate) => (gate.in_flight(), gate.limit()),
-            None => (0, 0),
-        };
-        let ip = shard.engine.tree().ip();
-        let obj = ip
-            .object_index()
-            .map(|idx| idx.index_stats())
-            .unwrap_or_default();
-        Ok(ShardStats {
-            venue,
-            epoch,
-            version,
-            cached_entries,
-            cache_capacity,
-            evictions,
-            in_flight,
-            admission_capacity,
-            shed: shard.admission.shed.load(Ordering::Relaxed),
-            admission_timeouts: shard.admission.timeouts.load(Ordering::Relaxed),
-            replication_lag: shard
-                .leader_version
-                .load(Ordering::Acquire)
-                .saturating_sub(version),
-            degraded: shard.degraded_reason().map(|r| r.to_string()),
-            object_leaf_builds: obj.leaf_builds,
-            object_leaf_touches: obj.leaf_touches,
-            object_compactions: obj.compactions,
-            live_objects: obj.live,
-            object_slots: obj.slots,
-            leaf_grid_builds: ip.leaf_grid_builds(),
-        })
-    }
-
-    /// Gather every registered instrument plus the service- and
-    /// per-venue observability values into the wire-facing
-    /// [`indoor_model::metrics::MetricsSnapshot`] (encoded by
-    /// `indoor_model::metrics::encode_text`, served by `NetServer` as a
-    /// `MetricsText` frame). Gauges are appended directly from live
-    /// state — never resident in the registry — so a snapshot always
-    /// reflects this instant and a removed venue leaves no stale series.
-    pub fn metrics_snapshot(&self) -> indoor_model::metrics::MetricsSnapshot {
-        use crate::telemetry::InstrumentSnapshot;
-        use indoor_model::metrics::{MetricValue, Series};
-        let mut series: Vec<Series> = self
-            .registry
-            .gather()
-            .into_iter()
-            .map(|s| Series {
-                name: s.name.to_string(),
-                help: s.help.to_string(),
-                labels: s.labels,
-                value: match s.value {
-                    InstrumentSnapshot::Counter(v) => MetricValue::Counter(v),
-                    InstrumentSnapshot::Gauge(v) => MetricValue::Gauge(v as f64),
-                    InstrumentSnapshot::Histogram(h) => MetricValue::Histogram {
-                        buckets: h.cumulative_buckets(),
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                    },
-                },
-            })
-            .collect();
-        let mut push =
-            |name: &str, help: &str, labels: Vec<(String, String)>, value: MetricValue| {
-                series.push(Series {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    labels,
-                    value,
-                });
-            };
-        let stats = self.stats();
-        push(
-            "indoor_venues",
-            "Registered venues",
-            vec![],
-            MetricValue::Gauge(stats.venues as f64),
-        );
-        push(
-            "indoor_deltas_absorbed_total",
-            "Object deltas absorbed service-wide",
-            vec![],
-            MetricValue::Counter(stats.deltas_absorbed),
-        );
-        push(
-            "indoor_degraded_venues",
-            "Venues in read-only degraded mode",
-            vec![],
-            MetricValue::Gauge(stats.degraded_venues as f64),
-        );
-        for k in stats.kinds {
-            let kl = vec![("kind".to_string(), k.kind.label().to_string())];
-            push(
-                "indoor_queries_total",
-                "Requests answered, hits and misses alike",
-                kl.clone(),
-                MetricValue::Counter(k.queries),
-            );
-            push(
-                "indoor_cache_hits_total",
-                "Requests answered from the result cache",
-                kl.clone(),
-                MetricValue::Counter(k.cache_hits),
-            );
-            push(
-                "indoor_latency_ns_total",
-                "Cumulative serving wall time (ns)",
-                kl,
-                MetricValue::Counter(k.latency_ns),
-            );
-        }
-        for venue in self.venues() {
-            let Ok(vs) = self.venue_stats(venue) else {
-                continue; // removed mid-walk
-            };
-            let vl = vec![("venue".to_string(), venue.index().to_string())];
-            let gauges: [(&str, &str, f64); 10] = [
-                ("indoor_shard_epoch", "Rebuild epoch", vs.epoch as f64),
-                (
-                    "indoor_shard_version",
-                    "Object-set version (the WAL LSN)",
-                    vs.version as f64,
-                ),
-                (
-                    "indoor_cached_entries",
-                    "Live result-cache entries",
-                    vs.cached_entries as f64,
-                ),
-                (
-                    "indoor_cache_capacity",
-                    "Result-cache capacity",
-                    vs.cache_capacity as f64,
-                ),
-                (
-                    "indoor_in_flight",
-                    "Admitted in-flight query weight",
-                    vs.in_flight as f64,
-                ),
-                (
-                    "indoor_admission_capacity",
-                    "Admission capacity, 0 = unbounded",
-                    vs.admission_capacity as f64,
-                ),
-                (
-                    "indoor_replication_lag",
-                    "Follower applied-LSN gap behind the leader",
-                    vs.replication_lag as f64,
-                ),
-                (
-                    "indoor_degraded",
-                    "1 when the shard is read-only degraded",
-                    if vs.degraded.is_some() { 1.0 } else { 0.0 },
-                ),
-                (
-                    "indoor_live_objects",
-                    "Live objects in the shard's index",
-                    vs.live_objects as f64,
-                ),
-                (
-                    "indoor_object_slots",
-                    "Allocated object slots (live + tombstoned)",
-                    vs.object_slots as f64,
-                ),
-            ];
-            for (name, help, v) in gauges {
-                push(name, help, vl.clone(), MetricValue::Gauge(v));
-            }
-            let counters: [(&str, &str, u64); 7] = [
-                (
-                    "indoor_cache_evictions_total",
-                    "Clock (second-chance) evictions",
-                    vs.evictions,
-                ),
-                (
-                    "indoor_shed_total",
-                    "Requests shed at the admission gate",
-                    vs.shed,
-                ),
-                (
-                    "indoor_admission_timeouts_total",
-                    "Requests timed out waiting at the admission gate",
-                    vs.admission_timeouts,
-                ),
-                (
-                    "indoor_object_leaf_builds_total",
-                    "Object-index leaf pages built",
-                    vs.object_leaf_builds,
-                ),
-                (
-                    "indoor_object_leaf_touches_total",
-                    "Object-index leaf pages touched by delta application",
-                    vs.object_leaf_touches,
-                ),
-                (
-                    "indoor_object_compactions_total",
-                    "Object-index compaction passes",
-                    vs.object_compactions,
-                ),
-                (
-                    "indoor_leaf_grid_builds_total",
-                    "Leaf door-grids built (lazy; bounded by the leaf count)",
-                    vs.leaf_grid_builds,
-                ),
-            ];
-            for (name, help, v) in counters {
-                push(name, help, vl.clone(), MetricValue::Counter(v));
-            }
-        }
-        indoor_model::metrics::MetricsSnapshot { series }
     }
 }
 

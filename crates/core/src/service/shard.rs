@@ -12,8 +12,8 @@
 //! [`IndoorService`]: super::IndoorService
 
 use super::{
-    AdmissionConfig, AdmissionControl, ClockCache, OverloadPolicy, ServiceError, ShardTelemetry,
-    SyncPolicy, DEFAULT_CACHE_CAPACITY,
+    AdmissionConfig, ClockCache, OverloadPolicy, ServiceError, ShardTelemetry, SyncPolicy,
+    DEFAULT_CACHE_CAPACITY,
 };
 use crate::exec::{AdmissionGate, QueryEngine};
 use crate::keywords::KeywordObjects;
@@ -319,7 +319,11 @@ pub(crate) struct Shard {
     /// `Some(reason)` once the shard has entered read-only degraded mode
     /// (its journal can no longer be trusted). Sticky until restart.
     degraded: Mutex<Option<Arc<str>>>,
-    pub(super) admission: AdmissionControl,
+    /// In-flight budget and overload policy (persisted with the venue).
+    pub(super) admission: AdmissionConfig,
+    /// The admission gate; `None` when `max_in_flight` is 0 — unbounded
+    /// shards pay zero admission cost.
+    pub(super) gate: Option<AdmissionGate>,
     /// The journal's append-durability policy (persisted with the venue).
     sync: SyncPolicy,
     /// Live replication subscribers: every successful journal append is
@@ -330,8 +334,8 @@ pub(crate) struct Shard {
     /// the replication stream (0 on a leader). `venue_stats` surfaces
     /// `leader_version - version` as the follower's lag.
     pub(crate) leader_version: AtomicU64,
-    /// Serving-phase histograms, wired once when the shard is published
-    /// into a service (never on bare engine tests — those run untimed).
+    /// Always-on counters and serving-phase histograms, wired once when
+    /// the shard is published into a service.
     tel: std::sync::OnceLock<Arc<ShardTelemetry>>,
 }
 
@@ -349,13 +353,9 @@ impl Shard {
             cache: Mutex::new(ClockCache::new(capacity)),
             journal: Mutex::new(None),
             degraded: Mutex::new(None),
-            admission: AdmissionControl {
-                gate: (admission.max_in_flight > 0)
-                    .then(|| AdmissionGate::new(admission.max_in_flight)),
-                config: admission,
-                shed: AtomicU64::new(0),
-                timeouts: AtomicU64::new(0),
-            },
+            gate: (admission.max_in_flight > 0)
+                .then(|| AdmissionGate::new(admission.max_in_flight)),
+            admission,
             sync: config.sync,
             repl_taps: Mutex::new(Vec::new()),
             leader_version: AtomicU64::new(0),
@@ -403,7 +403,7 @@ impl Shard {
             tree: self.engine.tree().ip().build_config().clone(),
             threads: self.engine.configured_threads(),
             cache_capacity: self.cache.lock().expect("cache poisoned").capacity(),
-            admission: self.admission.config,
+            admission: self.admission,
             sync: self.sync,
             ..ShardConfig::default()
         }
@@ -427,21 +427,28 @@ impl Shard {
         (self.epoch.load(Ordering::Acquire), version)
     }
 
-    /// Attach the shard's serving-phase histograms (first call wins).
+    /// Attach the shard's instruments (first call wins).
     pub(crate) fn set_telemetry(&self, tel: Arc<ShardTelemetry>) {
         let _ = self.tel.set(tel);
     }
 
-    /// The shard's telemetry sink, iff wired **and** the global sampling
+    /// The shard's instruments once wired, whatever the sampling gate —
+    /// the way to its always-on counters.
+    #[inline]
+    pub(super) fn wired(&self) -> Option<&ShardTelemetry> {
+        self.tel.get().map(|t| t.as_ref())
+    }
+
+    /// The shard's instruments, iff wired **and** the global sampling
     /// gate is open. Every serving-path timer goes through this, so
     /// `telemetry::set_sampling(false)` (or the `telemetry-off` feature)
-    /// drops the instrumentation to a load + branch.
+    /// drops the timing to a load + branch.
     #[inline]
     pub(super) fn tel(&self) -> Option<&ShardTelemetry> {
         if !crate::telemetry::sampling_enabled() {
             return None;
         }
-        self.tel.get().map(|t| t.as_ref())
+        self.wired()
     }
 
     /// Enter read-only degraded mode. Sticky: the first reason wins and

@@ -72,6 +72,9 @@ fn cache_hits_are_counted_per_kind() {
 
 #[test]
 fn metrics_snapshot_encodes_clean_and_retires_removed_venues() {
+    let _gate = crate::telemetry::GATE_TEST_LOCK
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
     let prev = crate::telemetry::set_sampling(true);
     let (service, id, venue) = service_with_one_venue(27);
     let q = workload::query_points(&venue, 1, 4)[0];
@@ -98,6 +101,114 @@ fn metrics_snapshot_encodes_clean_and_retires_removed_venues() {
     assert!(
         !text.contains("venue=\""),
         "stale venue-labelled series:\n{text}"
+    );
+    crate::telemetry::set_sampling(prev);
+}
+
+/// Every serving counter has one store, and it is always on: with the
+/// sampling gate shut, a hit, a miss, an eviction, a shed, a `Block`
+/// timeout and a delta batch each reach the metrics page, and each
+/// counter series there equals the field `stats()` / `venue_stats()`
+/// reports.
+#[test]
+fn page_and_views_agree_with_sampling_off() {
+    let _gate = crate::telemetry::GATE_TEST_LOCK
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let prev = crate::telemetry::set_sampling(false);
+    let venue = Arc::new(random_venue(61));
+    let service = IndoorService::new();
+    let add = |cache_capacity, policy| {
+        let config = ShardConfig {
+            threads: 1,
+            objects: workload::place_objects(&venue, 8, 61),
+            cache_capacity,
+            admission: AdmissionConfig {
+                max_in_flight: 1,
+                policy,
+            },
+            ..ShardConfig::default()
+        };
+        service.add_venue(venue.clone(), config).unwrap()
+    };
+    // A one-entry cache sheds at its gate; the other venue blocks.
+    let shedding = add(1, OverloadPolicy::Shed);
+    let timeout = Duration::from_millis(1);
+    let blocking = add(0, OverloadPolicy::Block { timeout });
+    let knn: Vec<QueryRequest> = workload::query_points(&venue, 2, 62)
+        .into_iter()
+        .map(|q| QueryRequest::Knn { q, k: 2 })
+        .collect();
+    // Miss, hit, then a miss that evicts the first answer.
+    for req in [&knn[0], &knn[0], &knn[1]] {
+        service.execute(shedding, req).unwrap();
+    }
+    for id in [shedding, blocking] {
+        let shard = service.shard(id).unwrap();
+        let _held = shard.admit(id, 1).unwrap();
+        assert!(service.execute(id, &knn[0]).is_err());
+    }
+    let to = workload::place_objects(&venue, 1, 63)[0];
+    let moved = ObjectDelta::Move {
+        id: ObjectId(0),
+        to,
+    };
+    service.update_objects(shedding, &[moved]).unwrap();
+
+    let page = service.metrics_snapshot();
+    let counter = |name: &str, labels: &[(&str, String)]| -> u64 {
+        let labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        let series = page
+            .series
+            .iter()
+            .find(|s| s.name == name && s.labels == labels);
+        match series.map(|s| &s.value) {
+            Some(indoor_model::metrics::MetricValue::Counter(v)) => *v,
+            other => panic!("{name}{labels:?}: {other:?}"),
+        }
+    };
+    let stats = service.stats();
+    let k = stats.kind(QueryKind::Knn);
+    let kl = [("kind", "knn".to_string())];
+    let driven = [
+        ("indoor_queries_total", &kl[..], k.queries, 3),
+        ("indoor_cache_hits_total", &kl[..], k.cache_hits, 1),
+        (
+            "indoor_deltas_absorbed_total",
+            &[],
+            stats.deltas_absorbed,
+            1,
+        ),
+    ];
+    for (name, labels, view, want) in driven {
+        assert_eq!((counter(name, labels), view), (want, want), "{name}");
+    }
+    assert!(k.latency_ns > 0);
+    assert_eq!(counter("indoor_latency_ns_total", &kl), k.latency_ns);
+    for (id, (evictions, shed, timeouts)) in [(shedding, (1, 1, 0)), (blocking, (0, 0, 1))] {
+        let vs = service.venue_stats(id).unwrap();
+        let vl = [("venue", id.index().to_string())];
+        let counters = [
+            ("indoor_cache_evictions_total", vs.evictions),
+            ("indoor_shed_total", vs.shed),
+            ("indoor_admission_timeouts_total", vs.admission_timeouts),
+            ("indoor_object_leaf_builds_total", vs.object_leaf_builds),
+            ("indoor_object_leaf_touches_total", vs.object_leaf_touches),
+            ("indoor_object_compactions_total", vs.object_compactions),
+            ("indoor_leaf_grid_builds_total", vs.leaf_grid_builds),
+        ];
+        for (name, view) in counters {
+            assert_eq!(counter(name, &vl), view, "{name} venue {id}");
+        }
+        let events = (vs.evictions, vs.shed, vs.admission_timeouts);
+        assert_eq!(events, (evictions, shed, timeouts), "venue {id}");
+    }
+    assert_eq!(
+        (stats.evictions, stats.shed, stats.admission_timeouts),
+        (1, 1, 1)
     );
     crate::telemetry::set_sampling(prev);
 }
@@ -298,15 +409,16 @@ fn clock_cache_evicts_and_counts() {
         .map(|&q| QueryRequest::Knn { q, k: 1 })
         .collect();
     let resp = QueryResponse::Knn(Vec::new());
-    cache.insert(reqs[0].clone(), 0, resp.clone());
-    cache.insert(reqs[1].clone(), 0, resp.clone());
+    assert!(!cache.insert(reqs[0].clone(), 0, resp.clone()));
+    assert!(!cache.insert(reqs[1].clone(), 0, resp.clone()));
     assert_eq!(cache.map.len(), 2);
-    assert_eq!(cache.evictions, 0);
     // Reference req0 so the clock spares it and evicts req1.
     assert!(cache.probe(&reqs[0], 0).is_some());
-    cache.insert(reqs[2].clone(), 0, resp.clone());
+    assert!(
+        cache.insert(reqs[2].clone(), 0, resp.clone()),
+        "an eviction"
+    );
     assert_eq!(cache.map.len(), 2);
-    assert_eq!(cache.evictions, 1);
     assert!(
         cache.probe(&reqs[0], 0).is_some(),
         "referenced entry survives"
@@ -315,7 +427,7 @@ fn clock_cache_evicts_and_counts() {
     assert!(cache.probe(&reqs[2], 0).is_some());
     // Stale stamp: present but never a hit; re-insert revives in place.
     assert!(cache.probe(&reqs[2], 1).is_none());
-    cache.insert(reqs[2].clone(), 1, resp);
+    assert!(!cache.insert(reqs[2].clone(), 1, resp));
     assert_eq!(cache.map.len(), 2);
     assert!(cache.probe(&reqs[2], 1).is_some());
 }

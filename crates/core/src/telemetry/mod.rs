@@ -69,6 +69,11 @@ pub fn set_sampling(on: bool) -> bool {
     SAMPLING.swap(on, Ordering::Relaxed)
 }
 
+/// Held by the unit tests that flip the process-wide gate, so one cannot
+/// shut it under another that asserts it open.
+#[cfg(test)]
+pub(crate) static GATE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// 1-in-N per-thread sampling interval for full query traces.
 static TRACE_INTERVAL: AtomicU64 = AtomicU64::new(32);
 
@@ -367,6 +372,7 @@ mod tests {
 
     #[test]
     fn sampling_gate_round_trips() {
+        let _gate = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = set_sampling(false);
         assert!(!sampling_enabled());
         #[cfg(not(feature = "telemetry-off"))]
@@ -386,6 +392,7 @@ mod tests {
     fn trace_sampler_honors_interval_per_thread() {
         // Fresh thread: deterministic tick starting at zero, unpolluted
         // by other tests dispatching queries concurrently.
+        let _gate = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = set_trace_interval(0);
         assert_eq!(trace_interval(), 1, "interval 0 would divide by zero");
         set_trace_interval(4);

@@ -369,7 +369,7 @@ impl VipTree {
         k: usize,
         scratch: &mut crate::QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.knn_stats(q, k, scratch, &mut QueryStats::default())
+        self.knn_query(q, k, scratch)
     }
 
     /// As [`VipTree::range`] with caller-owned scratch state.
@@ -379,19 +379,7 @@ impl VipTree {
         radius: f64,
         scratch: &mut crate::QueryScratch,
     ) -> Vec<(ObjectId, f64)> {
-        self.range_stats(q, radius, scratch, &mut QueryStats::default())
-    }
-
-    /// As [`VipTree::knn`], accumulating workload counters (nodes visited,
-    /// lower-bound pruning — the bench's `prune_rate` source).
-    pub fn knn_with_stats(
-        &self,
-        q: &IndoorPoint,
-        k: usize,
-        stats: &mut QueryStats,
-    ) -> Vec<(ObjectId, f64)> {
-        let mut scratch = self.ip.scratch.checkout();
-        self.knn_stats(q, k, &mut scratch, stats)
+        self.range_query(q, radius, scratch)
     }
 
     /// Total index size: IP-tree plus the door tables (Fig. 8(b)).

@@ -1,22 +1,17 @@
 use crate::{IndoorPath, IndoorPoint, ObjectId};
 
-/// Counters describing the work performed by recent queries; §4.3.1 of the
+/// The shortest-distance accounting every index shares; §4.3.1 of the
 /// paper reports "#pairs of doors" considered by DistMx variants and
 /// VIP-Tree (Fig. 9(a)) — implementations accumulate the equivalent
-/// quantity here when stats collection is enabled.
+/// quantity here when stats collection is enabled. The VIP-tree's kNN
+/// and range walk is counted by its query trace instead
+/// (`vip_tree::telemetry::QueryTrace`).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
     /// Door pairs combined to produce the final answer (Fig. 9(a)).
     pub door_pairs: u64,
     /// Vertices settled by graph expansions (Dijkstra-style baselines).
     pub settled_vertices: u64,
-    /// Tree nodes visited (branch-and-bound algorithms).
-    pub nodes_visited: u64,
-    /// Children considered by a branch-and-bound lower-bound test.
-    pub bound_candidates: u64,
-    /// Children rejected by the lower bound alone — no distance-matrix
-    /// row was touched for them.
-    pub bound_pruned: u64,
     /// Number of queries accumulated into this struct.
     pub queries: u64,
 }
@@ -25,20 +20,7 @@ impl QueryStats {
     pub fn merge(&mut self, other: &QueryStats) {
         self.door_pairs += other.door_pairs;
         self.settled_vertices += other.settled_vertices;
-        self.nodes_visited += other.nodes_visited;
-        self.bound_candidates += other.bound_candidates;
-        self.bound_pruned += other.bound_pruned;
         self.queries += other.queries;
-    }
-
-    /// Fraction of bound-tested children rejected without touching a
-    /// matrix row; 0 when nothing was tested.
-    pub fn prune_rate(&self) -> f64 {
-        if self.bound_candidates == 0 {
-            0.0
-        } else {
-            self.bound_pruned as f64 / self.bound_candidates as f64
-        }
     }
 
     pub fn mean_door_pairs(&self) -> f64 {
@@ -96,25 +78,18 @@ mod tests {
         let mut a = QueryStats {
             door_pairs: 10,
             settled_vertices: 5,
-            nodes_visited: 2,
-            bound_candidates: 4,
-            bound_pruned: 1,
             queries: 2,
         };
         let b = QueryStats {
             door_pairs: 20,
             settled_vertices: 1,
-            nodes_visited: 0,
-            bound_candidates: 4,
-            bound_pruned: 3,
             queries: 3,
         };
         a.merge(&b);
         assert_eq!(a.door_pairs, 30);
+        assert_eq!(a.settled_vertices, 6);
         assert_eq!(a.queries, 5);
         assert!((a.mean_door_pairs() - 6.0).abs() < 1e-12);
-        assert!((a.prune_rate() - 0.5).abs() < 1e-12);
         assert_eq!(QueryStats::default().mean_door_pairs(), 0.0);
-        assert_eq!(QueryStats::default().prune_rate(), 0.0);
     }
 }

@@ -17,17 +17,46 @@ use indoor_synth::{random_venue, workload};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
-/// Gauges every live service must expose (service-level and per-venue);
-/// a page missing one means a publish site was dropped, which the
-/// structural lint alone cannot see.
-const REQUIRED_GAUGES: &[&str] = &[
-    "indoor_venues",
-    "indoor_degraded_venues",
-    "indoor_shard_epoch",
-    "indoor_cached_entries",
-    "indoor_in_flight",
-    "indoor_replication_lag",
-    "indoor_live_objects",
+/// Every series family a live service exposes, with its type: the page
+/// must carry exactly these. A family missing or retyped means a counter
+/// moved store or a publish site was dropped, which the structural lint
+/// alone cannot see; a new one must be added here on purpose.
+const REQUIRED_SERIES: &[(&str, &str)] = &[
+    ("indoor_admission_capacity", "gauge"),
+    ("indoor_admission_timeouts_total", "counter"),
+    ("indoor_admission_wait_us", "histogram"),
+    ("indoor_cache_capacity", "gauge"),
+    ("indoor_cache_evictions_total", "counter"),
+    ("indoor_cache_hits_total", "counter"),
+    ("indoor_cache_probe_us", "histogram"),
+    ("indoor_cached_entries", "gauge"),
+    ("indoor_degraded", "gauge"),
+    ("indoor_degraded_venues", "gauge"),
+    ("indoor_deltas_absorbed_total", "counter"),
+    ("indoor_in_flight", "gauge"),
+    ("indoor_kbest_updates_total", "counter"),
+    ("indoor_latency_ns_total", "counter"),
+    ("indoor_leaf_grid_builds_total", "counter"),
+    ("indoor_live_objects", "gauge"),
+    ("indoor_nodes_pruned_total", "counter"),
+    ("indoor_nodes_pushed_total", "counter"),
+    ("indoor_object_compactions_total", "counter"),
+    ("indoor_object_leaf_builds_total", "counter"),
+    ("indoor_object_leaf_touches_total", "counter"),
+    ("indoor_object_slots", "gauge"),
+    ("indoor_phase_descent_us", "histogram"),
+    ("indoor_phase_heap_us", "histogram"),
+    ("indoor_phase_leaf_fold_us", "histogram"),
+    ("indoor_queries_total", "counter"),
+    ("indoor_query_latency_us", "histogram"),
+    ("indoor_replication_lag", "gauge"),
+    ("indoor_shard_epoch", "gauge"),
+    ("indoor_shard_version", "gauge"),
+    ("indoor_shed_total", "counter"),
+    ("indoor_slab_rows_total", "counter"),
+    ("indoor_traced_queries_total", "counter"),
+    ("indoor_venues", "gauge"),
+    ("indoor_wal_append_us", "histogram"),
 ];
 
 fn serve_binary() -> std::path::PathBuf {
@@ -76,12 +105,14 @@ fn main() {
         "exposition lint failed:\n{}\n--- page ---\n{page}",
         errors.join("\n")
     );
-    for gauge in REQUIRED_GAUGES {
-        assert!(
-            page.lines().any(|l| l.starts_with(gauge)),
-            "metrics page is missing gauge {gauge}:\n{page}"
-        );
-    }
+    let typed: Vec<(&str, &str)> = page
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    assert_eq!(
+        typed, REQUIRED_SERIES,
+        "metrics page families differ from the required list:\n{page}"
+    );
     assert!(
         page.lines()
             .any(|l| l.starts_with("indoor_query_latency_us_count") && !l.ends_with(" 0")),
@@ -92,9 +123,10 @@ fn main() {
     let status = child.wait().expect("server exits");
     assert!(status.success(), "indoor_serve exited with {status}");
     println!(
-        "metrics smoke ok: {} series lines fetched from {addr}, lint clean, all gauges present",
+        "metrics smoke ok: {} series lines fetched from {addr}, lint clean, all {} families present",
         page.lines()
             .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .count()
+            .count(),
+        REQUIRED_SERIES.len()
     );
 }

@@ -2,17 +2,19 @@
 //! the checked-in reference `tests/data/answers_two_layouts/` — the bytes
 //! the slab walk and the since-deleted pointer walk both produced at the
 //! last commit that had the two — and `tests/data/query_core/`, the same
-//! streams answered by the IP-tree engine plus the `QueryStats` totals of
-//! the walk, signed by the last commit that spelled the query core twice
-//! (DESIGN.md §14.5); both replayed here at one and four worker threads.
+//! streams answered by the IP-tree engine plus the walk's counter totals,
+//! signed by the last commit that spelled the query core twice (DESIGN.md
+//! §14.5); both replayed here at one and four worker threads.
 //! Then the admissibility of the lower-bound layer on arbitrary venues;
 //! the lazy leaf grid answering exactly as the eager one; and the VIP
 //! table's argmin replay agreeing with the IP-tree's ascent replay.
 
+use indoor_spatial::model::metrics::MetricValue;
 use indoor_spatial::model::wire::{WireReader, WireWriter};
 use indoor_spatial::model::QueryStats;
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, random_venue, workload};
+use indoor_spatial::vip::telemetry as vip_telemetry;
 use indoor_spatial::vip::{KeywordObjects, TreeHandle};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -131,42 +133,65 @@ fn fixture_answers(venue: &Arc<Venue>, seed: u64, n: usize, build: TreeFor) -> [
     })
 }
 
-/// The `QueryStats` one fixture case's walks sum to, in README row order:
-/// `VipTree::knn_with_stats` over the stream's kNN requests, then the
-/// VIP-tree's and the IP-tree's `shortest_distance_with_stats` over its
-/// pairs.
-fn fixture_stats(venue: &Arc<Venue>, seed: u64, n: usize) -> [(&'static str, QueryStats); 3] {
-    let (TreeHandle::Vip(vip), _) = tree_for(venue, seed, vip_tree) else {
-        unreachable!("vip_tree builds a VIP-tree")
+/// One fixture case's walk rows as `tests/data/query_core/README.md`
+/// records them. `vip.knn`: the `QueryTrace` totals of the stream's kNN
+/// requests — traced queries, `nodes_pushed`, `nodes_pruned`,
+/// `slab_rows`, `kbest_updates` — run through a service shard's engine
+/// with every query traced and read off the metrics page, the series the
+/// benchmark's walk counts come from. `vip.sd` / `ip.sd`: each tree's
+/// `QueryStats` over the pairs; the three middle columns are the kNN
+/// walk's and an SD has none.
+fn fixture_rows(case: usize, venue: &Arc<Venue>, seed: u64, n: usize) -> Vec<String> {
+    let service = IndoorService::new();
+    let config = ShardConfig {
+        threads: 1,
+        objects: workload::place_objects(venue, 16, seed ^ 0x51),
+        ..ShardConfig::default()
     };
-    let ip = ip_tree(venue.clone());
-    let ip = ip.ip();
-    let mut stats = [
-        ("vip.knn", QueryStats::default()),
-        ("vip.sd", QueryStats::default()),
-        ("ip.sd", QueryStats::default()),
-    ];
+    let engine = service
+        .engine(service.add_venue(venue.clone(), config).unwrap())
+        .unwrap();
+    let vip = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+    let ip = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+    let (mut vip_sd, mut ip_sd) = (QueryStats::default(), QueryStats::default());
+    vip_telemetry::set_trace_interval(1);
     for req in mixed_stream(venue, n, seed ^ 0x2E) {
         match req {
-            QueryRequest::Knn { q, k } => {
-                vip.knn_with_stats(&q, k, &mut stats[0].1);
+            QueryRequest::Knn { .. } => {
+                engine.execute(&req);
             }
             QueryRequest::ShortestDistance { s, t } => {
-                vip.shortest_distance_with_stats(&s, &t, &mut stats[1].1);
-                ip.shortest_distance_with_stats(&s, &t, &mut stats[2].1);
+                vip.shortest_distance_with_stats(&s, &t, &mut vip_sd);
+                ip.shortest_distance_with_stats(&s, &t, &mut ip_sd);
             }
             _ => {}
         }
     }
-    stats
-}
-
-/// A `stats` row as `tests/data/query_core/README.md` records it.
-fn stats_row(case: usize, walk: &str, s: &QueryStats) -> String {
-    format!(
-        "{case} {walk} {} {} {} {} {}",
-        s.queries, s.nodes_visited, s.bound_candidates, s.bound_pruned, s.door_pairs
-    )
+    let page = service.metrics_snapshot();
+    let total = |name: &str| -> u64 {
+        let series = page.series.iter().filter(|s| s.name == name);
+        series
+            .map(|s| match s.value {
+                MetricValue::Counter(v) => v,
+                _ => panic!("{name} is not a counter"),
+            })
+            .sum()
+    };
+    let [traced, pushed, pruned, rows, kbest] = [
+        "indoor_traced_queries_total",
+        "indoor_nodes_pushed_total",
+        "indoor_nodes_pruned_total",
+        "indoor_slab_rows_total",
+        "indoor_kbest_updates_total",
+    ]
+    .map(total);
+    let sd =
+        |walk: &str, s: &QueryStats| format!("{case} {walk} {} 0 0 0 {}", s.queries, s.door_pairs);
+    vec![
+        format!("{case} vip.knn {traced} {pushed} {pruned} {rows} {kbest}"),
+        sd("vip.sd", &vip_sd),
+        sd("ip.sd", &ip_sd),
+    ]
 }
 
 fn data_path(file: &str) -> std::path::PathBuf {
@@ -217,9 +242,9 @@ fn ip_answers_match_the_query_core_fixture() {
     assert_answers_match(FIXTURES[1]);
 }
 
-/// The walk itself, not only its answers: the `QueryStats` totals the
-/// README's table records (`QueryStats::prune_rate` is computed from
-/// these counters).
+/// The walk itself, not only its answers: the per-case totals the
+/// README's table records (the benchmark's `tree.prune_rate` is
+/// `nodes_pruned / (nodes_pushed + nodes_pruned)` of these counters).
 #[test]
 fn walk_counters_match_the_query_core_readme() {
     let readme = std::fs::read_to_string(data_path("query_core/README.md")).expect("README");
@@ -231,12 +256,11 @@ fn walk_counters_match_the_query_core_readme() {
                 && tok.next().is_some_and(|w| w.contains('.'))
         })
         .collect();
-    let mut computed = Vec::new();
-    for (case, (venue, seed, n)) in fixture_cases().iter().enumerate() {
-        for (walk, stats) in fixture_stats(venue, *seed, *n) {
-            computed.push(stats_row(case, walk, &stats));
-        }
-    }
+    let computed: Vec<String> = fixture_cases()
+        .iter()
+        .enumerate()
+        .flat_map(|(case, (venue, seed, n))| fixture_rows(case, venue, *seed, *n))
+        .collect();
     assert_eq!(computed, recorded);
 }
 
@@ -260,8 +284,8 @@ fn write_answers_fixture() {
         std::fs::write(data_path(file), w.into_bytes()).expect("fixture writable");
     }
     for (case, (venue, seed, n)) in cases.iter().enumerate() {
-        for (walk, stats) in fixture_stats(venue, *seed, *n) {
-            println!("{}", stats_row(case, walk, &stats));
+        for row in fixture_rows(case, venue, *seed, *n) {
+            println!("{row}");
         }
     }
 }
