@@ -6,10 +6,7 @@
 //! query loops ([`time_queries`]).
 
 use indoor_baselines::{DistAw, DistAwPlus, DistMx};
-use indoor_model::{
-    AnswerRequest, IndoorIndex, IndoorPath, IndoorPoint, ObjectId, ObjectQueries, QueryRequest,
-    QueryResponse, Venue,
-};
+use indoor_model::{IndoorIndex, IndoorPath, IndoorPoint, ObjectId, ObjectQueries, Venue};
 use indoor_synth::presets;
 use indoor_synth::CampusSpec;
 use std::sync::Arc;
@@ -114,23 +111,6 @@ impl AnyIndex {
             AnyIndex::AwPlus(x) => ObjectQueries::range(x, q, radius),
             AnyIndex::G(x) => ObjectQueries::range(x, q, radius),
             AnyIndex::R(x) => ObjectQueries::range(x, q, radius),
-        }
-    }
-
-    /// Answer one typed request through the [`AnswerRequest`] surface —
-    /// the uniform entry point the scenario lab replays event streams
-    /// through. Plain indexes answer `KnnKeyword` with an empty result
-    /// (only the service's keyword shard carries labels).
-    pub fn answer(&self, req: &QueryRequest) -> QueryResponse {
-        match self {
-            AnyIndex::Vip(x) => x.answer(req),
-            AnyIndex::Ip(x) => x.answer(req),
-            AnyIndex::Mx(x) => (**x).answer(req),
-            AnyIndex::MxUnopt(x) => x.answer(req),
-            AnyIndex::Aw(x) => x.answer(req),
-            AnyIndex::AwPlus(x) => x.answer(req),
-            AnyIndex::G(x) => x.answer(req),
-            AnyIndex::R(x) => x.answer(req),
         }
     }
 

@@ -105,7 +105,7 @@ pub struct QueryScratch {
     /// Per-query span state (phase timings + hot-path counters). Armed by
     /// [`QueryEngine`]'s dispatch point when the sampling gate is open and
     /// the engine has a telemetry sink; dormant (one cleared bool) on
-    /// every other path, and compiled out entirely under `telemetry-off`.
+    /// every other path.
     pub(crate) trace: crate::telemetry::QueryTrace,
 }
 

@@ -74,7 +74,7 @@ pub use repl::{WalEntry, WalSubscription};
 pub use retry::RetryPolicy;
 pub use service::{
     AdmissionConfig, IndoorService, KindStats, Mutation, OverloadPolicy, ServiceError,
-    ServiceStats, ShardConfig, ShardStats, SyncPolicy, DEFAULT_CACHE_CAPACITY,
+    ServiceStats, ShardConfig, ShardStats, SyncPolicy, DEFAULT_CACHE_CAPACITY, METRIC_FAMILIES,
 };
 pub use slabs::Slabs;
 pub use stats::TreeStats;

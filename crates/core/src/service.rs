@@ -114,7 +114,7 @@ mod stats;
 pub(crate) use shard::{Lsn, Seed, Shard};
 pub use shard::{Mutation, ShardConfig};
 use stats::{KindSeries, ShardTelemetry};
-pub use stats::{KindStats, ServiceStats, ShardStats};
+pub use stats::{KindStats, ServiceStats, ShardStats, METRIC_FAMILIES};
 
 /// Default per-shard result-cache capacity (entries) when
 /// [`ShardConfig::cache_capacity`] is 0.

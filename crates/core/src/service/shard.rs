@@ -441,8 +441,8 @@ impl Shard {
 
     /// The shard's instruments, iff wired **and** the global sampling
     /// gate is open. Every serving-path timer goes through this, so
-    /// `telemetry::set_sampling(false)` (or the `telemetry-off` feature)
-    /// drops the timing to a load + branch.
+    /// `telemetry::set_sampling(false)` drops the timing to a load +
+    /// branch.
     #[inline]
     pub(super) fn tel(&self) -> Option<&ShardTelemetry> {
         if !crate::telemetry::sampling_enabled() {

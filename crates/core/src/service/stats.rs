@@ -11,6 +11,53 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every series family [`IndoorService::metrics_snapshot`] puts on the
+/// page of a live service, with its Prometheus type, in page order. The
+/// page carries exactly these once a venue is registered: a family
+/// missing or retyped means a counter moved store or a publish site was
+/// dropped, which the structural lint alone cannot see. A new family is
+/// added here on purpose. Every program that lints a page checks it
+/// against this list: `metrics_smoke`, the net suite's
+/// `metrics_page_fetches_over_the_wire_and_lints_clean` and this crate's
+/// `metrics_snapshot_encodes_clean_and_retires_removed_venues`.
+pub const METRIC_FAMILIES: &[(&str, &str)] = &[
+    ("indoor_admission_capacity", "gauge"),
+    ("indoor_admission_timeouts_total", "counter"),
+    ("indoor_admission_wait_us", "histogram"),
+    ("indoor_cache_capacity", "gauge"),
+    ("indoor_cache_evictions_total", "counter"),
+    ("indoor_cache_hits_total", "counter"),
+    ("indoor_cache_probe_us", "histogram"),
+    ("indoor_cached_entries", "gauge"),
+    ("indoor_degraded", "gauge"),
+    ("indoor_degraded_venues", "gauge"),
+    ("indoor_deltas_absorbed_total", "counter"),
+    ("indoor_in_flight", "gauge"),
+    ("indoor_kbest_updates_total", "counter"),
+    ("indoor_latency_ns_total", "counter"),
+    ("indoor_leaf_grid_builds_total", "counter"),
+    ("indoor_live_objects", "gauge"),
+    ("indoor_nodes_pruned_total", "counter"),
+    ("indoor_nodes_pushed_total", "counter"),
+    ("indoor_object_compactions_total", "counter"),
+    ("indoor_object_leaf_builds_total", "counter"),
+    ("indoor_object_leaf_touches_total", "counter"),
+    ("indoor_object_slots", "gauge"),
+    ("indoor_phase_descent_us", "histogram"),
+    ("indoor_phase_heap_us", "histogram"),
+    ("indoor_phase_leaf_fold_us", "histogram"),
+    ("indoor_queries_total", "counter"),
+    ("indoor_query_latency_us", "histogram"),
+    ("indoor_replication_lag", "gauge"),
+    ("indoor_shard_epoch", "gauge"),
+    ("indoor_shard_version", "gauge"),
+    ("indoor_shed_total", "counter"),
+    ("indoor_slab_rows_total", "counter"),
+    ("indoor_traced_queries_total", "counter"),
+    ("indoor_venues", "gauge"),
+    ("indoor_wal_append_us", "histogram"),
+];
+
 /// One shard's instruments in the service registry, wired once when the
 /// shard is published.
 #[derive(Debug)]

@@ -84,6 +84,11 @@ fn metrics_snapshot_encodes_clean_and_retires_removed_venues() {
     let text = indoor_model::metrics::encode_text(&service.metrics_snapshot());
     let errors = indoor_model::metrics::lint_text(&text);
     assert!(errors.is_empty(), "{errors:?}\n{text}");
+    let typed: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    assert_eq!(typed, METRIC_FAMILIES, "{text}");
     for needle in [
         "indoor_query_latency_us_bucket{",
         "indoor_phase_descent_us",

@@ -16,11 +16,10 @@
 //!
 //! Per-query tracing costs a few guarded branches in the kernels; the
 //! process-wide gate ([`set_sampling`] / [`sampling_enabled`]) turns it
-//! on and off at runtime, and the `telemetry-off` cargo feature compiles
-//! the guards down to constant `false` (proving the zero-cost-when-off
-//! contract — the A/B bench cells in `query_bench` time both sides).
-//! The gate ships **enabled** by default: `query_bench` exits non-zero
-//! when a preset's on/off ratio exceeds 1.10, cheap enough to always-on.
+//! on and off at runtime. The gate ships **enabled** by default: the
+//! `telemetry_knn_on` / `telemetry_knn_off` cells of `query_bench` time
+//! both sides, and it exits non-zero when a preset's on/off ratio
+//! exceeds 1.10 (DESIGN.md §15.4).
 //!
 //! Two instrument classes hide behind the gate. **Always-on** series
 //! (end-to-end latency, cache probe time) record on every request — one
@@ -48,24 +47,17 @@ use std::sync::{Arc, Mutex};
 // Sampling gate
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "telemetry-off"))]
 static SAMPLING: AtomicBool = AtomicBool::new(true);
-#[cfg(feature = "telemetry-off")]
-static SAMPLING: AtomicBool = AtomicBool::new(false);
 
-/// Whether per-query tracing is currently sampled. Constant `false` under
-/// the `telemetry-off` feature (the load compiles out of guarded sites).
+/// Whether per-query tracing is currently sampled.
 #[inline(always)]
 pub fn sampling_enabled() -> bool {
-    cfg!(not(feature = "telemetry-off")) && SAMPLING.load(Ordering::Relaxed)
+    SAMPLING.load(Ordering::Relaxed)
 }
 
 /// Open or close the process-wide sampling gate, returning the previous
-/// state. A no-op returning `false` under the `telemetry-off` feature.
+/// state.
 pub fn set_sampling(on: bool) -> bool {
-    if cfg!(feature = "telemetry-off") {
-        return false;
-    }
     SAMPLING.swap(on, Ordering::Relaxed)
 }
 
@@ -375,16 +367,8 @@ mod tests {
         let _gate = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = set_sampling(false);
         assert!(!sampling_enabled());
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            set_sampling(true);
-            assert!(sampling_enabled());
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            set_sampling(true);
-            assert!(!sampling_enabled(), "gate must stay shut when compiled out");
-        }
+        set_sampling(true);
+        assert!(sampling_enabled());
         set_sampling(prev);
     }
 
@@ -405,16 +389,10 @@ mod tests {
         .join()
         .expect("sampler thread");
         set_trace_interval(prev);
-        #[cfg(not(feature = "telemetry-off"))]
         assert_eq!(
             picks,
             [true, false, false, false, true, false, false, false, true],
             "first call and every 4th after it trace"
-        );
-        #[cfg(feature = "telemetry-off")]
-        assert!(
-            picks.iter().all(|p| !p),
-            "compiled-out builds never arm a trace"
         );
     }
 

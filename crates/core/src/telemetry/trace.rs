@@ -4,10 +4,8 @@
 //! A [`QueryTrace`] is armed by the engine's dispatch point when the
 //! global sampling gate is open *and* the engine has somewhere to fold
 //! the result; every instrumentation site in the kernels guards on
-//! [`QueryTrace::active`], which compiles to constant `false` under the
-//! `telemetry-off` feature — the branches (and the `Instant` reads behind
-//! them) are dead-code-eliminated, so the disabled hot path is the
-//! uninstrumented one, bit for bit and cycle for cycle.
+//! [`QueryTrace::active`], so a query that is not traced reads no clock
+//! and touches no counter.
 
 use std::time::Instant;
 
@@ -17,9 +15,7 @@ use std::time::Instant;
 /// covers.
 #[derive(Debug, Default)]
 pub struct QueryTrace {
-    /// Whether this query is being traced. Prefer [`QueryTrace::active`]
-    /// in instrumentation guards — it folds in the compile-time kill
-    /// switch.
+    /// Whether this query is being traced ([`QueryTrace::active`]).
     pub on: bool,
     /// Nanoseconds spent in the own-leaf door-grid fold (the exact-scan
     /// branch of `scan_leaf`), including a first-touch lazy grid build.
@@ -45,16 +41,15 @@ impl QueryTrace {
     #[inline]
     pub fn begin(&mut self, on: bool) {
         *self = QueryTrace {
-            on: on && cfg!(not(feature = "telemetry-off")),
+            on,
             ..QueryTrace::default()
         };
     }
 
-    /// Whether instrumentation sites should record. Constant `false` under
-    /// the `telemetry-off` feature, so guarded blocks compile out.
+    /// Whether instrumentation sites should record.
     #[inline(always)]
     pub fn active(&self) -> bool {
-        cfg!(not(feature = "telemetry-off")) && self.on
+        self.on
     }
 
     /// A timestamp when tracing, `None` otherwise — the idiom for timing a
@@ -99,10 +94,7 @@ mod tests {
         t.begin(true);
         assert_eq!(t.nodes_pushed, 0);
         assert_eq!(t.leaf_fold_ns, 0);
-        #[cfg(not(feature = "telemetry-off"))]
         assert!(t.active());
-        #[cfg(feature = "telemetry-off")]
-        assert!(!t.active());
         t.begin(false);
         assert!(!t.active());
         assert!(t.start().is_none());

@@ -1,15 +1,15 @@
 //! The scenario-matrix benchmark: compile, validate and replay the six
-//! standard adversarial profiles across the competitor suite and the
-//! full `IndoorService` stack, then print the crossover matrix.
+//! standard adversarial profiles through the full `IndoorService` stack,
+//! then print the matrix.
 //!
 //! ```sh
 //! cargo run --release -p indoor-scenarios --bin scenario_bench -- \
-//!     [--seed N] [--out PATH] [--matrix-out PATH] [--workers N]
+//!     [--seed N] [--matrix-out PATH]
 //! ```
 //!
 //! The seed defaults to 42, can be overridden by `SCENARIO_SEED`, and is
-//! printed so any CI run is reproducible verbatim. Results print;
-//! `--out` also writes them as JSON and `--matrix-out` the matrix text.
+//! printed so any CI run is reproducible verbatim. The matrix prints;
+//! `--matrix-out` also writes its text.
 //!
 //! Every check is a property of this one run, so none needs a baseline:
 //!
@@ -22,8 +22,8 @@
 
 use indoor_model::fingerprint_stream;
 use indoor_scenarios::{
-    compile, pinned_fingerprint, report, run_matrix, standard_profiles, standard_world, RunOptions,
-    PINNED_SEED,
+    compile, pinned_fingerprint, report, run_matrix, standard_profiles, standard_world,
+    PINNED_SEED, WORKERS,
 };
 
 fn main() {
@@ -31,32 +31,20 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(PINNED_SEED);
-    let mut out_path: Option<String> = None;
     let mut matrix_path: Option<String> = None;
-    let mut workers = RunOptions::default().workers;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => seed = it.next().expect("missing seed").parse().expect("bad seed"),
-            "--out" => out_path = Some(it.next().expect("missing out path")),
             "--matrix-out" => matrix_path = Some(it.next().expect("missing matrix path")),
-            "--workers" => {
-                workers = it
-                    .next()
-                    .expect("missing workers")
-                    .parse()
-                    .expect("bad workers")
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: scenario_bench [--seed N] [--out PATH] [--matrix-out PATH] [--workers N]"
-                );
+                println!("usage: scenario_bench [--seed N] [--matrix-out PATH]");
                 return;
             }
             other => panic!("unknown argument {other}"),
         }
     }
-    println!("scenario_bench seed={seed} workers={workers} (rerun with SCENARIO_SEED={seed})");
+    println!("scenario_bench seed={seed} workers={WORKERS} (rerun with SCENARIO_SEED={seed})");
 
     // Determinism pre-flight: identical seeds must reproduce identical
     // event streams regardless of compile parallelism, and the pinned
@@ -81,23 +69,10 @@ fn main() {
         println!("  {name:<16} fingerprint 0x{a:016x}");
     }
 
-    let opts = RunOptions {
-        workers,
-        ..RunOptions::default()
-    };
-    let out = run_matrix(seed, 2, &opts);
+    let cells = run_matrix(seed, 2);
 
-    let matrix = report::crossover_matrix(&out.cells, &out.costs);
+    let matrix = report::crossover_matrix(&cells);
     println!("\n{matrix}");
-    if let Some(path) = out_path {
-        let json = report::render_json(seed, opts.workers, &out.digests, &out.cells);
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!(
-            "wrote {path} ({} profiles x {} cells)",
-            out.digests.len(),
-            out.cells.len()
-        );
-    }
     if let Some(path) = matrix_path {
         std::fs::write(&path, &matrix).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");

@@ -1,5 +1,5 @@
-//! The standing scenario matrix: six adversarial profiles × the
-//! competitor suite × the full service stack.
+//! The standing scenario matrix: six adversarial profiles replayed
+//! through the full service stack.
 //!
 //! `scenario_bench` runs exactly this matrix. Its checks are behavioural
 //! and live in source: each profile's stream fingerprint at seed
@@ -8,20 +8,16 @@
 //! across runs; `benchmark/` is the record for speed (see DESIGN.md §12).
 
 use crate::compile::{compile, validate_stream, ScenarioWorld};
-use crate::report::{IndexCost, ProfileDigest};
-use crate::run::{run_index, run_service, CellMetrics, RunOptions};
-use indoor_bench::{build_suite, SuiteOptions};
+use crate::run::{run_service, CellMetrics};
 use indoor_model::{
-    fingerprint_stream, AdmissionSpec, ArrivalCurve, ChurnSpec, KeywordSkew, OverloadSpec,
-    QueryKind, QueryMix, TickEvents, VenueAction, VenueEvent, WorkloadProfile,
+    AdmissionSpec, ArrivalCurve, ChurnSpec, KeywordSkew, OverloadSpec, QueryKind, QueryMix,
+    VenueAction, VenueEvent, WorkloadProfile,
 };
 use indoor_synth::{presets, random_venue};
 use std::sync::Arc;
 
-/// Shared object-set size: every standard profile uses the same base
-/// objects so the per-index suite is built **once** and replayed under
-/// every profile.
-pub const OBJECTS_PER_VENUE: u32 = 96;
+/// Base objects per venue slot, shared by every standard profile.
+const OBJECTS_PER_VENUE: u32 = 96;
 
 /// One standard profile plus what the overload gates are expected to do
 /// under it — `scenario_bench` hard-asserts these, so a refactor that
@@ -99,10 +95,8 @@ pub fn standard_profiles() -> Vec<StandardProfile> {
     });
 
     // 3. Zipf-skewed keyword search: 60% keyword traffic over a
-    // 24-term vocabulary with s=2 skew. Bare indexes answer keyword
-    // queries empty, so their cells skip them and time the other 40% —
-    // the service row, with its keyword shard and cache, is the real
-    // keyword measurement.
+    // 24-term vocabulary with s=2 skew, served by the keyword shard and
+    // its cache.
     let mut zipf = base("zipf_keyword");
     zipf.keywords = Some(KeywordSkew {
         vocabulary: 24,
@@ -242,63 +236,28 @@ pub fn pinned_fingerprint(name: &str) -> u64 {
 /// the first run that engaged.
 const OVERLOAD_ATTEMPTS: usize = 32;
 
-/// Everything one matrix run produces.
-pub struct MatrixOutput {
-    pub digests: Vec<ProfileDigest>,
-    pub cells: Vec<CellMetrics>,
-    /// Size and build time of every bare index the cells replayed.
-    pub costs: Vec<IndexCost>,
-}
-
-/// Compile, validate and run every standard profile: one `SVC`
-/// end-to-end cell per profile, plus one query-replay cell per
-/// competitor (slot-0 stream, updates skipped — bare indexes are
-/// immutable snapshots). Panics if a generated stream fails validation
-/// or an overload expectation is not met in 32 runs —
-/// a broken generator must not produce a plausible-looking matrix.
-pub fn run_matrix(seed: u64, compile_threads: usize, opts: &RunOptions) -> MatrixOutput {
+/// Compile, validate and run every standard profile through the
+/// service: one cell per profile. Panics if a generated stream fails
+/// validation or an overload expectation is not met in 32 runs — a
+/// broken generator must not produce a plausible-looking matrix.
+pub fn run_matrix(seed: u64, compile_threads: usize) -> Vec<CellMetrics> {
     let world = standard_world();
-    let suite = build_suite(
-        world.venue(0),
-        &SuiteOptions {
-            with_distaw_plus: true,
-            objects: Some(world.base_objects(0, OBJECTS_PER_VENUE, seed)),
-            ..SuiteOptions::default()
-        },
-    );
-
-    let costs = suite
-        .iter()
-        .map(|(index, build, _)| IndexCost {
-            index: index.name().to_string(),
-            bytes: index.index_size_bytes(),
-            build: *build,
-        })
-        .collect();
-    let mut digests = Vec::new();
     let mut cells = Vec::new();
     for sp in standard_profiles() {
         let profile = &sp.profile;
         let stream = compile(profile, &world, seed, compile_threads);
         validate_stream(profile, &world, &stream)
             .unwrap_or_else(|e| panic!("profile {}: invalid stream: {e}", profile.name));
-        digests.push(ProfileDigest {
-            name: profile.name.clone(),
-            fingerprint: fingerprint_stream(&stream),
-            ticks: profile.ticks,
-            queries: stream.iter().map(TickEvents::queries).sum(),
-            deltas: stream.iter().map(TickEvents::deltas).sum(),
-        });
 
         let engaged = |c: &CellMetrics| {
             (!sp.expect_shed || c.shed > 0) && (!sp.expect_timeouts || c.timeouts > 0)
         };
-        let mut svc = run_service(profile, &world, &stream, seed, opts);
+        let mut svc = run_service(profile, &world, &stream, seed);
         for _ in 1..OVERLOAD_ATTEMPTS {
             if engaged(&svc) {
                 break;
             }
-            svc = run_service(profile, &world, &stream, seed, opts);
+            svc = run_service(profile, &world, &stream, seed);
         }
         assert!(
             !sp.expect_shed || svc.shed > 0,
@@ -311,20 +270,14 @@ pub fn run_matrix(seed: u64, compile_threads: usize, opts: &RunOptions) -> Matri
             profile.name
         );
         cells.push(svc);
-        for (index, ..) in &suite {
-            cells.push(run_index(profile, index, &stream));
-        }
     }
-    MatrixOutput {
-        digests,
-        cells,
-        costs,
-    }
+    cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use indoor_model::fingerprint_stream;
 
     #[test]
     fn standard_profiles_compile_validate_and_fingerprint_stably() {

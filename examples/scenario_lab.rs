@@ -1,7 +1,7 @@
 //! Scenario lab: compile a small flash-crowd workload, replay it through
-//! the full `IndoorService` stack and two bare indexes, and print a
-//! mini crossover matrix — the single-profile version of what
-//! `scenario_bench` does for the whole standard suite.
+//! the full `IndoorService` stack, and print its matrix row — the
+//! single-profile version of what `scenario_bench` does for the whole
+//! standard suite.
 //!
 //! The profile: two venues at steady load until an 8x spike piles onto
 //! venue 0 (the "victim") for six ticks while venue 1 (the "bystander")
@@ -13,14 +13,10 @@
 //! cargo run --release --example scenario_lab
 //! ```
 
-use indoor_bench::AnyIndex;
-use indoor_scenarios::{
-    compile, crossover_matrix, run_index, run_service, validate_stream, RunOptions, ScenarioWorld,
-};
+use indoor_scenarios::{compile, crossover_matrix, run_service, validate_stream, ScenarioWorld};
 use indoor_spatial::model::{AdmissionSpec, OverloadSpec};
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, random_venue};
-use indoor_spatial::vip::IpTree;
 use std::sync::Arc;
 
 fn main() {
@@ -57,25 +53,8 @@ fn main() {
         fingerprint_stream(&stream)
     );
 
-    // End-to-end service cell plus two bare-index comparison cells over
-    // the same slot-0 query stream.
-    let mut cells = vec![run_service(
-        &p,
-        &world,
-        &stream,
-        seed,
-        &RunOptions::default(),
-    )];
-    let objects = world.base_objects(0, p.objects_per_venue, seed);
-    let venue = world.venue(0).clone();
-    let vip = VipTree::build(venue.clone(), &VipTreeConfig::default()).expect("vip build");
-    vip.attach_objects(&objects);
-    cells.push(run_index(&p, &AnyIndex::Vip(vip), &stream));
-    let ip = IpTree::build(venue, &VipTreeConfig::default()).expect("ip build");
-    ip.attach_objects(&objects);
-    cells.push(run_index(&p, &AnyIndex::Ip(ip), &stream));
-
-    println!("{}", crossover_matrix(&cells, &[]));
+    let cell = run_service(&p, &world, &stream, seed);
+    println!("{}", crossover_matrix(&[cell]));
 
     // Per-venue attribution: rebuild the service state and show that the
     // spike's shedding landed on the victim shard only.

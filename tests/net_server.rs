@@ -266,108 +266,133 @@ fn blocking_calls_wait_through_the_client_read_timeout() {
     slow_server.join().unwrap();
 }
 
-/// Flood a capacity-2 shard from four pipelined connections: the gate
-/// must shed (typed `Overloaded` replies), every request must resolve,
-/// and each connection must stay open through the storm. Whether the
-/// gate actually trips is a thread-timing race, so the shed > 0 claim
-/// gets several independently seeded rounds — the accounting invariants
-/// must hold on all of them.
+/// Flood a capacity-1 shard from eight pipelined connections, once per
+/// overload policy: every request must resolve (an answer or the
+/// policy's typed error — `Overloaded` under `Shed`, `Timeout` under
+/// `Block`), and each connection must stay open through the storm. Under
+/// `Shed` the gate must also push back; whether it trips is a
+/// thread-timing race, so that claim gets several independently seeded
+/// rounds — the accounting invariants must hold on all of them. `Block`
+/// may absorb the whole flood inside its timeout, so one round proves its
+/// accounting.
 #[test]
 fn flood_past_capacity_sheds_typed_errors_without_losing_connections() {
-    let mut shed_seen = false;
-    for seed in 84..89 {
-        let (venue, mut config, _) = fixture(seed);
-        config.admission = AdmissionConfig {
-            max_in_flight: 1,
-            policy: OverloadPolicy::Shed,
-        };
-        let service = Arc::new(IndoorService::new());
-        let id = service.add_venue(venue.clone(), config).unwrap();
-        let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
+    use indoor_spatial::model::frames::WireError;
+    for policy in [
+        OverloadPolicy::Shed,
+        OverloadPolicy::Block {
+            timeout: Duration::from_millis(1),
+        },
+    ] {
+        let must_shed = policy == OverloadPolicy::Shed;
+        let mut pushed_back = false;
+        for seed in 84..89 {
+            let (venue, mut config, _) = fixture(seed);
+            config.admission = AdmissionConfig {
+                max_in_flight: 1,
+                policy,
+            };
+            let service = Arc::new(IndoorService::new());
+            let id = service.add_venue(venue.clone(), config).unwrap();
+            let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+            let addr = server.local_addr();
 
-        // The gate refuses a share only while another is inside it, and
-        // a share of cache hits is through in microseconds. So every
-        // connection floods its own slice of requests nobody repeats —
-        // all misses, however warm the cache — heavy enough that a
-        // coalesced batch outlives a scheduler quantum even on one
-        // release-mode core and handler threads overlap inside the
-        // admission window.
-        let per_conn = 1600usize;
-        let conns = 8u64;
-        let flood = workload::mixed_requests(
-            &venue,
-            (conns as usize * per_conn).div_ceil(5),
-            4,
-            60.0,
-            "atm",
-            seed ^ 0xF100D,
-        );
-        let distinct: std::collections::HashSet<&QueryRequest> = flood.iter().collect();
-        assert_eq!(
-            distinct.len(),
-            flood.len(),
-            "flood requests must not repeat"
-        );
-        let (answered, shed) = std::thread::scope(|scope| {
-            let handles: Vec<_> = flood
-                .chunks_exact(per_conn)
-                .take(conns as usize)
-                .map(|share| {
-                    scope.spawn(move || {
-                        let mut client = NetClient::connect(addr).unwrap();
-                        let (mut ok, mut bounced) = (0u64, 0u64);
-                        for req in share {
-                            client.send_query(id.index() as u32, req.clone()).unwrap();
-                        }
-                        for _ in 0..per_conn {
-                            match client.recv_answer().unwrap().1 {
-                                Ok(_) => ok += 1,
-                                Err(e) => {
-                                    assert!(e.is_retryable(), "only admission errors: {e:?}");
-                                    bounced += 1;
+            // The gate refuses a share only while another is inside it,
+            // and a share of cache hits is through in microseconds. So
+            // every connection floods its own slice of requests nobody
+            // repeats — all misses, however warm the cache — heavy enough
+            // that a coalesced batch outlives a scheduler quantum even on
+            // one release-mode core and handler threads overlap inside
+            // the admission window.
+            let per_conn = 1600usize;
+            let conns = 8u64;
+            let flood = workload::mixed_requests(
+                &venue,
+                (conns as usize * per_conn).div_ceil(5),
+                4,
+                60.0,
+                "atm",
+                seed ^ 0xF100D,
+            );
+            let distinct: std::collections::HashSet<&QueryRequest> = flood.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                flood.len(),
+                "flood requests must not repeat"
+            );
+            let (answered, bounced) = std::thread::scope(|scope| {
+                let handles: Vec<_> = flood
+                    .chunks_exact(per_conn)
+                    .take(conns as usize)
+                    .map(|share| {
+                        scope.spawn(move || {
+                            let mut client = NetClient::connect(addr).unwrap();
+                            let (mut ok, mut bounced) = (0u64, 0u64);
+                            for req in share {
+                                client.send_query(id.index() as u32, req.clone()).unwrap();
+                            }
+                            for _ in 0..per_conn {
+                                match client.recv_answer().unwrap().1 {
+                                    Ok(_) => ok += 1,
+                                    Err(e) => {
+                                        let typed = match policy {
+                                            OverloadPolicy::Shed => {
+                                                matches!(e, WireError::Overloaded { .. })
+                                            }
+                                            OverloadPolicy::Block { .. } => {
+                                                matches!(e, WireError::Timeout { .. })
+                                            }
+                                        };
+                                        assert!(typed, "{policy:?} bounced with {e:?}");
+                                        bounced += 1;
+                                    }
                                 }
                             }
-                        }
-                        // The connection survived the flood.
-                        client.ping().unwrap();
-                        (ok, bounced)
+                            // The connection survived the flood.
+                            client.ping().unwrap();
+                            (ok, bounced)
+                        })
                     })
+                    .collect();
+                handles.into_iter().fold((0, 0), |acc, h| {
+                    let (ok, bounced) = h.join().unwrap();
+                    (acc.0 + ok, acc.1 + bounced)
                 })
-                .collect();
-            handles.into_iter().fold((0, 0), |acc, h| {
-                let (ok, bounced) = h.join().unwrap();
-                (acc.0 + ok, acc.1 + bounced)
-            })
-        });
+            });
 
-        assert_eq!(
-            answered + shed,
-            conns * per_conn as u64,
-            "every flooded request must resolve (answer or typed shed)"
-        );
-        // The gate counts one *event* per rejected batch share; the
-        // client sees one typed reply per slot in that share.
-        let gate_events = service.stats().shed;
-        assert!(
-            gate_events <= shed,
-            "gate events ({gate_events}) cannot exceed bounced requests ({shed})"
-        );
-        assert_eq!(
-            gate_events > 0,
-            shed > 0,
-            "server and client must agree on whether pushback happened"
-        );
-        println!("flood round, seed {seed}: answered {answered}, shed {shed}");
-        if shed > 0 {
-            shed_seen = true;
-            break;
+            assert_eq!(
+                answered + bounced,
+                conns * per_conn as u64,
+                "{policy:?}: every flooded request must resolve (answer or typed error)"
+            );
+            // The gate counts one *event* per rejected batch share; the
+            // client sees one typed reply per slot in that share.
+            let stats = service.stats();
+            let gate_events = if must_shed {
+                stats.shed
+            } else {
+                stats.admission_timeouts
+            };
+            assert!(
+                gate_events <= bounced,
+                "{policy:?}: gate events ({gate_events}) cannot exceed bounced requests ({bounced})"
+            );
+            assert_eq!(
+                gate_events > 0,
+                bounced > 0,
+                "{policy:?}: server and client must agree on whether pushback happened"
+            );
+            println!("{policy:?} flood round, seed {seed}: answered {answered}, bounced {bounced}");
+            pushed_back = bounced > 0;
+            if pushed_back || !must_shed {
+                break;
+            }
         }
+        assert!(
+            pushed_back || !must_shed,
+            "gate never pushed back across five seeded flood rounds"
+        );
     }
-    assert!(
-        shed_seen,
-        "gate never pushed back across five seeded flood rounds"
-    );
 }
 
 /// An acknowledgement carries the LSN of the mutation it acknowledges,
@@ -647,6 +672,15 @@ fn metrics_page_fetches_over_the_wire_and_lints_clean() {
     let page = client.metrics().unwrap();
     let errors = indoor_spatial::model::metrics::lint_text(&page);
     assert!(errors.is_empty(), "{errors:?}\n{page}");
+    let typed: Vec<(&str, &str)> = page
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    assert_eq!(
+        typed,
+        indoor_spatial::vip::METRIC_FAMILIES,
+        "page families differ from METRIC_FAMILIES:\n{page}"
+    );
     for needle in [
         "# TYPE indoor_query_latency_us histogram",
         "indoor_query_latency_us_count{kind=\"knn\",venue=\"0\"}",

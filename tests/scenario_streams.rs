@@ -8,7 +8,10 @@
 //! These are the properties the pinned fingerprints rely on
 //! (`indoor_scenarios::PINNED_FINGERPRINTS`, asserted by `scenario_bench`
 //! and a unit test at seed 42): a pin is only meaningful if identical
-//! seeds really do reproduce identical streams on any runner.
+//! seeds really do reproduce identical streams on any runner. The lab's
+//! other checks — must-shed and must-timeout — need a service to replay
+//! through, so they live beside `run_service` in `crates/scenarios`;
+//! these tests need only the compiler and the validator.
 
 use indoor_scenarios::{compile, validate_stream, ScenarioWorld};
 use indoor_spatial::model::{AdmissionSpec, OverloadSpec, VenueAction, VenueEvent};
