@@ -257,10 +257,11 @@ impl TreeHandle {
 /// *heterogeneous* request slice over `threads` workers (0 = all cores),
 /// each holding one scratch for the whole batch, returning responses in
 /// input order — slot `i` is exactly what the corresponding single-query
-/// call returns, bit for bit. The per-kind `batch_*` methods are thin
-/// wrappers that build the requests and unwrap the matching responses.
+/// call returns, bit for bit. Requests are the only way in; the per-kind
+/// calls live on the trees themselves.
 ///
 /// ```
+/// use indoor_model::QueryRequest;
 /// use indoor_synth::{random_venue, workload};
 /// use std::sync::Arc;
 /// use vip_tree::{QueryEngine, VipTree, VipTreeConfig};
@@ -269,9 +270,13 @@ impl TreeHandle {
 /// let mut tree = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
 /// tree.attach_objects(&workload::place_objects(&venue, 12, 1));
 /// let engine = QueryEngine::for_vip(Arc::new(tree)).with_threads(2);
-/// let queries = workload::query_points(&venue, 8, 3);
-/// let answers = engine.batch_knn(&queries, 3);
-/// assert_eq!(answers.len(), queries.len());
+/// let reqs: Vec<QueryRequest> = workload::query_points(&venue, 8, 3)
+///     .into_iter()
+///     .map(|q| QueryRequest::Knn { q, k: 3 })
+///     .collect();
+/// let answers = engine.execute_batch(&reqs);
+/// assert_eq!(answers.len(), reqs.len());
+/// assert_eq!(answers[0], engine.execute(&reqs[0]));
 /// ```
 #[derive(Debug)]
 pub struct QueryEngine {
@@ -325,7 +330,8 @@ impl QueryEngine {
         let _ = self.tel.set(tel);
     }
 
-    /// Worker threads for `batch_*` calls (0 = all available cores).
+    /// Worker threads for [`QueryEngine::execute_batch`] (0 = all
+    /// available cores).
     ///
     /// Also pre-warms the tree's Dijkstra engine pool to that
     /// concurrency, so the first batch's same-leaf queries find engines
@@ -338,8 +344,7 @@ impl QueryEngine {
         self
     }
 
-    /// Attach a keyword index for keyword-kNN requests
-    /// ([`QueryEngine::batch_knn_keyword`], `KnnKeyword` requests).
+    /// Attach a keyword index for `KnnKeyword` requests.
     pub fn with_keywords(self, keywords: Arc<KeywordObjects>) -> Self {
         self.set_keywords(Some(keywords));
         self
@@ -440,7 +445,8 @@ impl QueryEngine {
     }
 
     /// Answer one typed request on caller-owned scratch — the single
-    /// dispatch point every batch and per-kind call funnels through.
+    /// dispatch point [`QueryEngine::execute`] and every batch slot
+    /// funnel through.
     /// `keywords` is the caller's per-call snapshot (captured once, even
     /// for a whole batch).
     fn execute_in(
@@ -482,13 +488,13 @@ impl QueryEngine {
     }
 
     /// Answer a heterogeneous batch of typed requests; slot `i` answers
-    /// `reqs[i]`, bit-identical to the corresponding per-kind call (and to
-    /// a serial loop of [`QueryEngine::execute`]), for any thread count.
+    /// `reqs[i]`, bit-identical to a serial loop of
+    /// [`QueryEngine::execute`] (and to the tree's own per-kind call), for
+    /// any thread count.
     ///
-    /// This is the primitive the per-kind `batch_*` methods wrap: a mixed
-    /// workload — kNN directory lookups interleaved with evacuation-route
-    /// path queries — is one batch, fanned over `threads` workers with one
-    /// pooled scratch per worker.
+    /// A mixed workload — kNN directory lookups interleaved with
+    /// evacuation-route path queries — is one batch, fanned over
+    /// `threads` workers with one pooled scratch per worker.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         // One keyword snapshot for the whole batch: every slot answers
         // from the same index even if `set_keywords` swaps mid-batch.
@@ -499,113 +505,6 @@ impl QueryEngine {
             || self.pool.checkout(),
             |scratch, _, req| self.execute_in(scratch, keywords.as_ref(), req),
         )
-    }
-
-    /// Single kNN through the pool.
-    pub fn knn(&self, q: &IndoorPoint, k: usize) -> Vec<(ObjectId, f64)> {
-        self.knn_one(&mut self.pool.checkout(), q, k)
-    }
-
-    /// Single range query through the pool.
-    pub fn range(&self, q: &IndoorPoint, radius: f64) -> Vec<(ObjectId, f64)> {
-        self.range_one(&mut self.pool.checkout(), q, radius)
-    }
-
-    /// Single shortest distance through the pool.
-    pub fn shortest_distance(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<f64> {
-        self.distance_one(&mut self.pool.checkout(), s, t)
-    }
-
-    /// Single shortest path through the pool.
-    pub fn shortest_path(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<IndoorPath> {
-        self.path_one(&mut self.pool.checkout(), s, t)
-    }
-
-    /// k nearest neighbours of every query point; slot `i` answers
-    /// `queries[i]`, identical to the serial loop. Thin wrapper over
-    /// [`QueryEngine::execute_batch`], as are all `batch_*` methods.
-    pub fn batch_knn(&self, queries: &[IndoorPoint], k: usize) -> Vec<Vec<(ObjectId, f64)>> {
-        let reqs: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&q| QueryRequest::Knn { q, k })
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| r.into_objects().expect("kNN request yields objects"))
-            .collect()
-    }
-
-    /// Range query for every query point, in input order.
-    pub fn batch_range(&self, queries: &[IndoorPoint], radius: f64) -> Vec<Vec<(ObjectId, f64)>> {
-        let reqs: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&q| QueryRequest::Range { q, radius })
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| r.into_objects().expect("range request yields objects"))
-            .collect()
-    }
-
-    /// Keyword-constrained kNN for every query point, in input order.
-    /// Every slot is empty when no keyword index is attached (mirroring
-    /// the unknown-term behaviour of `KeywordObjects::knn_keyword`).
-    pub fn batch_knn_keyword(
-        &self,
-        queries: &[IndoorPoint],
-        k: usize,
-        label: &str,
-    ) -> Vec<Vec<(ObjectId, f64)>> {
-        if self.keywords().is_none() {
-            return vec![Vec::new(); queries.len()];
-        }
-        // One shared allocation for the label; request clones are free.
-        let keyword: Arc<str> = Arc::from(label);
-        let reqs: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&q| QueryRequest::KnnKeyword {
-                q,
-                k,
-                keyword: keyword.clone(),
-            })
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| r.into_objects().expect("keyword request yields objects"))
-            .collect()
-    }
-
-    /// Shortest distance for every pair, in input order.
-    pub fn batch_shortest_distance(
-        &self,
-        pairs: &[(IndoorPoint, IndoorPoint)],
-    ) -> Vec<Option<f64>> {
-        let reqs: Vec<QueryRequest> = pairs
-            .iter()
-            .map(|&(s, t)| QueryRequest::ShortestDistance { s, t })
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| {
-                r.distance()
-                    .expect("shortest-distance request yields a distance")
-            })
-            .collect()
-    }
-
-    /// Shortest path for every pair, in input order.
-    pub fn batch_shortest_path(
-        &self,
-        pairs: &[(IndoorPoint, IndoorPoint)],
-    ) -> Vec<Option<IndoorPath>> {
-        let reqs: Vec<QueryRequest> = pairs
-            .iter()
-            .map(|&(s, t)| QueryRequest::ShortestPath { s, t })
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| r.into_path().expect("shortest-path request yields a path"))
-            .collect()
     }
 }
 
@@ -777,13 +676,19 @@ mod tests {
         let tree = Arc::new(tree);
         let engine = QueryEngine::for_vip(tree.clone()).with_threads(1);
         for q in workload::query_points(&venue, 5, 11) {
-            assert_eq!(engine.knn(&q, 4), tree.knn(&q, 4));
-            assert_eq!(engine.range(&q, 80.0), tree.range(&q, 80.0));
+            assert_eq!(
+                engine.execute(&QueryRequest::Knn { q, k: 4 }),
+                QueryResponse::Knn(tree.knn(&q, 4))
+            );
+            assert_eq!(
+                engine.execute(&QueryRequest::Range { q, radius: 80.0 }),
+                QueryResponse::Range(tree.range(&q, 80.0))
+            );
         }
         for (s, t) in workload::query_pairs(&venue, 5, 12) {
             assert_eq!(
-                engine.shortest_distance(&s, &t),
-                tree.shortest_distance_points(&s, &t)
+                engine.execute(&QueryRequest::ShortestDistance { s, t }),
+                QueryResponse::ShortestDistance(tree.shortest_distance_points(&s, &t))
             );
         }
     }

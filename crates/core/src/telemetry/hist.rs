@@ -100,12 +100,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a [`std::time::Duration`] in microseconds.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_micros() as u64);
-    }
-
     /// Copy the current counts out. Concurrent recorders may land between
     /// bucket reads — each bucket is individually exact and monotone, so a
     /// snapshot race can only *miss* in-flight records, never corrupt.

@@ -254,22 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn ab_graph_matches_interior_doors() {
-        let mut b = VenueBuilder::new();
-        let a = b.add_partition(PartitionKind::Room, room(0, 0));
-        let c = b.add_partition(PartitionKind::Room, room(0, 1));
-        b.add_door(Point::new(5.5, 2.5, 0), a, Some(c));
-        b.add_door(Point::new(5.5, 4.0, 0), a, Some(c));
-        b.add_exterior_door(Point::new(0.0, 2.5, 0), a);
-        let v = b.build().unwrap();
-        let ab = v.ab_edges();
-        assert_eq!(ab.len(), 2); // one AB edge per interior door (Fig 2b)
-        assert!(ab.iter().all(|e| e.from == a && e.to == c));
-        let adj = v.adjacent_partitions(a);
-        assert_eq!(adj, vec![(c, 2)]);
-    }
-
-    #[test]
     fn errors_detected() {
         assert_eq!(VenueBuilder::new().build().unwrap_err(), ModelError::Empty);
 
@@ -287,24 +271,5 @@ mod tests {
             b.build().unwrap_err(),
             ModelError::PartitionWithoutDoors { .. }
         ));
-    }
-
-    #[test]
-    fn no_through_door_detection() {
-        let mut b = VenueBuilder::new();
-        let hall = b.add_partition(PartitionKind::Hallway, Rect::new(0.0, 5.0, 30.0, 8.0, 0));
-        let dead = b.add_partition(PartitionKind::Room, room(0, 0));
-        let thru = b.add_partition(PartitionKind::Room, room(0, 1));
-        let hall2 = b.add_partition(PartitionKind::Hallway, Rect::new(0.0, 8.0, 30.0, 11.0, 0));
-        let d_dead = b.add_door(Point::new(2.5, 5.0, 0), dead, Some(hall));
-        let _d_thru1 = b.add_door(Point::new(8.5, 5.0, 0), thru, Some(hall));
-        b.add_door(Point::new(8.5, 8.0, 0), thru, Some(hall2));
-        b.add_exterior_door(Point::new(0.0, 9.0, 0), hall2);
-        let v = b.build().unwrap();
-
-        assert!(v.leads_to_no_through(d_dead, hall));
-        let through: Vec<_> = v.through_doors(hall).collect();
-        assert!(!through.contains(&d_dead));
-        assert_eq!(through.len(), 1);
     }
 }

@@ -55,7 +55,7 @@ pub use scenario::{
     VenueEvent, WorkloadProfile,
 };
 pub use serialize::LoadError;
-pub use venue::{AbEdge, Door, Partition, PartitionClass, PartitionKind, Venue, VenueStats};
+pub use venue::{Door, Partition, PartitionClass, PartitionKind, Venue, VenueStats};
 
 /// Default hallway-classification threshold: a partition with more than
 /// `BETA` doors is a hallway (the paper uses β = 4).

@@ -271,13 +271,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// Whether the compiled stream contains no object updates and no
-    /// venue lifecycle events — replayable against a bare (immutable)
-    /// index, not just a service.
-    pub fn is_read_only(&self) -> bool {
-        self.churn.is_none() && self.venue_events.is_empty()
-    }
-
     /// The highest venue slot the profile can reference (initial slots
     /// plus every slot named by a venue event).
     pub fn max_slot(&self) -> u32 {
@@ -643,15 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_base_is_read_only_and_slots_extend() {
+    fn profile_slots_extend_with_venue_events() {
         let mut p = WorkloadProfile::base("x");
-        assert!(p.is_read_only());
         assert_eq!(p.max_slot(), 0);
         p.venue_events.push(VenueEvent {
             tick: 3,
             action: VenueAction::Add { slot: 2 },
         });
-        assert!(!p.is_read_only());
         assert_eq!(p.max_slot(), 2);
     }
 }

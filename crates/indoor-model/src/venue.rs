@@ -104,15 +104,6 @@ impl Partition {
     }
 }
 
-/// An edge of the accessibility-base graph: two partitions joined by a
-/// door. Exterior doors do not produce AB edges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AbEdge {
-    pub from: PartitionId,
-    pub to: PartitionId,
-    pub door: DoorId,
-}
-
 /// Summary statistics in the shape of the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VenueStats {
@@ -185,57 +176,6 @@ impl Venue {
     #[inline]
     pub fn class(&self, id: PartitionId) -> PartitionClass {
         self.classes[id.index()]
-    }
-
-    /// Whether a door leads (only) to a no-through partition on its far
-    /// side when leaving `from`. Used by the DistMx query optimisation of
-    /// §4.3.1: such doors can never be on a shortest path leaving `from`.
-    pub fn leads_to_no_through(&self, door: DoorId, from: PartitionId) -> bool {
-        match self.door(door).other_side(from) {
-            Some(other) => self.class(other) == PartitionClass::NoThrough,
-            None => true, // exterior: nothing beyond, cannot pass through
-        }
-    }
-
-    /// Doors of `p` that can appear on a shortest path leaving `p` towards
-    /// a destination outside `p` (excludes doors into no-through
-    /// partitions and exterior dead-end doors).
-    pub fn through_doors(&self, p: PartitionId) -> impl Iterator<Item = DoorId> + '_ {
-        self.partition(p)
-            .doors
-            .iter()
-            .copied()
-            .filter(move |&d| !self.leads_to_no_through(d, p))
-    }
-
-    /// Build the accessibility-base graph edge list (§2, Fig. 2(b)).
-    pub fn ab_edges(&self) -> Vec<AbEdge> {
-        let mut edges = Vec::new();
-        for door in &self.doors {
-            if let [Some(a), Some(b)] = door.partitions {
-                edges.push(AbEdge {
-                    from: a,
-                    to: b,
-                    door: door.id,
-                });
-            }
-        }
-        edges
-    }
-
-    /// Adjacent partitions of `p` along with the number of shared doors,
-    /// used by IP-tree leaf construction (rule i of §2.1.2).
-    pub fn adjacent_partitions(&self, p: PartitionId) -> Vec<(PartitionId, usize)> {
-        let mut counts: Vec<(PartitionId, usize)> = Vec::new();
-        for &d in &self.partition(p).doors {
-            if let Some(other) = self.door(d).other_side(p) {
-                match counts.iter_mut().find(|(q, _)| *q == other) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((other, 1)),
-                }
-            }
-        }
-        counts
     }
 
     /// Table 2 style statistics.

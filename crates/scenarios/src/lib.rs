@@ -17,28 +17,23 @@
 //!    streams at any thread count, checkable by one fingerprint.
 //! 2. [`run_service`] replays a stream end-to-end through
 //!    `IndoorService` (admission gates, result cache, churn absorption,
-//!    [`WORKERS`] concurrent closed-loop clients), collecting per-cell
-//!    metrics: p50/p99 latency, throughput, shed/timeout counts, cache
-//!    hit rate, deltas/s absorbed, phase attribution.
-//! 3. [`matrix`] + [`report`] run the standard profile set and render the
-//!    matrix text. The matrix's checks live in source and run inside
-//!    `scenario_bench`: each profile's fingerprint at seed 42
-//!    ([`PINNED_FINGERPRINTS`]) and its overload expectations (must
-//!    shed, must time out). Timings are printed, not gated; `benchmark/`
-//!    is the record for speed, and the cross-index comparison of size,
-//!    build time and per-kind cost is `experiments`'.
+//!    [`WORKERS`] concurrent closed-loop clients) and returns the run's
+//!    [`CellMetrics`]: requests, answered, dropped, shed and timeouts.
+//! 3. The standard matrix — six profiles, with each one's fingerprint
+//!    pinned at seed 42 and its overload expectations (must shed, must
+//!    time out) — is test code (`matrix.rs`). Its one home for the
+//!    overload check is the tier-1 test
+//!    `matrix::tests::standard_matrix_accounts_every_request_and_engages_its_gates`,
+//!    run by `cargo test`. Nothing here is timed: `benchmark/` is the
+//!    record for speed, and the cross-index comparison of size, build
+//!    time and per-kind cost is `experiments`'.
 
 pub mod compile;
-pub mod matrix;
-pub mod report;
+#[cfg(test)]
+mod matrix;
 pub mod run;
 pub mod zipf;
 
 pub use compile::{compile, validate_stream, ScenarioWorld};
-pub use matrix::{
-    pinned_fingerprint, run_matrix, standard_profiles, standard_world, StandardProfile,
-    PINNED_FINGERPRINTS, PINNED_SEED,
-};
-pub use report::crossover_matrix;
 pub use run::{run_service, CellMetrics, WORKERS};
 pub use zipf::Zipf;

@@ -1,14 +1,13 @@
 //! The standing scenario matrix: six adversarial profiles replayed
-//! through the full service stack.
+//! through the full service stack, as tier-1 tests.
 //!
-//! `scenario_bench` runs exactly this matrix. Its checks are behavioural
-//! and live in source: each profile's stream fingerprint at seed
-//! [`PINNED_SEED`] ([`PINNED_FINGERPRINTS`]), and each profile's overload
-//! expectations ([`StandardProfile`]). Timings are printed, not compared
-//! across runs; `benchmark/` is the record for speed (see DESIGN.md §12).
+//! Its checks are behavioural and live in source: each profile's stream
+//! fingerprint at seed [`PINNED_SEED`] ([`PINNED_FINGERPRINTS`]), each
+//! profile's overload expectations ([`StandardProfile`]), and the request
+//! accounting of every service run. Nothing is timed; `benchmark/` is the
+//! record for speed (see DESIGN.md §12).
 
-use crate::compile::{compile, validate_stream, ScenarioWorld};
-use crate::run::{run_service, CellMetrics};
+use crate::compile::ScenarioWorld;
 use indoor_model::{
     AdmissionSpec, ArrivalCurve, ChurnSpec, KeywordSkew, OverloadSpec, QueryKind, QueryMix,
     VenueAction, VenueEvent, WorkloadProfile,
@@ -20,8 +19,8 @@ use std::sync::Arc;
 const OBJECTS_PER_VENUE: u32 = 96;
 
 /// One standard profile plus what the overload gates are expected to do
-/// under it — `scenario_bench` hard-asserts these, so a refactor that
-/// silently stops exercising admission control fails the bench, not
+/// under it — the matrix test hard-asserts these, so a refactor that
+/// silently stops exercising admission control fails `cargo test`, not
 /// just a statistic.
 pub struct StandardProfile {
     pub profile: WorkloadProfile,
@@ -70,11 +69,10 @@ pub fn standard_profiles() -> Vec<StandardProfile> {
 
     // 2. Flash crowd: an 8x spike piles onto venue 0 mid-run while its
     // neighbour holds base load; venue 0's kiosk-grade gate admits one
-    // request at a time and sheds the rest. The comparative question:
-    // what do p99 and shed counts look like at the victim vs. the
-    // bystander? (Depth 1 because release-mode queries answer in ~5us —
-    // a deeper gate never fills and the profile would stop exercising
-    // shedding at all.)
+    // request at a time and sheds the rest, which the clients retry.
+    // (Depth 1 because release-mode queries answer in ~5us — a deeper
+    // gate never fills and the profile would stop exercising shedding
+    // at all.)
     let mut flash = base("flash_crowd");
     flash.initial_slots = 2;
     flash.arrival = ArrivalCurve::Spike {
@@ -203,7 +201,7 @@ pub fn standard_profiles() -> Vec<StandardProfile> {
     out
 }
 
-/// The seed [`PINNED_FINGERPRINTS`] hold at (`scenario_bench`'s default).
+/// The seed [`PINNED_FINGERPRINTS`] hold at, and the matrix test runs at.
 pub const PINNED_SEED: u64 = 42;
 
 /// Stream fingerprint of every standard profile at [`PINNED_SEED`]. A
@@ -232,51 +230,14 @@ pub fn pinned_fingerprint(name: &str) -> u64 {
 /// whose vCPUs are not running at the same moment a whole run can pass
 /// without two queries overlapping. Pinned to one CPU, `churn_storm`
 /// timed out in about one run in eight; on two free CPUs, in every run.
-/// A gate that never pushes back fails every attempt; the matrix reports
-/// the first run that engaged.
+/// A gate that never pushes back fails every attempt; the matrix test
+/// checks the first run that engaged.
 const OVERLOAD_ATTEMPTS: usize = 32;
 
-/// Compile, validate and run every standard profile through the
-/// service: one cell per profile. Panics if a generated stream fails
-/// validation or an overload expectation is not met in 32 runs — a
-/// broken generator must not produce a plausible-looking matrix.
-pub fn run_matrix(seed: u64, compile_threads: usize) -> Vec<CellMetrics> {
-    let world = standard_world();
-    let mut cells = Vec::new();
-    for sp in standard_profiles() {
-        let profile = &sp.profile;
-        let stream = compile(profile, &world, seed, compile_threads);
-        validate_stream(profile, &world, &stream)
-            .unwrap_or_else(|e| panic!("profile {}: invalid stream: {e}", profile.name));
-
-        let engaged = |c: &CellMetrics| {
-            (!sp.expect_shed || c.shed > 0) && (!sp.expect_timeouts || c.timeouts > 0)
-        };
-        let mut svc = run_service(profile, &world, &stream, seed);
-        for _ in 1..OVERLOAD_ATTEMPTS {
-            if engaged(&svc) {
-                break;
-            }
-            svc = run_service(profile, &world, &stream, seed);
-        }
-        assert!(
-            !sp.expect_shed || svc.shed > 0,
-            "profile {} was expected to exercise shedding: {svc:?}",
-            profile.name
-        );
-        assert!(
-            !sp.expect_timeouts || svc.timeouts > 0,
-            "profile {} was expected to exercise admission timeouts: {svc:?}",
-            profile.name
-        );
-        cells.push(svc);
-    }
-    cells
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, validate_stream};
+    use crate::run::{run_service, CellMetrics};
     use indoor_model::fingerprint_stream;
 
     #[test]
@@ -306,5 +267,53 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), profiles.len());
+    }
+
+    /// The overload check's one home. Every standard profile is compiled,
+    /// validated and replayed through the service at [`PINNED_SEED`];
+    /// every run must account for each request of its stream (answered or
+    /// dropped), and an overload profile must move its shed / timeout
+    /// counter within [`OVERLOAD_ATTEMPTS`] runs — a broken generator or an
+    /// idle gate must not pass.
+    #[test]
+    fn standard_matrix_accounts_every_request_and_engages_its_gates() {
+        let world = standard_world();
+        for sp in standard_profiles() {
+            let profile = &sp.profile;
+            let stream = compile(profile, &world, PINNED_SEED, 2);
+            validate_stream(profile, &world, &stream)
+                .unwrap_or_else(|e| panic!("profile {}: invalid stream: {e}", profile.name));
+
+            let run = || {
+                let c = run_service(profile, &world, &stream, PINNED_SEED);
+                assert_eq!(
+                    c.answered + c.dropped,
+                    c.requests,
+                    "profile {}: request accounting: {c:?}",
+                    profile.name
+                );
+                c
+            };
+            let engaged = |c: &CellMetrics| {
+                (!sp.expect_shed || c.shed > 0) && (!sp.expect_timeouts || c.timeouts > 0)
+            };
+            let mut svc = run();
+            for _ in 1..OVERLOAD_ATTEMPTS {
+                if engaged(&svc) {
+                    break;
+                }
+                svc = run();
+            }
+            assert!(
+                !sp.expect_shed || svc.shed > 0,
+                "profile {} was expected to exercise shedding: {svc:?}",
+                profile.name
+            );
+            assert!(
+                !sp.expect_timeouts || svc.timeouts > 0,
+                "profile {} was expected to exercise admission timeouts: {svc:?}",
+                profile.name
+            );
+        }
     }
 }

@@ -9,14 +9,12 @@
 //! queries (that overlap is the point of the churn profiles).
 
 use crate::compile::ScenarioWorld;
-use indoor_model::metrics::{MetricValue, MetricsSnapshot};
 use indoor_model::OverloadSpec;
 use indoor_model::{
     KeywordSkew, ObjectDelta, QueryRequest, ScenarioEvent, TickEvents, VenueId, WorkloadProfile,
 };
 use std::sync::{Barrier, Mutex};
-use std::time::{Duration, Instant};
-use vip_tree::telemetry::Histogram;
+use std::time::Duration;
 use vip_tree::{
     AdmissionConfig, IndoorService, OverloadPolicy, RetryPolicy, ServiceError, ShardConfig,
 };
@@ -24,11 +22,12 @@ use vip_tree::{
 /// Concurrent query workers per tick.
 pub const WORKERS: usize = 4;
 
-/// One profile's service cell of the matrix.
+/// One profile's service run: the stream's requests, what became of
+/// them, and how hard the admission gates pushed back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
     pub profile: String,
-    /// Query events replayed.
+    /// Query events in the stream.
     pub requests: u64,
     /// Requests that got an answer (possibly after retries).
     pub answered: u64,
@@ -39,53 +38,6 @@ pub struct CellMetrics {
     pub shed: u64,
     /// Admission timeouts observed (Block policy).
     pub timeouts: u64,
-    pub p50_us: f64,
-    pub p99_us: f64,
-    /// True tail quantile from the latency histogram — every answered
-    /// request is a sample, not a sorted sub-sample.
-    pub p999_us: f64,
-    /// Exact worst answered latency of the run (µs).
-    pub max_us: f64,
-    /// Answered queries per wall-clock second.
-    pub qps: f64,
-    /// Result-cache hit rate over the run.
-    pub cache_hit_rate: f64,
-    /// Object deltas absorbed per wall-clock second.
-    pub deltas_per_sec: f64,
-    /// Mean sampled engine-phase times (µs) attributed by the service's
-    /// query traces: tree descent, own-leaf grid fold, heap drain.
-    pub phase_descent_us: f64,
-    pub phase_leaf_fold_us: f64,
-    pub phase_heap_us: f64,
-}
-
-/// Mean of every `Histogram` series named `name` in the snapshot (µs),
-/// folded across venues. Zero when nothing was recorded.
-fn phase_mean_us(snap: &MetricsSnapshot, name: &str) -> f64 {
-    let (mut sum, mut count) = (0u64, 0u64);
-    for s in snap.series.iter().filter(|s| s.name == name) {
-        if let MetricValue::Histogram {
-            sum: s, count: c, ..
-        } = s.value
-        {
-            sum += s;
-            count += c;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum as f64 / count as f64
-    }
-}
-
-/// The three engine-phase attribution means of a service run.
-fn phase_attribution(snap: &MetricsSnapshot) -> [f64; 3] {
-    [
-        phase_mean_us(snap, "indoor_phase_descent_us"),
-        phase_mean_us(snap, "indoor_phase_leaf_fold_us"),
-        phase_mean_us(snap, "indoor_phase_heap_us"),
-    ]
 }
 
 /// Base keyword labels: object `i` carries `kw{i % vocabulary}` — every
@@ -160,12 +112,7 @@ pub fn run_service(
         slot_ids[slot as usize] = Some(register_slot(&service, world, profile, slot, seed));
     }
 
-    // Latencies land in a lock-free histogram (nanosecond resolution —
-    // bare quantities, scaled to µs at reporting): workers record
-    // concurrently with no mutex and no per-run sample vector.
-    let lat = Histogram::new();
     let answered_dropped = Mutex::new((0u64, 0u64));
-    let t0 = Instant::now();
     for te in stream {
         // Lifecycle first, serially: the compiler ordered each tick as
         // adds/removes, then queries, then updates.
@@ -196,7 +143,7 @@ pub fn run_service(
         // apply concurrently on this thread — churn vs. serving overlap
         // is what the storm profiles measure.
         let chunk = queries.len().div_ceil(WORKERS).max(1);
-        let (service_ref, lat_ref, ad_ref) = (&service, &lat, &answered_dropped);
+        let (service_ref, ad_ref) = (&service, &answered_dropped);
         // A start line: no worker queries until every worker of the tick
         // is running. Without it a worker's whole share (~100 queries of
         // a few µs) can finish before the next thread is even woken, so
@@ -210,7 +157,6 @@ pub fn run_service(
                     start_line.wait();
                     let (mut ok, mut gone) = (0u64, 0u64);
                     for &(venue, req) in part {
-                        let sent = Instant::now();
                         let outcome = RetryPolicy::default().run(
                             |e| {
                                 matches!(
@@ -221,10 +167,7 @@ pub fn run_service(
                             || service_ref.execute(venue, req),
                         );
                         match outcome {
-                            Ok(_) => {
-                                lat_ref.record(sent.elapsed().as_nanos() as u64);
-                                ok += 1;
-                            }
+                            Ok(_) => ok += 1,
                             Err(_) => gone += 1,
                         }
                     }
@@ -250,30 +193,15 @@ pub fn run_service(
             }
         });
     }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-
     let stats = service.stats();
-    let [phase_descent_us, phase_leaf_fold_us, phase_heap_us] =
-        phase_attribution(&service.metrics_snapshot());
     let (answered, dropped) = *answered_dropped.lock().unwrap();
-    let lat = lat.snapshot();
     CellMetrics {
         profile: profile.name.clone(),
-        requests: answered + dropped,
+        requests: stream.iter().map(|te| te.queries() as u64).sum(),
         answered,
         dropped,
         shed: stats.shed,
         timeouts: stats.admission_timeouts,
-        p50_us: lat.p50() as f64 / 1e3,
-        p99_us: lat.p99() as f64 / 1e3,
-        p999_us: lat.p999() as f64 / 1e3,
-        max_us: lat.max() as f64 / 1e3,
-        qps: answered as f64 / secs,
-        cache_hit_rate: stats.hit_rate(),
-        deltas_per_sec: stats.deltas_absorbed as f64 / secs,
-        phase_descent_us,
-        phase_leaf_fold_us,
-        phase_heap_us,
     }
 }
 
@@ -281,7 +209,6 @@ pub fn run_service(
 mod tests {
     use super::*;
     use crate::compile::{compile, validate_stream};
-    use indoor_model::{AdmissionSpec, ArrivalCurve};
     use indoor_synth::random_venue;
     use std::sync::Arc;
 
@@ -297,48 +224,5 @@ mod tests {
         assert_eq!(m.requests, 32);
         assert_eq!(m.answered, 32);
         assert_eq!((m.dropped, m.shed, m.timeouts), (0, 0, 0));
-        assert!(m.p50_us > 0.0 && m.p99_us >= m.p50_us);
-        assert!(m.qps > 0.0);
-    }
-
-    #[test]
-    fn overloaded_spike_sheds_but_retries_answer() {
-        let world = ScenarioWorld::new(vec![Arc::new(random_venue(71))]);
-        let mut p = WorkloadProfile::base("spiky");
-        p.ticks = 6;
-        p.queries_per_tick = 40;
-        p.arrival = ArrivalCurve::Spike {
-            start: 2,
-            len: 2,
-            magnify: 6,
-        };
-        p.hot_slot = Some(0);
-        p.admission = vec![AdmissionSpec {
-            slot: 0,
-            max_in_flight: 1,
-            policy: OverloadSpec::Shed,
-        }];
-        // Whether the gate actually bounces anyone is a thread-timing
-        // race (workers can serialise perfectly on a fast machine), so
-        // the shed > 0 assertion gets a few independently seeded runs —
-        // the accounting invariants must hold on every one of them.
-        let mut shed_seen = false;
-        for seed in 9..14 {
-            let stream = compile(&p, &world, seed, 1);
-            let m = run_service(&p, &world, &stream, seed);
-            assert!(
-                m.answered + m.dropped == m.requests,
-                "request accounting: {m:?}"
-            );
-            assert!(m.answered > 0);
-            if m.shed > 0 {
-                shed_seen = true;
-                break;
-            }
-        }
-        assert!(
-            shed_seen,
-            "gate never pushed back across five seeded spike runs"
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! so every weight is computed by repeated multiplication of exact IEEE
 //! divisions — `powf` goes through libm and is **not** bit-identical
 //! across platforms, which would break the stream fingerprints pinned
-//! at seed 42 (`indoor_scenarios::PINNED_FINGERPRINTS`).
+//! at seed 42 (`PINNED_FINGERPRINTS` in the matrix tests).
 
 use indoor_model::KeywordSkew;
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! Scenario lab: compile a small flash-crowd workload, replay it through
-//! the full `IndoorService` stack, and print its matrix row — the
-//! single-profile version of what `scenario_bench` does for the whole
-//! standard suite.
+//! the full `IndoorService` stack, and print what became of its requests
+//! — the single-profile version of the standard matrix that
+//! `crates/scenarios`' tier-1 test replays.
 //!
 //! The profile: two venues at steady load until an 8x spike piles onto
 //! venue 0 (the "victim") for six ticks while venue 1 (the "bystander")
@@ -13,7 +13,7 @@
 //! cargo run --release --example scenario_lab
 //! ```
 
-use indoor_scenarios::{compile, crossover_matrix, run_service, validate_stream, ScenarioWorld};
+use indoor_scenarios::{compile, run_service, validate_stream, ScenarioWorld};
 use indoor_spatial::model::{AdmissionSpec, OverloadSpec};
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, random_venue};
@@ -53,8 +53,11 @@ fn main() {
         fingerprint_stream(&stream)
     );
 
-    let cell = run_service(&p, &world, &stream, seed);
-    println!("{}", crossover_matrix(&[cell]));
+    let c = run_service(&p, &world, &stream, seed);
+    println!(
+        "{}: {} requests, {} answered, {} dropped; gate pushback {} shed, {} timeouts\n",
+        c.profile, c.requests, c.answered, c.dropped, c.shed, c.timeouts
+    );
 
     // Per-venue attribution: rebuild the service state and show that the
     // spike's shedding landed on the victim shard only.

@@ -1,7 +1,7 @@
 //! Concurrent query correctness: many threads hammering one shared
-//! `Arc<VipTree>` through the pooled single-query APIs, and the
-//! `QueryEngine` batch APIs, must produce **byte-identical** answers to a
-//! serial loop in input order (same contract style as
+//! `Arc<VipTree>` through the pooled single-query APIs, and
+//! `QueryEngine::execute_batch`, must produce **byte-identical** answers
+//! to a serial loop in input order (same contract style as
 //! `parallel_equivalence.rs`, but for the query path instead of the
 //! build).
 
@@ -13,6 +13,20 @@ use std::sync::Arc;
 
 fn bits(r: &[(indoor_spatial::model::ObjectId, f64)]) -> Vec<(u32, u64)> {
     r.iter().map(|(o, d)| (o.0, d.to_bits())).collect()
+}
+
+/// One request per item through `execute_batch`, answers in item order.
+fn batch<T>(
+    engine: &QueryEngine,
+    items: &[T],
+    req: impl Fn(&T) -> QueryRequest,
+) -> Vec<QueryResponse> {
+    let reqs: Vec<QueryRequest> = items.iter().map(req).collect();
+    engine.execute_batch(&reqs)
+}
+
+fn object_answer(r: QueryResponse) -> Vec<(indoor_spatial::model::ObjectId, f64)> {
+    r.into_objects().expect("an object answer")
 }
 
 /// One shared tree, 8 threads, each replaying the full workload through
@@ -86,8 +100,8 @@ fn threads_hammering_shared_tree_match_serial() {
     });
 }
 
-/// The batch APIs return slot `i` == serial answer `i`, for every thread
-/// count, on a calibrated preset.
+/// A batch returns slot `i` == serial answer `i`, for every thread count,
+/// on a calibrated preset.
 #[test]
 fn batch_apis_match_serial_on_preset() {
     let venue = Arc::new(presets::melbourne_central().build());
@@ -115,9 +129,25 @@ fn batch_apis_match_serial_on_preset() {
         let engine = QueryEngine::for_vip(tree.clone())
             .with_threads(threads)
             .with_keywords(kw.clone());
-        let got_knn = engine.batch_knn(&points, 4);
-        let got_kw = engine.batch_knn_keyword(&points, 4, "cafe");
-        let got_path = engine.batch_shortest_path(&pairs);
+        let got_knn: Vec<_> = batch(&engine, &points, |&q| QueryRequest::Knn { q, k: 4 })
+            .into_iter()
+            .map(object_answer)
+            .collect();
+        let got_kw: Vec<_> = batch(&engine, &points, |&q| QueryRequest::KnnKeyword {
+            q,
+            k: 4,
+            keyword: "cafe".into(),
+        })
+        .into_iter()
+        .map(object_answer)
+        .collect();
+        let got_path: Vec<_> = batch(&engine, &pairs, |&(s, t)| QueryRequest::ShortestPath {
+            s,
+            t,
+        })
+        .into_iter()
+        .map(|r| r.into_path().expect("a path answer"))
+        .collect();
         assert_eq!(got_knn.len(), points.len());
         for i in 0..points.len() {
             assert_eq!(
@@ -161,20 +191,20 @@ proptest! {
         points.extend(dup);
         let pairs = workload::query_pairs(&venue, n_q, seed ^ 0x53);
 
-        let got = engine.batch_knn(&points, 3);
+        let got = batch(&engine, &points, |&q| QueryRequest::Knn { q, k: 3 });
         prop_assert_eq!(got.len(), points.len());
-        for (i, q) in points.iter().enumerate() {
-            prop_assert_eq!(bits(&got[i]), bits(&tree.knn(q, 3)), "kNN slot {}", i);
+        for (i, (r, q)) in got.into_iter().zip(&points).enumerate() {
+            prop_assert_eq!(bits(&object_answer(r)), bits(&tree.knn(q, 3)), "kNN slot {}", i);
         }
-        let got = engine.batch_range(&points, 90.0);
-        for (i, q) in points.iter().enumerate() {
-            prop_assert_eq!(bits(&got[i]), bits(&tree.range(q, 90.0)), "range slot {}", i);
+        let got = batch(&engine, &points, |&q| QueryRequest::Range { q, radius: 90.0 });
+        for (i, (r, q)) in got.into_iter().zip(&points).enumerate() {
+            prop_assert_eq!(bits(&object_answer(r)), bits(&tree.range(q, 90.0)), "range slot {}", i);
         }
-        let got = engine.batch_shortest_distance(&pairs);
+        let got = batch(&engine, &pairs, |&(s, t)| QueryRequest::ShortestDistance { s, t });
         prop_assert_eq!(got.len(), pairs.len());
         for (i, (s, t)) in pairs.iter().enumerate() {
             prop_assert_eq!(
-                got[i].map(f64::to_bits),
+                got[i].distance().expect("a distance answer").map(f64::to_bits),
                 tree.shortest_distance_points(s, t).map(f64::to_bits),
                 "distance slot {}", i
             );

@@ -6,12 +6,14 @@
 //! delta to a dead venue, no `DeltaError`-shaped update batch).
 //!
 //! These are the properties the pinned fingerprints rely on
-//! (`indoor_scenarios::PINNED_FINGERPRINTS`, asserted by `scenario_bench`
-//! and a unit test at seed 42): a pin is only meaningful if identical
+//! (`PINNED_FINGERPRINTS` in `crates/scenarios/src/matrix.rs`, asserted
+//! by a unit test at seed 42): a pin is only meaningful if identical
 //! seeds really do reproduce identical streams on any runner. The lab's
-//! other checks — must-shed and must-timeout — need a service to replay
-//! through, so they live beside `run_service` in `crates/scenarios`;
-//! these tests need only the compiler and the validator.
+//! other checks — request accounting, must-shed and must-timeout — need
+//! a service to replay through, so their one home is the tier-1 test
+//! `matrix::tests::standard_matrix_accounts_every_request_and_engages_its_gates`
+//! beside `run_service` in `crates/scenarios`; these tests need only the
+//! compiler and the validator.
 
 use indoor_scenarios::{compile, validate_stream, ScenarioWorld};
 use indoor_spatial::model::{AdmissionSpec, OverloadSpec, VenueAction, VenueEvent};

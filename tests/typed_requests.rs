@@ -1,6 +1,6 @@
 //! Typed-request API contract: a shuffled **heterogeneous**
-//! `execute_batch` must return byte-identical results to the per-kind
-//! batch calls, in input-slot order, for any thread count — the
+//! `execute_batch` must return byte-identical results to the tree's own
+//! per-kind calls, in input-slot order, for any thread count — the
 //! acceptance bar of the request/response redesign.
 
 use indoor_spatial::prelude::*;
@@ -13,15 +13,14 @@ const K: usize = 3;
 const RADIUS: f64 = 100.0;
 const KEYWORD: &str = "cafe";
 
-fn engine_for(venue: &Arc<Venue>, seed: u64, threads: usize) -> QueryEngine {
+/// A VIP-tree with objects attached and its keyword index.
+fn fixture(venue: &Arc<Venue>, seed: u64) -> (Arc<VipTree>, Arc<KeywordObjects>) {
     let objects = workload::place_objects(venue, 16, seed ^ 0x51);
     let labelled = workload::cycling_labels(&objects, KEYWORD);
     let tree = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
     tree.attach_objects(&objects);
     let kw = Arc::new(KeywordObjects::build(tree.ip_tree(), &labelled));
-    QueryEngine::for_vip(Arc::new(tree))
-        .with_threads(threads)
-        .with_keywords(kw)
+    (Arc::new(tree), kw)
 }
 
 /// Bit-level equality between a heterogeneous response and the per-kind
@@ -60,88 +59,48 @@ fn assert_bit_identical(slot: usize, got: &QueryResponse, want: &QueryResponse) 
     }
 }
 
-/// Reconstruct per-slot expectations from the five per-kind batch calls:
-/// split the mixed batch by kind (preserving slot order within each
-/// kind), run each per-kind API once, and scatter the answers back.
-fn per_kind_expectations(engine: &QueryEngine, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
-    let mut knn_slots = Vec::new();
-    let mut knn_qs = Vec::new();
-    let mut range_slots = Vec::new();
-    let mut range_qs = Vec::new();
-    let mut kw_slots = Vec::new();
-    let mut kw_qs = Vec::new();
-    let mut sd_slots = Vec::new();
-    let mut sd_pairs = Vec::new();
-    let mut sp_slots = Vec::new();
-    let mut sp_pairs = Vec::new();
-    for (slot, req) in reqs.iter().enumerate() {
-        match req {
-            QueryRequest::Knn { q, .. } => {
-                knn_slots.push(slot);
-                knn_qs.push(*q);
-            }
-            QueryRequest::Range { q, .. } => {
-                range_slots.push(slot);
-                range_qs.push(*q);
-            }
-            QueryRequest::KnnKeyword { q, .. } => {
-                kw_slots.push(slot);
-                kw_qs.push(*q);
+/// Per-slot expectations from the tree's own per-kind calls (and the
+/// keyword index's), which share nothing with the engine's dispatch.
+fn per_kind_expectations(
+    tree: &VipTree,
+    kw: &KeywordObjects,
+    reqs: &[QueryRequest],
+) -> Vec<QueryResponse> {
+    reqs.iter()
+        .map(|req| match req {
+            QueryRequest::Knn { q, k } => QueryResponse::Knn(tree.knn(q, *k)),
+            QueryRequest::Range { q, radius } => QueryResponse::Range(tree.range(q, *radius)),
+            QueryRequest::KnnKeyword { q, k, keyword } => {
+                QueryResponse::KnnKeyword(kw.knn_keyword(tree.ip_tree(), q, *k, keyword))
             }
             QueryRequest::ShortestDistance { s, t } => {
-                sd_slots.push(slot);
-                sd_pairs.push((*s, *t));
+                QueryResponse::ShortestDistance(tree.shortest_distance_points(s, t))
             }
             QueryRequest::ShortestPath { s, t } => {
-                sp_slots.push(slot);
-                sp_pairs.push((*s, *t));
+                QueryResponse::ShortestPath(tree.shortest_path_points(s, t))
             }
-        }
-    }
-
-    let mut out: Vec<Option<QueryResponse>> = vec![None; reqs.len()];
-    for (slot, r) in knn_slots.iter().zip(engine.batch_knn(&knn_qs, K)) {
-        out[*slot] = Some(QueryResponse::Knn(r));
-    }
-    for (slot, r) in range_slots
-        .iter()
-        .zip(engine.batch_range(&range_qs, RADIUS))
-    {
-        out[*slot] = Some(QueryResponse::Range(r));
-    }
-    for (slot, r) in kw_slots
-        .iter()
-        .zip(engine.batch_knn_keyword(&kw_qs, K, KEYWORD))
-    {
-        out[*slot] = Some(QueryResponse::KnnKeyword(r));
-    }
-    for (slot, r) in sd_slots
-        .iter()
-        .zip(engine.batch_shortest_distance(&sd_pairs))
-    {
-        out[*slot] = Some(QueryResponse::ShortestDistance(r));
-    }
-    for (slot, r) in sp_slots.iter().zip(engine.batch_shortest_path(&sp_pairs)) {
-        out[*slot] = Some(QueryResponse::ShortestPath(r));
-    }
-    out.into_iter().map(Option::unwrap).collect()
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The acceptance-criteria property: shuffled heterogeneous batches
-    /// are byte-identical to the per-kind batch calls, slot for slot,
+    /// are byte-identical to the tree's per-kind calls, slot for slot,
     /// across thread counts.
     #[test]
     fn heterogeneous_batch_is_bit_identical_to_per_kind(seed in 0u64..600, n_per_kind in 1usize..8) {
         let venue = Arc::new(random_venue(seed));
         let reqs = workload::mixed_requests(&venue, n_per_kind, K, RADIUS, KEYWORD, seed ^ 0x99);
+        let (tree, kw) = fixture(&venue, seed);
+        let want = per_kind_expectations(&tree, &kw, &reqs);
         for threads in [1usize, 4] {
-            let engine = engine_for(&venue, seed, threads);
+            let engine = QueryEngine::for_vip(tree.clone())
+                .with_threads(threads)
+                .with_keywords(kw.clone());
             let got = engine.execute_batch(&reqs);
             prop_assert_eq!(got.len(), reqs.len());
-            let want = per_kind_expectations(&engine, &reqs);
             for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_bit_identical(slot, g, w);
             }
@@ -153,8 +112,8 @@ proptest! {
     }
 }
 
-/// Without a keyword index, keyword requests answer empty — through every
-/// surface (mirrors `KeywordObjects::knn_keyword` on an unknown term).
+/// Without a keyword index, keyword requests answer empty — alone and in
+/// a batch (mirrors `KeywordObjects::knn_keyword` on an unknown term).
 #[test]
 fn keyword_requests_without_index_answer_empty() {
     let venue = Arc::new(random_venue(77));
@@ -168,5 +127,8 @@ fn keyword_requests_without_index_answer_empty() {
         keyword: KEYWORD.into(),
     };
     assert_eq!(engine.execute(&req), QueryResponse::KnnKeyword(Vec::new()));
-    assert_eq!(engine.batch_knn_keyword(&[q], 3, KEYWORD), vec![Vec::new()]);
+    assert_eq!(
+        engine.execute_batch(&[req.clone(), req]),
+        vec![QueryResponse::KnnKeyword(Vec::new()); 2]
+    );
 }
