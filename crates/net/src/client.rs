@@ -13,6 +13,17 @@
 //!   coalesced the work. This is the path the open-loop load generator
 //!   drives.
 //!
+//! Pipelined sends go out **one write per burst**. A `send_query` with
+//! no reply waiting to be collected (nothing decoded or buffered but not
+//! yet taken) writes at once, so a caller that fires without reading
+//! never waits. A `send_query` made while replies are still waiting —
+//! the follow-up to one reply of a burst that arrived together — is
+//! held, and the held requests leave in one write when the client is
+//! next about to block on the socket (a receive that finds nothing
+//! decoded, or a sequential call), or once they pass 64 KiB. The server
+//! then reads them together and serves them as one coalesced batch
+//! (DESIGN.md §13.2).
+//!
 //! Pipelined retryable failures are *not* retried automatically — an
 //! open-loop caller owns its schedule; it decides whether a shed request
 //! is re-sent or counted and dropped.
@@ -42,9 +53,14 @@ pub struct NetClient {
     next_id: u64,
     retry: RetryPolicy,
     buf: Vec<u8>,
-    /// Encoded request bytes, reused from send to send.
+    /// Encoded requests not yet written: the burst being held while a
+    /// reply waits to be collected. Reused from burst to burst.
     out: Vec<u8>,
 }
+
+/// Size of the socket read buffer, and the most request bytes a burst
+/// holds back before they leave without waiting for a receive.
+const BURST_BYTES: usize = 64 * 1024;
 
 impl NetClient {
     /// Connect and handshake. The default [`RetryPolicy`] retries
@@ -68,7 +84,7 @@ impl NetClient {
             inbox: VecDeque::new(),
             next_id: 1,
             retry: RetryPolicy::default(),
-            buf: vec![0u8; 64 * 1024],
+            buf: vec![0u8; BURST_BYTES],
             out: Vec::new(),
         })
     }
@@ -229,25 +245,27 @@ impl NetClient {
 
     // ---- pipelined interface ----
 
-    /// Fire a query without waiting; returns the id its reply will echo.
+    /// Queue a query without waiting for its reply; returns the id the
+    /// reply will echo. The bytes leave at once when no reply is waiting
+    /// to be collected. Otherwise they are held, so that follow-ups sent
+    /// while draining a burst of replies leave as one write — before the
+    /// next receive (or sequential call) blocks on the socket, or as soon
+    /// as the held bytes pass 64 KiB.
     pub fn send_query(&mut self, venue: u32, req: QueryRequest) -> Result<u64, NetError> {
         let id = self.fresh_id();
-        self.send(&Frame::Query { id, venue, req })?;
+        Frame::Query { id, venue, req }.encode_into(&mut self.out);
+        let reply_waiting = self.dec.pending() > 0 || !self.inbox.is_empty();
+        if !reply_waiting || self.out.len() > BURST_BYTES {
+            self.flush()?;
+        }
         Ok(id)
     }
 
     /// Receive the next in-flight reply, whichever id it answers.
     pub fn recv_answer(&mut self) -> Result<Reply, NetError> {
         loop {
-            let frame = match self.inbox.pop_front() {
-                Some(f) => f,
-                None => self.read_frame()?,
-            };
-            match frame {
-                Frame::Answer { id, result } => return Ok((id, result)),
-                Frame::Error { id, err } => return Ok((id, Err(err))),
-                // Not a query reply: leave it for a sequential caller.
-                other => self.inbox.push_back(other),
+            if let Some(reply) = self.try_recv_answer()? {
+                return Ok(reply);
             }
         }
     }
@@ -265,44 +283,35 @@ impl NetClient {
     pub fn try_recv_answer(&mut self) -> Result<Option<Reply>, NetError> {
         let is_reply = |f: &Frame| matches!(f, Frame::Answer { .. } | Frame::Error { .. });
         if let Some(pos) = self.inbox.iter().position(is_reply) {
-            match self.inbox.remove(pos).expect("position just found") {
-                Frame::Answer { id, result } => return Ok(Some((id, result))),
-                Frame::Error { id, err } => return Ok(Some((id, Err(err)))),
-                _ => unreachable!("position matched a reply frame"),
+            let parked = self.inbox.remove(pos).expect("position just found");
+            return Ok(as_reply(parked).ok());
+        }
+        while let Some(frame) = self.poll_frame()? {
+            match as_reply(frame) {
+                Ok(reply) => return Ok(Some(reply)),
+                // Not a query reply: leave it for a sequential caller.
+                Err(other) => self.inbox.push_back(other),
             }
         }
-        loop {
-            match self.dec.next()? {
-                Some(Frame::Answer { id, result }) => return Ok(Some((id, result))),
-                Some(Frame::Error { id, err }) => return Ok(Some((id, Err(err)))),
-                Some(other) => {
-                    self.inbox.push_back(other);
-                    continue;
-                }
-                None => {}
-            }
-            match self.stream.read(&mut self.buf) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => {
-                    let view = &self.buf[..n];
-                    self.dec.extend(view);
-                }
-                Err(e) if transient(&e) => return Ok(None),
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
+        Ok(None)
     }
 
-    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+    /// Write the held burst, if any.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.out);
         self.out.clear();
-        frame.encode_into(&mut self.out);
-        self.stream.write_all(&self.out)
+        sent
     }
 
-    /// Send `frame`, then read frames until the reply bearing `id`
-    /// arrives (parking unrelated frames in the inbox).
+    /// Send `frame` (with any held burst ahead of it), then read frames
+    /// until the reply bearing `id` arrives (parking unrelated frames in
+    /// the inbox).
     fn call(&mut self, frame: Frame, id: u64) -> Result<Frame, NetError> {
-        self.send(&frame)?;
+        frame.encode_into(&mut self.out);
+        self.flush()?;
         if let Some(pos) = self.inbox.iter().position(|f| f.id() == Some(id)) {
             return Ok(self.inbox.remove(pos).expect("position just found"));
         }
@@ -320,16 +329,37 @@ impl NetClient {
     /// `try_recv_answer`: here an elapsed quantum means "keep waiting".
     fn read_frame(&mut self) -> Result<Frame, NetError> {
         loop {
-            if let Some(f) = self.dec.next()? {
-                return Ok(f);
+            if let Some(frame) = self.poll_frame()? {
+                return Ok(frame);
             }
+        }
+    }
+
+    /// The next complete frame, or `None` when the socket's read timeout
+    /// elapses first. The held burst leaves before the read blocks.
+    fn poll_frame(&mut self) -> Result<Option<Frame>, NetError> {
+        loop {
+            if let Some(frame) = self.dec.next()? {
+                return Ok(Some(frame));
+            }
+            self.flush()?;
             match self.stream.read(&mut self.buf) {
                 Ok(0) => return Err(NetError::Closed),
                 Ok(n) => self.dec.extend(&self.buf[..n]),
-                Err(e) if transient(&e) => {}
+                Err(e) if transient(&e) => return Ok(None),
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
+    }
+}
+
+/// A query reply as the pipelined interface returns it; any other frame
+/// comes back unchanged.
+fn as_reply(frame: Frame) -> Result<Reply, Frame> {
+    match frame {
+        Frame::Answer { id, result } => Ok((id, result)),
+        Frame::Error { id, err } => Ok((id, Err(err))),
+        other => Err(other),
     }
 }
 

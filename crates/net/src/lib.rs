@@ -9,12 +9,16 @@
 //!   Each connection drains its socket into a [`FrameDecoder`], coalesces
 //!   every query frame buffered at that moment into **one**
 //!   [`IndoorService::execute_batch`] call (pipelined clients batch
-//!   themselves), and answers admission rejections with typed
+//!   themselves), writes every reply of the drain in one write, and answers
+//!   admission rejections with typed
 //!   [`WireError::Overloaded`] / [`WireError::Timeout`] replies — an
 //!   overloaded server degrades per-request, it never drops connections.
 //! * [`NetClient`] — sequential request/reply calls plus a pipelined
-//!   `send_query`/`recv_answer` pair; transient server rejections retry
-//!   under a [`RetryPolicy`].
+//!   `send_query`/`recv_answer` pair that writes once per burst: a send
+//!   made while replies wait to be collected is held until the client is
+//!   about to block on the socket, so follow-ups to one burst of replies
+//!   arrive together and coalesce server-side. Transient server
+//!   rejections retry under a [`RetryPolicy`].
 //! * [`follower`] — opens a `Replicate` stream and applies shipped WAL
 //!   records through [`IndoorService::apply_replicated`], producing a
 //!   replica whose answers are byte-identical to the leader's.

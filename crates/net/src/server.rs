@@ -9,8 +9,9 @@
 //! pipeline gets batch execution without any client-side batching API.
 //! That call runs on the connection's own thread (a one-venue batch
 //! starts no other), requests move out of their frames into it, and
-//! replies encode into one buffer the connection keeps: between the
-//! socket read and the socket write a request pays for its answer only.
+//! replies encode into one buffer the connection keeps, which leaves in
+//! one write per drain: between the socket read and the socket write a
+//! request pays for its answer only.
 //!
 //! Backpressure is typed, not transport-level: an admission rejection
 //! ([`ServiceError::Overloaded`] / [`ServiceError::Timeout`]) becomes a
@@ -204,9 +205,10 @@ fn serve_conn(
                 Err(_) => return Ok(()),
             }
         }
+        // Every reply this drain produces goes out in one write.
+        reply.clear();
         let mut drained = frames.drain(..).peekable();
         while let Some(frame) = drained.next() {
-            reply.clear();
             match frame {
                 frame if is_query(&frame) => {
                     // Coalesce the run of query frames this one starts,
@@ -233,17 +235,19 @@ fn serve_conn(
                 // The subscription consumes the connection: it becomes a
                 // one-way WAL stream until peer close or server stop.
                 Frame::Replicate { venue, from_lsn } => {
+                    stream.write_all(&reply)?;
                     return serve_replication(service, stream, venue, from_lsn, stop);
                 }
                 // Anything `serve_admin` does not know is a server→client
-                // frame sent the wrong way: close.
+                // frame sent the wrong way: answer the frames ahead of it,
+                // then close.
                 admin => match serve_admin(service, &admin) {
                     Some(answer) => answer.encode_into(&mut reply),
-                    None => return Ok(()),
+                    None => return stream.write_all(&reply),
                 },
             }
-            stream.write_all(&reply)?;
         }
+        stream.write_all(&reply)?;
     }
 }
 
@@ -408,14 +412,18 @@ fn serve_replication(
             return stream.write_all(&Frame::ReplEnd { venue, err: None }.encode());
         }
         match sub.live.recv_timeout(Duration::from_millis(20)) {
-            Ok((lsn, payload)) => {
+            Ok(first) => {
+                // One write carries every record the tap holds by now,
+                // in LSN order.
                 out.clear();
-                Frame::Wal {
-                    venue,
-                    lsn,
-                    record: payload.to_vec(),
+                for (lsn, payload) in std::iter::once(first).chain(sub.live.try_iter()) {
+                    Frame::Wal {
+                        venue,
+                        lsn,
+                        record: payload.to_vec(),
+                    }
+                    .encode_into(&mut out);
                 }
-                .encode_into(&mut out);
                 stream.write_all(&out)?;
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {

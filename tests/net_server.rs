@@ -266,6 +266,217 @@ fn blocking_calls_wait_through_the_client_read_timeout() {
     slow_server.join().unwrap();
 }
 
+/// Accept one connection on `listener` and complete the server half of
+/// the handshake: the scripted peer's end of the tests below.
+fn scripted_accept(listener: &std::net::TcpListener) -> std::net::TcpStream {
+    use indoor_spatial::model::frames::NET_MAGIC;
+    use std::io::{Read, Write};
+    let (mut stream, _) = listener.accept().unwrap();
+    stream.write_all(&NET_MAGIC).unwrap();
+    let mut magic = [0u8; NET_MAGIC.len()];
+    stream.read_exact(&mut magic).unwrap();
+    assert_eq!(magic, NET_MAGIC, "client presented the protocol magic");
+    stream
+}
+
+/// A frame that is not a query reply — here an unsolicited `Pong` the
+/// peer sends ahead of the `Answer` — is parked for a sequential caller,
+/// and `recv_answer` reads on to the reply instead of spinning on the
+/// parked frame. The client runs on its own thread, so a regression
+/// fails the bounded wait below instead of hanging the suite.
+#[test]
+fn recv_answer_reads_past_a_parked_non_reply_frame() {
+    use indoor_spatial::model::frames::{Frame, FrameDecoder};
+    use std::io::{Read, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let answer = QueryResponse::ShortestDistance(Some(7.25));
+    let peer = {
+        let answer = answer.clone();
+        std::thread::spawn(move || {
+            let mut stream = scripted_accept(&listener);
+            let mut dec = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                let reply = match dec.next().unwrap() {
+                    Some(Frame::Ping { id }) => vec![Frame::Pong { id }],
+                    Some(Frame::Query { id, .. }) => vec![
+                        Frame::Pong { id: 999 },
+                        Frame::Answer {
+                            id,
+                            result: Ok(answer.clone()),
+                        },
+                    ],
+                    Some(other) => panic!("unscripted frame {other:?}"),
+                    None => match stream.read(&mut buf).unwrap() {
+                        0 => return,
+                        n => {
+                            dec.extend(&buf[..n]);
+                            continue;
+                        }
+                    },
+                };
+                let mut bytes = Vec::new();
+                for frame in &reply {
+                    frame.encode_into(&mut bytes);
+                }
+                stream.write_all(&bytes).unwrap();
+            }
+        })
+    };
+
+    let venue = random_venue(86);
+    let req = workload::mixed_requests(&venue, 1, 2, 30.0, "atm", 86).remove(0);
+    let (done, finished) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        let id = client.send_query(0, req).unwrap();
+        assert_eq!(client.recv_answer().unwrap(), (id, Ok(answer)));
+        // The parked `Pong` does not answer this ping's id.
+        client.ping().unwrap();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("recv_answer returns the reply behind a parked non-reply frame");
+    client.join().unwrap();
+    peer.join().unwrap();
+}
+
+/// Pipelined sends leave one write per burst (DESIGN.md §13.2). A
+/// scripted peer reads the raw socket and sees that:
+/// - a `send_query` with no reply waiting reaches it before any receive;
+/// - when four replies arrive in one write, the follow-ups sent while
+///   the client takes replies 1–3 are held (nothing is readable), and
+///   the follow-up to the 4th reply carries all four in one write;
+/// - held sends that pass 64 KiB leave without a receive.
+///
+/// Volume is the flood test's: 1600 sends per connection before the
+/// first receive, over eight connections.
+#[test]
+fn pipelined_sends_leave_in_one_write_per_burst() {
+    use indoor_spatial::model::frames::{Frame, FrameDecoder};
+    use std::io::{ErrorKind, Read, Write};
+
+    struct Peer {
+        stream: std::net::TcpStream,
+        dec: FrameDecoder,
+        buf: Vec<u8>,
+    }
+    impl Peer {
+        /// The ids of the frames one blocking read completes.
+        fn one_read(&mut self) -> Vec<u64> {
+            let n = self.stream.read(&mut self.buf).unwrap();
+            assert!(n > 0, "client closed");
+            self.dec.extend(&self.buf[..n]);
+            std::iter::from_fn(|| self.dec.next().unwrap())
+                .map(|f| f.id().unwrap())
+                .collect()
+        }
+        /// Read until `n` frames have arrived; the read timeout fails a
+        /// client that never sends them.
+        fn frames(&mut self, n: usize) -> Vec<u64> {
+            let mut ids = Vec::new();
+            while ids.len() < n {
+                ids.extend(self.one_read());
+            }
+            ids
+        }
+        fn assert_silent(&mut self, what: &str) {
+            self.stream.set_nonblocking(true).unwrap();
+            match self.stream.read(&mut self.buf) {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                other => panic!("{what}: peer could read {other:?}"),
+            }
+            self.stream.set_nonblocking(false).unwrap();
+        }
+        /// Answer `ids` in one write.
+        fn answer(&mut self, ids: &[u64]) {
+            let mut bytes = Vec::new();
+            for &id in ids {
+                Frame::Answer {
+                    id,
+                    result: Ok(QueryResponse::ShortestDistance(Some(1.0))),
+                }
+                .encode_into(&mut bytes);
+            }
+            self.stream.write_all(&bytes).unwrap();
+        }
+    }
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept = std::thread::spawn(move || scripted_accept(&listener));
+    let mut client = NetClient::connect(addr).unwrap();
+    let stream = accept.join().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut peer = Peer {
+        stream,
+        dec: FrameDecoder::new(),
+        buf: vec![0u8; 256 * 1024],
+    };
+    let venue = random_venue(87);
+    let req = workload::mixed_requests(&venue, 1, 2, 30.0, "atm", 87).remove(0);
+
+    // Nothing to collect: every send leaves at once.
+    let mut sent = Vec::new();
+    for _ in 0..4 {
+        let id = client.send_query(0, req.clone()).unwrap();
+        assert_eq!(peer.one_read(), [id], "an unheld send is on the wire");
+        sent.push(id);
+    }
+
+    // Four replies in one write: the follow-ups leave together.
+    peer.answer(&sent);
+    let mut follow_ups = Vec::new();
+    for (i, &id) in sent.iter().enumerate() {
+        assert_eq!(client.recv_answer().unwrap().0, id);
+        follow_ups.push(client.send_query(0, req.clone()).unwrap());
+        if i < 3 {
+            peer.assert_silent(&format!("follow-up {} while replies wait", i + 1));
+        }
+    }
+    assert_eq!(peer.one_read(), follow_ups, "the burst is one write");
+
+    // One reply still waiting: sends are held until they pass 64 KiB.
+    peer.answer(&follow_ups[..2]);
+    assert_eq!(client.recv_answer().unwrap().0, follow_ups[0]);
+    let frame_len = Frame::Query {
+        id: 0,
+        venue: 0,
+        req: req.clone(),
+    }
+    .encode()
+    .len();
+    let passing = 64 * 1024 / frame_len + 1;
+    let (held, held_rx) = std::sync::mpsc::channel();
+    let (checked, checked_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        // The passing write may not fit the socket buffers, so the
+        // client sends from its own thread while the peer reads.
+        let (client, req) = (&mut client, &req);
+        let sender = scope.spawn(move || {
+            for _ in 1..passing {
+                client.send_query(0, req.clone()).unwrap();
+            }
+            held.send(()).unwrap();
+            checked_rx.recv().unwrap();
+            client.send_query(0, req.clone()).unwrap();
+        });
+        held_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("held sends return");
+        peer.assert_silent("sends under 64 KiB while a reply waits");
+        checked.send(()).unwrap();
+        assert_eq!(peer.frames(passing).len(), passing);
+        sender.join().unwrap();
+    });
+    assert_eq!(client.recv_answer().unwrap().0, follow_ups[1]);
+}
+
 /// Flood a capacity-1 shard from eight pipelined connections, once per
 /// overload policy: every request must resolve (an answer or the
 /// policy's typed error — `Overloaded` under `Shed`, `Timeout` under
