@@ -9,7 +9,7 @@
 //! object sets explore large portions of the venue (Fig. 10(b)).
 
 use crate::DistMx;
-use indoor_graph::{DijkstraEngine, NO_VERTEX};
+use indoor_graph::DijkstraEngine;
 use indoor_model::{
     DoorId, IndoorIndex, IndoorPath, IndoorPoint, ObjectId, ObjectQueries, PartitionId, QueryStats,
     Venue,
@@ -60,17 +60,8 @@ impl DistAw {
         stats: &mut QueryStats,
     ) -> Option<f64> {
         stats.queries += 1;
-        let venue = &*self.venue;
-        let direct = s.direct_distance(venue, t);
         let mut engine = self.engine.lock().expect("engine poisoned");
-        let via = engine.point_to_point(venue.d2d(), &s.door_seeds(venue), &t.door_seeds(venue));
-        stats.settled_vertices += 1; // counted approximately per query
-        match (direct, via) {
-            (Some(d), Some((vd, _))) => Some(d.min(vd)),
-            (Some(d), None) => Some(d),
-            (None, Some((vd, _))) => Some(vd),
-            (None, None) => None,
-        }
+        s.route_to(&self.venue, t, &mut engine).map(|(d, _)| d)
     }
 
     /// kNN by graph expansion: objects become candidates as the doors of
@@ -137,37 +128,6 @@ impl DistAw {
         }
         out
     }
-
-    fn shortest_path_impl(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<IndoorPath> {
-        let venue = &*self.venue;
-        let direct = s.direct_distance(venue, t);
-        let mut engine = self.engine.lock().expect("engine poisoned");
-        let via = engine.point_to_point(venue.d2d(), &s.door_seeds(venue), &t.door_seeds(venue));
-        let path = match (direct, via) {
-            (Some(d), Some((vd, _))) if d <= vd => Some((d, Vec::new())),
-            (Some(d), None) => Some((d, Vec::new())),
-            (_, Some((vd, exit))) => {
-                let mut seq = Vec::new();
-                let mut cur = exit;
-                loop {
-                    seq.push(DoorId(cur));
-                    match engine.parent(cur) {
-                        Some(p) if p != NO_VERTEX => cur = p,
-                        _ => break,
-                    }
-                }
-                seq.reverse();
-                Some((vd, seq))
-            }
-            (None, None) => None,
-        };
-        path.map(|(length, doors)| IndoorPath {
-            source: *s,
-            target: *t,
-            doors,
-            length,
-        })
-    }
 }
 
 impl IndoorIndex for DistAw {
@@ -178,7 +138,8 @@ impl IndoorIndex for DistAw {
         self.shortest_distance_with_stats(s, t, &mut QueryStats::default())
     }
     fn shortest_path(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<IndoorPath> {
-        self.shortest_path_impl(s, t)
+        let mut engine = self.engine.lock().expect("engine poisoned");
+        s.path_to(&self.venue, t, &mut engine)
     }
     fn index_size_bytes(&self) -> usize {
         // Only the extended graph (here: the D2D graph) — the paper notes

@@ -6,7 +6,7 @@
 //! time (the paper reports 14 hours for Men-2 and could not build venues
 //! beyond it; the benchmark harness enforces the same cut-off).
 
-use indoor_graph::{DijkstraEngine, Termination, NO_VERTEX};
+use indoor_graph::{DijkstraEngine, NO_VERTEX};
 use indoor_model::{
     DoorId, IndoorIndex, IndoorPath, IndoorPoint, ObjectId, ObjectQueries, PartitionId, QueryStats,
     Venue,
@@ -54,7 +54,7 @@ impl DistMx {
                         dch.chunks_mut(d).zip(pch.chunks_mut(d)).enumerate()
                     {
                         let u = (first_row + local) as u32;
-                        engine.run(venue.d2d(), &[(u, 0.0)], Termination::Exhaust);
+                        engine.run(venue.d2d(), &[(u, 0.0)], &[]);
                         for v in 0..d as u32 {
                             if let Some(dd) = engine.settled_distance(v) {
                                 drow[v as usize] = dd;

@@ -224,31 +224,6 @@ impl IpTree {
         asc
     }
 
-    /// Same-leaf (or same-partition) query: D2D expansion with virtual
-    /// endpoints, plus the direct in-partition candidate (§3.1.1).
-    /// Returns `(distance, door_sequence)`.
-    pub(crate) fn same_leaf_route(
-        &self,
-        s: &IndoorPoint,
-        t: &IndoorPoint,
-    ) -> Option<(f64, Vec<DoorId>)> {
-        let venue = &*self.venue;
-        let direct = s.direct_distance(venue, t);
-        let s_seeds = s.door_seeds(venue);
-        let t_seeds: Vec<(u32, f64)> = t.door_seeds(venue);
-
-        let mut engine = self.engines.checkout();
-        let via = engine.point_to_point(venue.d2d(), &s_seeds, &t_seeds);
-
-        match (direct, via) {
-            (Some(d), Some((vd, _))) if d <= vd => Some((d, Vec::new())),
-            (Some(d), None) => Some((d, Vec::new())),
-            // s's door .. t's door, from the parent pointers.
-            (_, Some((vd, exit_door))) => Some((vd, crate::path::door_chain(&engine, exit_door))),
-            (None, None) => None,
-        }
-    }
-
     /// Algorithm 3 / §3.1: indoor shortest distance between two points.
     pub fn shortest_distance_points(&self, s: &IndoorPoint, t: &IndoorPoint) -> Option<f64> {
         self.shortest_distance_with_stats(s, t, &mut QueryStats::default())
@@ -351,7 +326,10 @@ pub(crate) trait Climber {
         let ip = self.ip();
         let (leaf_s, leaf_t) = (ip.leaf_of(s.partition), ip.leaf_of(t.partition));
         if leaf_s == leaf_t {
-            return ip.same_leaf_route(s, t).map(|(d, _)| d);
+            // §3.1.1; a distance needs no door sequence.
+            return s
+                .route_to(&ip.venue, t, &mut ip.engines.checkout())
+                .map(|(d, _)| d);
         }
         stats.door_pairs +=
             (ip.superior_doors(s.partition).len() * ip.superior_doors(t.partition).len()) as u64;
@@ -369,18 +347,16 @@ pub(crate) trait Climber {
     ) -> Option<IndoorPath> {
         let ip = self.ip();
         let (leaf_s, leaf_t) = (ip.leaf_of(s.partition), ip.leaf_of(t.partition));
-        let (length, doors) = if leaf_s == leaf_t {
-            ip.same_leaf_route(s, t)?
-        } else {
-            let (length, (i, j)) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
-            let (asc_s, asc_t) = (&scratch.asc_s, &scratch.asc_t);
-            let (ns, nt) = (asc_s.last().node, asc_t.last().node);
-            let lca = ip.parent(ns);
-            debug_assert_eq!(lca, ip.parent(nt), "both climbs stop under the LCA");
-            let middle = (ip.access_doors(ns)[i], ip.access_doors(nt)[j], lca);
-            let doors = ip.cross_leaf_path(self.replay(asc_s, i), middle, self.replay(asc_t, j));
-            (length, doors)
-        };
+        if leaf_s == leaf_t {
+            return s.path_to(&ip.venue, t, &mut ip.engines.checkout());
+        }
+        let (length, (i, j)) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
+        let (asc_s, asc_t) = (&scratch.asc_s, &scratch.asc_t);
+        let (ns, nt) = (asc_s.last().node, asc_t.last().node);
+        let lca = ip.parent(ns);
+        debug_assert_eq!(lca, ip.parent(nt), "both climbs stop under the LCA");
+        let middle = (ip.access_doors(ns)[i], ip.access_doors(nt)[j], lca);
+        let doors = ip.cross_leaf_path(self.replay(asc_s, i), middle, self.replay(asc_t, j));
         Some(IndoorPath {
             source: *s,
             target: *t,

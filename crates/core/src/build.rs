@@ -383,7 +383,7 @@ mod tests {
                     engine.run(
                         venue.d2d(),
                         &[(a.0, 0.0)],
-                        indoor_graph::Termination::Exhaust,
+                        &[],
                     );
                     for (r, &d) in tree.rows(idx).iter().enumerate() {
                         let want = engine.settled_distance(d.0).unwrap_or(f64::INFINITY);

@@ -44,7 +44,7 @@
 
 use crate::tree::{IpTree, NodeIdx};
 use indoor_graph::parallel::par_map;
-use indoor_graph::{DijkstraEngine, GraphBuilder, Termination};
+use indoor_graph::{DijkstraEngine, GraphBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -195,11 +195,7 @@ fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[f64]> {
 
     let mut out = Vec::with_capacity(n * (n + 1) / 2);
     for s in 0..n {
-        engine.run(
-            &graph,
-            &[(s as u32, 0.0)],
-            Termination::SettleAll(&all[..=s]),
-        );
+        engine.run(&graph, &[(s as u32, 0.0)], &all[..=s]);
         for t in 0..=s {
             let mut best = if t == s {
                 0.0
@@ -225,7 +221,7 @@ mod tests {
     use super::get;
     use crate::tree::VipTreeConfig;
     use crate::IpTree;
-    use indoor_graph::{DijkstraEngine, Termination};
+    use indoor_graph::DijkstraEngine;
     use indoor_model::IndoorPoint;
     use indoor_synth::random_venue;
     use proptest::prelude::*;
@@ -264,11 +260,7 @@ mod tests {
             let tri = tree.leaf_grid.ensure(&tree, li);
             let targets: Vec<u32> = doors.iter().map(|d| d.0).collect();
             for (s, &sd) in doors.iter().enumerate() {
-                engine.run(
-                    venue.d2d(),
-                    &[(sd.0, 0.0)],
-                    Termination::SettleAll(&targets),
-                );
+                engine.run(venue.d2d(), &[(sd.0, 0.0)], &targets);
                 for (t, &td) in doors.iter().enumerate() {
                     let want = if t == s {
                         0.0

@@ -12,7 +12,7 @@
 //! exact (see DESIGN.md).
 
 use crate::tree::{DistMatrix, NO_DOOR};
-use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder, Termination, NO_VERTEX};
+use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder, NO_VERTEX};
 use indoor_model::{DoorId, Venue};
 
 /// Build the distance matrix of one leaf node and, in the same Dijkstra
@@ -43,7 +43,7 @@ pub(crate) fn build_leaf_matrix(
     let mut chain: Vec<u32> = Vec::new();
 
     for (col, &a) in access.iter().enumerate() {
-        engine.run(d2d, &[(a.0, 0.0)], Termination::SettleAll(&targets));
+        engine.run(d2d, &[(a.0, 0.0)], &targets);
 
         for (row, &d) in doors.iter().enumerate() {
             if d == a {
@@ -57,16 +57,7 @@ pub(crate) fn build_leaf_matrix(
 
             // Parent chain from d towards a: d, p(d), p(p(d)), ..., a.
             // (Dijkstra ran from a, so parents point towards a.)
-            chain.clear();
-            let mut cur = d.0;
-            chain.push(cur);
-            while let Some(p) = engine.parent(cur) {
-                if p == NO_VERTEX {
-                    break;
-                }
-                chain.push(p);
-                cur = p;
-            }
+            engine.chain_into(d.0, &mut chain);
             debug_assert_eq!(*chain.last().unwrap(), a.0);
 
             next_hop[row * n_cols + col] = leaf_next_hop(&chain, doors, boundary);
@@ -87,16 +78,7 @@ pub(crate) fn build_leaf_matrix(
                 if engine.settled_distance(di.0).is_none() {
                     continue;
                 }
-                chain.clear();
-                let mut cur = di.0;
-                chain.push(cur);
-                while let Some(pp) = engine.parent(cur) {
-                    if pp == NO_VERTEX {
-                        break;
-                    }
-                    chain.push(pp);
-                    cur = pp;
-                }
+                engine.chain_into(di.0, &mut chain);
                 let clean = chain[1..chain.len().saturating_sub(1)]
                     .iter()
                     .all(|&v| pdoors.binary_search(&DoorId(v)).is_err());
@@ -208,7 +190,7 @@ pub(crate) fn build_inner_matrix(
 
     let mut chain: Vec<u32> = Vec::new();
     for (col, (&b, &bv)) in border.iter().zip(&verts).enumerate() {
-        engine.run(&lg.graph, &[(bv, 0.0)], Termination::SettleAll(&verts));
+        engine.run(&lg.graph, &[(bv, 0.0)], &verts);
         for (row, (&x, &xv)) in border.iter().zip(&verts).enumerate() {
             if x == b {
                 dist[row * n + col] = 0.0;
@@ -219,16 +201,7 @@ pub(crate) fn build_inner_matrix(
             };
             dist[row * n + col] = dd;
 
-            chain.clear();
-            let mut cur = xv;
-            chain.push(cur);
-            while let Some(p) = engine.parent(cur) {
-                if p == NO_VERTEX {
-                    break;
-                }
-                chain.push(p);
-                cur = p;
-            }
+            engine.chain_into(xv, &mut chain);
             // First border door strictly between x and b.
             for &v in &chain[1..chain.len().saturating_sub(1)] {
                 let d = lg.vertex_door[v as usize];

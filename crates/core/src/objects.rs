@@ -577,7 +577,7 @@ fn adjust_counts(tree: &IpTree, counts: &mut [u32], leaf: NodeIdx, delta: i64) {
 mod tests {
     use super::*;
     use crate::tree::VipTreeConfig;
-    use indoor_graph::{DijkstraEngine, Termination};
+    use indoor_graph::DijkstraEngine;
     use indoor_synth::{random_venue, workload};
     use std::sync::Arc;
 
@@ -601,7 +601,7 @@ mod tests {
         let mut engine = DijkstraEngine::new(venue.num_doors());
         for (&leaf, data) in &oi.leaf_data {
             for (ad_idx, &a) in tree.access_doors(leaf).iter().enumerate() {
-                engine.run(venue.d2d(), &[(a.0, 0.0)], Termination::Exhaust);
+                engine.run(venue.d2d(), &[(a.0, 0.0)], &[]);
                 for (j, oid) in data.objs.iter().enumerate() {
                     let o = &objects[oid.index()];
                     let want = venue

@@ -12,11 +12,11 @@
 //! matrices already tried so the search provably terminates; if no matrix
 //! remains (not observed on any workload; tracked by
 //! [`IpTree::decompose_fallback_count`]) an exact Dijkstra fallback
-//! expands the pair.
+//! expands the pair, reading its doors off the engine's parent chain
+//! (`DijkstraEngine::path_to`).
 
 use crate::ascent::{Ascent, Provenance};
 use crate::tree::{IpTree, NodeIdx};
-use indoor_graph::{DijkstraEngine, Termination};
 use indoor_model::DoorId;
 
 /// A partial edge: shortest sub-path from `from` to `to` whose matrix
@@ -26,13 +26,6 @@ pub(crate) struct PartialEdge {
     pub from: DoorId,
     pub to: DoorId,
     pub ctx: NodeIdx,
-}
-
-/// The door sequence Dijkstra's parent pointers hold from a source of the
-/// engine's last run to the labelled door `end`, inclusive.
-pub(crate) fn door_chain(engine: &DijkstraEngine, end: u32) -> Vec<DoorId> {
-    let chain = engine.path_to(end).expect("chain end is labelled");
-    chain.into_iter().map(DoorId).collect()
 }
 
 impl IpTree {
@@ -222,12 +215,13 @@ impl IpTree {
         self.decompose_fallbacks
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut engine = self.engines.checkout();
-        engine.run(
-            self.venue.d2d(),
-            &[(a.0, 0.0)],
-            Termination::SettleAll(&[b.0]),
-        );
-        let seq = door_chain(&engine, b.0);
+        engine.run(self.venue.d2d(), &[(a.0, 0.0)], &[b.0]);
+        let seq: Vec<DoorId> = engine
+            .path_to(b.0)
+            .expect("b is settled")
+            .into_iter()
+            .map(DoorId)
+            .collect();
         debug_assert_eq!(seq.first(), Some(&a));
         seq
     }

@@ -2,7 +2,7 @@
 
 use crate::scratch::GScratchPool;
 use graph_partition::Hierarchy;
-use indoor_graph::{DijkstraEngine, EnginePool, Termination, NO_VERTEX};
+use indoor_graph::{DijkstraEngine, EnginePool};
 use indoor_model::{IndoorPoint, Venue};
 use std::sync::Arc;
 
@@ -242,7 +242,7 @@ fn build_matrix(
     let mut chain: Vec<u32> = Vec::new();
 
     for (ci, &c) in cols.iter().enumerate() {
-        engine.run(g, &[(c, 0.0)], Termination::SettleAll(rows));
+        engine.run(g, &[(c, 0.0)], rows);
         for (ri, &r) in rows.iter().enumerate() {
             if r == c {
                 dist[ri * nc + ci] = 0.0;
@@ -253,16 +253,7 @@ fn build_matrix(
             };
             dist[ri * nc + ci] = dd;
 
-            chain.clear();
-            let mut cur = r;
-            chain.push(cur);
-            while let Some(p) = engine.parent(cur) {
-                if p == NO_VERTEX {
-                    break;
-                }
-                chain.push(p);
-                cur = p;
-            }
+            engine.chain_into(r, &mut chain);
             if chain.len() <= 2 {
                 continue; // direct edge
             }

@@ -4,7 +4,6 @@
 use crate::build::{GMatrix, GTree};
 use crate::scratch::{Candidates, GAscentBuf, GScratch};
 use geometry::TotalF64;
-use indoor_graph::Termination;
 use indoor_model::{IndoorPoint, ObjectId};
 use std::cmp::Reverse;
 
@@ -198,11 +197,7 @@ impl GTree {
             // covered) plus the same-partition direct candidate.
             let m = &self.matrices[leaf as usize];
             let mut engine = self.engines.checkout();
-            engine.run(
-                venue.d2d(),
-                &q.door_seeds(venue),
-                Termination::SettleAll(&m.rows),
-            );
+            engine.run(venue.d2d(), &q.door_seeds(venue), &m.rows);
             for &oid in &table.objs {
                 let o = &objs.points[oid as usize];
                 let mut d = q.direct_distance(venue, o).unwrap_or(f64::INFINITY);

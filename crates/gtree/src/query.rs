@@ -3,7 +3,6 @@
 use crate::build::GTree;
 use crate::scratch::GAscentBuf;
 use graph_partition::NO_H;
-use indoor_graph::{Termination, NO_VERTEX};
 use indoor_model::{DoorId, IndoorPath, IndoorPoint};
 
 /// Distances from a seed set to the borders of one hierarchy node, with
@@ -206,18 +205,11 @@ impl GTree {
         let venue = &*self.venue;
         let s_seeds = s.door_seeds(venue);
         let t_seeds = t.door_seeds(venue);
-        let direct = s.direct_distance(venue, t);
-
         if self.shares_leaf(&s_seeds, &t_seeds) {
             let mut engine = self.engines.checkout();
-            let via = engine
-                .point_to_point(venue.d2d(), &s_seeds, &t_seeds)
-                .map(|(d, _)| d);
-            return match (direct, via) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            return s.route_to(venue, t, &mut engine).map(|(d, _)| d);
         }
+        let direct = s.direct_distance(venue, t);
         let mut scratch = self.scratch.checkout();
         let sc = &mut *scratch;
         self.ascend_into(&s_seeds, &mut sc.asc_s);
@@ -235,30 +227,10 @@ impl GTree {
         let venue = &*self.venue;
         let s_seeds = s.door_seeds(venue);
         let t_seeds = t.door_seeds(venue);
-        let direct = s.direct_distance(venue, t);
-
-        let dijkstra_route = |out_len: &mut f64| -> Option<Vec<DoorId>> {
-            let mut engine = self.engines.checkout();
-            let (vd, exit) = engine.point_to_point(venue.d2d(), &s_seeds, &t_seeds)?;
-            *out_len = vd;
-            let mut seq = Vec::new();
-            let mut cur = exit;
-            loop {
-                seq.push(DoorId(cur));
-                match engine.parent(cur) {
-                    Some(p) if p != NO_VERTEX => cur = p,
-                    _ => break,
-                }
-            }
-            seq.reverse();
-            Some(seq)
-        };
-
         if self.shares_leaf(&s_seeds, &t_seeds) {
-            let mut vd = f64::INFINITY;
-            let doors = dijkstra_route(&mut vd);
-            return finish_path(*s, *t, direct, doors.map(|d| (vd, d)));
+            return s.path_to(venue, t, &mut self.engines.checkout());
         }
+        let direct = s.direct_distance(venue, t);
 
         let mut scratch = self.scratch.checkout();
         let sc = &mut *scratch;
@@ -408,18 +380,8 @@ impl GTree {
         self.fallbacks
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut engine = self.engines.checkout();
-        engine.run(self.venue.d2d(), &[(a, 0.0)], Termination::SettleAll(&[b]));
-        let mut seq = Vec::new();
-        let mut cur = b;
-        loop {
-            seq.push(cur);
-            match engine.parent(cur) {
-                Some(p) if p != NO_VERTEX => cur = p,
-                _ => break,
-            }
-        }
-        seq.reverse();
-        seq
+        engine.run(self.venue.d2d(), &[(a, 0.0)], &[b]);
+        engine.path_to(b).expect("b is settled")
     }
 }
 

@@ -2,31 +2,45 @@ use crate::CsrGraph;
 use geometry::TotalF64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// Sentinel parent/vertex value meaning "none".
 pub const NO_VERTEX: u32 = u32::MAX;
 
-/// How a Dijkstra run decides it is finished.
-#[derive(Debug, Clone)]
-pub enum Termination<'a> {
-    /// Settle every reachable vertex.
-    Exhaust,
-    /// Stop once all listed vertices have been settled (or the frontier is
-    /// empty). Duplicates in the slice are permitted.
-    SettleAll(&'a [u32]),
-    /// Stop once the tentative frontier minimum exceeds the bound: every
-    /// vertex with distance <= bound is then settled.
-    Bound(f64),
+/// Where the settle loop reads a vertex's out-arcs from: the CSR graph,
+/// or a per-query closure over an implicit graph (ROAD). Static dispatch
+/// keeps the relax loop free of indirect calls.
+trait Arcs {
+    /// Call `relax(target, weight)` for every arc out of `v`.
+    fn each(&mut self, v: u32, relax: impl FnMut(u32, f64));
 }
 
-/// Result summary of a search; distances/parents live in the engine and are
-/// read through [`DijkstraEngine::distance`] / [`DijkstraEngine::parent`].
-#[derive(Debug, Clone, Copy)]
-pub struct SearchOutcome {
-    /// Vertices settled (popped with final distance).
-    pub settled: usize,
-    /// For `SettleAll`: how many of the requested targets were reached.
-    pub targets_reached: usize,
+impl Arcs for &CsrGraph {
+    #[inline]
+    fn each(&mut self, v: u32, mut relax: impl FnMut(u32, f64)) {
+        for (t, w) in self.neighbors(v) {
+            relax(t, w);
+        }
+    }
+}
+
+/// An implicit graph: `neighbors(v, out)` fills one buffer kept for the
+/// whole search.
+struct Implicit<F> {
+    neighbors: F,
+    arcs: Vec<(u32, f64)>,
+}
+
+impl<F: FnMut(u32, &mut Vec<(u32, f64)>)> Arcs for Implicit<F> {
+    #[inline]
+    fn each(&mut self, v: u32, mut relax: impl FnMut(u32, f64)) {
+        self.arcs.clear();
+        (self.neighbors)(v, &mut self.arcs);
+        for &(t, w) in &self.arcs {
+            debug_assert!(w >= 0.0);
+            relax(t, w);
+        }
+    }
 }
 
 /// A reusable Dijkstra workspace over graphs of a fixed vertex count.
@@ -35,6 +49,13 @@ pub struct SearchOutcome {
 /// allocating and zeroing `O(V)` state per search would dominate. The
 /// engine keeps distance/parent arrays across runs and invalidates them
 /// with a generation counter, so starting a new search is `O(1)`.
+///
+/// Every search is one settle loop; [`run`](Self::run),
+/// [`run_visit`](Self::run_visit), [`run_dynamic`](Self::run_dynamic) and
+/// [`point_to_point`](Self::point_to_point) differ only in where arcs come
+/// from and when they stop. Results are read back through
+/// [`settled_distance`](Self::settled_distance), [`parent`](Self::parent),
+/// [`chain_into`](Self::chain_into) and [`path_to`](Self::path_to).
 #[derive(Debug)]
 pub struct DijkstraEngine {
     dist: Vec<f64>,
@@ -63,18 +84,6 @@ impl DijkstraEngine {
         self.stamp[v as usize] == self.generation
     }
 
-    /// Distance of `v` from the source set in the most recent run, if it
-    /// was labelled (settled or still on the frontier when the run ended;
-    /// frontier labels are upper bounds, settled labels are exact).
-    #[inline]
-    pub fn distance(&self, v: u32) -> Option<f64> {
-        if self.valid(v) {
-            Some(self.dist[v as usize])
-        } else {
-            None
-        }
-    }
-
     /// Exact distance of `v` if it was settled in the most recent run.
     #[inline]
     pub fn settled_distance(&self, v: u32) -> Option<f64> {
@@ -96,148 +105,72 @@ impl DijkstraEngine {
         }
     }
 
-    /// The vertex sequence from a source to `v` (inclusive), following
-    /// parent pointers; `None` if `v` was not reached.
+    /// Write `v, parent(v), …, source` into `chain` (cleared first): the
+    /// shortest path to `v` read backwards, ending at the seed `v` was
+    /// reached from. An unlabelled `v` yields just `[v]`.
+    pub fn chain_into(&self, v: u32, chain: &mut Vec<u32>) {
+        chain.clear();
+        chain.push(v);
+        let mut cur = v;
+        while let Some(p) = self.parent(cur).filter(|&p| p != NO_VERTEX) {
+            chain.push(p);
+            cur = p;
+        }
+    }
+
+    /// The vertex sequence from a source to `v` (inclusive): the
+    /// [`chain_into`](Self::chain_into) chain reversed; `None` if `v` was
+    /// not reached.
     pub fn path_to(&self, v: u32) -> Option<Vec<u32>> {
         if !self.valid(v) {
             return None;
         }
-        let mut seq = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent(cur) {
-            if p == NO_VERTEX {
-                break;
-            }
-            seq.push(p);
-            cur = p;
-        }
+        let mut seq = Vec::new();
+        self.chain_into(v, &mut seq);
         seq.reverse();
         Some(seq)
     }
 
-    /// Run Dijkstra from a set of `(vertex, initial_distance)` seeds.
+    /// Run Dijkstra from a set of `(vertex, initial_distance)` seeds until
+    /// every vertex of `targets` is settled (duplicates permitted) or the
+    /// frontier empties; an empty `targets` settles every reachable vertex.
     ///
     /// Multiple seeds implement "virtual source" searches: a query point is
     /// seeded as its partition's doors with the point-to-door distances as
     /// initial labels.
-    pub fn run(
-        &mut self,
-        graph: &CsrGraph,
-        seeds: &[(u32, f64)],
-        termination: Termination<'_>,
-    ) -> SearchOutcome {
+    pub fn run(&mut self, graph: &CsrGraph, seeds: &[(u32, f64)], targets: &[u32]) {
         debug_assert_eq!(graph.num_vertices(), self.dist.len());
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Extremely rare wrap: force-invalidate everything.
-            self.stamp.fill(u32::MAX);
-            self.generation = 1;
-        }
-        self.heap.clear();
-
-        for &(v, d) in seeds {
-            if !self.valid(v) || d < self.dist[v as usize] {
-                self.label(v, d, NO_VERTEX);
-                self.heap.push(Reverse((TotalF64(d), v)));
-            }
-        }
-
-        let mut remaining: usize = 0;
-        let mut pending: Vec<u32> = Vec::new();
-        if let Termination::SettleAll(targets) = &termination {
-            // Deduplicate target list via a temporary stamp-free scan.
-            pending = targets.to_vec();
-            pending.sort_unstable();
-            pending.dedup();
-            remaining = pending.len();
-        }
-
-        let mut settled_count = 0usize;
-        let mut targets_reached = 0usize;
-
-        while let Some(Reverse((TotalF64(d), v))) = self.heap.pop() {
-            if self.settled[v as usize] && self.valid(v) {
-                continue; // stale heap entry
-            }
-            if let Termination::Bound(bound) = termination {
-                if d > bound {
-                    break;
-                }
-            }
-            self.settled[v as usize] = true;
-            settled_count += 1;
-
+        let mut pending = targets.to_vec();
+        pending.sort_unstable();
+        pending.dedup();
+        let mut remaining = pending.len();
+        self.search(seeds, graph, |v, _| {
             if remaining > 0 && pending.binary_search(&v).is_ok() {
-                targets_reached += 1;
                 remaining -= 1;
                 if remaining == 0 {
-                    break;
+                    return ControlFlow::Break(());
                 }
             }
-
-            for (t, w) in graph.neighbors(v) {
-                let nd = d + w;
-                if !self.valid(t) || nd < self.dist[t as usize] {
-                    self.label(t, nd, v);
-                    self.heap.push(Reverse((TotalF64(nd), t)));
-                }
-            }
-        }
-
-        SearchOutcome {
-            settled: settled_count,
-            targets_reached,
-        }
+            ControlFlow::Continue(())
+        });
     }
 
     /// Dijkstra over an *implicit* graph: `neighbors(v, out)` fills `out`
     /// with the `(target, weight)` arcs of `v` on demand. Used by ROAD,
     /// whose search space (route-overlay shortcuts vs. original edges) is
     /// decided per query. Vertex ids must stay below the engine's size.
+    /// `visit` is called as in [`run_visit`](Self::run_visit).
     pub fn run_dynamic(
         &mut self,
         seeds: &[(u32, f64)],
-        mut neighbors: impl FnMut(u32, &mut Vec<(u32, f64)>),
-        mut visit: impl FnMut(u32, f64) -> std::ops::ControlFlow<()>,
-    ) -> SearchOutcome {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(u32::MAX);
-            self.generation = 1;
-        }
-        self.heap.clear();
-        for &(v, d) in seeds {
-            if !self.valid(v) || d < self.dist[v as usize] {
-                self.label(v, d, NO_VERTEX);
-                self.heap.push(Reverse((TotalF64(d), v)));
-            }
-        }
-        let mut settled_count = 0usize;
-        let mut arcs: Vec<(u32, f64)> = Vec::new();
-        while let Some(Reverse((TotalF64(d), v))) = self.heap.pop() {
-            if self.settled[v as usize] && self.valid(v) {
-                continue;
-            }
-            self.settled[v as usize] = true;
-            settled_count += 1;
-            if visit(v, d).is_break() {
-                break;
-            }
-            arcs.clear();
-            neighbors(v, &mut arcs);
-            for &(t, w) in &arcs {
-                debug_assert!(w >= 0.0);
-                let nd = d + w;
-                if !self.valid(t) || nd < self.dist[t as usize] {
-                    self.label(t, nd, v);
-                    self.heap.push(Reverse((TotalF64(nd), t)));
-                }
-            }
-        }
-        SearchOutcome {
-            settled: settled_count,
-            targets_reached: 0,
-        }
+        neighbors: impl FnMut(u32, &mut Vec<(u32, f64)>),
+        visit: impl FnMut(u32, f64) -> ControlFlow<()>,
+    ) {
+        let arcs = Implicit {
+            neighbors,
+            arcs: Vec::new(),
+        };
+        self.search(seeds, arcs, visit);
     }
 
     /// Run Dijkstra invoking `visit(vertex, distance)` on every settle, in
@@ -249,42 +182,9 @@ impl DijkstraEngine {
         &mut self,
         graph: &CsrGraph,
         seeds: &[(u32, f64)],
-        mut visit: impl FnMut(u32, f64) -> std::ops::ControlFlow<()>,
-    ) -> SearchOutcome {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(u32::MAX);
-            self.generation = 1;
-        }
-        self.heap.clear();
-        for &(v, d) in seeds {
-            if !self.valid(v) || d < self.dist[v as usize] {
-                self.label(v, d, NO_VERTEX);
-                self.heap.push(Reverse((TotalF64(d), v)));
-            }
-        }
-        let mut settled_count = 0usize;
-        while let Some(Reverse((TotalF64(d), v))) = self.heap.pop() {
-            if self.settled[v as usize] && self.valid(v) {
-                continue;
-            }
-            self.settled[v as usize] = true;
-            settled_count += 1;
-            if visit(v, d).is_break() {
-                break;
-            }
-            for (t, w) in graph.neighbors(v) {
-                let nd = d + w;
-                if !self.valid(t) || nd < self.dist[t as usize] {
-                    self.label(t, nd, v);
-                    self.heap.push(Reverse((TotalF64(nd), t)));
-                }
-            }
-        }
-        SearchOutcome {
-            settled: settled_count,
-            targets_reached: 0,
-        }
+        visit: impl FnMut(u32, f64) -> ControlFlow<()>,
+    ) {
+        self.search(seeds, graph, visit);
     }
 
     /// Point-to-point search with early exit: returns the best
@@ -293,37 +193,20 @@ impl DijkstraEngine {
     /// `(entry door of t side)` for path recovery.
     ///
     /// `t_seeds` are `(vertex, exit_cost)` pairs: reaching vertex `v` with
-    /// label `d` yields a candidate route of length `d + exit_cost`.
+    /// label `d` yields a candidate route of length `d + exit_cost`. The
+    /// search stops at the first settle whose label cannot improve the
+    /// best candidate.
     pub fn point_to_point(
         &mut self,
         graph: &CsrGraph,
         s_seeds: &[(u32, f64)],
         t_seeds: &[(u32, f64)],
     ) -> Option<(f64, u32)> {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(u32::MAX);
-            self.generation = 1;
-        }
-        self.heap.clear();
-        for &(v, d) in s_seeds {
-            if !self.valid(v) || d < self.dist[v as usize] {
-                self.label(v, d, NO_VERTEX);
-                self.heap.push(Reverse((TotalF64(d), v)));
-            }
-        }
-
         let mut best: Option<(f64, u32)> = None;
-        while let Some(Reverse((TotalF64(d), v))) = self.heap.pop() {
-            if self.settled[v as usize] && self.valid(v) {
-                continue;
+        self.search(s_seeds, graph, |v, d| {
+            if best.is_some_and(|(b, _)| d >= b) {
+                return ControlFlow::Break(()); // no frontier label can improve the answer
             }
-            if let Some((b, _)) = best {
-                if d >= b {
-                    break; // no frontier label can improve the answer
-                }
-            }
-            self.settled[v as usize] = true;
             for &(tv, exit) in t_seeds {
                 if tv == v {
                     let cand = d + exit;
@@ -332,29 +215,54 @@ impl DijkstraEngine {
                     }
                 }
             }
-            for (t, w) in graph.neighbors(v) {
-                let nd = d + w;
-                if !self.valid(t) || nd < self.dist[t as usize] {
-                    self.label(t, nd, v);
-                    self.heap.push(Reverse((TotalF64(nd), t)));
-                }
-            }
-        }
+            ControlFlow::Continue(())
+        });
         best
     }
 
-    #[inline]
-    fn label(&mut self, v: u32, d: f64, parent: u32) {
-        self.dist[v as usize] = d;
-        self.parent[v as usize] = parent;
-        self.stamp[v as usize] = self.generation;
-        self.settled[v as usize] = false;
+    /// The one settle loop: seed, pop, skip stale entries, mark settled,
+    /// `visit`, and relax the vertex's arcs unless `visit` broke.
+    fn search(
+        &mut self,
+        seeds: &[(u32, f64)],
+        mut arcs: impl Arcs,
+        mut visit: impl FnMut(u32, f64) -> ControlFlow<()>,
+    ) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrap: invalidate everything. Stamp 0 is never a live
+            // generation; any other value would come back to life when
+            // the counter next reaches it.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.heap.clear();
+        for &(v, d) in seeds {
+            self.relax(v, d, NO_VERTEX);
+        }
+        while let Some(Reverse((TotalF64(d), v))) = self.heap.pop() {
+            if self.settled[v as usize] && self.valid(v) {
+                continue; // stale heap entry
+            }
+            self.settled[v as usize] = true;
+            if visit(v, d).is_break() {
+                break;
+            }
+            arcs.each(v, |t, w| self.relax(t, d + w, v));
+        }
     }
 
-    /// Number of vertices this engine was sized for.
+    /// Label `v` with `d` via `parent` and queue it, if that improves on
+    /// its current label (strict `<`: the first label found stays on ties).
     #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.dist.len()
+    fn relax(&mut self, v: u32, d: f64, parent: u32) {
+        if !self.valid(v) || d < self.dist[v as usize] {
+            self.dist[v as usize] = d;
+            self.parent[v as usize] = parent;
+            self.stamp[v as usize] = self.generation;
+            self.settled[v as usize] = false;
+            self.heap.push(Reverse((TotalF64(d), v)));
+        }
     }
 }
 
@@ -454,9 +362,10 @@ mod tests {
     fn exhaustive_distances_and_paths() {
         let g = line_with_shortcut();
         let mut e = DijkstraEngine::new(4);
-        let out = e.run(&g, &[(0, 0.0)], Termination::Exhaust);
-        assert_eq!(out.settled, 4);
-        assert_eq!(e.settled_distance(3), Some(3.0));
+        e.run(&g, &[(0, 0.0)], &[]);
+        for (v, d) in [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)] {
+            assert_eq!(e.settled_distance(v), Some(d), "vertex {v}");
+        }
         assert_eq!(e.path_to(3).unwrap(), vec![0, 1, 2, 3]);
     }
 
@@ -464,39 +373,65 @@ mod tests {
     fn settle_all_terminates_early() {
         let g = line_with_shortcut();
         let mut e = DijkstraEngine::new(4);
-        let out = e.run(&g, &[(0, 0.0)], Termination::SettleAll(&[1]));
-        assert_eq!(out.targets_reached, 1);
-        assert!(out.settled <= 2);
+        e.run(&g, &[(0, 0.0)], &[1]);
         assert_eq!(e.settled_distance(1), Some(1.0));
-    }
-
-    #[test]
-    fn bound_cuts_off() {
-        let g = line_with_shortcut();
-        let mut e = DijkstraEngine::new(4);
-        e.run(&g, &[(0, 0.0)], Termination::Bound(1.5));
-        assert_eq!(e.settled_distance(1), Some(1.0));
-        assert_eq!(e.settled_distance(3), None);
+        assert_eq!(e.settled_distance(3), None, "stopped before the far vertex");
     }
 
     #[test]
     fn multi_seed_virtual_source() {
         let g = line_with_shortcut();
         let mut e = DijkstraEngine::new(4);
-        e.run(&g, &[(0, 5.0), (2, 0.5)], Termination::Exhaust);
+        e.run(&g, &[(0, 5.0), (2, 0.5)], &[]);
         // Vertex 1 best reached from seed 2 (0.5 + 1.0) not seed 0 (5 + 1).
         assert_eq!(e.settled_distance(1), Some(1.5));
         assert_eq!(e.parent(1), Some(2));
     }
 
     #[test]
+    fn chains_end_at_the_seed_they_were_reached_from() {
+        let g = line_with_shortcut();
+        let mut e = DijkstraEngine::new(4);
+        e.run(&g, &[(0, 5.0), (3, 0.0)], &[]);
+        // Seed 3 reaches everything first: even seed 0 (label 5) is
+        // relabelled through 1 (3 < 5).
+        let mut chain = Vec::new();
+        e.chain_into(1, &mut chain);
+        assert_eq!(chain, vec![1, 2, 3]);
+        assert_eq!(e.path_to(1).unwrap(), vec![3, 2, 1]);
+        e.chain_into(0, &mut chain);
+        assert_eq!(chain, vec![0, 1, 2, 3], "seed 0 relabelled from seed 3");
+        // Two live seeds: 1 hangs off seed 0, 2 off seed 3.
+        e.run(&g, &[(0, 0.0), (3, 0.5)], &[]);
+        e.chain_into(1, &mut chain);
+        assert_eq!(chain, vec![1, 0]);
+        e.chain_into(2, &mut chain);
+        assert_eq!(chain, vec![2, 3]);
+        assert_eq!(e.path_to(3).unwrap(), vec![3], "a seed is its own path");
+    }
+
+    #[test]
     fn generation_reset_isolates_runs() {
         let g = line_with_shortcut();
         let mut e = DijkstraEngine::new(4);
-        e.run(&g, &[(0, 0.0)], Termination::Exhaust);
-        e.run(&g, &[(3, 0.0)], Termination::SettleAll(&[3]));
+        e.run(&g, &[(0, 0.0)], &[]);
+        e.run(&g, &[(3, 0.0)], &[3]);
         // Distances from the first run must not leak.
         assert_eq!(e.settled_distance(0), None);
+        assert_eq!(e.settled_distance(3), Some(0.0));
+    }
+
+    #[test]
+    fn generation_wrap_forgets_every_earlier_label() {
+        let g = line_with_shortcut();
+        let mut e = DijkstraEngine::new(4);
+        e.run(&g, &[(0, 0.0)], &[]);
+        e.generation = u32::MAX; // the next run wraps
+        e.run(&g, &[(3, 0.0)], &[3]);
+        // Count up to the last generation without touching 0..=2 again.
+        e.generation = u32::MAX - 1;
+        e.run(&g, &[(3, 0.0)], &[3]);
+        assert_eq!(e.settled_distance(0), None, "a label from before the wrap");
         assert_eq!(e.settled_distance(3), Some(0.0));
     }
 
@@ -517,12 +452,12 @@ mod tests {
         let pool = EnginePool::new(4);
         {
             let mut e = pool.checkout();
-            e.run(&g, &[(0, 0.0)], Termination::Exhaust);
+            e.run(&g, &[(0, 0.0)], &[]);
             assert_eq!(e.settled_distance(3), Some(3.0));
         }
         // The returned engine is reused; generation stamps isolate the runs.
         let mut e = pool.checkout();
-        e.run(&g, &[(3, 0.0)], Termination::SettleAll(&[3]));
+        e.run(&g, &[(3, 0.0)], &[3]);
         assert_eq!(e.settled_distance(0), None);
         drop(e);
         // Warming tops the free list up without discarding returned engines.
@@ -538,9 +473,14 @@ mod tests {
         b.add_edge(0, 1, 1.0);
         let g = b.build();
         let mut e = DijkstraEngine::new(3);
-        let out = e.run(&g, &[(0, 0.0)], Termination::SettleAll(&[2]));
-        assert_eq!(out.targets_reached, 0);
-        assert_eq!(e.distance(2), None);
+        e.run(&g, &[(0, 0.0)], &[2]);
+        assert_eq!(e.settled_distance(2), None);
+        assert_eq!(
+            e.settled_distance(1),
+            Some(1.0),
+            "ran until the frontier emptied"
+        );
+        assert_eq!(e.path_to(2), None);
         assert!(e.point_to_point(&g, &[(0, 0.0)], &[(2, 0.0)]).is_none());
     }
 }

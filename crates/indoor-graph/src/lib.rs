@@ -8,8 +8,14 @@
 //!
 //! Query processing is dominated by repeated Dijkstra searches, so the
 //! crate provides a reusable [`DijkstraEngine`] with epoch-based state
-//! reset (no `O(V)` clearing between runs) and several termination modes:
-//! exhaustive, settle-a-target-set, and distance-bounded.
+//! reset (no `O(V)` clearing between runs). Every search is one settle
+//! loop behind four entry points: [`DijkstraEngine::run`] stops once a target
+//! set is settled (an empty set settles everything reachable),
+//! [`DijkstraEngine::run_visit`] and [`DijkstraEngine::run_dynamic`] stop
+//! when their visitor breaks (the latter over per-query arcs), and
+//! [`DijkstraEngine::point_to_point`] stops once no frontier label can
+//! improve the best route. [`DijkstraEngine::chain_into`] is the one walk
+//! of the parent pointers.
 
 mod csr;
 mod dijkstra;
@@ -17,7 +23,5 @@ mod oracle;
 pub mod parallel;
 
 pub use csr::{CsrGraph, GraphBuilder};
-pub use dijkstra::{
-    DijkstraEngine, EnginePool, PooledEngine, SearchOutcome, Termination, NO_VERTEX,
-};
+pub use dijkstra::{DijkstraEngine, EnginePool, PooledEngine, NO_VERTEX};
 pub use oracle::floyd_warshall;

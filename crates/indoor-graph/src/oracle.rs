@@ -39,7 +39,7 @@ pub fn floyd_warshall(graph: &CsrGraph) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DijkstraEngine, GraphBuilder, Termination};
+    use crate::{DijkstraEngine, GraphBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -82,7 +82,7 @@ mod tests {
             let oracle = floyd_warshall(&g);
             let mut e = DijkstraEngine::new(n);
             for s in 0..n as u32 {
-                e.run(&g, &[(s, 0.0)], Termination::Exhaust);
+                e.run(&g, &[(s, 0.0)], &[]);
                 for t in 0..n as u32 {
                     let got = e.settled_distance(t).unwrap_or(f64::INFINITY);
                     let want = oracle[s as usize][t as usize];
@@ -96,7 +96,7 @@ mod tests {
         fn path_lengths_match_distances(seed in 0u64..5_000, n in 2usize..20, extra in 0usize..30) {
             let g = random_graph(seed, n, extra);
             let mut e = DijkstraEngine::new(n);
-            e.run(&g, &[(0, 0.0)], Termination::Exhaust);
+            e.run(&g, &[(0, 0.0)], &[]);
             for t in 0..n as u32 {
                 if let Some(d) = e.settled_distance(t) {
                     let path = e.path_to(t).unwrap();

@@ -1,6 +1,7 @@
 use crate::venue::Venue;
-use crate::{DoorId, PartitionId};
+use crate::{DoorId, IndoorPath, PartitionId};
 use geometry::Point;
+use indoor_graph::DijkstraEngine;
 use std::hash::{Hash, Hasher};
 
 /// A queryable indoor location: a position inside a known partition.
@@ -71,6 +72,51 @@ impl IndoorPoint {
             None
         }
     }
+
+    /// Exact point-to-point route to `t` (§3.1.1): the better of the
+    /// direct same-partition walk and a D2D search between the two door
+    /// seed sets, as `(distance, exit)`. The direct walk wins ties and
+    /// returns `None` for `exit`; `Some(exit)` means the route leaves
+    /// through the doors, and `engine.path_to(exit)` lists them from
+    /// this point's door to `t`'s. `None` when `t` is unreachable.
+    pub fn route_to(
+        &self,
+        venue: &Venue,
+        t: &IndoorPoint,
+        engine: &mut DijkstraEngine,
+    ) -> Option<(f64, Option<u32>)> {
+        let direct = self.direct_distance(venue, t);
+        let via = engine.point_to_point(venue.d2d(), &self.door_seeds(venue), &t.door_seeds(venue));
+        match (direct, via) {
+            (Some(d), via) if via.is_none_or(|(vd, _)| d <= vd) => Some((d, None)),
+            (_, via) => via.map(|(vd, exit)| (vd, Some(exit))),
+        }
+    }
+
+    /// [`route_to`](Self::route_to) expanded into an [`IndoorPath`]: the
+    /// direct walk crosses no door, a door route lists them from the
+    /// engine's parent chain.
+    pub fn path_to(
+        &self,
+        venue: &Venue,
+        t: &IndoorPoint,
+        engine: &mut DijkstraEngine,
+    ) -> Option<IndoorPath> {
+        let (length, exit) = self.route_to(venue, t, engine)?;
+        let doors = match exit {
+            None => Vec::new(),
+            Some(exit) => {
+                let chain = engine.path_to(exit).expect("exit door is labelled");
+                chain.into_iter().map(DoorId).collect()
+            }
+        };
+        Some(IndoorPath {
+            source: *self,
+            target: *t,
+            doors,
+            length,
+        })
+    }
 }
 
 /// Hashes the bit-pattern identity ([`IndoorPoint::key_bits`]).
@@ -123,5 +169,37 @@ mod tests {
         assert_eq!(a.direct_distance(&v, &b2), Some(5.0));
         let c = IndoorPoint::new(PartitionId(1), Point::new(12.0, 5.0, 0));
         assert_eq!(a.direct_distance(&v, &c), None);
+    }
+
+    #[test]
+    fn route_to_prefers_the_direct_walk_on_ties_and_returns_door_exits() {
+        let (v, room, _, _) = one_room_venue();
+        let mut engine = DijkstraEngine::new(v.num_doors());
+        // s stands on d1: through d1 costs 0 + 6, exactly the direct walk.
+        let s = IndoorPoint::new(room, Point::new(10.0, 5.0, 0));
+        let t = IndoorPoint::new(room, Point::new(4.0, 5.0, 0));
+        assert_eq!(s.route_to(&v, &t, &mut engine), Some((6.0, None)));
+        assert!(s.path_to(&v, &t, &mut engine).unwrap().doors.is_empty());
+
+        // A weightless corridor beside the room makes its two doors 1 m
+        // from s and t, which stand 8 m apart inside the room.
+        let mut b = VenueBuilder::new();
+        let room = b.add_partition(PartitionKind::Room, Rect::new(0.0, 0.0, 10.0, 10.0, 0));
+        let corridor = b.add_partition(PartitionKind::Hallway, Rect::new(10.0, 0.0, 20.0, 10.0, 0));
+        b.set_fixed_traversal_weight(corridor, 0.0);
+        let lo = b.add_door(Point::new(10.0, 1.0, 0), room, Some(corridor));
+        let hi = b.add_door(Point::new(10.0, 9.0, 0), room, Some(corridor));
+        let v = b.build().unwrap();
+        let mut engine = DijkstraEngine::new(v.num_doors());
+        let s = IndoorPoint::new(room, Point::new(9.0, 1.0, 0));
+        let t = IndoorPoint::new(room, Point::new(9.0, 9.0, 0));
+        assert_eq!(s.direct_distance(&v, &t), Some(8.0));
+        let (d, exit) = s.route_to(&v, &t, &mut engine).unwrap();
+        assert!((d - 2.0).abs() < 1e-12, "got {d}");
+        assert_eq!(exit, Some(hi.0));
+        assert_eq!(engine.path_to(hi.0), Some(vec![lo.0, hi.0]));
+        let path = s.path_to(&v, &t, &mut engine).unwrap();
+        assert_eq!(path.doors, vec![lo, hi]);
+        assert_eq!(path.validate(&v), Ok(d));
     }
 }

@@ -10,8 +10,6 @@ use crate::{IndoorPath, IndoorPoint, ObjectId};
 pub struct QueryStats {
     /// Door pairs combined to produce the final answer (Fig. 9(a)).
     pub door_pairs: u64,
-    /// Vertices settled by graph expansions (Dijkstra-style baselines).
-    pub settled_vertices: u64,
     /// Number of queries accumulated into this struct.
     pub queries: u64,
 }
@@ -19,7 +17,6 @@ pub struct QueryStats {
 impl QueryStats {
     pub fn merge(&mut self, other: &QueryStats) {
         self.door_pairs += other.door_pairs;
-        self.settled_vertices += other.settled_vertices;
         self.queries += other.queries;
     }
 
@@ -77,17 +74,14 @@ mod tests {
     fn stats_merge_and_mean() {
         let mut a = QueryStats {
             door_pairs: 10,
-            settled_vertices: 5,
             queries: 2,
         };
         let b = QueryStats {
             door_pairs: 20,
-            settled_vertices: 1,
             queries: 3,
         };
         a.merge(&b);
         assert_eq!(a.door_pairs, 30);
-        assert_eq!(a.settled_vertices, 6);
         assert_eq!(a.queries, 5);
         assert!((a.mean_door_pairs() - 6.0).abs() < 1e-12);
         assert_eq!(QueryStats::default().mean_door_pairs(), 0.0);

@@ -196,15 +196,16 @@ fn serve_conn(
             Some(n) => dec.extend(&buf[..n]),
             None => continue,
         }
-        loop {
+        // Poisoned framing: the byte boundaries are gone, so the contract
+        // is a clean close — the frames decoded ahead of the break are
+        // still answered, then the client sees EOF.
+        let poisoned = loop {
             match dec.next() {
                 Ok(Some(f)) => frames.push(f),
-                Ok(None) => break,
-                // Poisoned framing: the byte boundaries are gone, so the
-                // contract is a clean close — the client sees EOF.
-                Err(_) => return Ok(()),
+                Ok(None) => break false,
+                Err(_) => break true,
             }
-        }
+        };
         // Every reply this drain produces goes out in one write.
         reply.clear();
         let mut drained = frames.drain(..).peekable();
@@ -248,6 +249,9 @@ fn serve_conn(
             }
         }
         stream.write_all(&reply)?;
+        if poisoned {
+            return Ok(());
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Route-overlay construction: Rnet hierarchy + per-Rnet border shortcuts.
 
 use graph_partition::Hierarchy;
-use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder, Termination};
+use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder};
 use indoor_model::{IndoorPoint, PartitionId, Venue};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -240,7 +240,7 @@ fn within_graph_shortcuts(
 
     for (ci, &b) in borders.iter().enumerate() {
         let lb = local_verts.binary_search(&b).expect("border in Rnet") as u32;
-        engine.run(local, &[(lb, 0.0)], Termination::Exhaust);
+        engine.run(local, &[(lb, 0.0)], &[]);
         for (ri, &r) in rows.iter().enumerate() {
             if r == b {
                 dist[ri * nc + ci] = 0.0;

@@ -3,7 +3,6 @@
 
 use crate::build::Road;
 use graph_partition::NO_H;
-use indoor_graph::NO_VERTEX;
 use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -121,19 +120,8 @@ impl Road {
         );
 
         // Overlay vertex chain (may contain shortcut jumps).
-        let overlay: Option<(f64, Vec<u32>)> = best.map(|(d, exit)| {
-            let mut seq = vec![exit];
-            let mut cur = exit;
-            while let Some(p) = engine.parent(cur) {
-                if p == NO_VERTEX {
-                    break;
-                }
-                seq.push(p);
-                cur = p;
-            }
-            seq.reverse();
-            (d, seq)
-        });
+        let overlay: Option<(f64, Vec<u32>)> =
+            best.map(|(d, exit)| (d, engine.path_to(exit).expect("exit is settled")));
         drop(engine);
 
         match (direct, overlay) {

@@ -5,6 +5,8 @@
 //!   the in-process [`IndoorService::execute`] answer exactly — framing
 //!   round-trips are lossless, including through the pipelined batch
 //!   path.
+//! - **Poisoned framing**: frames that arrive ahead of a corrupt one are
+//!   answered, then the server closes.
 //! - **Typed overload**: flooding a shard past its admission capacity
 //!   yields `Overloaded` *replies*, never dropped connections — every
 //!   request resolves and the connection stays usable afterwards.
@@ -475,6 +477,62 @@ fn pipelined_sends_leave_in_one_write_per_burst() {
         sender.join().unwrap();
     });
     assert_eq!(client.recv_answer().unwrap().0, follow_ups[1]);
+}
+
+/// A frame whose CRC does not match poisons the connection, but the
+/// valid frames that arrived ahead of it in the same write are still
+/// answered, in order and byte-identical to in-process execution, before
+/// the server closes. The peer is a raw socket, so the corrupt bytes
+/// reach the server exactly as written.
+#[test]
+fn frames_ahead_of_a_corrupt_frame_are_answered_before_close() {
+    use indoor_spatial::model::frames::{Frame, FrameDecoder, NET_MAGIC};
+    use std::io::{Read, Write};
+    let (venue, config, reqs) = fixture(87);
+    let service = Arc::new(IndoorService::new());
+    let id = service.add_venue(venue, config).unwrap();
+    let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&NET_MAGIC).unwrap();
+    let mut magic = [0u8; NET_MAGIC.len()];
+    stream.read_exact(&mut magic).unwrap();
+    assert_eq!(magic, NET_MAGIC, "server presented the protocol magic");
+
+    let req = reqs[0].clone();
+    let mut burst = Frame::Ping { id: 1 }.encode();
+    Frame::Query {
+        id: 2,
+        venue: id.index() as u32,
+        req: req.clone(),
+    }
+    .encode_into(&mut burst);
+    let mut corrupt = Frame::Ping { id: 3 }.encode();
+    corrupt[4] ^= 0xFF; // the header's CRC no longer covers the payload
+    burst.extend_from_slice(&corrupt);
+    stream.write_all(&burst).unwrap();
+
+    let mut replies = Vec::new();
+    stream
+        .read_to_end(&mut replies)
+        .expect("the server closes cleanly");
+    let mut dec = FrameDecoder::new();
+    dec.extend(&replies);
+    assert_eq!(dec.next().unwrap(), Some(Frame::Pong { id: 1 }));
+    assert_eq!(
+        dec.next().unwrap(),
+        Some(Frame::Answer {
+            id: 2,
+            result: Ok(service.execute(id, &req).unwrap()),
+        })
+    );
+    assert_eq!(
+        dec.next().unwrap(),
+        None,
+        "nothing answers the corrupt frame"
+    );
 }
 
 /// Flood a capacity-1 shard from eight pipelined connections, once per
