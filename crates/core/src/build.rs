@@ -1,17 +1,20 @@
 //! IP-tree construction (§2.1.2): leaves → merged levels → matrices.
 //!
-//! The matrix phases (steps 3–4) fan out over worker threads — one
-//! checkout-pooled [`indoor_graph::DijkstraEngine`] per worker — while the
-//! structural phases (leaf assignment, merging) stay serial. Every
-//! parallel unit writes into a pre-assigned slot, so the built tree is
-//! bit-identical for any `VipTreeConfig::threads` (see DESIGN.md).
+//! The matrix phases read no full-graph search (DESIGN.md §1, §3):
+//! leaf-local passes (step 3a), level graphs bottom-up (step 4), then a
+//! top-down fold into the global leaf matrices (step 3c). Each phase fans
+//! out over worker threads while the structural phases (leaf assignment,
+//! merging) stay serial. Every parallel unit writes into a pre-assigned
+//! slot, so the built tree is bit-identical for any
+//! `VipTreeConfig::threads` (see DESIGN.md).
 
 use crate::leaf::assign_leaves;
-use crate::matrices::{build_inner_matrix, build_leaf_matrix, LevelGraph};
+use crate::leafdist::{fold_leaf_matrix, leaf_local, FoldInputs};
+use crate::matrices::{build_inner_matrix, LevelGraph};
 use crate::merge::{create_next_level, ProtoNode};
 use crate::tree::{BuildError, DistMatrix, IpTree, NodeIdx, Runs, VipTreeConfig, NO_NODE};
-use indoor_graph::parallel::par_map_init;
-use indoor_graph::EnginePool;
+use indoor_graph::parallel::{par_map, par_map_init};
+use indoor_graph::{DijkstraEngine, EnginePool};
 use indoor_model::{DoorId, PartitionId, Venue};
 use std::sync::Arc;
 
@@ -159,73 +162,28 @@ impl IpTree {
             }
         }
 
-        // --- Step 3: leaf matrices (+ superior doors), in parallel. ---
-        // Each leaf's Dijkstra fan-out is independent (it reads only the
-        // venue, the boundary flags, and its own door lists), so leaves map
-        // over the worker pool; the superior-door evidence is carried back
-        // per leaf and folded in leaf order afterwards, which keeps the
-        // result identical to the serial build.
+        // --- Step 3a: leaf-local passes, in parallel per leaf. ---
         let threads = config.threads;
-        let pool = EnginePool::new(venue.num_doors());
         let leaf_indices: Vec<usize> = (0..n_leaves).collect();
-        let leaf_results: Vec<(DistMatrix, Vec<Vec<bool>>)> = par_map_init(
-            &leaf_indices,
-            threads,
-            || pool.checkout(),
-            |engine, _, &li| {
-                let mut hits: Vec<Vec<bool>> = partitions
-                    .get(li)
-                    .iter()
-                    .map(|p| vec![false; venue.partition(*p).doors.len()])
-                    .collect();
-                let matrix = build_leaf_matrix(
-                    &venue,
-                    engine,
-                    rows.get(li),
-                    access.get(li),
-                    &boundary,
-                    partitions.get(li),
-                    &mut hits,
-                );
-                (matrix, hits)
-            },
-        );
-        // `matrices[i]` is node `i`'s matrix until the slab packer consumes
-        // the lot below.
-        let mut matrices: Vec<DistMatrix> = Vec::with_capacity(n_nodes);
-        let mut superior: Vec<Vec<DoorId>> = vec![Vec::new(); venue.num_partitions()];
-        for (li, (matrix, hits)) in leaf_results.into_iter().enumerate() {
-            // Local access doors are superior by definition; add the
-            // Dijkstra-evidenced ones.
-            for (pi, &p) in partitions.get(li).iter().enumerate() {
-                let access = access.get(li);
-                let pdoors = &venue.partition(p).doors;
-                let mut sup: Vec<DoorId> = pdoors
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, d)| hits[pi][*i] || access.binary_search(d).is_ok())
-                    .map(|(_, d)| *d)
-                    .collect();
-                sup.sort_unstable();
-                sup.dedup();
-                // A partition always needs at least one candidate exit.
-                if sup.is_empty() {
-                    sup = pdoors.clone();
-                }
-                superior[p.index()] = sup;
-            }
-            matrices.push(matrix);
-        }
+        let locals = par_map(&leaf_indices, threads, |_, &li| {
+            leaf_local(&venue, partitions.get(li), rows.get(li), access.get(li))
+        });
 
         // --- Step 4: non-leaf matrices, bottom-up via level graphs. ---
-        // Levels stay sequential (G_{l+1} is built from level-l matrices),
-        // but within one level every node's matrix is independent: compute
-        // them in parallel into per-node slots, then append in order.
+        // G_2 joins the leaves' *local* access-door cliques, and is kept
+        // for step 3c. Levels stay sequential (G_{l+1} is built from
+        // level-l matrices), but within one level every node's matrix is
+        // independent: compute them in parallel into per-node slots, then
+        // append in order.
+        let mut inner: Vec<DistMatrix> = Vec::with_capacity(n_nodes - n_leaves);
+        let mut g2: Option<LevelGraph> = None;
         for li in 1..level_first.len() {
-            let prev_first = level_first[li - 1];
-            let prev_last = level_first[li];
-            let parts: Vec<(&[DoorId], &DistMatrix)> = (prev_first..prev_last)
-                .map(|i| (access.get(i), &matrices[i]))
+            let matrix = |i: usize| match i.checked_sub(n_leaves) {
+                Some(j) => &inner[j],
+                None => &locals[i],
+            };
+            let parts: Vec<(&[DoorId], &DistMatrix)> = (level_first[li - 1]..level_first[li])
+                .map(|i| (access.get(i), matrix(i)))
                 .collect();
             let lg = LevelGraph::build_from_parts(venue.num_doors(), &parts);
             drop(parts);
@@ -233,14 +191,47 @@ impl IpTree {
 
             let this_last = level_first.get(li + 1).copied().unwrap_or(n_nodes);
             let level_nodes: Vec<usize> = (level_first[li]..this_last).collect();
-            debug_assert_eq!(matrices.len(), level_first[li]);
-            matrices.extend(par_map_init(
+            inner.extend(par_map_init(
                 &level_nodes,
                 threads,
                 || lg_pool.checkout(),
                 |engine, _, &i| build_inner_matrix(&lg, engine, rows.get(i)),
             ));
+            if li == 1 {
+                g2 = Some(lg);
+            }
         }
+
+        // --- Step 3c: the top-down fold into global leaf matrices and
+        // superior doors, in parallel per leaf into per-leaf slots. ---
+        let inputs = FoldInputs {
+            venue: &venue,
+            locals: &locals,
+            door_leaves: &door_leaves,
+            boundary: &boundary,
+            g2: g2.as_ref(),
+        };
+        let leaf_results = par_map_init(
+            &leaf_indices,
+            threads,
+            || {
+                g2.as_ref()
+                    .map(|g| DijkstraEngine::new(g.vertex_door.len()))
+            },
+            |g2_engine, _, &li| fold_leaf_matrix(&inputs, g2_engine, li, partitions.get(li)),
+        );
+        drop((locals, g2));
+        // `matrices[i]` is node `i`'s matrix until the slab packer consumes
+        // the lot below.
+        let mut matrices: Vec<DistMatrix> = Vec::with_capacity(n_nodes);
+        let mut superior: Vec<Vec<DoorId>> = vec![Vec::new(); venue.num_partitions()];
+        for (li, (matrix, sup)) in leaf_results.into_iter().enumerate() {
+            for (p, sup) in partitions.get(li).iter().zip(sup) {
+                superior[p.index()] = sup;
+            }
+            matrices.push(matrix);
+        }
+        matrices.extend(inner);
 
         // --- Partition -> leaf map. ---
         let mut leaf_of_partition = vec![NO_NODE; venue.num_partitions()];
@@ -258,6 +249,7 @@ impl IpTree {
         // queried leaf set, not the venue size.
         let leaf_grid = crate::leafdist::LeafGrid::new(n_leaves);
 
+        let engines = EnginePool::new(venue.num_doors());
         let mut tree = IpTree {
             venue,
             config: config.clone(),
@@ -273,7 +265,7 @@ impl IpTree {
             boundary,
             superior: superior.into_iter().collect(),
             decompose_fallbacks: std::sync::atomic::AtomicU64::new(0),
-            engines: pool,
+            engines,
             scratch: crate::exec::ScratchPool::new(),
             objects: std::sync::RwLock::new(None),
             objects_update: std::sync::Mutex::new(()),
@@ -296,7 +288,6 @@ impl IpTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indoor_graph::DijkstraEngine;
     use indoor_synth::random_venue;
     use proptest::prelude::*;
 
@@ -374,25 +365,7 @@ mod tests {
                 }
             }
 
-            // Every matrix entry — leaf and non-leaf, read through the
-            // slab — equals the ground-truth Dijkstra distance.
-            let mut engine = DijkstraEngine::new(venue.num_doors());
-            let slabs = tree.slabs();
-            for idx in 0..tree.num_nodes() as NodeIdx {
-                for (c, &a) in tree.cols(idx).iter().enumerate() {
-                    engine.run(
-                        venue.d2d(),
-                        &[(a.0, 0.0)],
-                        &[],
-                    );
-                    for (r, &d) in tree.rows(idx).iter().enumerate() {
-                        let want = engine.settled_distance(d.0).unwrap_or(f64::INFINITY);
-                        let got = slabs.row(idx, r)[c];
-                        prop_assert!((got - want).abs() < 1e-9 || (got == want),
-                            "node {idx} dist({d},{a}): got {got} want {want}");
-                    }
-                }
-            }
+            check_matrices(&venue, &tree);
 
             // Non-root nodes have >= t children (unless their level had no
             // merge partners), root has <= ... at least 1 child when there
@@ -400,6 +373,66 @@ mod tests {
             if tree.num_leaves() > 1 {
                 prop_assert!(!tree.children(tree.root()).is_empty());
             }
+        }
+    }
+
+    /// Every matrix entry — leaf and non-leaf, read through the slab —
+    /// equals the ground-truth full-graph Dijkstra distance, and every
+    /// non-NULL next hop `h` of an entry `(d, a)` lies on a shortest path:
+    /// `d(d, h) + d(h, a) == d(d, a)`.
+    fn check_matrices(venue: &Venue, tree: &IpTree) {
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-9 || got == want;
+        let mut engine = DijkstraEngine::new(venue.num_doors());
+        let slabs = tree.slabs();
+        for idx in 0..tree.num_nodes() as NodeIdx {
+            let rows = tree.rows(idx);
+            let cols = tree.cols(idx);
+            let hop = |r: usize, c: usize| slabs.hop(idx, r, c).map(|h| h.0);
+            // d(·, a) for every row and every hop of column a.
+            let mut to_col: Vec<Vec<f64>> = Vec::with_capacity(cols.len());
+            let mut hop_to_col: Vec<Vec<f64>> = Vec::with_capacity(cols.len());
+            for (c, &a) in cols.iter().enumerate() {
+                let mut targets: Vec<u32> = rows.iter().map(|d| d.0).collect();
+                targets.extend((0..rows.len()).filter_map(|r| hop(r, c)));
+                engine.run(venue.d2d(), &[(a.0, 0.0)], &targets);
+                let at = |v: u32| engine.settled_distance(v).unwrap_or(f64::INFINITY);
+                to_col.push(rows.iter().map(|d| at(d.0)).collect());
+                hop_to_col.push((0..rows.len()).map(|r| hop(r, c).map_or(0.0, at)).collect());
+            }
+            for (r, &d) in rows.iter().enumerate() {
+                let row = slabs.row(idx, r);
+                let hops: Vec<u32> = (0..cols.len()).filter_map(|c| hop(r, c)).collect();
+                engine.run(venue.d2d(), &[(d.0, 0.0)], &hops);
+                for (c, &a) in cols.iter().enumerate() {
+                    let (got, want) = (row[c], to_col[c][r]);
+                    assert!(
+                        close(got, want),
+                        "node {idx} dist({d},{a}): got {got} want {want}"
+                    );
+                    if let Some(h) = hop(r, c) {
+                        let via =
+                            engine.settled_distance(h).unwrap_or(f64::INFINITY) + hop_to_col[c][r];
+                        assert!(
+                            close(via, want),
+                            "node {idx} hop {h} of ({d},{a}): {via} via the hop, {want} direct"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same checks on multi-level trees the random venues do not
+    /// reach. Ignored in the debug suite, where it takes ~50 s; CI runs it
+    /// in release (5–10 s) with `--ignored`.
+    #[test]
+    #[ignore]
+    fn preset_matrices_are_global_with_valid_hops() {
+        use indoor_synth::presets;
+        for spec in [presets::menzies_2(), presets::clayton_lite()] {
+            let venue = Arc::new(spec.build());
+            let tree = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            check_matrices(&venue, &tree);
         }
     }
 }

@@ -1,5 +1,7 @@
-//! Per-leaf door-to-door distance grid: the packed table that replaces
-//! the per-query D2D expansion of same-leaf scans (DESIGN.md §14.4).
+//! Leaf-local distances: the build's leaf passes (§2.1.2 step 3,
+//! DESIGN.md §1) and the per-leaf door-to-door grid, the packed table
+//! that replaces the per-query D2D expansion of same-leaf scans
+//! (DESIGN.md §14.4). All of them search [`leaf_graph`].
 //!
 //! `scan_leaf` used to answer "exact distance from `q` to every object in
 //! q's own leaf" with a full-graph Dijkstra per query — which profiling
@@ -27,9 +29,8 @@
 //! where `d_intra` is Dijkstra over the leaf-local subgraph (the same
 //! per-partition door cliques the venue's D2D builder emits, restricted
 //! to the leaf's partitions) and `M` is the leaf's distance matrix —
-//! already global by construction (`matrices::build_leaf_matrix`). Both
-//! ingredients exist at build time, so the grid costs no extra
-//! full-graph work.
+//! global by the top-down fold ([`fold_leaf_matrix`]). Both ingredients
+//! exist at build time, so the grid costs no full-graph work.
 //!
 //! Layout: one packed lower triangle per leaf. Row `s` holds
 //! `T(s, 0..=s)`, so [`get`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
@@ -42,9 +43,11 @@
 //! reason; every own-leaf scan reads the grid, so answers are a function
 //! of the grid alone.
 
-use crate::tree::{IpTree, NodeIdx};
+use crate::matrices::{leaf_next_hop, LevelGraph};
+use crate::tree::{DistMatrix, IpTree, NodeIdx, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
-use indoor_graph::{DijkstraEngine, GraphBuilder};
+use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder};
+use indoor_model::{DoorId, PartitionId, Venue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -160,6 +163,250 @@ impl LeafGrid {
     }
 }
 
+/// The D2D subgraph a leaf's doors induce through `partitions`: the venue
+/// D2D builder's per-partition door cliques, restricted to the doors in
+/// `doors`, with identical weights. Vertex `i` is `doors[i]` (`doors`
+/// sorted), so vertex order is door-id order. Over the leaf's own
+/// partitions this is the leaf-local graph.
+pub(crate) fn leaf_graph(venue: &Venue, partitions: &[PartitionId], doors: &[DoorId]) -> CsrGraph {
+    let mut gb = GraphBuilder::new(doors.len());
+    let mut here: Vec<(u32, DoorId)> = Vec::new();
+    for &p in partitions {
+        let part = venue.partition(p);
+        here.clear();
+        here.extend(
+            part.doors
+                .iter()
+                .filter_map(|&d| Some((doors.binary_search(&d).ok()? as u32, d))),
+        );
+        for (i, &(oa, da)) in here.iter().enumerate() {
+            for &(ob, db) in &here[i + 1..] {
+                let w = part.traversal_distance(&venue.door(da).position, &venue.door(db).position);
+                gb.add_edge(oa, ob, w);
+            }
+        }
+    }
+    gb.build()
+}
+
+/// Step 3a for one leaf: one leaf-local Dijkstra per access door. Entry
+/// `(d, u)` is `local(d, u)` (from `u`'s search), `G_2`'s base case; its
+/// next hop is the door after `d` on that search's path to `u` (NULL at
+/// `u`), which expands a `G_2` edge into its doors.
+pub(crate) fn leaf_local(
+    venue: &Venue,
+    partitions: &[PartitionId],
+    doors: &[DoorId],
+    access: &[DoorId],
+) -> DistMatrix {
+    let (n, m) = (doors.len(), access.len());
+    let (rows, cols) = (doors.to_vec(), access.to_vec());
+    let mut dist = vec![f64::INFINITY; n * m].into_boxed_slice();
+    let mut next_hop = vec![NO_DOOR; n * m].into_boxed_slice();
+    let graph = leaf_graph(venue, partitions, doors);
+    let mut engine = DijkstraEngine::new(n);
+    for (col, a) in access.iter().enumerate() {
+        let src = doors.binary_search(a).expect("access door is a leaf door");
+        engine.run(&graph, &[(src as u32, 0.0)], &[]);
+        for row in (0..n).filter(|&row| row != src) {
+            if let Some(d) = engine.settled_distance(row as u32) {
+                dist[row * m + col] = d;
+                next_hop[row * m + col] = doors[engine.parent(row as u32).unwrap() as usize].0;
+            }
+        }
+        dist[src * m + col] = 0.0;
+    }
+    DistMatrix {
+        rows,
+        cols,
+        dist,
+        next_hop,
+    }
+}
+
+/// What the step-3c fold reads besides its leaf: every leaf's local
+/// matrix, the door → leaves map, the boundary flags, and `G_2` (`None`
+/// when the root is a leaf: then local is already global).
+pub(crate) struct FoldInputs<'a> {
+    pub venue: &'a Venue,
+    pub locals: &'a [DistMatrix],
+    pub door_leaves: &'a [[NodeIdx; 2]],
+    pub boundary: &'a [bool],
+    pub g2: Option<&'a LevelGraph>,
+}
+
+impl FoldInputs<'_> {
+    /// The leaf whose local clique gave the `G_2` edge `x – y` its weight
+    /// (the lighter one when two leaves share the pair).
+    fn edge_leaf(&self, x: DoorId, y: DoorId) -> usize {
+        let weight = |l: NodeIdx| self.locals[l as usize].lookup_dist(x.min(y), x.max(y));
+        let shared = self.door_leaves[x.index()]
+            .into_iter()
+            .filter(|&l| l != NO_NODE && self.door_leaves[y.index()].contains(&l));
+        let (leaf, _) = shared
+            .filter_map(|l| Some((l as usize, weight(l)?)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("a G_2 edge comes from a leaf clique");
+        leaf
+    }
+
+    /// Append the doors after `x` on the `G_2` edge `x → y`: the local
+    /// path of [`Self::edge_leaf`].
+    fn expand_edge(&self, x: DoorId, y: DoorId, out: &mut Vec<u32>) {
+        let m = &self.locals[self.edge_leaf(x, y)];
+        let col = m.cols.binary_search(&y).unwrap();
+        let mut door = x;
+        while door != y {
+            door = DoorId(m.next_hop[m.rows.binary_search(&door).unwrap() * m.cols.len() + col]);
+            out.push(door.0);
+        }
+    }
+}
+
+/// Step 3c for leaf `li`: its global matrix, and its partitions' superior
+/// doors (Definition 2) in `partitions` order. `g2_engine` searches `G_2`.
+///
+/// Per access door `a`, the `G_2` search from `a` — the parent's build
+/// ran the same one for its column `a`, so its labels are `P(·, a)` — is
+/// stopped at the leaf's access doors, and one Dijkstra over the leaf's
+/// doors seeded with those labels evaluates `M(d, a) = min over access
+/// doors u of local(d, u) + P(u, a)`. The leaf graph also carries the
+/// outside partitions' edges among the leaf's own doors, and an access
+/// door whose `G_2` route leaves through the leaf's own clique is reached
+/// from inside rather than seeded: labels, settle order and parents are
+/// then those of a full-graph search from `a`, bit for bit. A door's path
+/// is its chain to the seed it was reached from, then that seed's `G_2`
+/// route with each edge expanded; the next hop (§2.1.1) and the
+/// superior-door evidence are read off it.
+pub(crate) fn fold_leaf_matrix(
+    inp: &FoldInputs<'_>,
+    g2_engine: &mut Option<DijkstraEngine>,
+    li: usize,
+    partitions: &[PartitionId],
+) -> (DistMatrix, Vec<Vec<DoorId>>) {
+    let (doors, access) = (&inp.locals[li].rows, &inp.locals[li].cols);
+    let (n, m) = (doors.len(), access.len());
+    let row_of = |d: &DoorId| doors.binary_search(d).unwrap();
+    let mut dist = vec![f64::INFINITY; n * m].into_boxed_slice();
+    let mut next_hop = vec![NO_DOOR; n * m].into_boxed_slice();
+    let mut touched: Vec<PartitionId> = access
+        .iter()
+        .flat_map(|&u| inp.venue.door(u).partition_ids())
+        .chain(partitions.iter().copied())
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let graph = leaf_graph(inp.venue, &touched, doors);
+    let mut engine = DijkstraEngine::new(n);
+    // Local access doors are superior by definition.
+    let mut hits: Vec<Vec<bool>> = partitions
+        .iter()
+        .map(|p| {
+            let pdoors = &inp.venue.partition(*p).doors;
+            pdoors
+                .iter()
+                .map(|d| access.binary_search(d).is_ok())
+                .collect()
+        })
+        .collect();
+    let (mut seeds, mut chain) = (Vec::with_capacity(m), Vec::new());
+    let mut routes: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let verts: Vec<u32> = match inp.g2 {
+        Some(g2) => access.iter().map(|u| g2.door_vertex[u.index()]).collect(),
+        None => Vec::new(),
+    };
+
+    for (col, &a) in access.iter().enumerate() {
+        seeds.clear();
+        match (inp.g2, g2_engine.as_mut()) {
+            (Some(g2), Some(up)) => {
+                up.run(&g2.graph, &[(verts[col], 0.0)], &verts);
+                for (u, &v) in access.iter().zip(&verts) {
+                    let Some(d) = up.settled_distance(v) else {
+                        continue; // unreachable: never seeded
+                    };
+                    up.chain_into(v, &mut chain);
+                    let door = |i: usize| g2.vertex_door[chain[i] as usize];
+                    // Seed the doors whose route leaves through another
+                    // leaf's clique; the others are reached from inside.
+                    if *u == a || inp.edge_leaf(door(0), door(1)) != li {
+                        seeds.push((row_of(u) as u32, d));
+                        let out = &mut routes[row_of(u)];
+                        out.clear();
+                        for i in 1..chain.len() {
+                            inp.expand_edge(door(i - 1), door(i), out);
+                        }
+                    }
+                }
+            }
+            _ => seeds.push((row_of(&a) as u32, 0.0)),
+        }
+        engine.run(&graph, &seeds, &[]);
+        let path = |row: usize, chain: &mut Vec<u32>| {
+            engine.chain_into(row as u32, chain);
+            let seed = *chain.last().unwrap() as usize;
+            chain.iter_mut().for_each(|v| *v = doors[*v as usize].0);
+            chain.extend_from_slice(&routes[seed]);
+        };
+
+        for row in 0..n {
+            let Some(d) = engine.settled_distance(row as u32) else {
+                continue; // unreachable: stays infinite
+            };
+            dist[row * m + col] = d;
+            if doors[row] != a {
+                path(row, &mut chain);
+                next_hop[row * m + col] = leaf_next_hop(&chain, doors, inp.boundary);
+            }
+        }
+
+        // Door di of partition P is superior if its path to a (a global
+        // access door for P) passes through no other door of P.
+        for (pi, &p) in partitions.iter().enumerate() {
+            let pdoors = &inp.venue.partition(p).doors;
+            if pdoors.binary_search(&a).is_ok() {
+                continue; // a is local to P, not a global access door
+            }
+            for (i, di) in pdoors.iter().enumerate() {
+                let row = row_of(di);
+                if hits[pi][i] || engine.settled_distance(row as u32).is_none() {
+                    continue;
+                }
+                path(row, &mut chain);
+                hits[pi][i] = chain[1..chain.len() - 1]
+                    .iter()
+                    .all(|&v| pdoors.binary_search(&DoorId(v)).is_err());
+            }
+        }
+    }
+
+    // A partition always needs at least one candidate exit.
+    let superior = partitions.iter().zip(hits).map(|(&p, hits)| {
+        let pdoors = &inp.venue.partition(p).doors;
+        let sup: Vec<DoorId> = pdoors
+            .iter()
+            .zip(hits)
+            .filter(|e| e.1)
+            .map(|e| *e.0)
+            .collect();
+        if sup.is_empty() {
+            pdoors.clone()
+        } else {
+            sup
+        }
+    });
+    let (rows, cols) = (doors.clone(), access.clone());
+    (
+        DistMatrix {
+            rows,
+            cols,
+            dist,
+            next_hop,
+        },
+        superior.collect(),
+    )
+}
+
 /// The packed lower triangle of one leaf's global door distances: row
 /// `s` holds `T(s, 0..=s)` (see the module docs for the decomposition
 /// argument).
@@ -168,26 +415,7 @@ fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[f64]> {
     let doors = tree.leaf_doors(leaf);
     let n = doors.len();
 
-    // Leaf-local subgraph: the venue D2D builder's per-partition door
-    // cliques, restricted to this leaf's partitions, with identical
-    // weights.
-    let mut gb = GraphBuilder::new(n);
-    for &p in tree.leaf_partitions(leaf) {
-        let part = venue.partition(p);
-        for (i, &da) in part.doors.iter().enumerate() {
-            let oa = doors
-                .binary_search(&da)
-                .expect("partition door is a leaf door");
-            for &db in &part.doors[i + 1..] {
-                let ob = doors
-                    .binary_search(&db)
-                    .expect("partition door is a leaf door");
-                let w = part.traversal_distance(&venue.door(da).position, &venue.door(db).position);
-                gb.add_edge(oa as u32, ob as u32, w);
-            }
-        }
-    }
-    let graph = gb.build();
+    let graph = leaf_graph(venue, tree.leaf_partitions(leaf), doors);
     let mut engine = DijkstraEngine::new(n);
     let all: Vec<u32> = (0..n as u32).collect();
     // The leaf's matrix: one row per leaf door, one column per access door.

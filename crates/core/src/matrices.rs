@@ -1,101 +1,21 @@
-//! Distance-matrix construction (§2.1.2 steps 3–4).
+//! Distance-matrix construction (§2.1.2 steps 3–4) without a full-graph
+//! search (DESIGN.md §1).
 //!
-//! Leaf matrices are computed with Dijkstra **on the full D2D graph**,
-//! terminating once every door of the leaf is settled — entries are global
-//! shortest distances even when the shortest route briefly leaves the leaf.
-//! Non-leaf matrices at level `l+1` are computed on the *level graph*
-//! `G_{l+1}`: vertices are the access doors of **all** level-`l` nodes,
-//! with an edge between two doors that are access doors of the same
-//! level-`l` node, weighted by that node's (already global) matrix entry.
-//! By induction every matrix entry in the tree is a global distance, which
-//! is what makes Algorithm 2's ascent and Algorithm 4's decomposition
-//! exact (see DESIGN.md).
+//! The leaves' passes live beside the leaf grid in `leafdist`: step 3a
+//! runs one leaf-local Dijkstra per access door, and step 3c folds each
+//! leaf top-down from its parent's matrix. In between, non-leaf matrices
+//! at level `l+1` are computed on the *level graph* `G_{l+1}`: vertices
+//! are the access doors of **all** level-`l` nodes, with an edge between
+//! two doors that are access doors of the same level-`l` node, weighted
+//! by that node's matrix entry — the *local* leaf distance for `G_2`, a
+//! global matrix entry above. A shortest path between consecutive access
+//! doors stays inside one node, so by induction every non-leaf entry is
+//! a global distance, and so is every folded leaf entry. That is what
+//! makes Algorithm 2's ascent and Algorithm 4's decomposition exact.
 
 use crate::tree::{DistMatrix, NO_DOOR};
 use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder, NO_VERTEX};
-use indoor_model::{DoorId, Venue};
-
-/// Build the distance matrix of one leaf node and, in the same Dijkstra
-/// passes, collect superior-door evidence (Definition 2) for its
-/// partitions.
-///
-/// * `doors`: all doors of the leaf, sorted.
-/// * `access`: its access doors, sorted (a subset of `doors`).
-/// * `boundary`: per-venue-door flag "is an access door of some leaf".
-/// * `superior_hits`: per partition of the leaf, a bitmask over the
-///   partition's door list; bit set ⇒ door shown superior.
-pub(crate) fn build_leaf_matrix(
-    venue: &Venue,
-    engine: &mut DijkstraEngine,
-    doors: &[DoorId],
-    access: &[DoorId],
-    boundary: &[bool],
-    partitions: &[indoor_model::PartitionId],
-    superior_hits: &mut [Vec<bool>],
-) -> DistMatrix {
-    let d2d = venue.d2d();
-    let n_rows = doors.len();
-    let n_cols = access.len();
-    let mut dist = vec![f64::INFINITY; n_rows * n_cols].into_boxed_slice();
-    let mut next_hop = vec![NO_DOOR; n_rows * n_cols].into_boxed_slice();
-
-    let targets: Vec<u32> = doors.iter().map(|d| d.0).collect();
-    let mut chain: Vec<u32> = Vec::new();
-
-    for (col, &a) in access.iter().enumerate() {
-        engine.run(d2d, &[(a.0, 0.0)], &targets);
-
-        for (row, &d) in doors.iter().enumerate() {
-            if d == a {
-                dist[row * n_cols + col] = 0.0;
-                continue;
-            }
-            let Some(dd) = engine.settled_distance(d.0) else {
-                continue; // unreachable: stays infinite
-            };
-            dist[row * n_cols + col] = dd;
-
-            // Parent chain from d towards a: d, p(d), p(p(d)), ..., a.
-            // (Dijkstra ran from a, so parents point towards a.)
-            engine.chain_into(d.0, &mut chain);
-            debug_assert_eq!(*chain.last().unwrap(), a.0);
-
-            next_hop[row * n_cols + col] = leaf_next_hop(&chain, doors, boundary);
-        }
-
-        // Superior-door evidence: door di of partition P is superior if the
-        // shortest path di → a (a global access door for P) passes through
-        // no other door of P (Definition 2).
-        for (pi, &p) in partitions.iter().enumerate() {
-            let pdoors = &venue.partition(p).doors;
-            if pdoors.binary_search(&a).is_ok() {
-                continue; // a is local to P, not a global access door
-            }
-            for (di_idx, &di) in pdoors.iter().enumerate() {
-                if superior_hits[pi][di_idx] {
-                    continue;
-                }
-                if engine.settled_distance(di.0).is_none() {
-                    continue;
-                }
-                engine.chain_into(di.0, &mut chain);
-                let clean = chain[1..chain.len().saturating_sub(1)]
-                    .iter()
-                    .all(|&v| pdoors.binary_search(&DoorId(v)).is_err());
-                if clean {
-                    superior_hits[pi][di_idx] = true;
-                }
-            }
-        }
-    }
-
-    DistMatrix {
-        rows: doors.to_vec(),
-        cols: access.to_vec(),
-        dist,
-        next_hop,
-    }
-}
+use indoor_model::DoorId;
 
 /// The §2.1.1 next-hop rule for a leaf-matrix entry, given the full door
 /// chain `d = c0, c1, ..., ck = a` of the shortest path:
@@ -106,7 +26,7 @@ pub(crate) fn build_leaf_matrix(
 ///   *boundary* door strictly between the endpoints (paper Example 6), or
 ///   `c1` when the excursion crosses no boundary door (then `c1` shares a
 ///   leaf with `d`, which keeps Algorithm 4 decomposable — see DESIGN.md).
-fn leaf_next_hop(chain: &[u32], doors: &[DoorId], boundary: &[bool]) -> u32 {
+pub(crate) fn leaf_next_hop(chain: &[u32], doors: &[DoorId], boundary: &[bool]) -> u32 {
     if chain.len() <= 2 {
         return NO_DOOR;
     }

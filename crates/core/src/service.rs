@@ -109,8 +109,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+mod admission;
+mod cache;
 mod shard;
 mod stats;
+pub use admission::{AdmissionConfig, OverloadPolicy};
+pub(crate) use cache::ClockCache;
 pub(crate) use shard::{Lsn, Seed, Shard};
 pub use shard::{Mutation, ShardConfig};
 use stats::{KindSeries, ShardTelemetry};
@@ -127,140 +131,6 @@ type SlotAnswer = (usize, Result<QueryResponse, ServiceError>);
 /// distance/path): venue geometry is immutable while registered, so these
 /// entries survive every object mutation.
 const STABLE_STAMP: u64 = u64::MAX;
-
-/// Bounded result cache with clock (second-chance) eviction.
-///
-/// Entries are stamped; a probe only hits when the entry's stamp equals
-/// the expected one, so version bumps invalidate structurally — dead
-/// entries are reclaimed by the clock sweep rather than an O(n) purge.
-#[derive(Debug)]
-pub(crate) struct ClockCache {
-    map: HashMap<QueryRequest, CacheEntry>,
-    /// Insertion ring the clock hand sweeps; always in sync with `map`.
-    ring: Vec<QueryRequest>,
-    hand: usize,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    stamp: u64,
-    referenced: bool,
-    resp: QueryResponse,
-}
-
-impl ClockCache {
-    /// Configured capacity in entries (persisted by service snapshots).
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub(crate) fn new(capacity: usize) -> ClockCache {
-        ClockCache {
-            map: HashMap::new(),
-            ring: Vec::new(),
-            hand: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn probe(&mut self, req: &QueryRequest, stamp: u64) -> Option<QueryResponse> {
-        let e = self.map.get_mut(req)?;
-        if e.stamp != stamp {
-            return None;
-        }
-        e.referenced = true;
-        Some(e.resp.clone())
-    }
-
-    /// Insert or revive `req`'s entry; `true` when the clock evicted
-    /// another entry to make room.
-    fn insert(&mut self, req: QueryRequest, stamp: u64, resp: QueryResponse) -> bool {
-        if let Some(e) = self.map.get_mut(&req) {
-            // Re-insert under a fresh stamp revives the slot in place.
-            e.stamp = stamp;
-            e.resp = resp;
-            e.referenced = true;
-            return false;
-        }
-        if self.ring.len() < self.capacity {
-            self.ring.push(req.clone());
-            self.map.insert(
-                req,
-                CacheEntry {
-                    stamp,
-                    referenced: false,
-                    resp,
-                },
-            );
-            return false;
-        }
-        // Clock sweep: grant every referenced entry a second chance; the
-        // sweep terminates because it clears flags as it goes.
-        loop {
-            let victim = self.ring[self.hand].clone();
-            let e = self.map.get_mut(&victim).expect("ring key in map");
-            if e.referenced {
-                e.referenced = false;
-                self.hand = (self.hand + 1) % self.capacity;
-                continue;
-            }
-            self.map.remove(&victim);
-            self.ring[self.hand] = req.clone();
-            self.map.insert(
-                req,
-                CacheEntry {
-                    stamp,
-                    referenced: false,
-                    resp,
-                },
-            );
-            self.hand = (self.hand + 1) % self.capacity;
-            return true;
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.ring.clear();
-        self.hand = 0;
-    }
-}
-
-/// What a shard does with arrivals beyond its in-flight budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Fail fast with [`ServiceError::Overloaded`] — the caller retries,
-    /// degrades, or routes elsewhere. The right default for latency-bound
-    /// front-ends: a shed request costs microseconds, a queued one costs
-    /// the whole backlog.
-    Shed,
-    /// Park the arrival until capacity frees, up to `timeout`; then fail
-    /// with [`ServiceError::Timeout`]. For callers that prefer bounded
-    /// waiting over retry loops.
-    Block { timeout: Duration },
-}
-
-/// Per-venue admission control: a bound on concurrently executing
-/// queries (batch shares weigh their slot count) plus the overload
-/// policy. Persisted with the venue on a durable service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Maximum in-flight query weight; **0 = unbounded** (no gate at
-    /// all — the un-gated fast path is exactly the pre-admission code).
-    pub max_in_flight: usize,
-    /// What to do at the bound.
-    pub policy: OverloadPolicy,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            max_in_flight: 0,
-            policy: OverloadPolicy::Shed,
-        }
-    }
-}
 
 /// When an acknowledged WAL append becomes **power-crash** durable.
 ///

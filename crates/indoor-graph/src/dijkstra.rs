@@ -51,9 +51,10 @@ impl<F: FnMut(u32, &mut Vec<(u32, f64)>)> Arcs for Implicit<F> {
 /// with a generation counter, so starting a new search is `O(1)`.
 ///
 /// Every search is one settle loop; [`run`](Self::run),
-/// [`run_visit`](Self::run_visit), [`run_dynamic`](Self::run_dynamic) and
-/// [`point_to_point`](Self::point_to_point) differ only in where arcs come
-/// from and when they stop. Results are read back through
+/// [`run_visit`](Self::run_visit), [`run_dynamic`](Self::run_dynamic),
+/// [`point_to_point`](Self::point_to_point) and
+/// [`point_to_point_dynamic`](Self::point_to_point_dynamic) differ only in
+/// where arcs come from and when they stop. Results are read back through
 /// [`settled_distance`](Self::settled_distance), [`parent`](Self::parent),
 /// [`chain_into`](Self::chain_into) and [`path_to`](Self::path_to).
 #[derive(Debug)]
@@ -202,8 +203,36 @@ impl DijkstraEngine {
         s_seeds: &[(u32, f64)],
         t_seeds: &[(u32, f64)],
     ) -> Option<(f64, u32)> {
+        self.meet(s_seeds, graph, t_seeds)
+    }
+
+    /// [`point_to_point`](Self::point_to_point) over an *implicit* graph,
+    /// whose arcs `neighbors(v, out)` supplies as in
+    /// [`run_dynamic`](Self::run_dynamic) (ROAD's per-query overlay).
+    pub fn point_to_point_dynamic(
+        &mut self,
+        s_seeds: &[(u32, f64)],
+        neighbors: impl FnMut(u32, &mut Vec<(u32, f64)>),
+        t_seeds: &[(u32, f64)],
+    ) -> Option<(f64, u32)> {
+        let arcs = Implicit {
+            neighbors,
+            arcs: Vec::new(),
+        };
+        self.meet(s_seeds, arcs, t_seeds)
+    }
+
+    /// The point-to-point meet rule over any arc source: stop at the first
+    /// settle whose label cannot improve the best `d + exit`; a later
+    /// candidate replaces it only when strictly shorter.
+    fn meet(
+        &mut self,
+        s_seeds: &[(u32, f64)],
+        arcs: impl Arcs,
+        t_seeds: &[(u32, f64)],
+    ) -> Option<(f64, u32)> {
         let mut best: Option<(f64, u32)> = None;
-        self.search(s_seeds, graph, |v, d| {
+        self.search(s_seeds, arcs, |v, d| {
             if best.is_some_and(|(b, _)| d >= b) {
                 return ControlFlow::Break(()); // no frontier label can improve the answer
             }
@@ -444,6 +473,17 @@ mod tests {
             .unwrap();
         assert!((d - 3.5).abs() < 1e-12, "got {d}");
         assert_eq!(via, 3);
+    }
+
+    #[test]
+    fn point_to_point_dynamic_meets_as_over_the_csr_graph() {
+        let g = line_with_shortcut();
+        let (s, t) = ([(0, 0.2)], [(3, 0.3), (2, 5.0)]);
+        let mut e = DijkstraEngine::new(4);
+        let want = e.point_to_point(&g, &s, &t);
+        let arcs = |v: u32, out: &mut Vec<(u32, f64)>| out.extend(g.neighbors(v));
+        assert_eq!(e.point_to_point_dynamic(&s, arcs, &t), want);
+        assert_eq!(e.path_to(3), Some(vec![0, 1, 2, 3]));
     }
 
     #[test]

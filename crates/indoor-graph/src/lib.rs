@@ -9,12 +9,13 @@
 //! Query processing is dominated by repeated Dijkstra searches, so the
 //! crate provides a reusable [`DijkstraEngine`] with epoch-based state
 //! reset (no `O(V)` clearing between runs). Every search is one settle
-//! loop behind four entry points: [`DijkstraEngine::run`] stops once a target
+//! loop behind five entry points: [`DijkstraEngine::run`] stops once a target
 //! set is settled (an empty set settles everything reachable),
 //! [`DijkstraEngine::run_visit`] and [`DijkstraEngine::run_dynamic`] stop
 //! when their visitor breaks (the latter over per-query arcs), and
-//! [`DijkstraEngine::point_to_point`] stops once no frontier label can
-//! improve the best route. [`DijkstraEngine::chain_into`] is the one walk
+//! [`DijkstraEngine::point_to_point`] and
+//! [`DijkstraEngine::point_to_point_dynamic`] (per-query arcs) stop once
+//! no frontier label can improve the best route. [`DijkstraEngine::chain_into`] is the one walk
 //! of the parent pointers.
 
 mod csr;

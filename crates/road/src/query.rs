@@ -96,27 +96,11 @@ impl Road {
         protected.extend(self.chain_set(&t_seeds));
         let non_bypass = |n: u32| protected.contains(&n);
 
-        let mut best: Option<(f64, u32)> = None;
         let mut engine = self.engine.lock().expect("engine poisoned");
-        engine.run_dynamic(
+        let best = engine.point_to_point_dynamic(
             &s_seeds,
             |v, out| self.hybrid_neighbors(v, &non_bypass, out),
-            |v, d| {
-                if let Some((b, _)) = best {
-                    if d >= b {
-                        return ControlFlow::Break(());
-                    }
-                }
-                for &(tv, exit) in &t_seeds {
-                    if tv == v {
-                        let cand = d + exit;
-                        if best.is_none_or(|(b, _)| cand < b) {
-                            best = Some((cand, v));
-                        }
-                    }
-                }
-                ControlFlow::Continue(())
-            },
+            &t_seeds,
         );
 
         // Overlay vertex chain (may contain shortcut jumps).
