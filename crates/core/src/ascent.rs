@@ -288,9 +288,10 @@ pub(crate) trait Climber {
     fn climb(&self, p: &IndoorPoint, n: NodeIdx, asc: &mut Ascent);
 
     /// The minimising chain behind access door `i` of the node `climb`
-    /// stopped at: the door of the point's partition it enters through,
-    /// and the partial edges from there to door `i`, bottom-up.
-    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>);
+    /// stopped at: push onto `edges` the partial edges from the point's
+    /// partition to door `i`, top-down, and return the partition's door
+    /// the chain enters by.
+    fn replay(&self, asc: &Ascent, i: usize, edges: &mut Vec<PartialEdge>) -> DoorId;
 
     /// Algorithm 5 from a fresh ascent.
     fn knn_query(
@@ -351,12 +352,16 @@ pub(crate) trait Climber {
             return s.path_to(&ip.venue, t, &mut ip.engines.checkout());
         }
         let (length, (i, j)) = self.cross_leaf(s, t, leaf_s, leaf_t, scratch)?;
-        let (asc_s, asc_t) = (&scratch.asc_s, &scratch.asc_t);
+        let (asc_s, asc_t, buf) = (&scratch.asc_s, &scratch.asc_t, &mut scratch.path);
         let (ns, nt) = (asc_s.last().node, asc_t.last().node);
         let lca = ip.parent(ns);
         debug_assert_eq!(lca, ip.parent(nt), "both climbs stop under the LCA");
+        buf.edges.clear();
+        let s_entry = self.replay(asc_s, i, &mut buf.edges);
+        let split = buf.edges.len();
+        let t_entry = self.replay(asc_t, j, &mut buf.edges);
         let middle = (ip.access_doors(ns)[i], ip.access_doors(nt)[j], lca);
-        let doors = ip.cross_leaf_path(self.replay(asc_s, i), middle, self.replay(asc_t, j));
+        let doors = ip.cross_leaf_path(buf, (s_entry, split, t_entry), middle);
         Some(IndoorPath {
             source: *s,
             target: *t,
@@ -439,8 +444,8 @@ impl Climber for IpTree {
         self.ascend_into(p, n, asc);
     }
 
-    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>) {
-        self.replay_ascent(asc, i)
+    fn replay(&self, asc: &Ascent, i: usize, edges: &mut Vec<PartialEdge>) -> DoorId {
+        self.replay_ascent(asc, i, edges)
     }
 }
 

@@ -264,7 +264,7 @@ impl IpTree {
             door_leaves,
             boundary,
             superior: superior.into_iter().collect(),
-            decompose_fallbacks: std::sync::atomic::AtomicU64::new(0),
+            decompose_fallbacks: Default::default(),
             engines,
             scratch: crate::exec::ScratchPool::new(),
             objects: std::sync::RwLock::new(None),
@@ -415,6 +415,51 @@ mod tests {
                         assert!(
                             close(via, want),
                             "node {idx} hop {h} of ({d},{a}): {via} via the hop, {want} direct"
+                        );
+                    }
+                }
+            }
+        }
+        check_null_entries_resolve_below(tree);
+    }
+
+    /// Every reachable NULL entry `(a, b)` of an inner matrix at node `n`
+    /// re-resolves below `n` (DESIGN.md §2): the lowest matrices holding
+    /// the pair, other than `n`'s, sit at a strictly lower level, and each
+    /// is a leaf or has a next hop for the pair. Not implied by Algorithm
+    /// 1 (§2 gives a venue where it fails, and the path query falls back
+    /// to Dijkstra there); checked here on every entry of the trees these
+    /// tests build.
+    fn check_null_entries_resolve_below(tree: &IpTree) {
+        let slabs = tree.slabs();
+        let hop = |m: NodeIdx, a: DoorId, b: DoorId| {
+            let (r, c) = (tree.row_of(m, a)?, tree.col_of(m, b)?);
+            slabs.hop(m, r, c).filter(|&k| k != a && k != b)
+        };
+        let has_pair = |m: NodeIdx, a: DoorId, b: DoorId| {
+            let has = |x, y| tree.row_of(m, x).is_some() && tree.col_of(m, y).is_some();
+            has(a, b) || has(b, a)
+        };
+        for n in tree.num_leaves() as NodeIdx..tree.num_nodes() as NodeIdx {
+            let rows = tree.rows(n);
+            for (r, &a) in rows.iter().enumerate() {
+                let dist = slabs.row(n, r);
+                for (c, &b) in rows.iter().enumerate() {
+                    if a == b || !dist[c].is_finite() || hop(n, a, b).is_some() {
+                        continue;
+                    }
+                    let holders: Vec<NodeIdx> = (0..tree.num_nodes() as NodeIdx)
+                        .filter(|&m| m != n && has_pair(m, a, b))
+                        .collect();
+                    let lowest = holders.iter().map(|&m| tree.level(m)).min();
+                    assert!(
+                        lowest.is_some_and(|l| l < tree.level(n)),
+                        "NULL ({a},{b}) at node {n}: no matrix strictly below holds the pair"
+                    );
+                    for &m in holders.iter().filter(|&&m| Some(tree.level(m)) == lowest) {
+                        assert!(
+                            tree.is_leaf(m) || hop(m, a, b).is_some(),
+                            "NULL ({a},{b}) at node {n}: node {m} below has a NULL too"
                         );
                     }
                 }

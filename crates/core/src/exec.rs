@@ -102,6 +102,9 @@ pub struct QueryScratch {
     /// Own-leaf scan buffer: the leaf ordinal of every door of every live
     /// object of q's leaf, in scan order.
     pub(crate) leaf_ords: Vec<u32>,
+    /// Replayed chains, expansion stack and door buffer of cross-leaf
+    /// shortest paths (Algorithm 4).
+    pub(crate) path: crate::path::PathScratch,
     /// Per-query span state (phase timings + hot-path counters). Armed by
     /// [`QueryEngine`]'s dispatch point when the sampling gate is open and
     /// the engine has a telemetry sink; dormant (one cleared bool) on

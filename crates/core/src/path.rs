@@ -1,19 +1,19 @@
-//! Shortest-path recovery (§3.2): replaying the ascent's minimising chain
-//! and recursively decomposing each partial edge via next-hop doors
-//! (Algorithm 4).
+//! Shortest-path recovery (§3.2): replaying the climbs' minimising chains
+//! and expanding each partial edge through the matrices' next-hop doors
+//! (Algorithm 4), all into one reused [`PathScratch`].
 //!
 //! Unlike the paper's presentation — which locates the matrix for a door
-//! pair through the lowest common ancestor of the doors — we additionally
-//! track the *context node* whose matrix produced each partial edge. Every
-//! next-hop door is a row/column of that same matrix, so decomposition
-//! usually proceeds without any search. When an entry is NULL in a
-//! non-leaf matrix (the pair is directly connected at that granularity) we
-//! re-resolve the pair in the lowest *other* matrix containing it, banning
-//! matrices already tried so the search provably terminates; if no matrix
-//! remains (not observed on any workload; tracked by
-//! [`IpTree::decompose_fallback_count`]) an exact Dijkstra fallback
-//! expands the pair, reading its doors off the engine's parent chain
-//! (`DijkstraEngine::path_to`).
+//! pair through the lowest common ancestor of the doors — every partial
+//! edge carries the *context node* whose matrix produced it, and every
+//! next hop is a row/column of that same matrix, so expansion proceeds
+//! without any search. `IpTree::expand_into` is one loop over an explicit
+//! stack of frames that appends to the path's door buffer. A NULL entry
+//! in a non-leaf matrix (the pair is directly connected at that
+//! granularity) re-resolves in the lowest matrix holding the pair
+//! strictly below the NULL node, so every re-resolution descends a
+//! level. Algorithm 1 does not guarantee that such a matrix exists
+//! (DESIGN.md §2 gives a venue where none does); there an exact Dijkstra
+//! expands the pair, counted by [`IpTree::decompose_fallback_count`].
 
 use crate::ascent::{Ascent, Provenance};
 use crate::tree::{IpTree, NodeIdx};
@@ -28,134 +28,150 @@ pub(crate) struct PartialEdge {
     pub ctx: NodeIdx,
 }
 
+impl PartialEdge {
+    pub(crate) fn new(from: DoorId, to: DoorId, ctx: NodeIdx) -> PartialEdge {
+        PartialEdge { from, to, ctx }
+    }
+}
+
+/// One pending expansion: the pair is looked up as row `edge.from`,
+/// column `edge.to` of `edge.ctx`'s matrix. A frame appends the doors
+/// after its first endpoint up to its last, reading from `from`'s end,
+/// or from `to`'s when `rev` is set (a transposed leaf entry expands in
+/// its stored orientation, read backwards).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    edge: PartialEdge,
+    rev: bool,
+}
+
+/// The buffers of cross-leaf path queries, kept warm in a
+/// [`crate::QueryScratch`]; the answer's door list is their one copy out.
+#[derive(Debug, Default)]
+pub(crate) struct PathScratch {
+    /// Both replayed chains, each top-down: the source chain, then the
+    /// target chain.
+    pub edges: Vec<PartialEdge>,
+    stack: Vec<Frame>,
+    doors: Vec<DoorId>,
+}
+
 impl IpTree {
-    /// Replay one ascent into the door chain `s → a*` where `a*` is the
-    /// chosen access door (index `target_idx`) of the ascent's last node.
-    /// Returns (entry door of the source partition, partial edges bottom-up).
+    /// Replay one ascent: push onto `edges`, top-down, the chain from the
+    /// source partition to access door `target_idx` of the ascent's last
+    /// node. Returns the source partition's door the chain enters by.
     pub(crate) fn replay_ascent(
         &self,
         asc: &Ascent,
         target_idx: usize,
-    ) -> (DoorId, Vec<PartialEdge>) {
-        let mut edges: Vec<PartialEdge> = Vec::new();
-        let mut level = asc.steps().len() - 1;
+        edges: &mut Vec<PartialEdge>,
+    ) -> DoorId {
+        let steps = asc.steps();
+        let mut level = steps.len() - 1;
         let mut idx = target_idx;
-        // Walk provenance downwards, emitting edges top-down, then reverse.
-        let entry_door = loop {
-            let step = &asc.steps()[level];
+        loop {
+            let step = &steps[level];
             let door = self.access_doors(step.node)[idx];
             match step.prov[idx] {
                 Provenance::Source { via } => {
                     if via != door {
-                        edges.push(PartialEdge {
-                            from: via,
-                            to: door,
-                            ctx: asc.steps()[0].node, // the leaf's matrix
-                        });
+                        // The leaf's matrix.
+                        edges.push(PartialEdge::new(via, door, steps[0].node));
                     }
-                    break via;
+                    return via;
                 }
                 Provenance::Child { idx: child_idx } => {
-                    let child_step = &asc.steps()[level - 1];
-                    let child_door = self.access_doors(child_step.node)[child_idx as usize];
-                    if child_door != door {
-                        edges.push(PartialEdge {
-                            from: child_door,
-                            to: door,
-                            ctx: step.node, // the parent matrix combined them
-                        });
-                    }
                     level -= 1;
                     idx = child_idx as usize;
+                    let from = self.access_doors(steps[level].node)[idx];
+                    if from != door {
+                        // The parent matrix combined them.
+                        edges.push(PartialEdge::new(from, door, step.node));
+                    }
                 }
             }
-        };
-        edges.reverse();
-        (entry_door, edges)
+        }
     }
 
-    /// Assemble the full door sequence for a cross-leaf path: the source
-    /// chain up to access door `di`, the middle edge `di → dj` in `lca`'s
-    /// matrix, and the reversed target chain, each partial edge expanded
-    /// via Algorithm 4. A chain is `(entry door, partial edges bottom-up)`.
+    /// Assemble a cross-leaf path from `buf.edges` (the source chain is
+    /// its first `split` edges, entered by `s_entry`; the target chain
+    /// the rest, entered by `t_entry`) and the middle edge `di → dj` of
+    /// `lca`'s matrix: the source chain bottom-up, the middle edge, then
+    /// the target chain expanded bottom-up and reversed in place.
     pub(crate) fn cross_leaf_path(
         &self,
-        (s_entry, s_edges): (DoorId, Vec<PartialEdge>),
+        buf: &mut PathScratch,
+        (s_entry, split, t_entry): (DoorId, usize, DoorId),
         (di, dj, lca): (DoorId, DoorId, NodeIdx),
-        (t_entry, t_edges): (DoorId, Vec<PartialEdge>),
     ) -> Vec<DoorId> {
-        let push_edge = |seq: &mut Vec<DoorId>, from: DoorId, to: DoorId, ctx: NodeIdx| {
-            let full = self.expand(from, to, Some(ctx));
-            debug_assert_eq!(full.first(), seq.last());
-            seq.extend_from_slice(&full[1..]);
-        };
-        let mut seq: Vec<DoorId> = vec![s_entry];
-        for e in &s_edges {
-            push_edge(&mut seq, e.from, e.to, e.ctx);
+        let (edges, stack, doors) = (&buf.edges, &mut buf.stack, &mut buf.doors);
+        let middle = (di != dj).then_some(PartialEdge::new(di, dj, lca));
+        doors.clear();
+        doors.push(s_entry);
+        for &e in edges[..split].iter().rev().chain(&middle) {
+            self.expand_into(e, stack, doors);
         }
-        if di != dj {
-            push_edge(&mut seq, di, dj, lca);
+        // The target chain leads t → dj: expand it from t's end in place
+        // of `dj`, then turn that segment around.
+        debug_assert_eq!(doors.last(), Some(&dj));
+        doors.pop();
+        let mark = doors.len();
+        doors.push(t_entry);
+        for &e in edges[split..].iter().rev() {
+            self.expand_into(e, stack, doors);
         }
-        // Target side: edges lead t → dj; reverse each and their order.
-        let mut tail: Vec<DoorId> = vec![t_entry];
-        for e in &t_edges {
-            push_edge(&mut tail, e.from, e.to, e.ctx);
-        }
-        tail.reverse(); // now dj .. t_entry
-        debug_assert_eq!(tail.first(), Some(&dj));
-        seq.extend_from_slice(&tail[1..]);
-        seq.dedup();
-        seq
+        doors[mark..].reverse();
+        debug_assert!(doors.windows(2).all(|w| w[0] != w[1]));
+        doors.clone()
     }
 
-    /// Expand a door pair into the full shortest-path door sequence
-    /// (inclusive of both endpoints). `ctx` is the node whose matrix is
-    /// known to contain the pair, if any.
-    pub(crate) fn expand(&self, a: DoorId, b: DoorId, ctx: Option<NodeIdx>) -> Vec<DoorId> {
-        if a == b {
-            return vec![a];
-        }
-        // Lemma 6: pairs of non-boundary doors only arise as final edges.
-        if !self.is_boundary_door(a) && !self.is_boundary_door(b) {
-            debug_assert!(self.venue.d2d().arc_weight(a.0, b.0).is_some());
-            return vec![a, b];
-        }
-
-        let mut banned: Vec<NodeIdx> = Vec::new();
-        let mut ctx = ctx;
-        loop {
-            let node_idx = match ctx.take() {
-                Some(n) if !banned.contains(&n) && self.matrix_has_pair(n, a, b) => n,
-                _ => match self.lowest_common_matrix(a, b, &banned) {
-                    Some(n) => n,
-                    None => return self.dijkstra_expand(a, b),
-                },
-            };
-            let fwd = self.row_of(node_idx, a).zip(self.col_of(node_idx, b));
-            let Some((row, col)) = fwd else {
+    /// Algorithm 4: append to `out` the doors of the shortest path behind
+    /// `edge` after `edge.from`, up to and including `edge.to`. `ctx`'s
+    /// matrix holds the pair in one orientation or the other.
+    fn expand_into(&self, edge: PartialEdge, stack: &mut Vec<Frame>, out: &mut Vec<DoorId>) {
+        debug_assert_eq!(out.last(), Some(&edge.from));
+        stack.push(Frame { edge, rev: false });
+        while let Some(Frame { edge, rev }) = stack.pop() {
+            let (a, b, ctx) = (edge.from, edge.to, edge.ctx);
+            debug_assert_ne!(a, b);
+            let last = if rev { a } else { b };
+            // Lemma 6: pairs of non-boundary doors only arise as final edges.
+            if !self.is_boundary_door(a) && !self.is_boundary_door(b) {
+                debug_assert!(self.venue.d2d().arc_weight(a.0, b.0).is_some());
+                out.push(last);
+                continue;
+            }
+            debug_assert!(
+                self.matrix_has_pair(ctx, a, b),
+                "({a},{b}) not in node {ctx}"
+            );
+            let Some((row, col)) = self.row_of(ctx, a).zip(self.col_of(ctx, b)) else {
                 // Only the transposed entry exists (leaf matrices are
-                // door × access-door): expand the reverse and flip.
-                let mut rev = self.expand(b, a, Some(node_idx));
-                rev.reverse();
-                return rev;
+                // door × access-door): expand it and read it backwards.
+                let edge = PartialEdge::new(b, a, ctx);
+                stack.push(Frame { edge, rev: !rev });
+                continue;
             };
-            match self.slabs.hop(node_idx, row, col) {
+            match self.slabs.hop(ctx, row, col) {
                 Some(k) if k != a && k != b => {
-                    let mut left = self.expand(a, k, Some(node_idx));
-                    let right = self.expand(k, b, Some(node_idx));
-                    debug_assert_eq!(left.last(), right.first());
-                    left.extend_from_slice(&right[1..]);
-                    return left;
+                    let (left, right) = (PartialEdge::new(a, k, ctx), PartialEdge::new(k, b, ctx));
+                    // Pushed so that the half read first pops first.
+                    let (first, second) = if rev { (right, left) } else { (left, right) };
+                    stack.push(Frame { edge: second, rev });
+                    stack.push(Frame { edge: first, rev });
                 }
-                _ => {
-                    if self.is_leaf(node_idx) {
-                        // Leaf NULL entry: genuinely a final edge.
-                        return vec![a, b];
-                    }
-                    // Non-leaf NULL: the pair is directly connected at this
-                    // granularity; resolve it in a finer matrix.
-                    banned.push(node_idx);
-                }
+                // Leaf NULL entry: genuinely a final edge.
+                _ if self.is_leaf(ctx) => out.push(last),
+                // Non-leaf NULL: the pair is directly connected at this
+                // granularity; resolve it in a finer matrix.
+                _ => match self.matrix_below(ctx, a, b) {
+                    Some(m) => stack.push(Frame {
+                        edge: PartialEdge::new(a, b, m),
+                        rev,
+                    }),
+                    // Only leaf entries are transposed, so `rev` is unset.
+                    None => self.dijkstra_expand(a, b, out),
+                },
             }
         }
     }
@@ -166,64 +182,45 @@ impl IpTree {
             || (self.row_of(n, b).is_some() && self.col_of(n, a).is_some())
     }
 
-    /// All nodes whose matrix contains door `d`: its leaves (rows of leaf
-    /// matrices) and the parents of every node that has `d` as an access
-    /// door (rows/cols of inner matrices).
-    fn matrix_chain(&self, d: DoorId, out: &mut Vec<NodeIdx>) {
-        out.clear();
-        for leaf in self.door_leaves[d.index()] {
-            if leaf == crate::NO_NODE {
+    /// The lowest-level node strictly below `n`'s level whose matrix
+    /// contains the pair; ties go to the first one visited. The nodes
+    /// whose matrix holds door `a` are its leaves (rows of leaf matrices)
+    /// and the parent of every node on the way up that has `a` as an
+    /// access door (rows/cols of inner matrices).
+    fn matrix_below(&self, n: NodeIdx, a: DoorId, b: DoorId) -> Option<NodeIdx> {
+        let mut best = n;
+        let mut offer = |m: NodeIdx| {
+            if self.level(m) < self.level(best) && self.matrix_has_pair(m, a, b) {
+                best = m;
+            }
+        };
+        for mut cur in self.door_leaves[a.index()] {
+            if cur == crate::NO_NODE {
                 continue;
             }
-            if !out.contains(&leaf) {
-                out.push(leaf);
-            }
-            // Climb while `d` stays an access door; each such node's parent
-            // holds `d` in its matrix.
-            let mut cur = leaf;
-            loop {
-                if self.access_doors(cur).binary_search(&d).is_err() {
-                    break;
-                }
-                let parent = self.parent(cur);
-                if parent == crate::NO_NODE {
-                    break;
-                }
-                if !out.contains(&parent) {
-                    out.push(parent);
-                }
-                cur = parent;
+            offer(cur);
+            while self.access_doors(cur).binary_search(&a).is_ok()
+                && self.parent(cur) != crate::NO_NODE
+            {
+                cur = self.parent(cur);
+                offer(cur);
             }
         }
+        (best != n).then_some(best)
     }
 
-    /// The lowest-level node whose matrix contains both doors, excluding
-    /// `banned`.
-    fn lowest_common_matrix(&self, a: DoorId, b: DoorId, banned: &[NodeIdx]) -> Option<NodeIdx> {
-        let mut ca = Vec::new();
-        let mut cb = Vec::new();
-        self.matrix_chain(a, &mut ca);
-        self.matrix_chain(b, &mut cb);
-        ca.iter()
-            .filter(|n| cb.contains(n) && !banned.contains(n) && self.matrix_has_pair(**n, a, b))
-            .copied()
-            .min_by_key(|&n| self.level(n))
-    }
-
-    /// Exact fallback: Dijkstra between the two doors on the D2D graph.
-    fn dijkstra_expand(&self, a: DoorId, b: DoorId) -> Vec<DoorId> {
-        self.decompose_fallbacks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Exact fallback: append the doors after `a` up to `b` of a shortest
+    /// D2D path, walking from `a` the parent chain of a Dijkstra seeded
+    /// at `b`.
+    fn dijkstra_expand(&self, a: DoorId, b: DoorId, out: &mut Vec<DoorId>) {
+        self.decompose_fallbacks.inc();
         let mut engine = self.engines.checkout();
-        engine.run(self.venue.d2d(), &[(a.0, 0.0)], &[b.0]);
-        let seq: Vec<DoorId> = engine
-            .path_to(b.0)
-            .expect("b is settled")
-            .into_iter()
-            .map(DoorId)
-            .collect();
-        debug_assert_eq!(seq.first(), Some(&a));
-        seq
+        engine.run(self.venue.d2d(), &[(b.0, 0.0)], &[a.0]);
+        let mut cur = a.0;
+        while cur != b.0 {
+            cur = engine.parent(cur).expect("the pair is connected");
+            out.push(DoorId(cur));
+        }
     }
 }
 
@@ -263,5 +260,44 @@ mod tests {
             prop_assert_eq!(tree.decompose_fallback_count(), 0,
                 "decomposition needed Dijkstra fallbacks");
         }
+    }
+
+    /// DESIGN.md §2's venue: four corridors (β = 1 makes each its own
+    /// leaf). Algorithm 1 merges C with D and A with B (two shared
+    /// doors), and A's door `a` reaches B's door `b` fastest through C and
+    /// D. So entry `(a, b)` of the {A, B} node is NULL, and no leaf holds
+    /// both doors: the one matrix below the root holding the pair is the
+    /// {C, D} node, on the same level. The path query expands the pair by
+    /// Dijkstra and counts it.
+    #[test]
+    fn a_null_with_no_lower_matrix_falls_back_to_dijkstra() {
+        use geometry::{Point, Rect};
+        use indoor_model::{IndoorPoint, PartitionKind, VenueBuilder};
+        let mut vb = VenueBuilder::new().with_beta(1);
+        let mut hall =
+            |x0, y0, x1, y1| vb.add_partition(PartitionKind::Hallway, Rect::new(x0, y0, x1, y1, 0));
+        let (c, d) = (hall(-3.0, 0.0, 0.0, 3.0), hall(-3.0, 3.0, 0.0, 6.0));
+        let (a_hall, b_hall) = (hall(0.0, 0.0, 100.0, 2.0), hall(0.0, 4.0, 100.0, 6.0));
+        vb.add_door(Point::new(100.0, 3.0, 0), a_hall, Some(b_hall));
+        vb.add_door(Point::new(99.0, 3.0, 0), a_hall, Some(b_hall));
+        let a = vb.add_door(Point::new(0.0, 1.0, 0), a_hall, Some(c));
+        let b = vb.add_door(Point::new(0.0, 5.0, 0), b_hall, Some(d));
+        let v = vb.add_door(Point::new(-1.5, 3.0, 0), c, Some(d));
+        let venue = Arc::new(vb.build().unwrap());
+        let tree = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+
+        let n = tree.parent(tree.leaf_of(a_hall));
+        assert_eq!(n, tree.parent(tree.leaf_of(b_hall)));
+        let (row, col) = (tree.row_of(n, a).unwrap(), tree.col_of(n, b).unwrap());
+        assert_eq!(tree.slabs.hop(n, row, col), None);
+        assert_eq!(tree.matrix_below(n, a, b), None);
+
+        let s = IndoorPoint::new(a_hall, Point::new(1.0, 1.0, 0));
+        let t = IndoorPoint::new(b_hall, Point::new(1.0, 5.0, 0));
+        let path = tree.shortest_path_points(&s, &t).unwrap();
+        assert_eq!(path.doors, [a, v, b]);
+        assert_eq!(path.validate(&venue).unwrap(), path.length);
+        assert_eq!(tree.shortest_distance_points(&s, &t), Some(path.length));
+        assert_eq!(tree.decompose_fallback_count(), 1);
     }
 }

@@ -43,6 +43,7 @@ pub const METRIC_FAMILIES: &[(&str, &str)] = &[
     ("indoor_object_leaf_builds_total", "counter"),
     ("indoor_object_leaf_touches_total", "counter"),
     ("indoor_object_slots", "gauge"),
+    ("indoor_path_fallbacks_total", "counter"),
     ("indoor_phase_descent_us", "histogram"),
     ("indoor_phase_heap_us", "histogram"),
     ("indoor_phase_leaf_fold_us", "histogram"),
@@ -262,6 +263,8 @@ pub struct ShardStats {
     /// Leaf door-grids built so far (lazy: ≤ leaf count until every leaf
     /// has served an own-leaf scan or an audit forced the rest).
     pub leaf_grid_builds: u64,
+    /// Shortest-path door pairs expanded by Dijkstra (DESIGN.md §2).
+    pub path_fallbacks: u64,
 }
 
 impl IndoorService {
@@ -457,6 +460,7 @@ impl IndoorService {
             live_objects: obj.live,
             object_slots: obj.slots,
             leaf_grid_builds: ip.leaf_grid_builds(),
+            path_fallbacks: ip.decompose_fallback_count(),
         })
     }
 
@@ -571,7 +575,7 @@ impl IndoorService {
             for (name, help, v) in gauges {
                 push(name, help, vl.clone(), MetricValue::Gauge(v));
             }
-            let anatomy: [(&str, &str, u64); 4] = [
+            let anatomy: [(&str, &str, u64); 5] = [
                 (
                     "indoor_object_leaf_builds_total",
                     "Object-index leaf pages built",
@@ -591,6 +595,11 @@ impl IndoorService {
                     "indoor_leaf_grid_builds_total",
                     "Leaf door-grids built (lazy; bounded by the leaf count)",
                     vs.leaf_grid_builds,
+                ),
+                (
+                    "indoor_path_fallbacks_total",
+                    "Shortest-path door pairs expanded by Dijkstra (no lower matrix)",
+                    vs.path_fallbacks,
                 ),
             ];
             for (name, help, v) in anatomy {

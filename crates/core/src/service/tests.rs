@@ -204,6 +204,7 @@ fn page_and_views_agree_with_sampling_off() {
             ("indoor_object_leaf_touches_total", vs.object_leaf_touches),
             ("indoor_object_compactions_total", vs.object_compactions),
             ("indoor_leaf_grid_builds_total", vs.leaf_grid_builds),
+            ("indoor_path_fallbacks_total", vs.path_fallbacks),
         ];
         for (name, view) in counters {
             assert_eq!(counter(name, &vl), view, "{name} venue {id}");

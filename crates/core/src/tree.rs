@@ -189,9 +189,9 @@ pub struct IpTree {
     pub(crate) boundary: Vec<bool>,
     /// Superior doors per partition (Definition 2).
     pub(crate) superior: Runs<DoorId>,
-    /// Dijkstra fallbacks taken during path decomposition (expected 0; see
-    /// DESIGN.md on Algorithm 4 robustness).
-    pub(crate) decompose_fallbacks: std::sync::atomic::AtomicU64,
+    /// Dijkstra fallbacks taken during path decomposition: pairs with no
+    /// lower matrix to resolve a non-leaf NULL in (DESIGN.md §2).
+    pub(crate) decompose_fallbacks: crate::telemetry::Counter,
     /// Engine pool for same-leaf queries and decomposition fallbacks (the
     /// paper also answers same-leaf queries with a D2D expansion). A pool
     /// rather than one mutexed engine, so concurrent queries never
@@ -405,8 +405,7 @@ impl IpTree {
 
     /// Number of Dijkstra fallbacks taken by path decomposition so far.
     pub fn decompose_fallback_count(&self) -> u64 {
-        self.decompose_fallbacks
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.decompose_fallbacks.get()
     }
 
     /// The matrix store and its lower-bound tables (read-only).

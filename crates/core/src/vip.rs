@@ -270,46 +270,35 @@ impl VipTree {
         self.shortest_path_between(s, t, scratch)
     }
 
-    /// The minimising chain `door → ... → access door ad_idx of node`,
-    /// as partial edges with their context nodes.
-    fn table_chain(&self, door: DoorId, node: NodeIdx, ad_idx: usize) -> Vec<PartialEdge> {
+    /// Push onto `edges` the minimising chain `door → ... → access door
+    /// ad_idx of node`, top-down, as partial edges with their context
+    /// nodes.
+    fn table_chain(
+        &self,
+        door: DoorId,
+        node: NodeIdx,
+        ad_idx: usize,
+        edges: &mut Vec<PartialEdge>,
+    ) {
         let ip = &self.ip;
         let table = &self.tables;
-        let mut edges: Vec<PartialEdge> = Vec::new();
         let mut cur = node;
         let mut idx = ad_idx;
         loop {
             let (k, span) = table.row_at(door.0, cur).expect("chain node in table");
             let cur_door = ip.access_doors(cur)[idx];
-            match table.args[span.start + idx] {
-                ARG_LEAF => {
-                    // Leaf row: one edge door → cur_door in the leaf matrix.
-                    if door != cur_door {
-                        edges.push(PartialEdge {
-                            from: door,
-                            to: cur_door,
-                            ctx: cur,
-                        });
-                    }
-                    break;
-                }
-                arg => {
-                    let prev = table.prev[k];
-                    let prev_door = ip.access_doors(prev)[arg as usize];
-                    if prev_door != cur_door {
-                        edges.push(PartialEdge {
-                            from: prev_door,
-                            to: cur_door,
-                            ctx: cur,
-                        });
-                    }
-                    cur = prev;
-                    idx = arg as usize;
-                }
+            // A leaf row is one edge door → cur_door in the leaf matrix.
+            let (from, arg) = match table.args[span.start + idx] {
+                ARG_LEAF => (door, None),
+                arg => (ip.access_doors(table.prev[k])[arg as usize], Some(arg)),
+            };
+            if from != cur_door {
+                edges.push(PartialEdge::new(from, cur_door, cur));
             }
+            let Some(arg) = arg else { return };
+            cur = table.prev[k];
+            idx = arg as usize;
         }
-        edges.reverse();
-        edges
     }
 
     /// §3.1.2 in place of one Algorithm 2 level: append to `asc` the
@@ -421,12 +410,13 @@ impl Climber for VipTree {
         self.table_step_into(p, n, asc);
     }
 
-    fn replay(&self, asc: &Ascent, i: usize) -> (DoorId, Vec<PartialEdge>) {
+    fn replay(&self, asc: &Ascent, i: usize, edges: &mut Vec<PartialEdge>) -> DoorId {
         let step = asc.last();
         let Provenance::Source { via } = step.prov[i] else {
             unreachable!("table steps record their superior door")
         };
-        (via, self.table_chain(via, step.node, i))
+        self.table_chain(via, step.node, i, edges);
+        via
     }
 }
 

@@ -225,13 +225,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy the run up to the next `"` or `\` as one slice.
+                // Both are ASCII, so the run ends on a char boundary of
+                // the (already valid UTF-8) input.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|e| ParseError::new(*pos, e.to_string()))?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -366,5 +370,16 @@ mod tests {
         let mut s = String::new();
         write_str(&mut s, "a\"b\\c\nd\u{1}é");
         assert_eq!(parse(&s).unwrap().as_str(), Some("a\"b\\c\nd\u{1}é"));
+        // A 4-byte scalar, and multi-byte runs ending right before `\"`
+        // and before a `\u` escape.
+        for text in ["🦀", "ab🦀é\"x", "é🦀\u{1}", "\u{1}🦀"] {
+            let mut s = String::new();
+            write_str(&mut s, text);
+            assert_eq!(parse(&s).unwrap().as_str(), Some(text), "{s}");
+        }
+        assert_eq!(parse(r#""é\u00e9🦀""#).unwrap().as_str(), Some("éé🦀"));
+        // Malformed documents keep their error offsets.
+        assert_eq!(parse("\"é🦀").unwrap_err().offset, 7);
+        assert_eq!(parse(r#""é\q""#).unwrap_err().offset, 4);
     }
 }
