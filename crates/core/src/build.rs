@@ -377,11 +377,13 @@ mod tests {
     }
 
     /// Every matrix entry — leaf and non-leaf, read through the slab —
-    /// equals the ground-truth full-graph Dijkstra distance, and every
-    /// non-NULL next hop `h` of an entry `(d, a)` lies on a shortest path:
+    /// equals the ground-truth full-graph Dijkstra distance bit for bit
+    /// (lengths are whole ticks, DESIGN.md §16, so an entry `(d, a)` also
+    /// equals `(a, d)` wherever a matrix holds both), and every non-NULL
+    /// next hop `h` of an entry `(d, a)` lies on a shortest path:
     /// `d(d, h) + d(h, a) == d(d, a)`.
     fn check_matrices(venue: &Venue, tree: &IpTree) {
-        let close = |got: f64, want: f64| (got - want).abs() < 1e-9 || got == want;
+        let close = |got: f64, want: f64| got.to_bits() == want.to_bits();
         let mut engine = DijkstraEngine::new(venue.num_doors());
         let slabs = tree.slabs();
         for idx in 0..tree.num_nodes() as NodeIdx {

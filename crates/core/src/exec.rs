@@ -100,8 +100,8 @@ pub struct QueryScratch {
     /// door grid (DESIGN.md §14.4).
     pub(crate) leaf_dq: Vec<f64>,
     /// Own-leaf scan buffer: the leaf ordinal of every door of every live
-    /// object of q's leaf, in scan order.
-    pub(crate) leaf_ords: Vec<u32>,
+    /// object of q's leaf, in scan order, with the object's leg to it.
+    pub(crate) leaf_ords: Vec<(u32, f64)>,
     /// Replayed chains, expansion stack and door buffer of cross-leaf
     /// shortest paths (Algorithm 4).
     pub(crate) path: crate::path::PathScratch,

@@ -290,8 +290,10 @@ fn adjust_term_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ascent::Climber;
     use crate::tree::VipTreeConfig;
-    use indoor_synth::{random_venue, workload};
+    use crate::VipTree;
+    use indoor_synth::{presets, random_venue, workload};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -401,6 +403,48 @@ mod tests {
                     .map(|delta| ObjectUpdate { delta, labels: all() })
                     .collect();
                 kw.apply_delta(&tree, &labelled).unwrap();
+            }
+        }
+    }
+
+    /// Keyword kNN from the VIP climb's ascent (door tables) is keyword
+    /// kNN from the IP climb's (matrix walk), bit for bit: both sum the
+    /// same whole ticks, in different orders (DESIGN.md §16).
+    #[test]
+    fn keyword_knn_from_the_vip_climb_is_the_ip_climb() {
+        let mut venues: Vec<_> = [3u64, 41, 97, 211, 389, 777, 1234, 4096]
+            .into_iter()
+            .map(|s| Arc::new(random_venue(s)))
+            .collect();
+        venues.push(Arc::new(presets::melbourne_central().build()));
+        let mut scratch = QueryScratch::new();
+        for (i, venue) in venues.into_iter().enumerate() {
+            let vip = VipTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
+            let tree = vip.ip_tree();
+            let labelled: Vec<_> = workload::place_objects(&venue, 40, i as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| (p, label_for(i)))
+                .collect();
+            let kw = KeywordObjects::build(tree, &labelled);
+            for q in workload::query_points(&venue, 20, i as u64 ^ 0x3C) {
+                for label in ["washroom", "atm", "kiosk"] {
+                    let term = kw.term(label).unwrap();
+                    let ip = kw.knn_keyword_in(tree, &q, 5, label, &mut scratch);
+                    vip.ascend_to_root(&q, &mut scratch.asc_s);
+                    let from_vip = tree.best_first(
+                        &q,
+                        5,
+                        &kw.objects,
+                        |n| kw.subtree_has(n, term),
+                        |o| kw.object_has(o, term),
+                        &mut scratch,
+                    );
+                    let bits = |v: &[(ObjectId, f64)]| -> Vec<(u32, u64)> {
+                        v.iter().map(|&(o, d)| (o.0, d.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&from_vip), bits(&ip), "venue {i} {q:?} {label}");
+                }
             }
         }
     }

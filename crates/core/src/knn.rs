@@ -596,11 +596,11 @@ impl IpTree {
         bound: f64,
         marks: &mut EpochMarks,
         dq: &mut Vec<f64>,
-        ords: &mut Vec<u32>,
+        ords: &mut Vec<(u32, f64)>,
         trace: &mut crate::telemetry::QueryTrace,
         emit: &mut dyn FnMut(ObjectId, f64),
     ) {
-        let Some(data) = oi.leaf_data.get(&leaf) else {
+        let Some(data) = &oi.leaf_data[leaf as usize] else {
             return;
         };
         let venue = &*self.venue;
@@ -611,10 +611,13 @@ impl IpTree {
             // kNN/range latency (DESIGN.md §14.4). The grid builds lazily
             // on this first touch (counted, and billed to the leaf-fold
             // phase by the trace above). Three passes: map every live
-            // object's doors to leaf ordinals; fold `dq[t]` over q's seeds
-            // once per door some object needs (NaN marks "not folded"),
-            // in one tight loop so the grid reads' cache misses overlap;
-            // then emit.
+            // object's doors to leaf ordinals, beside the object's leg to
+            // the door; fold `dq[t]` over q's seeds once per door some
+            // object needs (NaN marks "not folded"), in one tight loop so
+            // the grid reads' cache misses overlap; then emit. The legs
+            // are independent of each other, so computing them in the
+            // first pass keeps their square roots and tick snaps off the
+            // emit pass's dependency chain.
             let grid = self.leaf_grid.ensure(self, leaf);
             let ord = |d: u32| self.slabs.leaf_row_of(&self.door_leaves, leaf, d);
             let mut seeds = q.door_seeds(venue);
@@ -630,11 +633,12 @@ impl IpTree {
             };
             ords.clear();
             for (_, o) in live() {
-                ords.extend(venue.partition(o.partition).doors.iter().map(|d| ord(d.0)));
+                let doors = venue.partition(o.partition).doors.iter();
+                ords.extend(doors.map(|&d| (ord(d.0), o.distance_to_door(venue, d))));
             }
             dq.clear();
             dq.resize(self.leaf_doors(leaf).len(), f64::NAN);
-            for &t in ords.iter() {
+            for &(t, _) in ords.iter() {
                 let t = t as usize;
                 if dq[t].is_nan() {
                     let mut best = f64::INFINITY;
@@ -650,8 +654,9 @@ impl IpTree {
             let mut ords = ords.iter();
             for (oid, o) in live() {
                 let mut d = q.direct_distance(venue, o).unwrap_or(f64::INFINITY);
-                for (&door, &t) in venue.partition(o.partition).doors.iter().zip(&mut ords) {
-                    let cand = dq[t as usize] + o.distance_to_door(venue, door);
+                let n = venue.partition(o.partition).doors.len();
+                for &(t, leg) in ords.by_ref().take(n) {
+                    let cand = dq[t as usize] + leg;
                     if cand < d {
                         d = cand;
                     }
@@ -868,8 +873,9 @@ mod tests {
                 let want = brute_force(&venue, &mut engine, &q, &objects);
                 let expect_len = k.min(want.len());
                 prop_assert_eq!(got.len(), expect_len, "seed {} q {:?}", seed, q);
+                // Bit for bit: lengths are whole ticks (DESIGN.md §16).
                 for (i, (_, d)) in got.iter().enumerate() {
-                    prop_assert!((d - want[i]).abs() < 1e-6 * want[i].max(1.0),
+                    prop_assert_eq!(d.to_bits(), want[i].to_bits(),
                         "seed {}: rank {} got {} want {}", seed, i, d, want[i]);
                 }
                 // Distances ascending.

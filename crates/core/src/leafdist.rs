@@ -35,19 +35,18 @@
 //! Layout: one packed lower triangle per leaf. Row `s` holds
 //! `T(s, 0..=s)`, so [`get`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
 //! with `m = max(s, t)`, and the build runs each row's Dijkstra only
-//! until doors `0..=s` settle. The table is bitwise symmetric on every
-//! venue the suites build; where `d_intra` over three or more edges is
-//! association-order sensitive, the stored value is the larger ordinal's
-//! Dijkstra row — exact within every suite tolerance. Grid values may
-//! differ from a per-query Dijkstra in final-bit rounding for the same
-//! reason; every own-leaf scan reads the grid, so answers are a function
-//! of the grid alone.
+//! until doors `0..=s` settle. Every length is a whole number of ticks
+//! (DESIGN.md §16), so every sum is exact: `T(s, t)` is the full-graph
+//! Dijkstra distance bit for bit, in either direction, and one half of
+//! the table is the whole of it. Each cell is stored as a `u32` tick
+//! count, with `u32::MAX` for ∞, and [`get`] decodes it with one exact
+//! multiply.
 
 use crate::matrices::{leaf_next_hop, LevelGraph};
 use crate::tree::{DistMatrix, IpTree, NodeIdx, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
 use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder};
-use indoor_model::{DoorId, PartitionId, Venue};
+use indoor_model::{DoorId, PartitionId, Venue, LENGTH_TICK, TICKS_PER_METRE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -68,17 +67,39 @@ pub struct LeafGrid {
     /// Per leaf: the built triangle, if any. [`OnceLock`] makes
     /// first-touch builds race-free under `&self` — concurrent scanners
     /// of one leaf block on a single build.
-    grids: Vec<OnceLock<Box<[f64]>>>,
+    grids: Vec<OnceLock<Box<[u32]>>>,
     /// Leaf grids built so far (lazy or forced) — the telemetry counter
     /// behind `indoor_leaf_grid_builds_total`.
     builds: AtomicU64,
 }
 
-/// `T(s, t)` (either order) from one leaf's packed triangle.
+/// The grid's ∞: a leaf door the other cannot reach.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// `T(s, t)` (either order) from one leaf's packed triangle, in metres:
+/// the stored tick count times the tick, which is exact.
 #[inline]
-pub(crate) fn get(tri: &[f64], s: usize, t: usize) -> f64 {
+pub(crate) fn get(tri: &[u32], s: usize, t: usize) -> f64 {
     let hi = s.max(t);
-    tri[hi * (hi + 1) / 2 + s.min(t)]
+    match tri[hi * (hi + 1) / 2 + s.min(t)] {
+        UNREACHABLE => f64::INFINITY,
+        ticks => f64::from(ticks) * LENGTH_TICK,
+    }
+}
+
+/// The grid's encoding of a length: its tick count, [`UNREACHABLE`] for
+/// ∞. Panics unless `len` is a whole number of ticks below `u32::MAX`
+/// (4 194 km), which every length the model builds is (DESIGN.md §16).
+fn to_ticks(len: f64) -> u32 {
+    if len == f64::INFINITY {
+        return UNREACHABLE;
+    }
+    let ticks = len * TICKS_PER_METRE;
+    assert!(
+        ticks < f64::from(UNREACHABLE) && f64::from(ticks as u32) == ticks,
+        "{len} m is not a whole number of ticks below u32::MAX"
+    );
+    ticks as u32
 }
 
 impl LeafGrid {
@@ -94,7 +115,7 @@ impl LeafGrid {
     /// Leaf `l`'s packed triangle, built on first call (the first-touch
     /// path of the own-leaf scan). Concurrent callers for one leaf do the
     /// work once.
-    pub(crate) fn ensure(&self, tree: &IpTree, l: NodeIdx) -> &[f64] {
+    pub(crate) fn ensure(&self, tree: &IpTree, l: NodeIdx) -> &[u32] {
         self.grids[l as usize].get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
             leaf_triangle(tree, l)
@@ -121,15 +142,15 @@ impl LeafGrid {
         self.grids
             .iter()
             .filter_map(OnceLock::get)
-            .map(|tri| tri.len() * 8)
+            .map(|tri| tri.len() * 4)
             .sum::<usize>()
-            + self.grids.len() * std::mem::size_of::<OnceLock<Box<[f64]>>>()
+            + self.grids.len() * std::mem::size_of::<OnceLock<Box<[u32]>>>()
     }
 
     /// Semantic re-verification of every leaf triangle (building any not
     /// yet built): one cell per door pair, diagonals exactly zero, and
-    /// every entry non-negative and admissible against the access-door
-    /// detour bound.
+    /// every entry at most its access-door detour, bit for bit (entries
+    /// are non-negative by their encoding).
     pub(crate) fn audit(&self, tree: &IpTree) {
         assert_eq!(
             self.grids.len(),
@@ -142,18 +163,13 @@ impl LeafGrid {
             assert_eq!(tri.len(), n * (n + 1) / 2, "leaf {l} triangle size");
             for s in 0..n {
                 let ms = tree.slabs.row(l, s);
-                assert_eq!(
-                    get(tri, s, s).to_bits(),
-                    0.0_f64.to_bits(),
-                    "leaf {l} diagonal {s}"
-                );
+                assert_eq!(get(tri, s, s), 0.0, "leaf {l} diagonal {s}");
                 for t in 0..s {
                     let v = get(tri, s, t);
-                    assert!(v >= 0.0, "leaf {l} grid ({s},{t}) negative: {v}");
                     for (&sa, &ta) in ms.iter().zip(tree.slabs.row(l, t)) {
                         let detour = sa + ta;
                         assert!(
-                            v <= detour || (v - detour).abs() <= 1e-9 * detour.max(1.0),
+                            v <= detour,
                             "leaf {l} grid ({s},{t}) {v} exceeds detour {detour}"
                         );
                     }
@@ -410,7 +426,7 @@ pub(crate) fn fold_leaf_matrix(
 /// The packed lower triangle of one leaf's global door distances: row
 /// `s` holds `T(s, 0..=s)` (see the module docs for the decomposition
 /// argument).
-fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[f64]> {
+fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[u32]> {
     let venue = &*tree.venue;
     let doors = tree.leaf_doors(leaf);
     let n = doors.len();
@@ -438,7 +454,7 @@ fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[f64]> {
                     best = cand;
                 }
             }
-            out.push(best);
+            out.push(to_ticks(best));
         }
     }
     out.into_boxed_slice()
@@ -456,8 +472,7 @@ mod tests {
     use std::sync::{Arc, OnceLock};
 
     /// The grid equals ground-truth full-graph Dijkstra between every
-    /// pair of leaf doors, in both argument orders, up to summation-order
-    /// rounding.
+    /// pair of leaf doors, in both argument orders, bit for bit.
     #[test]
     fn grid_matches_global_dijkstra_on_random_venues() {
         for seed in [0u64, 7, 1234, 4096] {
@@ -496,9 +511,9 @@ mod tests {
                         engine.settled_distance(td.0).unwrap_or(f64::INFINITY)
                     };
                     for got in [get(tri, s, t), get(tri, t, s)] {
-                        assert!(
-                            (got - want).abs() <= 1e-9 * want.max(1.0)
-                                || (got.is_infinite() && want.is_infinite()),
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
                             "seed {seed} leaf {li} ({s},{t}): grid {got} vs dijkstra {want}"
                         );
                     }
@@ -507,7 +522,7 @@ mod tests {
         }
     }
 
-    /// The grid holds one f64 per unordered door pair (diagonal included)
+    /// The grid holds one `u32` per unordered door pair (diagonal included)
     /// plus one `OnceLock` slot per leaf — and the same bytes whether the
     /// triangles were forced up front or built leaf by leaf by own-leaf
     /// scans.
@@ -516,7 +531,7 @@ mod tests {
         let venue = Arc::new(random_venue(41));
         let build = || IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
         let eager = build();
-        let slots = eager.num_leaves() * std::mem::size_of::<OnceLock<Box<[f64]>>>();
+        let slots = eager.num_leaves() * std::mem::size_of::<OnceLock<Box<[u32]>>>();
         assert_eq!(eager.leaf_grid.size_bytes(), slots, "nothing built yet");
         eager.build_leaf_grid();
         let cells: usize = (0..eager.num_leaves() as u32)
@@ -525,7 +540,7 @@ mod tests {
                 n * (n + 1) / 2
             })
             .sum();
-        assert_eq!(eager.leaf_grid.size_bytes(), cells * 8 + slots);
+        assert_eq!(eager.leaf_grid.size_bytes(), cells * 4 + slots);
 
         // One object at the centre of every partition, then one
         // unbounded range query from inside every leaf: each leaf's

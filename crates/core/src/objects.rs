@@ -230,7 +230,9 @@ pub struct ObjectIndexStats {
 pub struct ObjectIndex {
     pub(crate) objects: Vec<IndoorPoint>,
     locs: Vec<ObjLoc>,
-    pub(crate) leaf_data: HashMap<NodeIdx, LeafObjects>,
+    /// Per leaf (leaves lead the node arena): its bucket, if it holds any
+    /// live object.
+    pub(crate) leaf_data: Vec<Option<LeafObjects>>,
     pub(crate) subtree_count: Vec<u32>,
     n_live: usize,
     leaf_builds: u64,
@@ -245,7 +247,7 @@ impl ObjectIndex {
         ObjectIndex {
             objects: Vec::new(),
             locs: Vec::new(),
-            leaf_data: HashMap::new(),
+            leaf_data: vec![None; tree.num_leaves()],
             subtree_count: vec![0u32; tree.num_nodes()],
             n_live: 0,
             leaf_builds: 0,
@@ -299,7 +301,7 @@ impl ObjectIndex {
         }
 
         let mut leaf_builds = 0u64;
-        let mut leaf_data = HashMap::with_capacity(by_leaf.len());
+        let mut leaf_data = vec![None; tree.num_leaves()];
         for (leaf, objs) in by_leaf {
             let n_ads = tree.access_doors(leaf).len();
             let n = objs.len();
@@ -327,7 +329,7 @@ impl ObjectIndex {
                 *order = idx;
             }
             leaf_builds += 1;
-            leaf_data.insert(leaf, data);
+            leaf_data[leaf as usize] = Some(data);
         }
 
         ObjectIndex {
@@ -434,10 +436,7 @@ impl ObjectIndex {
     fn insert_live(&mut self, tree: &IpTree, id: ObjectId, at: IndoorPoint) -> NodeIdx {
         let leaf = tree.leaf_of(at.partition);
         let n_ads = tree.access_doors(leaf).len();
-        let data = self
-            .leaf_data
-            .entry(leaf)
-            .or_insert_with(|| LeafObjects::new(n_ads));
+        let data = self.leaf_data[leaf as usize].get_or_insert_with(|| LeafObjects::new(n_ads));
         let mut row = vec![f64::INFINITY; n_ads];
         dist_row(tree, leaf, &at, &mut row);
         let slot = data.push(id, &row);
@@ -457,7 +456,8 @@ impl ObjectIndex {
     fn remove_live(&mut self, tree: &IpTree, id: ObjectId) -> NodeIdx {
         let loc = self.locs[id.index()];
         debug_assert!(loc.live, "remove of dead object {id}");
-        let data = self.leaf_data.get_mut(&loc.leaf).expect("live leaf bucket");
+        let bucket = &mut self.leaf_data[loc.leaf as usize];
+        let data = bucket.as_mut().expect("live leaf bucket");
         data.live[loc.slot as usize] = false;
         data.n_live -= 1;
         self.locs[id.index()].live = false;
@@ -467,12 +467,12 @@ impl ObjectIndex {
 
         let dead = data.objs.len() - data.n_live;
         if data.n_live == 0 {
-            self.leaf_data.remove(&loc.leaf);
+            *bucket = None;
             self.compactions += 1;
         } else if dead > data.n_live && dead >= 4 {
             let survivors = data.compact();
             for (new_slot, &old_slot) in survivors.iter().enumerate() {
-                let oid = self.leaf_data[&loc.leaf].objs[new_slot];
+                let oid = data.objs[new_slot];
                 debug_assert_eq!(
                     self.locs[oid.index()].slot,
                     old_slot,
@@ -536,7 +536,8 @@ impl ObjectIndex {
             + self.locs.len() * std::mem::size_of::<ObjLoc>()
             + self
                 .leaf_data
-                .values()
+                .iter()
+                .flatten()
                 .map(|l| {
                     l.objs.len() * 5
                         + l.dist.len() * 8
@@ -594,12 +595,15 @@ mod tests {
         assert_eq!(oi.num_live(), objects.len());
         assert_eq!(
             oi.index_stats().leaf_builds,
-            oi.leaf_data.len() as u64,
+            oi.leaf_data.iter().flatten().count() as u64,
             "one table build per populated leaf"
         );
 
         let mut engine = DijkstraEngine::new(venue.num_doors());
-        for (&leaf, data) in &oi.leaf_data {
+        for (leaf, data) in oi.leaf_data.iter().enumerate() {
+            let (leaf, Some(data)) = (leaf as u32, data) else {
+                continue;
+            };
             for (ad_idx, &a) in tree.access_doors(leaf).iter().enumerate() {
                 engine.run(venue.d2d(), &[(a.0, 0.0)], &[]);
                 for (j, oid) in data.objs.iter().enumerate() {
@@ -666,7 +670,7 @@ mod tests {
             "deltas never rebuild leaf tables"
         );
 
-        for data in oi.leaf_data.values() {
+        for data in oi.leaf_data.iter().flatten() {
             assert_eq!(
                 data.live.iter().filter(|&&l| l).count(),
                 data.n_live,
@@ -767,7 +771,7 @@ mod tests {
         for (id, p) in live {
             assert_eq!(oi.object(id), &p);
             let loc = oi.locs[id.index()];
-            let data = &oi.leaf_data[&loc.leaf];
+            let data = oi.leaf_data[loc.leaf as usize].as_ref().unwrap();
             assert_eq!(data.objs[loc.slot as usize], id, "slot remap consistent");
             assert!(data.live[loc.slot as usize]);
         }
@@ -776,7 +780,7 @@ mod tests {
             .map(|i| ObjectDelta::Remove { id: ObjectId(i) })
             .collect();
         oi.apply_delta(&tree, &rest).unwrap();
-        assert!(oi.leaf_data.is_empty());
+        assert!(oi.leaf_data.iter().all(Option::is_none));
         assert!(oi.subtree_count.iter().all(|&c| c == 0));
     }
 }

@@ -55,7 +55,10 @@ pub use scenario::{
     VenueEvent, WorkloadProfile,
 };
 pub use serialize::LoadError;
-pub use venue::{Door, Partition, PartitionClass, PartitionKind, Venue, VenueStats};
+pub use venue::{
+    snap_length, Door, Partition, PartitionClass, PartitionKind, Venue, VenueStats, LENGTH_TICK,
+    TICKS_PER_METRE,
+};
 
 /// Default hallway-classification threshold: a partition with more than
 /// `BETA` doors is a hallway (the paper uses β = 4).

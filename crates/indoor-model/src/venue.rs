@@ -94,13 +94,44 @@ impl Partition {
     }
 
     /// Distance between two points of this partition under its weight
-    /// policy.
+    /// policy, rounded up to a whole number of [`LENGTH_TICK`]s. This is
+    /// the one source of length in the model: the D2D graph, the
+    /// point-to-door legs and the same-partition direct distance all read
+    /// it.
     #[inline]
     pub fn traversal_distance(&self, a: &Point, b: &Point) -> f64 {
-        match self.fixed_traversal_weight {
+        snap_length(match self.fixed_traversal_weight {
             Some(w) => w,
             None => a.distance(b),
-        }
+        })
+    }
+}
+
+/// The length quantum, 2⁻¹⁰ m: every length the model hands out is a
+/// whole number of ticks, so any sum of lengths below 2⁴³ m is exact in
+/// f64 and every association order gives the same bits (DESIGN.md §16).
+pub const LENGTH_TICK: f64 = 1.0 / TICKS_PER_METRE;
+
+/// Ticks in a metre: multiplying by it (a power of two) is exact.
+pub const TICKS_PER_METRE: f64 = 1024.0;
+
+/// `len` rounded **up** to a whole number of [`LENGTH_TICK`]s. Rounding
+/// up is monotone and subadditive (`snap(a + b) ≤ snap(a) + snap(b)`),
+/// so snapped lengths keep the triangle inequality that superior-door
+/// pruning relies on (DESIGN.md §5); round-to-nearest does not.
+/// Non-finite lengths pass through unchanged.
+#[inline]
+pub fn snap_length(len: f64) -> f64 {
+    // Every f64 at or above 2⁵² is already whole.
+    const WHOLE: f64 = (1u64 << 52) as f64;
+    let ticks = len * TICKS_PER_METRE;
+    // A truncating cast, not `f64::ceil`, which is a libm call at the
+    // default target.
+    if ticks.abs() < WHOLE {
+        let whole = ticks as i64 as f64;
+        (if whole < ticks { whole + 1.0 } else { whole }) * LENGTH_TICK
+    } else {
+        len
     }
 }
 
@@ -211,5 +242,49 @@ impl Venue {
                 .iter()
                 .map(|p| std::mem::size_of::<Partition>() + p.doors.len() * 4)
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{snap_length, LENGTH_TICK, TICKS_PER_METRE};
+    use geometry::Point;
+    use proptest::prelude::*;
+
+    #[test]
+    fn snap_rounds_up_to_whole_ticks() {
+        assert_eq!(snap_length(0.0), 0.0);
+        assert_eq!(snap_length(5.0), 5.0);
+        assert_eq!(snap_length(LENGTH_TICK / 3.0), LENGTH_TICK);
+        assert_eq!(snap_length(1.0 + LENGTH_TICK / 2.0), 1.0 + LENGTH_TICK);
+        assert_eq!(snap_length(-LENGTH_TICK / 2.0), 0.0);
+        assert_eq!(snap_length(f64::INFINITY), f64::INFINITY);
+        assert!(snap_length(f64::NAN).is_nan());
+        assert_eq!(snap_length(1e300), 1e300);
+    }
+
+    proptest! {
+        /// Ceil, computed without libm: whole ticks, never below `len`,
+        /// less than one tick above it, and idempotent.
+        #[test]
+        fn snap_is_the_tick_ceiling(len in 0.0..1e7f64) {
+            let s = snap_length(len);
+            prop_assert_eq!(s.to_bits(), ((len * TICKS_PER_METRE).ceil() * LENGTH_TICK).to_bits());
+            prop_assert!(s >= len && s - len < LENGTH_TICK);
+            prop_assert_eq!(snap_length(s).to_bits(), s.to_bits());
+        }
+
+        /// Rounding up keeps the triangle inequality of the metric, which
+        /// superior-door pruning relies on (DESIGN.md §5):
+        /// `snap |a,c| ≤ snap |a,b| + snap |b,c|`. Rounding to the nearest
+        /// tick does not: with it, `knn_matches_brute_force` fails on
+        /// `random_venue(1017)`, where the tree answers 16.56640625 m and
+        /// Dijkstra 16.5654296875 m, one tick apart.
+        #[test]
+        fn snap_is_subadditive(pts in proptest::collection::vec((-1e3..1e3f64, -1e3..1e3f64, -3..30i32), 3)) {
+            let p: Vec<Point> = pts.iter().map(|&(x, y, l)| Point::new(x, y, l)).collect();
+            let d = |i: usize, j: usize| snap_length(p[i].distance(&p[j]));
+            prop_assert!(d(0, 2) <= d(0, 1) + d(1, 2), "{:?}", p);
+        }
     }
 }

@@ -4,12 +4,15 @@
 //! adds or removes an allocation on a pinned path re-signs its pin and
 //! names the allocation.
 //!
-//! Rows so far: the cross-leaf shortest path of both trees.
+//! Rows so far, each on Men-2 and CL-lite with one warm scratch: the
+//! cross-leaf shortest path of both trees, and the tree's kNN, range and
+//! shortest distance.
 
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Counts every `alloc`, `alloc_zeroed` and `realloc` on the thread that
@@ -72,13 +75,7 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> u64 {
 /// live in the scratch (DESIGN.md §4.1).
 #[test]
 fn cross_leaf_shortest_path_allocates_only_its_door_list() {
-    for (name, spec) in [
-        ("Men-2", presets::menzies_2()),
-        ("CL-lite", presets::clayton_lite()),
-    ] {
-        let venue = Arc::new(spec.build());
-        let config = VipTreeConfig::default().with_threads(1);
-        let vip = VipTree::build(venue.clone(), &config).unwrap();
+    for (name, venue, vip) in presets_ledger() {
         let ip = vip.ip_tree();
         let pairs: Vec<(IndoorPoint, IndoorPoint)> = workload::query_pairs(&venue, 300, 42)
             .into_iter()
@@ -104,5 +101,104 @@ fn cross_leaf_shortest_path_allocates_only_its_door_list() {
                 "{name} pair {k}: (VIP, IP) allocations"
             );
         }
+    }
+}
+
+/// The two presets every row runs on, built single-threaded.
+fn presets_ledger() -> Vec<(&'static str, Arc<Venue>, VipTree)> {
+    [
+        ("Men-2", presets::menzies_2()),
+        ("CL-lite", presets::clayton_lite()),
+    ]
+    .into_iter()
+    .map(|(name, spec)| {
+        let venue = Arc::new(spec.build());
+        let config = VipTreeConfig::default().with_threads(1);
+        let vip = VipTree::build(venue.clone(), &config).unwrap();
+        (name, venue, vip)
+    })
+    .collect()
+}
+
+/// Allocations of `f` over a whole stream, after one untimed pass over the
+/// same stream has warmed the scratch, the grid and the engine pool.
+fn stream_allocations<Q>(stream: &[Q], mut f: impl FnMut(&Q)) -> u64 {
+    stream.iter().for_each(&mut f);
+    allocations_of(|| stream.iter().for_each(&mut f))
+}
+
+/// Tree kNN (k = 10 over 1 000 objects) and range (r = 50 m) from 400
+/// query points, VIP-tree, one warm scratch.
+///
+/// Per kNN exactly **2**: the answer, collected once from the k-best heap,
+/// and `q.door_seeds` in `scan_leaf`'s own-leaf branch (every query
+/// point's leaf holds objects here). Per range: the same door seeds when
+/// q's leaf holds objects, and the answer `Vec`, which grows by pushes —
+/// one allocation, then one per doubling past a capacity of 4. A range's
+/// count follows its answer's length, so the stream total is pinned, and
+/// checked against that breakdown.
+#[test]
+fn knn_and_range_allocate_their_answer_and_the_door_seeds() {
+    for ((name, venue, vip), range_pin) in presets_ledger().into_iter().zip([2_269, 1_513]) {
+        let objects = workload::place_objects(&venue, 1_000, 42);
+        vip.attach_objects(&objects);
+        let points = workload::query_points(&venue, 400, 42);
+        let mut scratch = QueryScratch::new();
+        let knn = stream_allocations(&points, |q| {
+            vip.knn_in(q, 10, &mut scratch);
+        });
+        assert_eq!(knn, 2 * points.len() as u64, "{name}: kNN stream");
+
+        let range = stream_allocations(&points, |q| {
+            vip.range_in(q, 50.0, &mut scratch);
+        });
+        let ip = vip.ip_tree();
+        let held: HashSet<u32> = objects.iter().map(|o| ip.leaf_of(o.partition)).collect();
+        let named: u64 = points
+            .iter()
+            .map(|q| {
+                let seeds = u64::from(held.contains(&ip.leaf_of(q.partition)));
+                let answer = match vip.range_in(q, 50.0, &mut scratch).len() {
+                    0 => 0,
+                    n => 1 + u64::from(n.div_ceil(4).next_power_of_two().trailing_zeros()),
+                };
+                seeds + answer
+            })
+            .sum();
+        assert_eq!(
+            (range, named),
+            (range_pin, range_pin),
+            "{name}: range stream"
+        );
+    }
+}
+
+/// Tree shortest distance over 400 seeded pairs, IP- and VIP-tree, one
+/// warm scratch. A cross-leaf pair allocates nothing. A same-leaf pair is
+/// routed by a pooled full-graph engine (`IndoorPoint::route_to`), which
+/// allocates the door seeds of both endpoints: **2** each, for 5 such
+/// pairs on Men-2 and 20 on CL-lite.
+#[test]
+fn shortest_distance_allocates_only_same_leaf_door_seeds() {
+    for ((name, venue, vip), same_leaf_pin) in presets_ledger().into_iter().zip([5, 20]) {
+        let ip = vip.ip_tree();
+        let pairs = workload::query_pairs(&venue, 400, 42);
+        let same_leaf = pairs
+            .iter()
+            .filter(|(s, t)| ip.leaf_of(s.partition) == ip.leaf_of(t.partition))
+            .count() as u64;
+        assert_eq!(same_leaf, same_leaf_pin, "{name}: same-leaf pairs");
+        let mut scratch = QueryScratch::new();
+        let vip_n = stream_allocations(&pairs, |(s, t)| {
+            vip.shortest_distance_in(s, t, &mut scratch);
+        });
+        let ip_n = stream_allocations(&pairs, |(s, t)| {
+            ip.shortest_distance_in(s, t, &mut scratch);
+        });
+        assert_eq!(
+            (vip_n, ip_n),
+            (2 * same_leaf, 2 * same_leaf),
+            "{name}: (VIP, IP) SD stream"
+        );
     }
 }

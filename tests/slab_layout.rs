@@ -1,10 +1,10 @@
 //! The slab layout is the tree (DESIGN.md §14). What pins its answers:
 //! the checked-in reference `tests/data/answers_two_layouts/` — the bytes
 //! the slab walk and the since-deleted pointer walk both produced at the
-//! last commit that had the two — and `tests/data/query_core/`, the same
-//! streams answered by the IP-tree engine plus the walk's counter totals,
-//! signed by the last commit that spelled the query core twice (DESIGN.md
-//! §14.5); both replayed here at one and four worker threads.
+//! last commit that had the two, re-signed once when lengths became whole
+//! ticks (DESIGN.md §16) — which the VIP-tree and the IP-tree engines must
+//! both reproduce, at one and four worker threads; and
+//! `tests/data/query_core/`, the walk's counter totals (DESIGN.md §14.5).
 //! Then the admissibility of the lower-bound layer on arbitrary venues;
 //! the lazy leaf grid answering exactly as the eager one; and the VIP
 //! table's argmin replay agreeing with the IP-tree's ascent replay.
@@ -200,15 +200,15 @@ fn data_path(file: &str) -> std::path::PathBuf {
         .join(file)
 }
 
-/// The checked-in answer files and the tree each was answered by.
-const FIXTURES: [(&str, TreeFor); 2] = [
-    ("answers_two_layouts/answers.bin", vip_tree),
-    ("query_core/answers_ip.bin", ip_tree),
-];
+/// The checked-in answer file. Both trees answer it byte for byte: with
+/// every length a whole number of ticks, the VIP door tables and the IP
+/// matrix climb sum to the same bits (DESIGN.md §16).
+const ANSWERS: &str = "answers_two_layouts/answers.bin";
 
-/// Every answer of a checked-in file's streams, byte for byte, at one and
-/// four engine threads.
-fn assert_answers_match((file, build): (&str, TreeFor)) {
+/// Every answer of the checked-in file's streams through `build`'s tree,
+/// byte for byte, at one and four engine threads.
+fn assert_answers_match(build: TreeFor) {
+    let file = ANSWERS;
     let bytes = std::fs::read(data_path(file)).expect("fixture readable");
     let mut r = WireReader::new(&bytes);
     let cases = fixture_cases();
@@ -232,14 +232,14 @@ fn assert_answers_match((file, build): (&str, TreeFor)) {
 
 #[test]
 fn answers_match_the_two_layout_fixture() {
-    assert_answers_match(FIXTURES[0]);
+    assert_answers_match(vip_tree);
 }
 
 /// The IP arm of the query core: the same streams through
-/// `QueryEngine::for_ip`'s tree.
+/// `QueryEngine::for_ip`'s tree, against the same file.
 #[test]
 fn ip_answers_match_the_query_core_fixture() {
-    assert_answers_match(FIXTURES[1]);
+    assert_answers_match(ip_tree);
 }
 
 /// The walk itself, not only its answers: the per-case totals the
@@ -264,25 +264,29 @@ fn walk_counters_match_the_query_core_readme() {
     assert_eq!(computed, recorded);
 }
 
-/// Rewrites both answer files from the current tree and prints the
-/// README's stats rows — see the READMEs for when that is legitimate.
+/// Rewrites the answer file from the current trees, after asserting that
+/// both trees at 1 and 4 threads agree, and prints the walk rows of the
+/// `query_core` README — see the READMEs for when that is legitimate.
 #[test]
 #[ignore]
 fn write_answers_fixture() {
     let cases = fixture_cases();
-    for (file, build) in FIXTURES {
-        let mut w = WireWriter::new();
-        w.put_u32(cases.len() as u32);
-        for (venue, seed, n) in &cases {
-            let [answers, four] = fixture_answers(venue, *seed, *n, build);
-            assert_eq!(answers, four, "{file}: 1 and 4 threads disagree");
-            w.put_u32(answers.len() as u32);
-            for a in &answers {
-                w.put_bytes(a);
-            }
+    let mut w = WireWriter::new();
+    w.put_u32(cases.len() as u32);
+    for (case, (venue, seed, n)) in cases.iter().enumerate() {
+        let [answers, four] = fixture_answers(venue, *seed, *n, vip_tree);
+        assert_eq!(answers, four, "case {case}: 1 and 4 threads disagree");
+        let ip = fixture_answers(venue, *seed, *n, ip_tree);
+        assert!(
+            ip.iter().all(|a| *a == answers),
+            "case {case}: IP and VIP disagree"
+        );
+        w.put_u32(answers.len() as u32);
+        for a in &answers {
+            w.put_bytes(a);
         }
-        std::fs::write(data_path(file), w.into_bytes()).expect("fixture writable");
     }
+    std::fs::write(data_path(ANSWERS), w.into_bytes()).expect("fixture writable");
     for (case, (venue, seed, n)) in cases.iter().enumerate() {
         for row in fixture_rows(case, venue, *seed, *n) {
             println!("{row}");
@@ -322,9 +326,10 @@ proptest! {
     /// The VIP-tree recovers paths by replaying its table's argmins
     /// (`table_chain`), the IP-tree by replaying its ascent: two routes to
     /// the same shortest path. The door sequences coincide except on
-    /// near-ties, where each must still walk to the other's length; the
-    /// lengths agree to rounding (the table associates
-    /// `du + (leaf + M)` where the ascent computes `(du + leaf) + M`).
+    /// ties, where each must still walk to the other's length. The
+    /// lengths agree bit for bit: the table associates `du + (leaf + M)`
+    /// where the ascent computes `(du + leaf) + M`, and whole ticks sum
+    /// exactly in either order (DESIGN.md §16).
     #[test]
     fn vip_table_chain_agrees_with_ip_ascent_replay(seed in 0u64..2_000) {
         let venue = Arc::new(random_venue(seed));
@@ -334,14 +339,13 @@ proptest! {
             let (a, b) = (vip.shortest_path_points(&s, &t), ip.shortest_path_points(&s, &t));
             prop_assert_eq!(a.is_some(), b.is_some(), "seed {}: reachability", seed);
             let (Some(a), Some(b)) = (a, b) else { continue };
-            let tol = 1e-9 * b.length.max(1.0);
-            prop_assert!((a.length - b.length).abs() <= tol,
-                "seed {seed}: vip length {} vs ip {}", a.length, b.length);
+            prop_assert_eq!(a.length.to_bits(), b.length.to_bits(),
+                "seed {}: vip length {} vs ip {}", seed, a.length, b.length);
             if a.doors != b.doors {
                 let walked = a.validate(&venue).expect("vip path walkable");
-                prop_assert!((walked - b.length).abs() <= 1e-6 * b.length.max(1.0),
-                    "seed {seed}: vip doors {:?} walk to {walked}, ip {:?} to {}",
-                    a.doors, b.doors, b.length);
+                prop_assert_eq!(walked.to_bits(), b.length.to_bits(),
+                    "seed {}: vip doors {:?} walk to {}, ip {:?} to {}",
+                    seed, a.doors, walked, b.doors, b.length);
             }
         }
         prop_assert_eq!(vip.decompose_fallback_count(), 0);
