@@ -12,6 +12,7 @@
 //! Fig. 5(b)).
 
 use crate::path::PartialEdge;
+use crate::ticks::{self, UNREACHED};
 use crate::tree::{IpTree, NodeIdx};
 use crate::QueryScratch;
 use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId, QueryStats};
@@ -33,33 +34,53 @@ pub(crate) enum Provenance {
 #[derive(Debug, Clone)]
 pub(crate) struct AscentStep {
     pub node: NodeIdx,
-    /// Aligned with `node.access_doors`.
-    pub dists: Vec<f64>,
+    /// Aligned with `node.access_doors`, in ticks ([`ticks::UNREACHED`]
+    /// = ∞): a step is folded from stored rows in integer ticks, and
+    /// decoded only where a query needs metres.
+    pub ticks: Vec<u64>,
     pub prov: Vec<Provenance>,
 }
 
 impl AscentStep {
-    /// Size a fresh step for `n_ads` access doors, none reached yet.
+    /// Size a fresh step for `n_ads` access doors, none reached yet, each
+    /// with provenance `prov` until a fold improves it.
+    fn reset(&mut self, n_ads: usize, prov: Provenance) {
+        self.ticks.resize(n_ads, UNREACHED);
+        self.prov.resize(n_ads, prov);
+    }
+
+    /// Size a fresh step for `n_ads` access doors to be reached through
+    /// [`AscentStep::offer_source`].
     pub(crate) fn reset_sources(&mut self, n_ads: usize) {
-        self.dists.resize(n_ads, f64::INFINITY);
-        self.prov
-            .resize(n_ads, Provenance::Source { via: DoorId(0) });
+        self.reset(n_ads, Provenance::Source { via: DoorId(0) });
+    }
+
+    /// Fold `base` ticks plus each stored tick `row[col(i)]` into access
+    /// door `i`, strictly improving, recording `prov` where it improves.
+    /// An ∞ entry is skipped, as `base + ∞` never improves.
+    #[inline]
+    fn fold(&mut self, base: u64, row: &[u32], col: impl Fn(usize) -> usize, prov: Provenance) {
+        for (i, d) in self.ticks.iter_mut().enumerate() {
+            let v = row[col(i)];
+            if v == ticks::INF {
+                continue;
+            }
+            let cand = base + u64::from(v);
+            if cand < *d {
+                *d = cand;
+                self.prov[i] = prov;
+            }
+        }
     }
 
     /// Offer door `u` of the point's partition, `du` away from the point,
-    /// as the way to every access door: `row[i]` is `dist(u, door i)`,
-    /// one contiguous matrix or table row. Callers offer doors in order
-    /// and updates are strictly improving, so each access door keeps its
-    /// first minimal `u` as provenance.
+    /// as the way to every access door: `row[i]` is `dist(u, door i)` in
+    /// ticks, one contiguous matrix or table row. Callers offer doors in
+    /// order and updates are strictly improving, so each access door
+    /// keeps its first minimal `u` as provenance.
     #[inline]
-    pub(crate) fn offer_source(&mut self, u: DoorId, du: f64, row: &[f64]) {
-        for (i, d) in self.dists.iter_mut().enumerate() {
-            let cand = du + row[i];
-            if cand < *d {
-                *d = cand;
-                self.prov[i] = Provenance::Source { via: u };
-            }
-        }
+    pub(crate) fn offer_source(&mut self, u: DoorId, du: f64, row: &[u32]) {
+        self.fold(ticks::ticks(du), row, |i| i, Provenance::Source { via: u });
     }
 }
 
@@ -97,13 +118,13 @@ impl Ascent {
         if self.live == self.steps.len() {
             self.steps.push(AscentStep {
                 node,
-                dists: Vec::new(),
+                ticks: Vec::new(),
                 prov: Vec::new(),
             });
         } else {
             let s = &mut self.steps[self.live];
             s.node = node;
-            s.dists.clear();
+            s.ticks.clear();
             s.prov.clear();
         }
         self.live += 1;
@@ -171,7 +192,7 @@ impl IpTree {
         }
         for (ai, &a) in access.iter().enumerate() {
             if part_doors.binary_search(&a).is_ok() {
-                step.dists[ai] = p.distance_to_door(venue, a);
+                step.ticks[ai] = ticks::ticks(p.distance_to_door(venue, a));
                 step.prov[ai] = Provenance::Source { via: a };
             }
         }
@@ -195,21 +216,16 @@ impl IpTree {
             // access-door columns through the `own_cols` run instead of
             // binary-searching door ids. Child doors are visited in order
             // per column and updates are strictly improving, so the argmin
-            // is the first minimal child door.
+            // is the first minimal child door. The fold is in ticks.
             let (step, prev) = asc.push_step_with_prev(parent);
             let own = self.slabs.own_cols_of(parent);
             let kid = self.slabs.kid_cols_of(cur);
-            step.dists.resize(own.len(), f64::INFINITY);
-            step.prov.resize(own.len(), Provenance::Child { idx: 0 });
-            for (bi, &krow) in kid.iter().enumerate() {
-                let pd = prev.dists[bi];
-                let row = self.slabs.row(parent, krow as usize);
-                for (ai, out) in step.dists.iter_mut().enumerate() {
-                    let cand = pd + row[own[ai] as usize];
-                    if cand < *out {
-                        *out = cand;
-                        step.prov[ai] = Provenance::Child { idx: bi as u16 };
-                    }
+            step.reset(own.len(), Provenance::Child { idx: 0 });
+            for (bi, (&krow, &pd)) in kid.iter().zip(&prev.ticks).enumerate() {
+                if pd != UNREACHED {
+                    let row = self.slabs.row(parent, krow as usize);
+                    let prov = Provenance::Child { idx: bi as u16 };
+                    step.fold(pd, row, |ai| own[ai] as usize, prov);
                 }
             }
             cur = parent;
@@ -387,45 +403,44 @@ pub(crate) trait Climber {
         let nt = ip.child_towards(lca, leaf_t);
         self.climb(s, ns, &mut scratch.asc_s);
         self.climb(t, nt, &mut scratch.asc_t);
-        let ds = &scratch.asc_s.last().dists;
-        let dt = &scratch.asc_t.last().dists;
-
-        let mut best = f64::INFINITY;
-        let mut best_pair = (usize::MAX, usize::MAX);
+        let ds = &scratch.asc_s.last().ticks;
+        let dt = &scratch.asc_t.last().ticks;
 
         // Envelope early-exit: any pairing through row `i` costs at least
-        // `(ds[i] + env_min(lca)) + min(dt)` — the candidates' own
-        // association order, and rounding is monotone, so the floor never
-        // exceeds a candidate as computed — and a row whose floor already
+        // `ds[i] + env_min(lca) + min(dt)`, and a row whose floor already
         // reaches the incumbent is skipped without touching the matrix.
         // The skip condition is `>=` while updates require strictly `<`,
         // so the surviving minimum and argmin pair are exactly the
-        // exhaustive scan's.
+        // exhaustive scan's. The fold is in ticks; an unreached door and
+        // an ∞ entry are skipped.
+        let env_min = ip.slabs.env_min(lca);
+        let dt_min = dt.iter().copied().min().unwrap_or(UNREACHED);
+        if !env_min.is_finite() || dt_min == UNREACHED {
+            return None; // nothing crosses the LCA
+        }
+        let floor = ticks::ticks(env_min) + dt_min;
         let kid_s = ip.slabs.kid_cols_of(ns);
         let kid_t = ip.slabs.kid_cols_of(nt);
-        let env_min = ip.slabs.env_min(lca);
-        let dt_min = dt
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(f64::INFINITY, f64::min);
+        let mut best = UNREACHED;
+        let mut best_pair = (usize::MAX, usize::MAX);
         for (i, &dsi) in ds.iter().enumerate() {
-            if !dsi.is_finite() || (dsi + env_min) + dt_min >= best {
+            if dsi == UNREACHED || dsi + floor >= best {
                 continue;
             }
             let row = ip.slabs.row(lca, kid_s[i] as usize);
             for (j, &dtj) in dt.iter().enumerate() {
-                if !dtj.is_finite() {
+                let v = row[kid_t[j] as usize];
+                if dtj == UNREACHED || v == ticks::INF {
                     continue;
                 }
-                let cand = dsi + row[kid_t[j] as usize] + dtj;
+                let cand = dsi + u64::from(v) + dtj;
                 if cand < best {
                     best = cand;
                     best_pair = (i, j);
                 }
             }
         }
-        best.is_finite().then_some((best, best_pair))
+        (best != UNREACHED).then(|| (ticks::metres(best), best_pair))
     }
 }
 
@@ -487,9 +502,9 @@ pub(crate) mod tests {
             let asc = tree.ascend(p, tree.root());
             assert_eq!(asc.last().node, tree.root());
             // Connected venue: every access door reachable.
-            for (k, d) in asc.last().dists.iter().enumerate() {
+            for (k, &d) in asc.last().ticks.iter().enumerate() {
                 assert!(
-                    d.is_finite() || tree.access_doors(tree.root()).is_empty(),
+                    d != UNREACHED || tree.access_doors(tree.root()).is_empty(),
                     "unreachable access door idx {k}"
                 );
             }

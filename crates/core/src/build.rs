@@ -406,7 +406,7 @@ mod tests {
                 let hops: Vec<u32> = (0..cols.len()).filter_map(|c| hop(r, c)).collect();
                 engine.run(venue.d2d(), &[(d.0, 0.0)], &hops);
                 for (c, &a) in cols.iter().enumerate() {
-                    let (got, want) = (row[c], to_col[c][r]);
+                    let (got, want) = (crate::ticks::decode(row[c]), to_col[c][r]);
                     assert!(
                         close(got, want),
                         "node {idx} dist({d},{a}): got {got} want {want}"
@@ -447,7 +447,7 @@ mod tests {
             for (r, &a) in rows.iter().enumerate() {
                 let dist = slabs.row(n, r);
                 for (c, &b) in rows.iter().enumerate() {
-                    if a == b || !dist[c].is_finite() || hop(n, a, b).is_some() {
+                    if a == b || dist[c] == crate::ticks::INF || hop(n, a, b).is_some() {
                         continue;
                     }
                     let holders: Vec<NodeIdx> = (0..tree.num_nodes() as NodeIdx)

@@ -85,8 +85,9 @@ pub struct QueryScratch {
     pub(crate) arena: DistArena,
     /// Arena handles of the ascent steps, aligned with `asc_s.steps()`.
     pub(crate) step_handles: Vec<u32>,
-    /// Buffer for derived child vectors before they enter the arena.
-    pub(crate) child_vec: Vec<f64>,
+    /// Buffer for derived child vectors before they enter the arena, in
+    /// ticks above the base's minimum (DESIGN.md §16).
+    pub(crate) child_vec: Vec<u64>,
     /// Best-first frontier of Algorithm 5.
     pub(crate) heap: BinaryHeap<Reverse<(TotalF64, NodeIdx, u32)>>,
     /// Current k-best max-heap (`peek()` is `d_k`).
@@ -102,6 +103,11 @@ pub struct QueryScratch {
     /// Own-leaf scan buffer: the leaf ordinal of every door of every live
     /// object of q's leaf, in scan order, with the object's leg to it.
     pub(crate) leaf_ords: Vec<(u32, f64)>,
+    /// Own-leaf scan buffer: the leaf ordinal of every door of q's
+    /// partition, with q's leg to it in ticks.
+    pub(crate) leaf_seeds: Vec<(u32, u64)>,
+    /// A range query's hits before they are sorted into its answer.
+    pub(crate) hits: Vec<(ObjectId, f64)>,
     /// Replayed chains, expansion stack and door buffer of cross-leaf
     /// shortest paths (Algorithm 4).
     pub(crate) path: crate::path::PathScratch,

@@ -21,19 +21,21 @@
 use crate::ascent::{Ascent, Climber};
 use crate::exec::{EpochMarks, QueryScratch};
 use crate::objects::ObjectIndex;
+use crate::ticks;
 use crate::tree::{IpTree, NodeIdx};
 use geometry::TotalF64;
 use indoor_model::{IndoorPoint, ObjectId};
 use std::cmp::Reverse;
 
-/// A bump arena of access-door distance vectors.
+/// A bump arena of access-door distance vectors, in ticks
+/// ([`ticks::UNREACHED`] = ∞).
 ///
 /// Branch-and-bound used to clone a `Vec<f64>` per visited node (ascent
 /// vectors were cloned wholesale on every push); the arena stores each
 /// vector once, contiguously, and hands out dense `u32` handles.
 #[derive(Debug, Default)]
 pub(crate) struct DistArena {
-    data: Vec<f64>,
+    data: Vec<u64>,
     spans: Vec<(u32, u32)>,
 }
 
@@ -51,20 +53,21 @@ impl DistArena {
         self.clear();
         handles.clear();
         for s in asc.steps() {
-            handles.push(self.push(&s.dists));
+            handles.push(self.push(s.ticks.iter().copied()));
         }
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, v: &[f64]) -> u32 {
-        let start = self.data.len() as u32;
-        self.data.extend_from_slice(v);
-        self.spans.push((start, v.len() as u32));
+    pub(crate) fn push(&mut self, v: impl IntoIterator<Item = u64>) -> u32 {
+        let start = self.data.len();
+        self.data.extend(v);
+        self.spans
+            .push((start as u32, (self.data.len() - start) as u32));
         (self.spans.len() - 1) as u32
     }
 
     #[inline]
-    pub(crate) fn get(&self, handle: u32) -> &[f64] {
+    pub(crate) fn get(&self, handle: u32) -> &[u64] {
         let (start, len) = self.spans[handle as usize];
         &self.data[start as usize..(start + len) as usize]
     }
@@ -259,6 +262,7 @@ impl IpTree {
             marks,
             leaf_dq,
             leaf_ords,
+            leaf_seeds,
             trace,
             ..
         } = scratch;
@@ -315,6 +319,7 @@ impl IpTree {
                     marks,
                     leaf_dq,
                     leaf_ords,
+                    leaf_seeds,
                     trace,
                     &mut consider,
                 );
@@ -369,11 +374,13 @@ impl IpTree {
             marks,
             leaf_dq,
             leaf_ords,
+            leaf_seeds,
+            hits,
             trace,
             ..
         } = scratch;
         let asc = &*asc_s;
-        let mut out: Vec<(ObjectId, f64)> = Vec::new();
+        hits.clear();
         arena.seed(asc, step_handles);
         let holds = |n: NodeIdx| oi.subtree_count[n as usize] != 0;
 
@@ -397,10 +404,11 @@ impl IpTree {
                     marks,
                     leaf_dq,
                     leaf_ords,
+                    leaf_seeds,
                     trace,
                     &mut |o, d| {
                         if d <= radius {
-                            out.push((o, d));
+                            hits.push((o, d));
                             kb += 1;
                         }
                     },
@@ -423,8 +431,11 @@ impl IpTree {
                 |mind, child, h| stack.push((mind, child, h)),
             );
         }
+        // The hits are collected in the scratch, so the answer is
+        // allocated once, at its final length.
         let th = trace.start();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let out = hits.to_vec();
         trace.stop_heap(th);
         out
     }
@@ -434,29 +445,38 @@ impl IpTree {
     /// case and the outside case route through a known door set whose
     /// pairwise distances live in the parent's matrix). Base rows and
     /// child columns are precomputed ordinal runs ([`crate::Slabs`]), so
-    /// the double loop streams one cache-aligned row slice per base door.
-    /// Writes into `out` so callers can reuse one scratch buffer across
-    /// the traversal.
+    /// the double loop streams one row slice per base door. Writes into
+    /// `out` so callers can reuse one scratch buffer across the traversal.
+    ///
+    /// The fold is in integer ticks: `out[i]` is the entry's distance less
+    /// `floor`, the base's least entry, or at least [`ticks::INF`] for ∞.
+    /// A reached base entry lies less than 2³¹ ticks above `floor` — two
+    /// base doors are at most their stored matrix entry apart, which is
+    /// below [`ticks::LIMIT`] — so a finite sum stays below the sentinel
+    /// and a sum with an ∞ entry never does, and the fold needs no test
+    /// for ∞ (DESIGN.md §16).
     fn derive_child_vec_slab_into(
         &self,
         parent: NodeIdx,
         base_rows: &[u32],
-        base_vec: &[f64],
+        base_vec: &[u64],
+        floor: u64,
         child: NodeIdx,
-        out: &mut Vec<f64>,
+        out: &mut Vec<u64>,
     ) {
         debug_assert_eq!(base_rows.len(), base_vec.len());
         let cols = self.slabs.kid_cols_of(child);
         out.clear();
-        out.resize(cols.len(), f64::INFINITY);
-        for (bi, &r) in base_rows.iter().enumerate() {
-            let b = base_vec[bi];
-            if !b.is_finite() {
+        out.resize(cols.len(), u64::from(ticks::INF));
+        for (&b, &r) in base_vec.iter().zip(base_rows) {
+            if b == ticks::UNREACHED {
                 continue;
             }
+            let bt = b - floor;
+            debug_assert!(bt < u64::from(ticks::LIMIT), "base spread {bt} ticks");
             let row = self.slabs.row(parent, r as usize);
             for (o, &c) in out.iter_mut().zip(cols) {
-                let cand = b + row[c as usize];
+                let cand = bt + u64::from(row[c as usize]);
                 if cand < *o {
                     *o = cand;
                 }
@@ -491,7 +511,7 @@ impl IpTree {
                     trace.nodes_pushed += 1;
                 }
             }
-            key = step.dists.iter().copied().fold(f64::INFINITY, f64::min);
+            key = ticks::metres(step.ticks.iter().copied().min().unwrap_or(ticks::UNREACHED));
         }
     }
 
@@ -526,7 +546,7 @@ impl IpTree {
         asc: &Ascent,
         arena: &mut DistArena,
         step_handles: &[u32],
-        child_vec: &mut Vec<f64>,
+        child_vec: &mut Vec<u64>,
         trace: &mut crate::telemetry::QueryTrace,
         mut push: impl FnMut(f64, NodeIdx, u32),
     ) {
@@ -545,20 +565,17 @@ impl IpTree {
             }
             let base_vec = arena.get(base_handle);
             let rowmin = self.slabs.kid_rowmin_of(child);
-            let mut base_min = f64::INFINITY;
-            let mut lb = f64::INFINITY;
+            let mut base_min = ticks::UNREACHED;
+            let mut lb = ticks::UNREACHED;
             for (&b, &r) in base_vec.iter().zip(base_rows) {
-                if b < base_min {
-                    base_min = b;
-                }
-                if b.is_finite() {
-                    let v = b + rowmin[r as usize];
-                    if v < lb {
-                        lb = v;
-                    }
+                base_min = base_min.min(b);
+                let rm = rowmin[r as usize];
+                if b != ticks::UNREACHED && rm != ticks::INF {
+                    lb = lb.min(b + u64::from(rm));
                 }
             }
-            if base_min + self.slabs.kid_lb(child) > bound || lb > bound {
+            let lb_m = ticks::metres(lb);
+            if ticks::metres(base_min) + self.slabs.kid_lb(child) > bound || lb_m > bound {
                 if trace.active() {
                     trace.nodes_pruned += 1;
                 }
@@ -567,17 +584,26 @@ impl IpTree {
             if trace.active() {
                 trace.slab_rows += base_rows.len() as u64;
             }
-            self.derive_child_vec_slab_into(node, base_rows, base_vec, child, child_vec);
+            let floor = if base_min == ticks::UNREACHED {
+                0
+            } else {
+                base_min
+            };
+            self.derive_child_vec_slab_into(node, base_rows, base_vec, floor, child, child_vec);
+            let inf = u64::from(ticks::INF);
+            let h = arena.push(child_vec.iter().map(|&t| {
+                if t >= inf {
+                    ticks::UNREACHED
+                } else {
+                    t + floor
+                }
+            }));
             debug_assert_eq!(
-                lb.to_bits(),
-                child_vec
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min)
-                    .to_bits(),
+                Some(&lb),
+                arena.get(h).iter().min().or(Some(&ticks::UNREACHED)),
                 "the row-minimum fold is the derived vector's minimum"
             );
-            push(lb, child, arena.push(child_vec));
+            push(lb_m, child, h);
             if trace.active() {
                 trace.nodes_pushed += 1;
             }
@@ -591,12 +617,13 @@ impl IpTree {
         q: &IndoorPoint,
         oi: &ObjectIndex,
         leaf: NodeIdx,
-        vec: &[f64],
+        vec: &[u64],
         asc: &Ascent,
         bound: f64,
         marks: &mut EpochMarks,
         dq: &mut Vec<f64>,
         ords: &mut Vec<(u32, f64)>,
+        seeds: &mut Vec<(u32, u64)>,
         trace: &mut crate::telemetry::QueryTrace,
         emit: &mut dyn FnMut(ObjectId, f64),
     ) {
@@ -614,16 +641,16 @@ impl IpTree {
             // object's doors to leaf ordinals, beside the object's leg to
             // the door; fold `dq[t]` over q's seeds once per door some
             // object needs (NaN marks "not folded"), in one tight loop so
-            // the grid reads' cache misses overlap; then emit. The legs
+            // the grid reads' cache misses overlap, in integer ticks with
+            // one decode per door; then emit. The legs
             // are independent of each other, so computing them in the
             // first pass keeps their square roots and tick snaps off the
             // emit pass's dependency chain.
             let grid = self.leaf_grid.ensure(self, leaf);
             let ord = |d: u32| self.slabs.leaf_row_of(&self.door_leaves, leaf, d);
-            let mut seeds = q.door_seeds(venue);
-            for (sd, _) in &mut seeds {
-                *sd = ord(*sd);
-            }
+            let q_doors = venue.partition(q.partition).doors.iter();
+            seeds.clear();
+            seeds.extend(q_doors.map(|&d| (ord(d.0), ticks::ticks(q.distance_to_door(venue, d)))));
             let live = || {
                 data.objs
                     .iter()
@@ -641,14 +668,18 @@ impl IpTree {
             for &(t, _) in ords.iter() {
                 let t = t as usize;
                 if dq[t].is_nan() {
-                    let mut best = f64::INFINITY;
-                    for &(s, sdist) in &seeds {
-                        let cand = sdist + crate::leafdist::get(grid, s as usize, t);
+                    let mut best = ticks::UNREACHED;
+                    for &(s, st) in seeds.iter() {
+                        let v = crate::leafdist::cell(grid, s as usize, t);
+                        if v == ticks::INF {
+                            continue;
+                        }
+                        let cand = st + u64::from(v);
                         if cand < best {
                             best = cand;
                         }
                     }
-                    dq[t] = best;
+                    dq[t] = ticks::metres(best);
                 }
             }
             let mut ords = ords.iter();
@@ -667,7 +698,9 @@ impl IpTree {
             return;
         }
 
-        data.emit_candidates(vec, bound, marks, emit);
+        dq.clear();
+        dq.extend(vec.iter().map(|&t| ticks::metres(t)));
+        data.emit_candidates(dq, bound, marks, emit);
     }
 }
 
@@ -686,12 +719,12 @@ mod tests {
     #[test]
     fn arena_handles_round_trip() {
         let mut arena = super::DistArena::default();
-        let a = arena.push(&[1.0, 2.0]);
-        let b = arena.push(&[]);
-        let c = arena.push(&[3.0]);
-        assert_eq!(arena.get(a), &[1.0, 2.0]);
-        assert_eq!(arena.get(b), &[] as &[f64]);
-        assert_eq!(arena.get(c), &[3.0]);
+        let a = arena.push([1, 2]);
+        let b = arena.push([]);
+        let c = arena.push([3]);
+        assert_eq!(arena.get(a), &[1, 2]);
+        assert_eq!(arena.get(b), &[] as &[u64]);
+        assert_eq!(arena.get(c), &[3]);
     }
 
     /// Brute force: oracle distance to every object, sorted.
@@ -724,11 +757,8 @@ mod tests {
     /// of the first deferred entry.
     fn leaf_exit(tree: &IpTree, q: &IndoorPoint) -> f64 {
         let asc = tree.ascend(q, tree.root());
-        asc.steps()[0]
-            .dists
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+        let exit = asc.steps()[0].ticks.iter().copied().min();
+        crate::ticks::metres(exit.unwrap_or(crate::ticks::UNREACHED))
     }
 
     /// k objects at q's own position set `d_k = 0` in the own-leaf scan,

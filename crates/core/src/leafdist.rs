@@ -33,20 +33,21 @@
 //! exist at build time, so the grid costs no full-graph work.
 //!
 //! Layout: one packed lower triangle per leaf. Row `s` holds
-//! `T(s, 0..=s)`, so [`get`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
+//! `T(s, 0..=s)`, so [`cell`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
 //! with `m = max(s, t)`, and the build runs each row's Dijkstra only
 //! until doors `0..=s` settle. Every length is a whole number of ticks
 //! (DESIGN.md §16), so every sum is exact: `T(s, t)` is the full-graph
 //! Dijkstra distance bit for bit, in either direction, and one half of
 //! the table is the whole of it. Each cell is stored as a `u32` tick
-//! count, with `u32::MAX` for ∞, and [`get`] decodes it with one exact
-//! multiply.
+//! count ([`crate::ticks`]): the own-leaf scan folds it in integer
+//! ticks, and [`get`] decodes it with one exact multiply.
 
 use crate::matrices::{leaf_next_hop, LevelGraph};
+use crate::ticks;
 use crate::tree::{DistMatrix, IpTree, NodeIdx, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
 use indoor_graph::{CsrGraph, DijkstraEngine, GraphBuilder};
-use indoor_model::{DoorId, PartitionId, Venue, LENGTH_TICK, TICKS_PER_METRE};
+use indoor_model::{DoorId, PartitionId, Venue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -73,33 +74,16 @@ pub struct LeafGrid {
     builds: AtomicU64,
 }
 
-/// The grid's ∞: a leaf door the other cannot reach.
-const UNREACHABLE: u32 = u32::MAX;
-
-/// `T(s, t)` (either order) from one leaf's packed triangle, in metres:
-/// the stored tick count times the tick, which is exact.
+/// `T(s, t)` (either order) from one leaf's packed triangle, in ticks.
 #[inline]
-pub(crate) fn get(tri: &[u32], s: usize, t: usize) -> f64 {
+pub(crate) fn cell(tri: &[u32], s: usize, t: usize) -> u32 {
     let hi = s.max(t);
-    match tri[hi * (hi + 1) / 2 + s.min(t)] {
-        UNREACHABLE => f64::INFINITY,
-        ticks => f64::from(ticks) * LENGTH_TICK,
-    }
+    tri[hi * (hi + 1) / 2 + s.min(t)]
 }
 
-/// The grid's encoding of a length: its tick count, [`UNREACHABLE`] for
-/// ∞. Panics unless `len` is a whole number of ticks below `u32::MAX`
-/// (4 194 km), which every length the model builds is (DESIGN.md §16).
-fn to_ticks(len: f64) -> u32 {
-    if len == f64::INFINITY {
-        return UNREACHABLE;
-    }
-    let ticks = len * TICKS_PER_METRE;
-    assert!(
-        ticks < f64::from(UNREACHABLE) && f64::from(ticks as u32) == ticks,
-        "{len} m is not a whole number of ticks below u32::MAX"
-    );
-    ticks as u32
+/// `T(s, t)` (either order) from one leaf's packed triangle, in metres.
+pub(crate) fn get(tri: &[u32], s: usize, t: usize) -> f64 {
+    ticks::decode(cell(tri, s, t))
 }
 
 impl LeafGrid {
@@ -167,7 +151,7 @@ impl LeafGrid {
                 for t in 0..s {
                     let v = get(tri, s, t);
                     for (&sa, &ta) in ms.iter().zip(tree.slabs.row(l, t)) {
-                        let detour = sa + ta;
+                        let detour = ticks::decode(sa) + ticks::decode(ta);
                         assert!(
                             v <= detour,
                             "leaf {l} grid ({s},{t}) {v} exceeds detour {detour}"
@@ -434,8 +418,13 @@ fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[u32]> {
     let graph = leaf_graph(venue, tree.leaf_partitions(leaf), doors);
     let mut engine = DijkstraEngine::new(n);
     let all: Vec<u32> = (0..n as u32).collect();
-    // The leaf's matrix: one row per leaf door, one column per access door.
-    let m: Vec<&[f64]> = (0..n).map(|d| tree.slabs.row(leaf, d)).collect();
+    // The leaf's matrix, decoded once: one row per leaf door, `k` columns,
+    // one per access door.
+    let k = tree.access_doors(leaf).len();
+    let m: Vec<f64> = (0..n)
+        .flat_map(|d| tree.slabs.row(leaf, d).iter().map(|&v| ticks::decode(v)))
+        .collect();
+    let row = |d: usize| &m[d * k..(d + 1) * k];
 
     let mut out = Vec::with_capacity(n * (n + 1) / 2);
     for s in 0..n {
@@ -448,13 +437,13 @@ fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[u32]> {
             };
             // Fold in the access-door detours; together with the intra
             // pass this is the exact global distance.
-            for (&sa, &ta) in m[s].iter().zip(m[t]) {
+            for (&sa, &ta) in row(s).iter().zip(row(t)) {
                 let cand = sa + ta;
                 if cand < best {
                     best = cand;
                 }
             }
-            out.push(to_ticks(best));
+            out.push(ticks::encode(best));
         }
     }
     out.into_boxed_slice()

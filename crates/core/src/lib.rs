@@ -60,6 +60,7 @@ mod service;
 mod slabs;
 mod stats;
 pub mod telemetry;
+pub mod ticks;
 mod tree;
 mod vip;
 

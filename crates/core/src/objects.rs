@@ -558,7 +558,7 @@ fn dist_row(tree: &IpTree, leaf: NodeIdx, o: &IndoorPoint, row: &mut [f64]) {
         let r = tree.slabs.leaf_row_of(&tree.door_leaves, leaf, d.0);
         let exit = o.distance_to_door(venue, d);
         for (slot, &m) in row.iter_mut().zip(tree.slabs.row(leaf, r as usize)) {
-            let cand = m + exit;
+            let cand = crate::ticks::decode(m) + exit;
             if cand < *slot {
                 *slot = cand;
             }

@@ -2,10 +2,11 @@
 //! interpolated lower bounds (DESIGN.md §14).
 //!
 //! [`Slabs::build`] consumes the per-node [`crate::tree::DistMatrix`]
-//! values the builders produce: `dist` rows go into one contiguous f64
-//! arena with cache-line-aligned rows and a precomputed stride per node,
-//! `next_hop` entries go into one run per node for path recovery, and the
-//! matrices are dropped — the slab holds the only copy of every distance.
+//! values the builders produce: `dist` rows go into one packed arena of
+//! `u32` tick counts ([`crate::ticks`]), row `r` of node `n` at
+//! `off[n] + r * n_cols[n]`, `next_hop` entries go into one run per node
+//! for path recovery, and the matrices are dropped — the slab holds the
+//! only copy of every distance.
 //! The doors a row or column stands for are the tree's own runs
 //! ([`IpTree::rows`] / access doors), not a copy here. The
 //! kNN/range/ascent hot loops read straight row slices and hoisted column
@@ -23,19 +24,18 @@
 //!   columns and cached as `kid_lb`: an O(1) admissible lower bound on
 //!   the derived child vector used by k-best pruning.
 //!
-//! Padding lanes are `+inf` and never read by query code. Accessors
-//! `debug_assert!` in-bounds + 64-byte row alignment (tier-1's debug
-//! `cargo test` runs every query path through them); [`Slabs::audit`]
-//! re-verifies the whole structure against the arena itself, and the
-//! values against ground-truth Dijkstra are `build.rs`'s
+//! `kid_rowmin`, a minimum of stored entries, is ticks too; the rest of
+//! the bound layer stays f64: its values are few, and an interpolated
+//! knot is not a whole tick. [`Slabs::row`] `debug_assert!`s in-bounds
+//! (tier-1's debug `cargo test` runs every query path through it);
+//! [`Slabs::audit`] re-verifies the whole structure against the arena
+//! itself, and the values against ground-truth Dijkstra are `build.rs`'s
 //! `structural_invariants`.
 
+use crate::ticks;
 use crate::tree::{DistMatrix, IpTree, NodeIdx, Runs, NO_DOOR, NO_NODE};
 use indoor_graph::parallel::par_map;
 use indoor_model::DoorId;
-
-/// f64 lanes per cache line; every slab row starts on a 64-byte boundary.
-const ROW_ALIGN: usize = 8;
 
 /// Knot spacing of the piecewise-linear bound table (column ordinals).
 pub(crate) const PL_SPACING: usize = 8;
@@ -53,14 +53,11 @@ struct NodeBounds {
 /// already ascends addresses; the slab preserves that order.
 #[derive(Debug, Default)]
 pub struct Slabs {
-    /// One arena for every node matrix; `base` indexes the first element
-    /// that sits on a 64-byte boundary.
-    arena: Vec<f64>,
-    base: usize,
-    /// Per node: arena offset (from `base`), row stride (cols rounded up
-    /// to [`ROW_ALIGN`]), and logical extent.
+    /// One arena for every node matrix, in ticks ([`ticks::INF`] = ∞),
+    /// rows packed at `n_cols`.
+    arena: Vec<u32>,
+    /// Per node: arena offset and extent.
     off: Vec<usize>,
-    stride: Vec<u32>,
     n_rows: Vec<u32>,
     n_cols: Vec<u32>,
     /// Per node: next-hop door per matrix entry, row-major with `n_cols`
@@ -86,8 +83,9 @@ pub struct Slabs {
     /// minima (which include the zero diagonal of every square inner
     /// matrix), a row's minimum over *one child's* columns is zero only
     /// where that row's door really is one of the child's access doors, so
-    /// this bound has teeth. Empty run for the root.
-    kid_rowmin: Runs<f64>,
+    /// this bound has teeth. In ticks, like the arena it is read from.
+    /// Empty run for the root.
+    kid_rowmin: Runs<u32>,
     /// Per node: minimum over the finite matrix entries (`+inf` when the
     /// matrix is empty or all-infinite).
     env_min: Vec<f64>,
@@ -106,44 +104,27 @@ impl Slabs {
             par_map(&matrices, tree.config.threads, |_, m| node_bounds(m));
 
         let mut off = Vec::with_capacity(n_nodes);
-        let mut stride = Vec::with_capacity(n_nodes);
         let mut n_rows = Vec::with_capacity(n_nodes);
         let mut n_cols = Vec::with_capacity(n_nodes);
         let mut total = 0usize;
         for m in &matrices {
-            let (r, c) = (m.rows.len(), m.cols.len());
-            let s = c.div_ceil(ROW_ALIGN) * ROW_ALIGN;
             off.push(total);
-            stride.push(s as u32);
-            n_rows.push(r as u32);
-            n_cols.push(c as u32);
-            total += r * s;
+            n_rows.push(m.rows.len() as u32);
+            n_cols.push(m.cols.len() as u32);
+            total += m.dist.len();
         }
 
-        // Over-allocate so the first row can start on a cache line
-        // wherever the allocator put us; padding lanes stay +inf. Each
-        // matrix is dropped as soon as its rows and hops are in.
-        let mut arena = vec![f64::INFINITY; total + ROW_ALIGN];
-        let base = {
-            let addr = arena.as_ptr() as usize;
-            (64 - addr % 64) % 64 / std::mem::size_of::<f64>()
-        };
+        // Each matrix is dropped as soon as its rows and hops are in.
+        let mut arena = Vec::with_capacity(total);
         let mut hops = Runs::default();
-        for (i, m) in matrices.into_iter().enumerate() {
-            let (r, c, s) = (m.rows.len(), m.cols.len(), stride[i] as usize);
-            let start = base + off[i];
-            for row in 0..r {
-                arena[start + row * s..start + row * s + c]
-                    .copy_from_slice(&m.dist[row * c..(row + 1) * c]);
-            }
+        for m in matrices {
+            arena.extend(m.dist.iter().map(|&d| ticks::encode(d)));
             hops.push_run(m.next_hop.iter().copied());
         }
 
         let mut slabs = Slabs {
             arena,
-            base,
             off,
-            stride,
             n_rows,
             n_cols,
             hops,
@@ -189,14 +170,8 @@ impl Slabs {
                 let slabs = &slabs;
                 (0..rows).map(move |r| {
                     let row = slabs.row(p, r);
-                    let mut m = f64::INFINITY;
-                    for &c in slabs.kid_cols_of(n) {
-                        let v = row[c as usize];
-                        if v < m {
-                            m = v;
-                        }
-                    }
-                    m
+                    let kid = slabs.kid_cols_of(n).iter();
+                    kid.map(|&c| row[c as usize]).min().unwrap_or(ticks::INF)
                 })
             })
             .collect();
@@ -218,19 +193,14 @@ impl Slabs {
     }
 
     /// Row `r` of node `n`'s matrix as a contiguous slice, one distance
-    /// per column.
+    /// per column, in ticks ([`crate::ticks`]).
     #[inline]
-    pub fn row(&self, n: NodeIdx, r: usize) -> &[f64] {
+    pub fn row(&self, n: NodeIdx, r: usize) -> &[u32] {
         let i = n as usize;
         debug_assert!(r < self.n_rows[i] as usize, "slab row {r} out of bounds");
-        let start = self.base + self.off[i] + r * self.stride[i] as usize;
-        let row = &self.arena[start..start + self.n_cols[i] as usize];
-        debug_assert_eq!(
-            row.as_ptr() as usize % 64,
-            0,
-            "slab row {r} of node {n} not cache-line-aligned"
-        );
-        row
+        let cols = self.n_cols[i] as usize;
+        let start = self.off[i] + r * cols;
+        &self.arena[start..start + cols]
     }
 
     /// Number of rows of node `n`'s matrix.
@@ -301,9 +271,9 @@ impl Slabs {
     /// matrix: `kid_rowmin_of(c)[r]` never exceeds `P(r, col)` for any of
     /// `c`'s columns. Folding `base[bi] + rowmin[row(bi)]` over a base
     /// therefore lower-bounds every entry of the derived child vector.
-    /// Empty for the root.
+    /// In ticks ([`crate::ticks`]). Empty for the root.
     #[inline]
-    pub fn kid_rowmin_of(&self, c: NodeIdx) -> &[f64] {
+    pub fn kid_rowmin_of(&self, c: NodeIdx) -> &[u32] {
         self.kid_rowmin.get(c as usize)
     }
 
@@ -317,14 +287,14 @@ impl Slabs {
     /// Bytes of the distance arena and the next-hop entries — the
     /// matrices proper ([`crate::TreeStats::matrix_bytes`]).
     pub(crate) fn matrix_bytes(&self) -> usize {
-        self.arena.len() * 8 + self.hops.size_bytes()
+        self.arena.len() * 4 + self.hops.size_bytes()
     }
 
     /// Every array of the store, once.
     pub fn size_bytes(&self) -> usize {
         self.matrix_bytes()
             + self.off.len() * std::mem::size_of::<usize>()
-            + (self.stride.len() + self.n_rows.len() + self.n_cols.len()) * 4
+            + (self.n_rows.len() + self.n_cols.len()) * 4
             + self.kid_cols.size_bytes()
             + self.own_cols.size_bytes()
             + self.pl_knots.size_bytes()
@@ -335,14 +305,15 @@ impl Slabs {
     }
 
     /// Full structural audit against the arena itself: every matrix as
-    /// tall and wide as the tree's door runs, every row
-    /// cache-line-aligned, every CSR ordinal naming the door it was
+    /// tall and wide as the tree's door runs and packed end to end in
+    /// node order, every CSR ordinal naming the door it was
     /// hoisted for, `env_min` the exact finite minimum, every PL value
     /// and `kid_lb` admissible, `kid_rowmin` exact. (That the arena
     /// holds the *right* distances is checked against Dijkstra by
     /// `build.rs`'s `structural_invariants`.)
     pub(crate) fn audit(&self, tree: &IpTree) {
         assert_eq!(self.off.len(), tree.num_nodes());
+        let mut packed = 0;
         for n in 0..tree.num_nodes() as NodeIdx {
             let i = n as usize;
             let (rows, cols) = (self.n_rows(n), self.n_cols[i] as usize);
@@ -350,14 +321,16 @@ impl Slabs {
             assert_eq!(tree.rows(n).len(), rows);
             assert_eq!(col_ids.len(), cols);
             assert_eq!(self.hops.get(i).len(), rows * cols);
-            assert!(self.stride[i] as usize >= cols);
-            assert_eq!(self.stride[i] as usize % ROW_ALIGN, 0);
+            assert_eq!(
+                self.off[i], packed,
+                "node {n} not packed after its predecessor"
+            );
+            packed += rows * cols;
             let mut finite_min = f64::INFINITY;
             let mut colmin = vec![f64::INFINITY; cols];
             for r in 0..rows {
-                let row = self.row(n, r);
-                assert_eq!(row.as_ptr() as usize % 64, 0, "row unaligned");
-                for (&v, cm) in row.iter().zip(&mut colmin) {
+                for (&v, cm) in self.row(n, r).iter().zip(&mut colmin) {
+                    let v = ticks::decode(v);
                     *cm = cm.min(v);
                     if v.is_finite() {
                         finite_min = finite_min.min(v);
@@ -393,15 +366,14 @@ impl Slabs {
                 assert_eq!(rowmin.len(), self.n_rows(p));
                 for (r, &rm) in rowmin.iter().enumerate() {
                     let prow = self.row(p, r);
-                    let want = run
-                        .iter()
-                        .map(|&c| prow[c as usize])
-                        .fold(f64::INFINITY, f64::min);
-                    assert!(self.kid_lb(n) <= want);
-                    assert_eq!(rm.to_bits(), want.to_bits(), "kid_rowmin drift");
+                    let want = run.iter().map(|&c| prow[c as usize]).min();
+                    let want = want.unwrap_or(ticks::INF);
+                    assert!(self.kid_lb(n) <= ticks::decode(want));
+                    assert_eq!(rm, want, "kid_rowmin drift");
                 }
             }
         }
+        assert_eq!(self.arena.len(), packed, "arena holds padding");
     }
 }
 

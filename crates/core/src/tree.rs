@@ -220,7 +220,7 @@ pub struct IpTree {
     /// caches key object answers by ([`IpTree::objects_generation`]).
     pub(crate) objects_gen: std::sync::atomic::AtomicU64,
     /// The matrix store (DESIGN.md §14): every node's distance rows in
-    /// one cache-line-aligned SoA arena, the next-hop entries path
+    /// one packed arena of `u32` ticks, the next-hop entries path
     /// recovery reads, and the admissible lower-bound layer. Packed once
     /// at construction from the builders' matrices, which are consumed.
     pub(crate) slabs: crate::slabs::Slabs,
@@ -428,8 +428,8 @@ impl IpTree {
         self.leaf_grid.builds()
     }
 
-    /// Re-verify the slab arena and the leaf grids: every row in-bounds
-    /// and cache-line-aligned, every ordinal CSR consistent with the door
+    /// Re-verify the slab arena and the leaf grids: every matrix packed
+    /// in-bounds with no padding, every ordinal CSR consistent with the door
     /// lists, every bound admissible against the arena itself. Panics on
     /// violation. Forces any lazily-deferred leaf grids to build first,
     /// so the audit always covers the full grid.

@@ -6,9 +6,15 @@
 //! `min over superior doors u of Partition(s): dist(s, u) + table[u](d)` —
 //! two table lookups instead of an ascent, giving O(ρ²) shortest-distance
 //! and O(ρ² + w) expected shortest-path cost (Table 1).
+//!
+//! The tables are where the VIP-tree spends its memory, so each distance
+//! is stored as a `u32` tick count ([`crate::ticks`]): the build folds
+//! the chain in integer ticks, and a sweep folds a row into its ascent
+//! step in integer ticks too (DESIGN.md §16).
 
 use crate::ascent::{Ascent, Climber, Provenance};
 use crate::path::PartialEdge;
+use crate::ticks;
 use crate::tree::{BuildError, IpTree, NodeIdx, VipTreeConfig, NO_NODE};
 use indoor_model::{DoorId, IndoorPath, IndoorPoint, ObjectId, QueryStats, Venue};
 use std::sync::Arc;
@@ -38,7 +44,8 @@ struct DoorTables {
     /// Row `k` spans `row_off[k]..row_off[k+1]` of `dists`/`args`, one
     /// entry per access door of its owner (one trailing sentinel).
     row_off: Vec<u32>,
-    dists: Vec<f64>,
+    /// In ticks ([`ticks::INF`] = ∞).
+    dists: Vec<u32>,
     /// Aligned with `dists`: argmin index into `prev`'s access-door list
     /// (`ARG_LEAF` for leaf rows — straight off the leaf matrix).
     args: Vec<u16>,
@@ -50,7 +57,7 @@ struct DoorTables {
 struct DoorScratch {
     /// `(owner, prev, offset into dists/args)`.
     rows: Vec<(NodeIdx, NodeIdx, u32)>,
-    dists: Vec<f64>,
+    dists: Vec<u32>,
     args: Vec<u16>,
 }
 
@@ -72,7 +79,9 @@ impl DoorTables {
             rows.push((leaf, NO_NODE, cur_off as u32));
             dists.extend_from_slice(ip.slabs.row(leaf, r as usize));
             args.resize(dists.len(), ARG_LEAF);
-            // Ascend to the root, minimising over the previous level.
+            // Ascend to the root, minimising over the previous level. Two
+            // stored ticks sum below the sentinel unless one is ∞, so the
+            // fold needs no test for ∞ ([`ticks`]).
             let mut cur = leaf;
             loop {
                 let parent = ip.parent(cur);
@@ -82,17 +91,17 @@ impl DoorTables {
                 let kid = ip.slabs.kid_cols_of(cur);
                 let offset = dists.len();
                 for &col in ip.slabs.own_cols_of(parent) {
-                    let mut best = f64::INFINITY;
+                    let mut best = u64::from(ticks::INF);
                     let mut best_idx = ARG_LEAF;
                     for (bi, &krow) in kid.iter().enumerate() {
-                        let cand =
-                            dists[cur_off + bi] + ip.slabs.row(parent, krow as usize)[col as usize];
+                        let cand = u64::from(dists[cur_off + bi])
+                            + u64::from(ip.slabs.row(parent, krow as usize)[col as usize]);
                         if cand < best {
                             best = cand;
                             best_idx = bi as u16;
                         }
                     }
-                    dists.push(best);
+                    dists.push(ticks::narrow(best));
                     args.push(best_idx);
                 }
                 rows.push((parent, cur, offset as u32));
@@ -147,16 +156,16 @@ impl DoorTables {
         Some((k, self.row_off[k] as usize..self.row_off[k + 1] as usize))
     }
 
-    /// Distances from door `d` to the access doors of `node`.
+    /// Distances from door `d` to the access doors of `node`, in ticks.
     #[inline]
-    fn dists_at(&self, d: u32, node: NodeIdx) -> Option<&[f64]> {
+    fn dists_at(&self, d: u32, node: NodeIdx) -> Option<&[u32]> {
         self.row_at(d, node).map(|(_, span)| &self.dists[span])
     }
 
     /// Every array, once.
     fn size_bytes(&self) -> usize {
         (self.door_off.len() + self.nodes.len() + self.prev.len() + self.row_off.len()) * 4
-            + self.dists.len() * 8
+            + self.dists.len() * 4
             + self.args.len() * 2
     }
 }
@@ -220,9 +229,10 @@ impl VipTree {
     /// One row of a door's materialised table (§2.2), if `node` is an
     /// ancestor of one of the door's leaves: the chain predecessor the
     /// row was minimised over (`NO_NODE` for a leaf row), the distances
-    /// to `node`'s access doors, and the argmin indices into the
-    /// predecessor's access-door list (`u16::MAX` on leaf rows).
-    pub fn table_row(&self, door: DoorId, node: NodeIdx) -> Option<(NodeIdx, &[f64], &[u16])> {
+    /// to `node`'s access doors in ticks ([`crate::ticks`]), and the argmin
+    /// indices into the predecessor's access-door list (`u16::MAX` on leaf
+    /// rows).
+    pub fn table_row(&self, door: DoorId, node: NodeIdx) -> Option<(NodeIdx, &[u32], &[u16])> {
         let t = &self.tables;
         let (k, span) = t.row_at(door.0, node)?;
         Some((t.prev[k], &t.dists[span.clone()], &t.args[span]))

@@ -6,13 +6,13 @@
 //!
 //! Rows so far, each on Men-2 and CL-lite with one warm scratch: the
 //! cross-leaf shortest path of both trees, and the tree's kNN, range and
-//! shortest distance.
+//! shortest distance. On Men-2: `IndoorService::execute` on a cache hit
+//! and on a miss, and `execute_batch` of 4 hits.
 
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Counts every `alloc`, `alloc_zeroed` and `realloc` on the thread that
@@ -130,16 +130,15 @@ fn stream_allocations<Q>(stream: &[Q], mut f: impl FnMut(&Q)) -> u64 {
 /// Tree kNN (k = 10 over 1 000 objects) and range (r = 50 m) from 400
 /// query points, VIP-tree, one warm scratch.
 ///
-/// Per kNN exactly **2**: the answer, collected once from the k-best heap,
-/// and `q.door_seeds` in `scan_leaf`'s own-leaf branch (every query
-/// point's leaf holds objects here). Per range: the same door seeds when
-/// q's leaf holds objects, and the answer `Vec`, which grows by pushes —
-/// one allocation, then one per doubling past a capacity of 4. A range's
-/// count follows its answer's length, so the stream total is pinned, and
-/// checked against that breakdown.
+/// Per kNN exactly **1**: the answer, collected once from the k-best heap
+/// (`scan_leaf`'s own-leaf door seeds live in the scratch). Per range: the
+/// answer, allocated once at its final length from the hits the scratch
+/// collects, so 1 for a non-empty answer and 0 for an empty one. The
+/// stream total is pinned, and checked against the count of non-empty
+/// answers; every answer is non-empty on these streams.
 #[test]
-fn knn_and_range_allocate_their_answer_and_the_door_seeds() {
-    for ((name, venue, vip), range_pin) in presets_ledger().into_iter().zip([2_269, 1_513]) {
+fn knn_and_range_allocate_only_their_answer() {
+    for ((name, venue, vip), range_pin) in presets_ledger().into_iter().zip([400, 400]) {
         let objects = workload::place_objects(&venue, 1_000, 42);
         vip.attach_objects(&objects);
         let points = workload::query_points(&venue, 400, 42);
@@ -147,24 +146,15 @@ fn knn_and_range_allocate_their_answer_and_the_door_seeds() {
         let knn = stream_allocations(&points, |q| {
             vip.knn_in(q, 10, &mut scratch);
         });
-        assert_eq!(knn, 2 * points.len() as u64, "{name}: kNN stream");
+        assert_eq!(knn, points.len() as u64, "{name}: kNN stream");
 
         let range = stream_allocations(&points, |q| {
             vip.range_in(q, 50.0, &mut scratch);
         });
-        let ip = vip.ip_tree();
-        let held: HashSet<u32> = objects.iter().map(|o| ip.leaf_of(o.partition)).collect();
-        let named: u64 = points
+        let named = points
             .iter()
-            .map(|q| {
-                let seeds = u64::from(held.contains(&ip.leaf_of(q.partition)));
-                let answer = match vip.range_in(q, 50.0, &mut scratch).len() {
-                    0 => 0,
-                    n => 1 + u64::from(n.div_ceil(4).next_power_of_two().trailing_zeros()),
-                };
-                seeds + answer
-            })
-            .sum();
+            .filter(|q| !vip.range_in(q, 50.0, &mut scratch).is_empty())
+            .count() as u64;
         assert_eq!(
             (range, named),
             (range_pin, range_pin),
@@ -200,5 +190,71 @@ fn shortest_distance_allocates_only_same_leaf_door_seeds() {
             (2 * same_leaf, 2 * same_leaf),
             "{name}: (VIP, IP) SD stream"
         );
+    }
+}
+
+/// A volatile one-venue service on Men-2 (1 000 objects, one batch
+/// worker) and 200 kNN requests (k = 10) it has not seen, after a pass
+/// with k = 11 from the same points has built their leaf grids and grown
+/// the engine's scratch to what k = 10 needs. Returns the service, its
+/// venue id and the requests; the cache holds the 200 warm-up answers.
+fn warm_service() -> (IndoorService, VenueId, Vec<QueryRequest>) {
+    let venue = Arc::new(presets::menzies_2().build());
+    let service = IndoorService::new();
+    let config = ShardConfig {
+        threads: 1,
+        objects: workload::place_objects(&venue, 1_000, 42),
+        ..ShardConfig::default()
+    };
+    let id = service.add_venue(venue.clone(), config).unwrap();
+    let points = workload::query_points(&venue, 200, 42);
+    for &q in &points {
+        service
+            .execute(id, &QueryRequest::Knn { q, k: 11 })
+            .unwrap();
+    }
+    let reqs = points
+        .into_iter()
+        .map(|q| QueryRequest::Knn { q, k: 10 })
+        .collect();
+    (service, id, reqs)
+}
+
+/// `IndoorService::execute`, kNN. A miss makes **2**: the tree's answer
+/// and the copy the cache keeps (the request holds no heap data). Two
+/// misses make one more, where a cache container grows: the 225th entry
+/// (miss 24) outgrows the map's 256 buckets, and the 257th (miss 56) the
+/// clock ring's capacity. A hit makes exactly **1**, the answer cloned
+/// out of the cache.
+#[test]
+fn service_execute_allocates_one_answer_clone_on_a_hit() {
+    let (service, id, reqs) = warm_service();
+    let misses: Vec<u64> = reqs
+        .iter()
+        .map(|r| allocations_of(|| service.execute(id, r).unwrap()))
+        .collect();
+    let want: Vec<u64> = (0..reqs.len())
+        .map(|i| if i == 24 || i == 56 { 3 } else { 2 })
+        .collect();
+    assert_eq!(misses, want, "misses");
+    for (k, r) in reqs.iter().enumerate() {
+        let n = allocations_of(|| service.execute(id, r).unwrap());
+        assert_eq!(n, 1, "hit {k}");
+    }
+}
+
+/// `IndoorService::execute_batch` of 4 cached kNN requests for one venue:
+/// exactly **11** per batch. This is the count the batch path makes
+/// today, pinned so that a change to it shows; no breakdown is asserted.
+#[test]
+fn service_batch_of_four_hits_allocates_eleven() {
+    let (service, id, reqs) = warm_service();
+    for r in &reqs {
+        service.execute(id, r).unwrap();
+    }
+    for (k, chunk) in reqs.chunks(4).enumerate() {
+        let batch: Vec<(VenueId, QueryRequest)> = chunk.iter().map(|r| (id, r.clone())).collect();
+        let n = allocations_of(|| service.execute_batch(&batch));
+        assert_eq!(n, 11, "batch {k}");
     }
 }

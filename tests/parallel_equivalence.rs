@@ -44,11 +44,7 @@ fn assert_trees_bit_identical(a: &IpTree, b: &IpTree, label: &str) {
             let (ra, rb) = (sa.row(idx, r), sb.row(idx, r));
             assert_eq!(ra.len(), rb.len(), "{label}: node {idx} matrix cols");
             for (c, (x, y)) in ra.iter().zip(rb).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{label}: node {idx} dist[{r}][{c}]: {x} vs {y}"
-                );
+                assert_eq!(x, y, "{label}: node {idx} dist[{r}][{c}] (ticks)");
                 assert_eq!(
                     sa.hop(idx, r, c),
                     sb.hop(idx, r, c),
@@ -94,12 +90,7 @@ fn check_venue(venue: Arc<Venue>, label: &str) {
                 _ => panic!("{label}: door {d} node {n}: row in one table only"),
             };
             assert_eq!((pa, aa), (pb, ab), "{label}: door {d} node {n} chain");
-            assert!(
-                da.iter()
-                    .map(|x| x.to_bits())
-                    .eq(db.iter().map(|x| x.to_bits())),
-                "{label}: door {d} node {n} table dists"
-            );
+            assert_eq!(da, db, "{label}: door {d} node {n} table dists (ticks)");
         }
     }
 

@@ -15,7 +15,7 @@ use indoor_spatial::model::QueryStats;
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{presets, random_venue, workload};
 use indoor_spatial::vip::telemetry as vip_telemetry;
-use indoor_spatial::vip::{KeywordObjects, TreeHandle};
+use indoor_spatial::vip::{ticks, KeywordObjects, TreeHandle};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -301,7 +301,7 @@ proptest! {
     /// interpolated PL bound never exceeds **any** true door-to-door
     /// matrix entry in its column (so skipping a candidate whose bound
     /// exceeds the current k-th distance can never drop an answer), and
-    /// the full structural audit — cache-line-aligned rows, consistent
+    /// the full structural audit — packed matrix extents, consistent
     /// ordinal CSRs, exact `env_min` and `kid_rowmin`, admissible
     /// `kid_lb` — holds.
     #[test]
@@ -313,7 +313,7 @@ proptest! {
         for n in 0..tree.num_nodes() as u32 {
             for r in 0..slabs.n_rows(n) {
                 for (c, &v) in slabs.row(n, r).iter().enumerate() {
-                    let lb = slabs.pl_bound(n, c);
+                    let (lb, v) = (slabs.pl_bound(n, c), ticks::decode(v));
                     prop_assert!(
                         lb <= v,
                         "seed {seed}: node {n} col {c} row {r}: bound {lb} > true {v}"
