@@ -1,16 +1,13 @@
 //! Leaf-local distances: the build's leaf passes (§2.1.2 step 3,
 //! DESIGN.md §1) and the per-leaf door-to-door grid, the packed table
 //! that replaces the per-query D2D expansion of same-leaf scans
-//! (DESIGN.md §14.4). All of them search [`leaf_graph`].
+//! (DESIGN.md §14.4). All of them start from [`leaf_graph`].
 //!
-//! `scan_leaf` used to answer "exact distance from `q` to every object in
-//! q's own leaf" with a full-graph Dijkstra per query — which profiling
-//! shows dominating kNN/range latency on every benchmark preset (the
-//! branch-and-bound walk itself is under a microsecond once the slabs are
-//! in place). The grid precomputes, per leaf, the `n × n` table of
-//! **global** shortest distances between the leaf's doors, so the query
-//! path collapses to a seed × cell fold at each door the leaf's objects
-//! use.
+//! The grid precomputes, per leaf, the `n × n` table of **global**
+//! shortest distances between the leaf's doors, so `scan_leaf` answers
+//! "exact distance from `q` to every object in q's own leaf" with a seed
+//! × cell fold at each door the leaf's objects use, where it used to run
+//! a full-graph Dijkstra per query, the dominant kNN/range cost.
 //!
 //! Exactness (the boundary decomposition): a shortest path between two
 //! doors `s, t` of the same leaf either stays inside the leaf's
@@ -26,21 +23,21 @@
 //!                                M(s, a) + M(t, a) )
 //! ```
 //!
-//! where `d_intra` is Dijkstra over the leaf-local subgraph (the same
+//! where `d_intra` is the distance over the leaf-local subgraph (the same
 //! per-partition door cliques the venue's D2D builder emits, restricted
 //! to the leaf's partitions) and `M` is the leaf's distance matrix —
 //! global by the top-down fold ([`fold_leaf_matrix`]). Both ingredients
 //! exist at build time, so the grid costs no full-graph work.
 //!
-//! Layout: one packed lower triangle per leaf. Row `s` holds
-//! `T(s, 0..=s)`, so [`cell`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
-//! with `m = max(s, t)`, and the build runs each row's Dijkstra only
-//! until doors `0..=s` settle. Every length is a whole number of ticks
+//! Build: one min-plus closure ([`close`]) of the leaf graph's arcs and
+//! the stored `M(a, b)` of every access-door pair — the formula above,
+//! as each outside stretch of a crossing path joins two access doors.
+//!
+//! Layout: one packed lower triangle per leaf of `u32` tick counts
+//! ([`crate::ticks`]); [`cell`] reads `T(s, t)` at `m(m+1)/2 + min(s, t)`
+//! with `m = max(s, t)`. Every length is a whole number of ticks
 //! (DESIGN.md §16), so every sum is exact: `T(s, t)` is the full-graph
-//! Dijkstra distance bit for bit, in either direction, and one half of
-//! the table is the whole of it. Each cell is stored as a `u32` tick
-//! count ([`crate::ticks`]): the own-leaf scan folds it in integer
-//! ticks, and [`get`] decodes it with one exact multiply.
+//! Dijkstra distance bit for bit, in either direction.
 
 use crate::matrices::{leaf_next_hop, LevelGraph};
 use crate::ticks;
@@ -61,7 +58,7 @@ use std::sync::OnceLock;
 /// build on the query path (attributed to the leaf-fold phase by the
 /// telemetry trace, and counted by [`LeafGrid::builds`]). Built triangles
 /// are bit-identical to an eager build: both call [`leaf_triangle`],
-/// whose Dijkstra + detour fold is deterministic per leaf
+/// whose integer closure is deterministic per leaf
 /// (`tests/slab_layout.rs` pins this).
 #[derive(Debug)]
 pub struct LeafGrid {
@@ -74,16 +71,17 @@ pub struct LeafGrid {
     builds: AtomicU64,
 }
 
+/// The index of `(s, t)` (either order) in a packed lower triangle.
+#[inline]
+fn at(s: usize, t: usize) -> usize {
+    let hi = s.max(t);
+    hi * (hi + 1) / 2 + s.min(t)
+}
+
 /// `T(s, t)` (either order) from one leaf's packed triangle, in ticks.
 #[inline]
 pub(crate) fn cell(tri: &[u32], s: usize, t: usize) -> u32 {
-    let hi = s.max(t);
-    tri[hi * (hi + 1) / 2 + s.min(t)]
-}
-
-/// `T(s, t)` (either order) from one leaf's packed triangle, in metres.
-pub(crate) fn get(tri: &[u32], s: usize, t: usize) -> f64 {
-    ticks::decode(cell(tri, s, t))
+    tri[at(s, t)]
 }
 
 impl LeafGrid {
@@ -133,30 +131,26 @@ impl LeafGrid {
 
     /// Semantic re-verification of every leaf triangle (building any not
     /// yet built): one cell per door pair, diagonals exactly zero, and
-    /// every entry at most its access-door detour, bit for bit (entries
-    /// are non-negative by their encoding).
+    /// every entry at most its leaf-graph arcs and its access-door
+    /// detours, bit for bit.
     pub(crate) fn audit(&self, tree: &IpTree) {
-        assert_eq!(
-            self.grids.len(),
-            tree.num_leaves(),
-            "one grid slot per leaf"
-        );
+        assert_eq!(self.grids.len(), tree.num_leaves(), "grid slots");
         for l in 0..tree.num_leaves() as NodeIdx {
-            let n = tree.leaf_doors(l).len();
-            let tri = self.ensure(tree, l);
-            assert_eq!(tri.len(), n * (n + 1) / 2, "leaf {l} triangle size");
+            let (doors, rows) = (tree.leaf_doors(l), |s| tree.slabs.row(l, s).iter());
+            let (n, tri) = (doors.len(), self.ensure(tree, l));
+            assert_eq!(tri.len(), n * (n + 1) / 2, "leaf {l} size");
+            let graph = leaf_graph(&tree.venue, tree.leaf_partitions(l), doors);
             for s in 0..n {
-                let ms = tree.slabs.row(l, s);
-                assert_eq!(get(tri, s, s), 0.0, "leaf {l} diagonal {s}");
-                for t in 0..s {
-                    let v = get(tri, s, t);
-                    for (&sa, &ta) in ms.iter().zip(tree.slabs.row(l, t)) {
-                        let detour = ticks::decode(sa) + ticks::decode(ta);
-                        assert!(
-                            v <= detour,
-                            "leaf {l} grid ({s},{t}) {v} exceeds detour {detour}"
-                        );
-                    }
+                assert_eq!(cell(tri, s, s), 0, "leaf {l} diagonal {s}");
+                let arcs = graph.neighbors(s as u32);
+                let arcs = arcs.map(|(t, w)| (t as usize, u64::from(ticks::encode(w))));
+                let detours = (0..s).flat_map(|t| {
+                    let sum = move |(&a, &b): (&u32, &u32)| (t, u64::from(a) + u64::from(b));
+                    rows(s).zip(rows(t)).map(sum)
+                });
+                for (t, bound) in arcs.chain(detours) {
+                    let v = u64::from(cell(tri, s, t));
+                    assert!(v <= bound, "leaf {l} ({s},{t}) {v} > {bound}");
                 }
             }
         }
@@ -407,58 +401,69 @@ pub(crate) fn fold_leaf_matrix(
     )
 }
 
-/// The packed lower triangle of one leaf's global door distances: row
-/// `s` holds `T(s, 0..=s)` (see the module docs for the decomposition
-/// argument).
+/// One leaf's packed triangle: the closure of its leaf graph's arcs and
+/// every access-door pair's `M(a, b)` (see the module docs).
 fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[u32]> {
-    let venue = &*tree.venue;
     let doors = tree.leaf_doors(leaf);
-    let n = doors.len();
-
-    let graph = leaf_graph(venue, tree.leaf_partitions(leaf), doors);
-    let mut engine = DijkstraEngine::new(n);
-    let all: Vec<u32> = (0..n as u32).collect();
-    // The leaf's matrix, decoded once: one row per leaf door, `k` columns,
-    // one per access door.
-    let k = tree.access_doors(leaf).len();
-    let m: Vec<f64> = (0..n)
-        .flat_map(|d| tree.slabs.row(leaf, d).iter().map(|&v| ticks::decode(v)))
-        .collect();
-    let row = |d: usize| &m[d * k..(d + 1) * k];
-
-    let mut out = Vec::with_capacity(n * (n + 1) / 2);
+    let (n, ord) = (doors.len(), |d: &DoorId| doors.binary_search(d).unwrap());
+    let mut tri = vec![ticks::INF; n * (n + 1) / 2];
+    let mut arc = |s: usize, t: usize, w: u32| tri[at(s, t)] = tri[at(s, t)].min(w);
+    let graph = leaf_graph(&tree.venue, tree.leaf_partitions(leaf), doors);
     for s in 0..n {
-        engine.run(&graph, &[(s as u32, 0.0)], &all[..=s]);
-        for t in 0..=s {
-            let mut best = if t == s {
-                0.0
-            } else {
-                engine.settled_distance(t as u32).unwrap_or(f64::INFINITY)
-            };
-            // Fold in the access-door detours; together with the intra
-            // pass this is the exact global distance.
-            for (&sa, &ta) in row(s).iter().zip(row(t)) {
-                let cand = sa + ta;
-                if cand < best {
-                    best = cand;
-                }
-            }
-            out.push(ticks::encode(best));
+        for (t, w) in graph.neighbors(s as u32) {
+            arc(s, t as usize, ticks::encode(w));
         }
     }
-    out.into_boxed_slice()
+    let access = tree.access_doors(leaf);
+    for a in access.iter().map(ord) {
+        let row = tree.slabs.row(leaf, a);
+        access.iter().zip(row).for_each(|(b, &m)| arc(a, ord(b), m));
+    }
+    close(&mut tri, n);
+    tri.into_boxed_slice()
+}
+
+/// Floyd–Warshall in place on `tri`, a symmetric `n × n` matrix of arc
+/// ticks ([`ticks::INF`] for none) packed as [`cell`] reads it. Pivot `k`
+/// copies its row and, by symmetry, reads `d(i, k)` from the copy. The ∞
+/// is [`ticks::LIMIT`], so no sum wraps (DESIGN.md §16): cells stay at
+/// most `LIMIT`, and rows with `d(i, k) = LIMIT` are skipped. It computes
+/// `min(d, LIMIT)` exactly, and stores `LIMIT` as ∞.
+fn close(tri: &mut [u32], n: usize) {
+    tri.iter_mut().for_each(|c| *c = (*c).min(ticks::LIMIT));
+    (0..n).for_each(|i| tri[at(i, i)] = 0);
+    let mut pivot = Vec::with_capacity(n);
+    for k in 0..n {
+        pivot.clear();
+        pivot.extend((0..n).map(|j| tri[at(k, j)]));
+        for (i, &dik) in pivot.iter().enumerate().filter(|p| *p.1 < ticks::LIMIT) {
+            let row = &mut tri[at(i, 0)..=at(i, i)];
+            for (x, &y) in row.iter_mut().zip(&pivot) {
+                *x = (*x).min(dik + y);
+            }
+        }
+    }
+    tri.iter_mut()
+        .filter(|c| **c == ticks::LIMIT)
+        .for_each(|c| *c = ticks::INF);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::get;
+    use super::{at, cell, close};
+    use crate::ticks;
     use crate::tree::VipTreeConfig;
     use crate::IpTree;
     use indoor_graph::DijkstraEngine;
-    use indoor_model::IndoorPoint;
+    use indoor_model::{IndoorPoint, Venue};
     use indoor_synth::random_venue;
     use proptest::prelude::*;
     use std::sync::{Arc, OnceLock};
+
+    /// `T(s, t)` (either order) from one leaf's packed triangle, in metres.
+    fn get(tri: &[u32], s: usize, t: usize) -> f64 {
+        ticks::decode(cell(tri, s, t))
+    }
 
     /// The grid equals ground-truth full-graph Dijkstra between every
     /// pair of leaf doors, in both argument orders, bit for bit.
@@ -477,8 +482,27 @@ mod tests {
         }
     }
 
+    /// The same check on every leaf of the Men-2 and CL-lite presets,
+    /// whose largest leaves (n = 329–333 on CL-lite) the random venues do
+    /// not reach. Ignored in the debug suite; CI runs it in release with
+    /// `--ignored`.
+    #[test]
+    #[ignore]
+    fn preset_grids_match_global_dijkstra() {
+        use indoor_synth::presets;
+        for (name, spec) in [
+            ("Men-2", presets::menzies_2()),
+            ("CL-lite", presets::clayton_lite()),
+        ] {
+            check_grid_on(Arc::new(spec.build()), name);
+        }
+    }
+
     fn check_grid(seed: u64) {
-        let venue = Arc::new(random_venue(seed));
+        check_grid_on(Arc::new(random_venue(seed)), &format!("seed {seed}"));
+    }
+
+    fn check_grid_on(venue: Arc<Venue>, label: &str) {
         let tree = IpTree::build(venue.clone(), &VipTreeConfig::default()).unwrap();
         tree.build_leaf_grid(); // grids are lazy; force them for direct reads
         assert_eq!(
@@ -503,9 +527,117 @@ mod tests {
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
-                            "seed {seed} leaf {li} ({s},{t}): grid {got} vs dijkstra {want}"
+                            "{label} leaf {li} ({s},{t}): grid {got} vs dijkstra {want}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Pack `arcs` (`(s, t, ticks)`, either direction) into a triangle
+    /// and close it.
+    fn closed(n: usize, arcs: &[(usize, usize, u32)]) -> Vec<u32> {
+        let mut tri = vec![ticks::INF; n * (n + 1) / 2];
+        for &(s, t, w) in arcs {
+            tri[at(s, t)] = tri[at(s, t)].min(w);
+        }
+        close(&mut tri, n);
+        tri
+    }
+
+    /// Doors 0–1 and 2–3 are linked inside the leaf; 1 and 2 are access
+    /// doors `M(1, 2) = 100` apart outside it; door 4 reaches nothing.
+    #[test]
+    fn closure_takes_detours_and_keeps_unreachable_pairs_infinite() {
+        let tri = closed(5, &[(0, 1, 5), (2, 3, 7), (1, 2, 100), (0, 1, 9)]);
+        assert_eq!(tri.len(), 15);
+        let want = [
+            [0, 5, 105, 112],
+            [5, 0, 100, 107],
+            [105, 100, 0, 7],
+            [112, 107, 7, 0],
+        ];
+        for (s, row) in want.iter().enumerate() {
+            for (t, &w) in row.iter().enumerate() {
+                assert_eq!(cell(&tri, s, t), w, "({s},{t})");
+            }
+            assert_eq!(cell(&tri, s, 4), ticks::INF, "({s},4)");
+        }
+        assert_eq!(cell(&tri, 4, 4), 0);
+    }
+
+    /// No sum wraps: the largest storable length survives, a path that
+    /// reaches `LIMIT` reads ∞, and the largest arc beside an ∞ stays ∞.
+    #[test]
+    fn closure_sums_do_not_wrap_near_the_limit() {
+        let (half, top) = (ticks::LIMIT / 2, ticks::LIMIT - 1);
+        let tri = closed(3, &[(0, 1, top)]);
+        assert_eq!(
+            [cell(&tri, 0, 1), cell(&tri, 0, 2), cell(&tri, 1, 2)],
+            [top, ticks::INF, ticks::INF]
+        );
+        let tri = closed(3, &[(0, 1, half), (1, 2, half - 1)]);
+        assert_eq!(cell(&tri, 0, 2), top);
+        let tri = closed(3, &[(0, 1, half), (1, 2, half)]);
+        assert_eq!(cell(&tri, 0, 2), ticks::INF);
+        let tri = closed(4, &[(0, 1, top), (1, 2, top), (2, 3, 1)]);
+        assert_eq!(
+            [cell(&tri, 0, 1), cell(&tri, 1, 2), cell(&tri, 2, 3)],
+            [top, top, 1]
+        );
+        for (s, t) in [(0, 2), (0, 3), (1, 3)] {
+            assert_eq!(cell(&tri, s, t), ticks::INF, "({s},{t})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The closure equals repeated relaxation in `u64` on random
+        /// symmetric matrices, with some arcs absent or near `LIMIT`.
+        #[test]
+        fn closure_matches_relaxation(seed in 0u64..1_000_000) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let n = (next() % 12) as usize + 1;
+            let arcs: Vec<(usize, usize, u32)> = (0..next() % 40)
+                .map(|_| {
+                    let w = match next() % 4 {
+                        0 => ticks::LIMIT - 1 - (next() % 1000) as u32,
+                        _ => (next() % 5_000) as u32,
+                    };
+                    ((next() % n as u64) as usize, (next() % n as u64) as usize, w)
+                })
+                .collect();
+            let mut d = vec![u64::MAX; n * n];
+            (0..n).for_each(|i| d[i * n + i] = 0);
+            for &(s, t, w) in &arcs {
+                for (a, b) in [(s, t), (t, s)] {
+                    d[a * n + b] = d[a * n + b].min(u64::from(w));
+                }
+            }
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for (i, j, k) in (0..n * n * n).map(|v| (v / (n * n), v / n % n, v % n)) {
+                    let via = d[i * n + k].saturating_add(d[k * n + j]);
+                    if via < d[i * n + j] {
+                        d[i * n + j] = via;
+                        changed = true;
+                    }
+                }
+            }
+            let tri = closed(n, &arcs);
+            for s in 0..n {
+                for t in 0..n {
+                    let want = d[s * n + t];
+                    let want = if want < u64::from(ticks::LIMIT) { want as u32 } else { ticks::INF };
+                    prop_assert_eq!(cell(&tri, s, t), want);
                 }
             }
         }
