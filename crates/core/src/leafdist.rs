@@ -1,7 +1,8 @@
 //! Leaf-local distances: the build's leaf passes (§2.1.2 step 3,
 //! DESIGN.md §1) and the per-leaf door-to-door grid, the packed table
 //! that replaces the per-query D2D expansion of same-leaf scans
-//! (DESIGN.md §14.4). All of them start from [`leaf_graph`].
+//! (DESIGN.md §14.4). All of them start from the leaf's partition door
+//! cliques ([`leaf_arcs`]).
 //!
 //! The grid precomputes, per leaf, the `n × n` table of **global**
 //! shortest distances between the leaf's doors, so `scan_leaf` answers
@@ -29,8 +30,9 @@
 //! global by the top-down fold ([`fold_leaf_matrix`]). Both ingredients
 //! exist at build time, so the grid costs no full-graph work.
 //!
-//! Build: one min-plus closure ([`close`]) of the leaf graph's arcs and
-//! the stored `M(a, b)` of every access-door pair — the formula above,
+//! Build: one min-plus closure ([`close`]) of the leaf-local arcs, written
+//! straight into the triangle with no graph built, and the stored
+//! `M(a, b)` of every access-door pair — the formula above,
 //! as each outside stretch of a crossing path joins two access doors.
 //!
 //! Layout: one packed lower triangle per leaf of `u32` tick counts
@@ -157,13 +159,15 @@ impl LeafGrid {
     }
 }
 
-/// The D2D subgraph a leaf's doors induce through `partitions`: the venue
-/// D2D builder's per-partition door cliques, restricted to the doors in
-/// `doors`, with identical weights. Vertex `i` is `doors[i]` (`doors`
-/// sorted), so vertex order is door-id order. Over the leaf's own
-/// partitions this is the leaf-local graph.
-pub(crate) fn leaf_graph(venue: &Venue, partitions: &[PartitionId], doors: &[DoorId]) -> CsrGraph {
-    let mut gb = GraphBuilder::new(doors.len());
+/// Every arc of the venue D2D builder's per-partition door cliques over
+/// `partitions`, restricted to the doors in `doors` (sorted), with
+/// identical weights: `arc(i, j, w)` for the doors `doors[i]`, `doors[j]`.
+fn leaf_arcs(
+    venue: &Venue,
+    partitions: &[PartitionId],
+    doors: &[DoorId],
+    mut arc: impl FnMut(u32, u32, f64),
+) {
     let mut here: Vec<(u32, DoorId)> = Vec::new();
     for &p in partitions {
         let part = venue.partition(p);
@@ -175,11 +179,23 @@ pub(crate) fn leaf_graph(venue: &Venue, partitions: &[PartitionId], doors: &[Doo
         );
         for (i, &(oa, da)) in here.iter().enumerate() {
             for &(ob, db) in &here[i + 1..] {
-                let w = part.traversal_distance(&venue.door(da).position, &venue.door(db).position);
-                gb.add_edge(oa, ob, w);
+                arc(
+                    oa,
+                    ob,
+                    part.traversal_distance(&venue.door(da).position, &venue.door(db).position),
+                );
             }
         }
     }
+}
+
+/// The D2D subgraph a leaf's doors induce through `partitions`: the arcs
+/// of [`leaf_arcs`]. Vertex `i` is `doors[i]` (`doors` sorted), so vertex
+/// order is door-id order. Over the leaf's own partitions this is the
+/// leaf-local graph.
+pub(crate) fn leaf_graph(venue: &Venue, partitions: &[PartitionId], doors: &[DoorId]) -> CsrGraph {
+    let mut gb = GraphBuilder::new(doors.len());
+    leaf_arcs(venue, partitions, doors, |a, b, w| gb.add_edge(a, b, w));
     gb.build()
 }
 
@@ -401,19 +417,17 @@ pub(crate) fn fold_leaf_matrix(
     )
 }
 
-/// One leaf's packed triangle: the closure of its leaf graph's arcs and
-/// every access-door pair's `M(a, b)` (see the module docs).
+/// One leaf's packed triangle: the closure of its leaf-local arcs, the
+/// lighter of parallel ones, and every access-door pair's `M(a, b)` (see
+/// the module docs).
 fn leaf_triangle(tree: &IpTree, leaf: NodeIdx) -> Box<[u32]> {
     let doors = tree.leaf_doors(leaf);
     let (n, ord) = (doors.len(), |d: &DoorId| doors.binary_search(d).unwrap());
     let mut tri = vec![ticks::INF; n * (n + 1) / 2];
     let mut arc = |s: usize, t: usize, w: u32| tri[at(s, t)] = tri[at(s, t)].min(w);
-    let graph = leaf_graph(&tree.venue, tree.leaf_partitions(leaf), doors);
-    for s in 0..n {
-        for (t, w) in graph.neighbors(s as u32) {
-            arc(s, t as usize, ticks::encode(w));
-        }
-    }
+    leaf_arcs(&tree.venue, tree.leaf_partitions(leaf), doors, |s, t, w| {
+        arc(s as usize, t as usize, ticks::encode(w))
+    });
     let access = tree.access_doors(leaf);
     for a in access.iter().map(ord) {
         let row = tree.slabs.row(leaf, a);
